@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .core import per_arm
 from .errors import ConfigurationError, NumericError
 from .infotheory import delta_star, delta_star_sq_grad
 from .rng import RngStream
@@ -208,12 +209,11 @@ class TsAgent:
             raise ValueError("at least one arm required")
         self.n_arms = arms
         self.action_space = ("discrete", arms)
-        as_list = lambda v: [float(x) for x in (v if isinstance(v, (list, tuple)) else [v] * arms)]
-        self.etas = as_list(eta)
-        self.zetas = as_list(zeta)
+        self.etas = per_arm(eta, arms)
+        self.zetas = per_arm(zeta, arms)
         self.sigma = float(sigma)
-        self.mu0s = as_list(mu0)
-        self.sigma0s = as_list(sigma0)
+        self.mu0s = per_arm(mu0, arms)
+        self.sigma0s = per_arm(sigma0, arms)
         self.mus = list(self.mu0s)
         self.sigmas = list(self.sigma0s)
 
@@ -515,5 +515,5 @@ def build_agent(spec: dict):
         raise ConfigurationError(f"unknown agent kind {kind!r}; known: {sorted(_AGENT_KINDS)}")
     try:
         return cls(**spec)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad parameters for agent {kind!r}: {exc}") from exc

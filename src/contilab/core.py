@@ -53,6 +53,14 @@ def _spaces_compatible(a, b) -> bool:
     return a is None or b is None or a == b
 
 
+def per_arm(value, arms: int) -> list[float]:
+    """One float per arm: a scalar is repeated, a list must hold exactly ``arms`` values."""
+    values = value if isinstance(value, (list, tuple)) else [value] * arms
+    if len(values) != arms:
+        raise ValueError(f"per-arm parameter needs {arms} values, got {len(values)}")
+    return [float(v) for v in values]
+
+
 def average_reward(rewards) -> float:
     """Arithmetic mean of a nonempty sequence of finite rewards."""
     rewards = list(rewards)

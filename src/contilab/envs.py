@@ -15,6 +15,7 @@ from bisect import bisect_right
 
 import numpy as np
 
+from .core import per_arm
 from .errors import ConfigurationError
 from .mdp_tools import goal_reward_scale
 from .rng import RngStream
@@ -125,15 +126,13 @@ class GaussianAr1BanditEnv:
             raise ValueError("at least one arm required")
         self.n_arms = arms
         self.action_space = ("discrete", arms)
-        self.etas = [float(e) for e in (eta if isinstance(eta, (list, tuple)) else [eta] * arms)]
+        self.etas = per_arm(eta, arms)
         if zeta is None:
             self.zetas = [math.sqrt(max(0.0, 1.0 - e * e)) for e in self.etas]
         else:
-            self.zetas = [float(z) for z in (zeta if isinstance(zeta, (list, tuple)) else [zeta] * arms)]
-        self.mu0s = [float(m) for m in (mu0 if isinstance(mu0, (list, tuple)) else [mu0] * arms)]
-        self.sigma0s = [float(s) for s in (sigma0 if isinstance(sigma0, (list, tuple)) else [sigma0] * arms)]
-        if len(self.etas) != arms or len(self.zetas) != arms:
-            raise ValueError("per-arm parameter lists must match the arm count")
+            self.zetas = per_arm(zeta, arms)
+        self.mu0s = per_arm(mu0, arms)
+        self.sigma0s = per_arm(sigma0, arms)
         self.sigma = float(sigma)
         self.thetas: list[float] = []
 
@@ -222,8 +221,8 @@ class GoalMdpEnv:
     the current MDP earns ``target_reward`` per step on average. Arrival at
     the goal state pays that scaled reward, every other transition pays 0.
     A degenerate draw that leaves the goal unreachable under the greedy
-    policy raises DegenerateMdpError, which sweep runners record as a failed
-    trial.
+    policy raises DegenerateMdpError, one of the two modelled failures that
+    ``sweep.run_trials`` records as a failed trial instead of aborting.
     """
 
     def __init__(self, n_states: int = 10, n_actions: int = 3, resample_prob: float = 1e-3,
@@ -343,5 +342,5 @@ def build_env(spec: dict):
         raise ConfigurationError(f"unknown env kind {kind!r}; known: {sorted(_ENV_KINDS)}")
     try:
         return cls(**spec)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad parameters for env {kind!r}: {exc}") from exc

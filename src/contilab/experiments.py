@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -24,7 +25,7 @@ from .errors import ConfigurationError
 from .mdp_tools import belief_value_iteration
 from .output import write_config_resolved, write_line_plot, write_results_csv
 from .rng import RngStream
-from .sweep import ExperimentConfig, SweepRow, monte_carlo_sweep, run_trials
+from .sweep import ExperimentConfig, SweepRow, aggregate, monte_carlo_sweep, run_trials
 
 
 @dataclass
@@ -134,19 +135,13 @@ def _analytic_row(coords, metric, value) -> SweepRow:
     return SweepRow(dict(coords), metric, float(value), 0.0, 0.0, 0)
 
 
-def _avg_diagnostic(results, name):
-    """Average a thinned diagnostic series across successful trials."""
-    series = [r.summary.diagnostics[name] for r in results if r.summary is not None]
+def _mean_series(results, diagnostic=None):
+    """Stepwise mean over successful trials of the thinned running-reward
+    series, or of the agent diagnostic named ``diagnostic``."""
+    series = [r.summary.reward_series if diagnostic is None else r.summary.diagnostics[diagnostic]
+              for r in results if r.summary is not None]
     steps = [t for t, _ in series[0]]
-    data = np.array([[v for _, v in s] for s in series])
-    return steps, data.mean(axis=0), data.std(axis=0, ddof=1) if len(series) > 1 else np.zeros(len(steps))
-
-
-def _avg_reward_series(results):
-    series = [r.summary.reward_series for r in results if r.summary is not None]
-    steps = [t for t, _ in series[0]]
-    data = np.array([[v for _, v in s] for s in series])
-    return steps, data.mean(axis=0)
+    return steps, np.array([[v for _, v in s] for s in series]).mean(axis=0)
 
 
 # --------------------------------------------------------------------------
@@ -284,20 +279,17 @@ def _run_fig9(params, workers):
         "standard": {"kind": "idbd", "zeta_meta": params["zeta_meta"], "mode": "standard",
                      "delta": delta_at_star, "alpha0": params["alpha0"]},
     }
+    cells = [ExperimentConfig("fig9_idbd", env=env, agent=agent, horizon=params["horizon"],
+                              trials=params["trials"], seed=params["seed"])
+             for agent in variants.values()]
     rows = [_analytic_row({"variant": "reference"}, "alpha_star", star)]
     series = []
-    for variant, agent in variants.items():
-        cfg = ExperimentConfig("fig9_idbd", env=env, agent=agent, horizon=params["horizon"],
-                               trials=params["trials"], seed=params["seed"])
-        results = run_trials(cfg, workers=workers, record_series=True)
-        steps, mean_alpha, _ = _avg_diagnostic(results, "alpha")
+    for variant, results in zip(variants, run_trials(cells, workers=workers, record_series=True)):
+        steps, mean_alpha = _mean_series(results, "alpha")
         for t, m in zip(steps, mean_alpha):
             rows.append(_analytic_row({"variant": variant, "t": t}, "mean_alpha", m))
         finals = [r.summary.metrics["final_alpha"] for r in results if r.summary]
-        mean = float(np.mean(finals))
-        std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
-        rows.append(SweepRow({"variant": variant}, "final_alpha", mean, std,
-                             1.959963984540054 * std / math.sqrt(len(finals)), len(finals)))
+        rows.append(SweepRow({"variant": variant}, "final_alpha", *aggregate(finals), len(finals)))
         series.append((variant, list(steps), list(mean_alpha)))
     series.append(("optimal", [0, params["horizon"]], [star, star]))
     return ExperimentResult(rows, ("adapted stepsize", "step", "stepsize", series))
@@ -328,14 +320,14 @@ def _bandit_cells(name, etas, agents, sigma, horizon, trials, seed):
     {"eta": 0.9, "sigma": 1.0, "horizon": 200, "trials": 2000, "seed": 20_240_913},
 )
 def _run_fig13(params, workers):
+    cells = _bandit_cells("fig13_ps_vs_ts_time", [params["eta"]], ["ts", "ps"],
+                          params["sigma"], params["horizon"], params["trials"], params["seed"])
     rows = []
     series = []
-    for cfg in _bandit_cells("fig13_ps_vs_ts_time", [params["eta"]], ["ts", "ps"],
-                             params["sigma"], params["horizon"], params["trials"], params["seed"]):
+    for cfg, results in zip(cells, run_trials(cells, workers=workers, record_series=True)):
         kind = cfg.coords["agent"]
-        results = run_trials(cfg, workers=workers, record_series=True)
-        steps, mean_reward = _avg_reward_series(results)
-        g_steps, mean_greedy, _ = _avg_diagnostic(results, "greedy_rate")
+        steps, mean_reward = _mean_series(results)
+        g_steps, mean_greedy = _mean_series(results, "greedy_rate")
         for t, m in zip(steps, mean_reward):
             rows.append(_analytic_row({"agent": kind, "t": t}, "cum_avg_reward", m))
         for t, m in zip(g_steps, mean_greedy):
@@ -409,32 +401,24 @@ def _mdp_best_rows(table, params, outer: str, inner: str):
     return rows
 
 
-@_register("fig15_mdp_alpha",
-           "reward vs Q-learning stepsize (best boost) in slow and fast drifting MDPs",
-           dict(_MDP_DEFAULTS))
-def _run_fig15(params, workers):
-    table = _mdp_sweep("fig15_mdp_alpha", params, workers)
-    best = _mdp_best_rows(table, params, "alpha", "boost")
+def _run_mdp(name, outer: str, inner: str, label: str, params, workers):
+    """Reward vs the ``outer`` axis (best over ``inner``), then every sweep cell."""
+    table = _mdp_sweep(name, params, workers)
+    best = _mdp_best_rows(table, params, outer, inner)
     series = []
     for resample_eta in params["resample_etas"]:
-        pts = [(r.coords["alpha"], r.mean) for r in best if r.coords["resample_eta"] == resample_eta]
+        pts = [(r.coords[outer], r.mean) for r in best if r.coords["resample_eta"] == resample_eta]
         series.append((f"resample={resample_eta:g}", [p[0] for p in pts], [p[1] for p in pts]))
     return ExperimentResult(best + table.rows,
-                            ("reward vs stepsize", "stepsize", "average reward", series))
+                            (f"reward vs {label}", label, "average reward", series))
 
 
-@_register("fig16_mdp_boost",
-           "reward vs optimistic boost (best stepsize) in slow and fast drifting MDPs",
-           dict(_MDP_DEFAULTS))
-def _run_fig16(params, workers):
-    table = _mdp_sweep("fig16_mdp_boost", params, workers)
-    best = _mdp_best_rows(table, params, "boost", "alpha")
-    series = []
-    for resample_eta in params["resample_etas"]:
-        pts = [(r.coords["boost"], r.mean) for r in best if r.coords["resample_eta"] == resample_eta]
-        series.append((f"resample={resample_eta:g}", [p[0] for p in pts], [p[1] for p in pts]))
-    return ExperimentResult(best + table.rows,
-                            ("reward vs boost", "boost", "average reward", series))
+_register("fig15_mdp_alpha",
+          "reward vs Q-learning stepsize (best boost) in slow and fast drifting MDPs",
+          dict(_MDP_DEFAULTS))(partial(_run_mdp, "fig15_mdp_alpha", "alpha", "boost", "stepsize"))
+_register("fig16_mdp_boost",
+          "reward vs optimistic boost (best stepsize) in slow and fast drifting MDPs",
+          dict(_MDP_DEFAULTS))(partial(_run_mdp, "fig16_mdp_boost", "boost", "alpha", "boost"))
 
 
 # --------------------------------------------------------------------------
@@ -475,12 +459,9 @@ def _run_logit_regret(params, workers):
     pts_mc, pts_bound = [], []
     for T in params["horizons"]:
         regrets = logit_regret_episodes(T, params["episodes"], params["seed"], params["grid_size"])
-        mean = float(np.mean(regrets))
-        std = float(np.std(regrets, ddof=1))
-        stderr = std / math.sqrt(len(regrets))
+        mean, std, ci = aggregate(regrets)
         bound = it.regret_bound_logit(T)
-        rows.append(SweepRow({"horizon": T}, "mc_regret", mean, std, 1.959963984540054 * stderr,
-                             len(regrets)))
+        rows.append(SweepRow({"horizon": T}, "mc_regret", mean, std, ci, len(regrets)))
         rows.append(_analytic_row({"horizon": T}, "bound", bound))
         pts_mc.append((T, mean))
         pts_bound.append((T, bound))

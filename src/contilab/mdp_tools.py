@@ -94,11 +94,15 @@ def greedy_stationary_distribution(mdp: TabularMdp, Q: np.ndarray) -> np.ndarray
     (1 - b) * mu0 * (I - b * P_pi)^-1 at b = 1 - 1e-9, then renormalized; this
     handles periodic and reducible chains that plain power iteration cannot.
     """
-    n = mdp.n_states
-    actions = greedy_policy(Q)
-    P_pi = mdp.P[np.arange(n), actions, :]
-    mu0 = np.full(n, 1.0 / n)
-    occ = np.linalg.solve(np.eye(n) - _CESARO_BETA * P_pi.T, mu0)
+    return _greedy_occupancy(mdp.P, greedy_policy(Q))
+
+
+def _greedy_occupancy(P: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Cesaro-limit state distribution of the chain P[s, actions[s], :] from a
+    uniform start (see :func:`greedy_stationary_distribution`)."""
+    n = P.shape[0]
+    P_pi = P[np.arange(n), actions, :]
+    occ = np.linalg.solve(np.eye(n) - _CESARO_BETA * P_pi.T, np.full(n, 1.0 / n))
     occ = np.maximum(occ, 0.0)
     return occ / occ.sum()
 
@@ -144,11 +148,7 @@ def goal_reward_scale(P: np.ndarray, goal_state: int, gamma: float = 0.9,
     r_next = np.zeros(S)
     r_next[goal_state] = 1.0
     Q = _policy_iteration_q(P, r_next, gamma, q0)
-    P_pi = P[np.arange(S), np.argmax(Q, axis=1), :]
-    mu0 = np.full(S, 1.0 / S)
-    occ = np.linalg.solve(np.eye(S) - _CESARO_BETA * P_pi.T, mu0)
-    occ = np.maximum(occ, 0.0)
-    d_goal = occ[goal_state] / occ.sum()
+    d_goal = _greedy_occupancy(P, greedy_policy(Q))[goal_state]
     if d_goal < 1e-9:
         raise DegenerateMdpError(
             f"goal state {goal_state} has stationary mass {d_goal:.3e} under the greedy policy"

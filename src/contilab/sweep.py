@@ -1,9 +1,13 @@
-"""Declarative experiment configs and seeded Monte Carlo sweeps.
+"""Declarative experiment configs and seeded Monte Carlo trials.
 
-A sweep runs ``trials`` independent trajectories per config cell. Trial i of
-a cell draws its stream id from a content hash of the cell's (env, agent,
-horizon) spec plus i, so cell results are bit-identical under grid
-permutation, worker count, and scheduling order.
+Trial i of a cell draws from its own stream keyed by (seed, a content hash of
+the cell's env/agent/horizon spec, i), so its numbers do not depend on the
+other cells in a call, their order, the worker count or the batch it lands
+in. :func:`run_trials` is the one executor: the batches of all its cells run
+serially or in one process pool per call. :func:`monte_carlo_sweep` turns
+its output into rows with :func:`aggregate`. Only the modelled failures,
+``NumericError`` and ``DegenerateMdpError``, are recorded as failed trials;
+any other exception (a bad config, a bug) aborts the call.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from .agents import build_agent
 from .core import TrajectorySummary, run_trajectory
 from .envs import build_env
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateMdpError, NumericError
 from .rng import RngStream
 
 _Z95 = 1.959963984540054
@@ -147,37 +151,45 @@ def _run_batch(payload):
                 env, agent, horizon, _trial_stream(base_seed, cell_key, i),
                 record_series=record_series,
             )
-            results.append((i, summary, None))
-        except Exception as exc:  # per-trial failures are recorded, not fatal
-            results.append((i, None, f"{type(exc).__name__}: {exc}"))
+            results.append(TrialResult(i, summary))
+        except (NumericError, DegenerateMdpError) as exc:
+            results.append(TrialResult(i, None, f"{type(exc).__name__}: {exc}"))
     return results
 
 
-def run_trials(config: ExperimentConfig, base_seed: int | None = None, *,
-               workers: int | None = None, record_series: bool = False) -> list[TrialResult]:
-    """Run all trials of one cell; results are ordered by trial index."""
-    base_seed = config.seed if base_seed is None else base_seed
-    key = config.canonical_key()
-    n = config.trials
+def run_trials(cells, *, workers: int | None = None,
+               record_series: bool = False) -> list[list[TrialResult]]:
+    """Run every trial of every cell; returns each cell's results in trial order.
+
+    The batches of all cells run serially with one worker (or one batch),
+    else in a single process pool.
+    """
     w = resolve_workers(workers)
-    chunk = max(1, -(-n // (w * 4)))
-    payloads = [
-        (config.env, config.agent, config.horizon, key, lo, min(lo + chunk, n), base_seed, record_series)
-        for lo in range(0, n, chunk)
-    ]
-    out: list[TrialResult | None] = [None] * n
-    if w == 1 or n == 1:
+    payloads, owners = [], []
+    for c, cfg in enumerate(cells):
+        key, n = cfg.canonical_key(), cfg.trials
+        chunk = max(1, -(-n // (w * 4)))
+        for lo in range(0, n, chunk):
+            payloads.append((cfg.env, cfg.agent, cfg.horizon, key, lo, min(lo + chunk, n),
+                             cfg.seed, record_series))
+            owners.append(c)
+    if w == 1 or len(payloads) == 1:
         batches = map(_run_batch, payloads)
     else:
         with ProcessPoolExecutor(max_workers=w) as pool:
-            batches = list(pool.map(_run_batch, payloads))
-    for batch in batches:
-        for i, summary, err in batch:
-            out[i] = TrialResult(i, summary, err)
-    return [r for r in out if r is not None]
+            try:
+                batches = list(pool.map(_run_batch, payloads))
+            except BaseException:  # abort now: drop the batches not yet started
+                pool.shutdown(cancel_futures=True)
+                raise
+    out: list[list[TrialResult]] = [[] for _ in cells]
+    for c, batch in zip(owners, batches):
+        out[c].extend(batch)
+    return out
 
 
-def _aggregate(values: list[float]) -> tuple[float, float, float]:
+def aggregate(values: list[float]) -> tuple[float, float, float]:
+    """Mean, sample std and 95% normal-theory CI half-width of ``values``."""
     n = len(values)
     mean = math.fsum(values) / n
     if n == 1:
@@ -187,57 +199,25 @@ def _aggregate(values: list[float]) -> tuple[float, float, float]:
     return mean, std, _Z95 * std / math.sqrt(n)
 
 
-def monte_carlo_sweep(config_grid, trials: int | None = None, base_seed: int | None = None, *,
-                      workers: int | None = None) -> SweepTable:
+def monte_carlo_sweep(cells, *, workers: int | None = None) -> SweepTable:
     """Aggregate per-cell trajectory metrics over seeded independent trials.
 
     Every metric each cell's agent reports (always including average_reward)
-    becomes one table row with mean, sample std, and a 95% normal-theory
-    confidence half-width. Trial failures are recorded on the row; a cell
-    with no successful trial is reported as missing (NaN mean).
+    becomes one table row with :func:`aggregate`'s statistics. Modelled trial
+    failures are noted on the row; a cell with no successful trial is
+    reported as missing (NaN mean).
     """
+    cells = list(cells)
     rows: list[SweepRow] = []
-    w = resolve_workers(workers)
-    world = []
-    for cfg in config_grid:
-        n = trials if trials is not None else cfg.trials
-        seed = base_seed if base_seed is not None else cfg.seed
-        key = cfg.canonical_key()
-        chunk = max(1, -(-n // (w * 4)))
-        for lo in range(0, n, chunk):
-            world.append((cfg, n, (cfg.env, cfg.agent, cfg.horizon, key, lo, min(lo + chunk, n), seed, False)))
-
-    payloads = [p for _, _, p in world]
-    if w == 1:
-        batches = [_run_batch(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=w) as pool:
-            batches = list(pool.map(_run_batch, payloads))
-
-    by_cell: dict[int, dict] = {}
-    for (cfg, n, _), batch in zip(world, batches):
-        slot = by_cell.setdefault(id(cfg), {"cfg": cfg, "n": n, "metrics": {}, "errors": {}})
-        for i, summary, err in batch:
-            if err is not None:
-                slot["errors"][i] = err
-            else:
-                for name, value in summary.metrics.items():
-                    slot["metrics"].setdefault(name, {})[i] = value
-
-    for slot in by_cell.values():
-        cfg, n = slot["cfg"], slot["n"]
-        n_failed = len(slot["errors"])
-        note = None
-        if n_failed:
-            first = slot["errors"][min(slot["errors"])]
-            note = f"{n_failed}/{n} trials failed ({first})"
-        if not slot["metrics"]:
-            rows.append(SweepRow(dict(cfg.coords), "average_reward", float("nan"), float("nan"),
-                                 float("nan"), 0, note or "all trials failed"))
+    for cfg, results in zip(cells, run_trials(cells, workers=workers)):
+        failed = [r.error for r in results if r.error is not None]
+        note = f"{len(failed)}/{cfg.trials} trials failed ({failed[0]})" if failed else None
+        metrics = [r.summary.metrics for r in results if r.error is None]
+        if not metrics:
+            nan = float("nan")
+            rows.append(SweepRow(dict(cfg.coords), "average_reward", nan, nan, nan, 0, note))
             continue
-        for metric in sorted(slot["metrics"]):
-            per_trial = slot["metrics"][metric]
-            values = [per_trial[i] for i in sorted(per_trial)]
-            mean, std, ci = _aggregate(values)
-            rows.append(SweepRow(dict(cfg.coords), metric, mean, std, ci, len(values), note))
+        for metric in sorted(metrics[0]):
+            mean, std, ci = aggregate([m[metric] for m in metrics])
+            rows.append(SweepRow(dict(cfg.coords), metric, mean, std, ci, len(metrics), note))
     return SweepTable(rows)

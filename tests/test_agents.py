@@ -410,3 +410,13 @@ def test_build_agent_errors():
         build_agent({"kind": "oracle"})
     with pytest.raises(ConfigurationError, match="bad parameters"):
         build_agent({"kind": "lms", "alpha": 0.5, "bogus": 2})
+    with pytest.raises(ConfigurationError, match="bad parameters"):
+        build_agent({"kind": "lms", "alpha": 1.5})
+
+
+def test_per_arm_lists_must_match_arm_count():
+    with pytest.raises(ValueError, match="needs 2 values, got 1"):
+        TsAgent(arms=2, eta=[0.9], zeta=0.4, sigma=1.0)
+    with pytest.raises(ValueError, match="needs 2 values, got 3"):
+        PsAgent(arms=2, eta=0.9, zeta=0.4, sigma=1.0, sigma0=[1.0, 1.0, 1.0])
+    assert TsAgent(arms=2, eta=[0.9, 0.5], zeta=0.4, sigma=1.0).etas == [0.9, 0.5]

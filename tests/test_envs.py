@@ -199,6 +199,8 @@ def test_build_env_unknown_kind():
         build_env({"kind": "warp_drive"})
     with pytest.raises(ConfigurationError, match="bad parameters"):
         build_env({"kind": "ar1", "eta": 0.5, "zeta": 0.1, "sigma": 0.1, "bogus": 1})
+    with pytest.raises(ConfigurationError, match="bad parameters"):
+        build_env({"kind": "ar1", "eta": 1.5, "zeta": 0.1, "sigma": 0.1})
 
 
 def test_env_param_validation():
@@ -208,3 +210,5 @@ def test_env_param_validation():
         GoalMdpEnv(resample_prob=-0.1)
     with pytest.raises(ValueError):
         CoinSwapEnv([])
+    with pytest.raises(ValueError, match="needs 2 values, got 1"):
+        GaussianAr1BanditEnv(arms=2, eta=0.9, sigma=1.0, mu0=[0.0])

@@ -135,6 +135,15 @@ def test_cli_error_codes(tmp_path, capsys):
         main(["run", "logit_regret", "positional_junk"])
 
 
+def test_cli_invalid_cell_parameter_exits_2_without_csv(tmp_path, capsys):
+    out = tmp_path / "bad"
+    code = main(["run", "fig2_lms_sweep", "--out", str(out), "--trials=2", "--horizon=50",
+                 "--alphas=[0.2, 1.5]"])
+    assert code == 2
+    assert "alpha must lie in [0, 1]" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_cli_dry_run(capsys):
     assert main(["run", "fig2_lms_sweep", "--dry-run", "--trials", "3"]) == 0
     assert "config ok" in capsys.readouterr().out

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contilab.core import run_trajectory
 from contilab.envs import _ENV_KINDS
-from contilab.errors import ConfigurationError
+from contilab.errors import ConfigurationError, NumericError
 from contilab.rng import RngStream
-from contilab.sweep import ExperimentConfig, monte_carlo_sweep, resolve_workers, run_trials
+from contilab.sweep import (ExperimentConfig, aggregate, monte_carlo_sweep, resolve_workers,
+                            run_trials)
 
 
 def _coin_config(**kw):
@@ -61,13 +64,14 @@ def test_sweep_axis_must_exist():
 
 def test_aggregate_statistics():
     cfg = _coin_config(trials=8)
-    results = run_trials(cfg, workers=1)
-    values = [r.summary.average_reward for r in results]
-    table = monte_carlo_sweep([cfg], workers=1)
-    row = table.select("average_reward")[0]
-    assert row.mean == pytest.approx(np.mean(values), abs=1e-15)
-    assert row.std == pytest.approx(np.std(values, ddof=1), rel=1e-12)
-    assert row.ci95 == pytest.approx(1.959963984540054 * row.std / math.sqrt(8), rel=1e-12)
+    values = [r.summary.average_reward for r in run_trials([cfg], workers=1)[0]]
+    mean, std, ci95 = aggregate(values)
+    assert mean == pytest.approx(np.mean(values), abs=1e-15)
+    assert std == pytest.approx(np.std(values, ddof=1), rel=1e-12)
+    assert ci95 == pytest.approx(1.959963984540054 * std / math.sqrt(8), rel=1e-12)
+    assert aggregate([0.25]) == (0.25, 0.0, 0.0)
+    row = monte_carlo_sweep([cfg], workers=1).select("average_reward")[0]
+    assert (row.mean, row.std, row.ci95, row.trials) == (mean, std, ci95, 8)
 
 
 class _FlakyEnv:
@@ -79,7 +83,7 @@ class _FlakyEnv:
     def reset(self, stream):
         self._rng = stream.buffer()
         if self._rng.uniform() < 0.5:
-            raise RuntimeError("synthetic trial failure")
+            raise NumericError("synthetic trial failure")
 
     def step(self, action):
         return 0
@@ -90,7 +94,12 @@ class _FlakyEnv:
 
 class _DoomedEnv(_FlakyEnv):
     def reset(self, stream):
-        raise RuntimeError("always fails")
+        raise NumericError("always fails")
+
+
+class _BuggyEnv(_FlakyEnv):
+    def reset(self, stream):
+        raise RuntimeError("a bug, not a modelled failure")
 
 
 def test_trial_failures_recorded(monkeypatch):
@@ -110,6 +119,15 @@ def test_trial_failures_recorded(monkeypatch):
     assert math.isnan(row.mean) and row.trials == 0
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unmodelled_trial_failure_aborts(monkeypatch, workers):
+    monkeypatch.setitem(_ENV_KINDS, "buggy", _BuggyEnv)
+    cells = [_coin_config(trials=4),
+             _coin_config(env={"kind": "buggy"}, agent={"kind": "bit_flip", "mean_p": 0.5})]
+    with pytest.raises(RuntimeError, match="not a modelled failure"):
+        monte_carlo_sweep(cells, workers=workers)
+
+
 def test_resolve_workers_env_cap(monkeypatch):
     monkeypatch.setenv("CONTILAB_THREADS", "1")
     assert resolve_workers(8) == 1
@@ -122,3 +140,46 @@ def test_config_validation():
         _coin_config(horizon=0)
     with pytest.raises(ConfigurationError):
         _coin_config(trials=0)
+
+
+# Every trial draws from its own (seed, cell, trial) stream, so how trials are
+# grouped into calls, ordered, or spread over workers cannot change a number.
+_bit_flip_cells = st.lists(
+    st.builds(
+        lambda p, mean_p, horizon, trials, seed: _coin_config(
+            env={"kind": "bit_flip", "prior": ["fixed", p]},
+            agent={"kind": "bit_flip", "mean_p": mean_p},
+            horizon=horizon, trials=trials, seed=seed),
+        p=st.sampled_from([0.1, 0.5, 0.9]),
+        mean_p=st.sampled_from([0.2, 0.5, 0.7]),
+        horizon=st.integers(1, 200),
+        trials=st.integers(1, 4),
+        seed=st.integers(0, 3),
+    ),
+    min_size=2, max_size=3,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_bit_flip_cells)
+def test_run_trials_cells_are_independent(cells):
+    a, b = cells[:2]
+    together = run_trials([a, b], workers=1, record_series=True)
+    assert together == [run_trials([a], workers=1, record_series=True)[0],
+                        run_trials([b], workers=1, record_series=True)[0]]
+    assert [[r.index for r in results] for results in together] == [
+        list(range(a.trials)), list(range(b.trials))]
+
+
+@settings(max_examples=15, deadline=None)
+@given(_bit_flip_cells)
+def test_run_trials_cell_order_only_reorders(cells):
+    assert run_trials(cells[::-1], workers=1) == run_trials(cells, workers=1)[::-1]
+
+
+@settings(max_examples=8, deadline=None)
+@given(_bit_flip_cells)
+def test_run_trials_worker_count_invariance(cells):
+    metrics = lambda w: [[r.summary.metrics for r in results]
+                         for results in run_trials(cells, workers=w)]
+    assert metrics(1) == metrics(2)

@@ -13,10 +13,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from .errors import ConfigurationError, NumericError
-from .rng import RngStream
+from .rng import DRAW_BLOCK, RngStream
 
 SERIES_POINTS = 2000
+_LOCKSTEP_STEPS = DRAW_BLOCK // 2  # steps per chunk of (DRAW_BLOCK, N) normals
 
 
 @dataclass(frozen=True)
@@ -154,3 +157,91 @@ def run_trajectory(
         metrics=metrics,
         steps=steps,
     )
+
+
+def run_lockstep(envs, agents, T: int, streams) -> list[TrajectorySummary | None]:
+    """``run_trajectory(envs[j], agents[j], T, streams[j], record_series=False)``
+    for every j, with the trials advanced together as float64 arrays.
+
+    Each step applies the env's and agent's float operations in their order,
+    and each trial reads its own "env-noise" normals in DrawBuffer's layout,
+    so the summaries are equal field for field. Entry j is None where trial j
+    must go to ``run_trajectory``: its env or agent is not exactly
+    ``Ar1ScalarEnv`` / ``LmsAgent`` (a subclass may change the arithmetic),
+    or its total is not finite (the scalar path then raises its own
+    ``NumericError`` or returns its own result).
+    """
+    from .agents import LmsAgent  # deferred: agents and envs import this module
+    from .envs import Ar1ScalarEnv
+
+    if T < 1:
+        raise ValueError(f"horizon must be >= 1, got {T}")
+    out: list[TrajectorySummary | None] = [None] * len(envs)
+    idx = [j for j, (env, agent) in enumerate(zip(envs, agents))
+           if type(env) is Ar1ScalarEnv and type(agent) is LmsAgent]
+    if not idx:
+        return out
+    n = len(idx)
+    env_of = [envs[j] for j in idx]
+    agent_of = [agents[j] for j in idx]
+    gens = [streams[j].child("env-noise").generator() for j in idx]
+
+    # Time-major draws: rows 2t and 2t+1 of a chunk feed its step t. The
+    # reset's normal block sets theta and opens the first chunk; ar1 never
+    # reads the uniform block drawn after it.
+    z = np.empty((2 * _LOCKSTEP_STEPS, n))
+    theta = np.empty(n)
+    for k, (env, gen) in enumerate(zip(env_of, gens)):
+        head = gen.standard_normal(DRAW_BLOCK)
+        gen.random(DRAW_BLOCK)
+        theta[k] = env.mu0 + math.sqrt(env.sigma0) * float(head[0])
+        z[:DRAW_BLOCK - 1, k] = head[1:]
+    eta = np.array([env.eta for env in env_of], dtype=float)
+    zeta = np.array([env.zeta for env in env_of], dtype=float)
+    sigma = np.array([env.sigma for env in env_of], dtype=float)
+    scale = np.array([a.eta if a.mode == "shrinkage" else 1.0 for a in agent_of], dtype=float)
+    alpha = np.array([a.alpha for a in agent_of], dtype=float)
+    mu = np.array([a.mu0 for a in agent_of], dtype=float)
+
+    # Each chunk is rewritten in place: zeta*e1 -> theta, sigma*e2 -> o, then
+    # theta -> err -> reward.
+    total, comp, s, a, y = (np.zeros(n) for _ in range(5))
+    mul, add, sub = np.multiply, np.add, np.subtract
+    have = DRAW_BLOCK - 1
+    with np.errstate(all="ignore"):
+        for start in range(0, T, _LOCKSTEP_STEPS):
+            need = 2 * min(_LOCKSTEP_STEPS, T - start)
+            if need > have:
+                for k, gen in enumerate(gens):
+                    z[have:need, k] = gen.standard_normal(need - have)
+            have = 0
+            e1, e2 = z[0:need:2], z[1:need:2]
+            mul(e1, zeta, e1)
+            mul(e2, sigma, e2)
+            prev = theta
+            for row in e1:  # theta = eta*theta + zeta*e1
+                mul(eta, prev, a)
+                add(a, row, row)
+                prev = row
+            theta[:] = prev
+            add(e1, e2, e2)  # o = theta + sigma*e2
+            for row, o in zip(e1, e2):
+                mul(scale, mu, a)  # a = scale*mu
+                sub(o, a, row)  # err = o - a
+                mul(alpha, row, mu)  # mu = a + alpha*err
+                add(a, mu, mu)
+            mul(e1, e1, e1)  # r = -(err*err)
+            np.negative(e1, e1)
+            for r in e1:  # Kahan, as in run_trajectory
+                sub(r, comp, y)
+                add(total, y, s)
+                sub(s, total, comp)
+                sub(comp, y, comp)
+                total, s = s, total
+
+    for j, tot in zip(idx, total.tolist()):
+        if math.isfinite(tot):
+            avg = tot / T
+            out[j] = TrajectorySummary(horizon=T, average_reward=avg, reward_series=None,
+                                       diagnostics={}, metrics={"average_reward": avg})
+    return out

@@ -131,6 +131,14 @@ def run_experiment(name: str, overrides: dict | None = None, out_dir=None, *,
     return paths
 
 
+def _closed_form(fn, *args) -> float:
+    """``fn(*args)`` for a closed form on user parameters: its ValueError is a bad config."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad parameters: {exc}") from exc
+
+
 def _analytic_row(coords, metric, value) -> SweepRow:
     return SweepRow(dict(coords), metric, float(value), 0.0, 0.0, 0)
 
@@ -193,7 +201,8 @@ def _run_fig7(params, workers):
     for eta in params["etas"]:
         forg, impl = [], []
         for alpha in alphas:
-            delta = math.sqrt(it.delta_star(alpha, eta, params["sigma"], params["capacity"]))
+            delta = math.sqrt(_closed_form(it.delta_star, alpha, eta, params["sigma"],
+                                          params["capacity"]))
             f, i = it.stability_errors(alpha, eta, params["sigma"], delta)
             coords = {"eta": eta, "alpha": round(float(alpha), 10)}
             rows.append(_analytic_row(coords, "forgetting", f))
@@ -226,17 +235,18 @@ def _run_fig8(params, workers):
 
     for e in params["etas"]:
         rows.append(_analytic_row({"panel": "eta", "eta": e}, "alpha_star_closed_form",
-                                  it.optimal_alpha(e, sigma)))
+                                  _closed_form(it.optimal_alpha, e, sigma)))
 
     def argmin_alpha(total_fn):
         values = [total_fn(float(a)) for a in alphas]
         return float(alphas[int(np.argmin(values))])
 
-    star = it.optimal_alpha(eta, sigma)
+    star = _closed_form(it.optimal_alpha, eta, sigma)
     cap_pts = []
     for cap in params["capacities"]:
         best = argmin_alpha(
-            lambda a: it.total_stability_error(a, eta, sigma, math.sqrt(it.delta_star(a, eta, sigma, cap)))
+            lambda a: it.total_stability_error(
+                a, eta, sigma, math.sqrt(_closed_form(it.delta_star, a, eta, sigma, cap)))
         )
         coords = {"panel": "capacity", "capacity": cap}
         rows.append(_analytic_row(coords, "alpha_argmin", best))
@@ -269,8 +279,8 @@ def _run_fig8(params, workers):
 )
 def _run_fig9(params, workers):
     eta, sigma, cap = params["eta"], params["sigma"], params["capacity"]
-    star = it.optimal_alpha(eta, sigma)
-    delta_at_star = math.sqrt(it.delta_star(star, eta, sigma, cap))
+    star = _closed_form(it.optimal_alpha, eta, sigma)
+    delta_at_star = math.sqrt(_closed_form(it.delta_star, star, eta, sigma, cap))
     env = {"kind": "ar1", "eta": eta, "zeta": math.sqrt(1.0 - eta * eta), "sigma": sigma,
            "mu0": 0.0, "sigma0": 1.0}
     variants = {

@@ -16,6 +16,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+DRAW_BLOCK = 512
+
 
 def _mix(stream_id: int, tags) -> int:
     """Stable 64-bit hash of a parent stream id and a tuple of int/str tags."""
@@ -53,7 +55,7 @@ class RngStream:
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def buffer(self, block: int = 512) -> "DrawBuffer":
+    def buffer(self, block: int = DRAW_BLOCK) -> "DrawBuffer":
         return DrawBuffer(self.generator(), block)
 
 
@@ -64,11 +66,18 @@ class DrawBuffer:
     `block` scalars instead of one Generator call each. The underlying
     generator stays accessible for bulk draws (gamma rows, arrays); blocks are
     refilled at fixed points, so consumption order is deterministic.
+
+    Draw layout on the generator: construction draws ``standard_normal(block)``
+    and then ``random(block)``; after that each exhausted block is refilled
+    with one draw of its own kind. A consumer of normals only therefore sees
+    the first normal block, a skipped uniform block, then one contiguous
+    ``standard_normal`` stream (:func:`contilab.core.run_lockstep` relies on
+    this).
     """
 
     __slots__ = ("generator", "_block", "_norm", "_ni", "_unif", "_ui")
 
-    def __init__(self, generator: np.random.Generator, block: int = 512):
+    def __init__(self, generator: np.random.Generator, block: int = DRAW_BLOCK):
         self.generator = generator
         self._block = block
         self._norm = generator.standard_normal(block).tolist()

@@ -8,6 +8,17 @@ serially or in one process pool per call. :func:`monte_carlo_sweep` turns
 its output into rows with :func:`aggregate`. Only the modelled failures,
 ``NumericError`` and ``DegenerateMdpError``, are recorded as failed trials;
 any other exception (a bad config, a bug) aborts the call.
+
+Lockstep path: the trials of every cell whose env kind is ``ar1`` and agent
+kind is ``lms`` (with no series recorded) are pooled per horizon across the
+call's cells and split into ``max(workers, ceil(n / 256))`` payloads of
+nearly equal size. Each payload advances its trials together in
+:func:`~contilab.core.run_lockstep`, whose summaries equal
+``run_trajectory``'s. A trial goes back to ``run_trajectory`` when its built
+env or agent is not exactly ``Ar1ScalarEnv`` / ``LmsAgent`` (a subclass or
+wrapper could change the arithmetic the kernel reproduces) or when its total
+is not finite, so failures carry the scalar path's exact error text. Every
+other cell runs trial by trial on ``run_trajectory``.
 """
 
 from __future__ import annotations
@@ -20,12 +31,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .agents import build_agent
-from .core import TrajectorySummary, run_trajectory
+from .core import TrajectorySummary, run_lockstep, run_trajectory
 from .envs import build_env
 from .errors import ConfigurationError, DegenerateMdpError, NumericError
 from .rng import RngStream
 
 _Z95 = 1.959963984540054
+_LOCKSTEP_TRIALS = 256  # most trials one lockstep payload advances together
 
 
 @dataclass
@@ -139,6 +151,10 @@ def _trial_stream(base_seed: int, cell_key: str, trial: int) -> RngStream:
     return RngStream(base_seed).child("trial", cell_key, trial)
 
 
+def _failed(i: int, exc: Exception) -> TrialResult:
+    return TrialResult(i, None, f"{type(exc).__name__}: {exc}")
+
+
 def _run_batch(payload):
     """Worker entry point: run a contiguous batch of trials for one cell."""
     env_spec, agent_spec, horizon, cell_key, lo, hi, base_seed, record_series = payload
@@ -153,8 +169,33 @@ def _run_batch(payload):
             )
             results.append(TrialResult(i, summary))
         except (NumericError, DegenerateMdpError) as exc:
-            results.append(TrialResult(i, None, f"{type(exc).__name__}: {exc}"))
+            results.append(_failed(i, exc))
     return results
+
+
+def _run_lockstep_batch(payload):
+    """Worker entry point: run ar1 x lms trials of one horizon together."""
+    horizon, trials = payload  # trials: [(env_spec, agent_spec, cell_key, base_seed, i)]
+    envs = [build_env(env_spec) for env_spec, *_ in trials]
+    agents = [build_agent(agent_spec) for _, agent_spec, *_ in trials]
+    streams = [_trial_stream(seed, key, i) for _, _, key, seed, i in trials]
+    results = []
+    for env, agent, stream, trial, summary in zip(
+            envs, agents, streams, trials, run_lockstep(envs, agents, horizon, streams)):
+        i = trial[-1]
+        if summary is None:
+            try:
+                summary = run_trajectory(env, agent, horizon, stream, record_series=False)
+            except (NumericError, DegenerateMdpError) as exc:
+                results.append(_failed(i, exc))
+                continue
+        results.append(TrialResult(i, summary))
+    return results
+
+
+def _run_payload(payload):
+    run, args = payload
+    return run(args)
 
 
 def run_trials(cells, *, workers: int | None = None,
@@ -162,29 +203,44 @@ def run_trials(cells, *, workers: int | None = None,
     """Run every trial of every cell; returns each cell's results in trial order.
 
     The batches of all cells run serially with one worker (or one batch),
-    else in a single process pool.
+    else in a single process pool. See the module docstring for the
+    lockstep path of ar1 x lms cells.
     """
     w = resolve_workers(workers)
     payloads, owners = [], []
+    lockstep: dict[int, list] = {}  # horizon -> [(cell, trial item)], in cell and trial order
     for c, cfg in enumerate(cells):
         key, n = cfg.canonical_key(), cfg.trials
+        if not record_series and cfg.env.get("kind") == "ar1" and cfg.agent.get("kind") == "lms":
+            lockstep.setdefault(cfg.horizon, []).extend(
+                (c, (cfg.env, cfg.agent, key, cfg.seed, i)) for i in range(n))
+            continue
         chunk = max(1, -(-n // (w * 4)))
         for lo in range(0, n, chunk):
-            payloads.append((cfg.env, cfg.agent, cfg.horizon, key, lo, min(lo + chunk, n),
-                             cfg.seed, record_series))
-            owners.append(c)
+            hi = min(lo + chunk, n)
+            payloads.append((_run_batch, (cfg.env, cfg.agent, cfg.horizon, key, lo, hi,
+                                          cfg.seed, record_series)))
+            owners.append([c] * (hi - lo))
+    for horizon, pooled in lockstep.items():
+        n = len(pooled)
+        parts = min(n, max(w, -(-n // _LOCKSTEP_TRIALS)))
+        for k in range(parts):
+            part = pooled[k * n // parts:(k + 1) * n // parts]
+            payloads.append((_run_lockstep_batch, (horizon, [item for _, item in part])))
+            owners.append([c for c, _ in part])
     if w == 1 or len(payloads) == 1:
-        batches = map(_run_batch, payloads)
+        batches = map(_run_payload, payloads)
     else:
         with ProcessPoolExecutor(max_workers=w) as pool:
             try:
-                batches = list(pool.map(_run_batch, payloads))
+                batches = list(pool.map(_run_payload, payloads))
             except BaseException:  # abort now: drop the batches not yet started
                 pool.shutdown(cancel_futures=True)
                 raise
     out: list[list[TrialResult]] = [[] for _ in cells]
-    for c, batch in zip(owners, batches):
-        out[c].extend(batch)
+    for cell_of, batch in zip(owners, batches):
+        for c, result in zip(cell_of, batch):
+            out[c].append(result)
     return out
 
 

@@ -148,3 +148,15 @@ def test_draw_buffer_refills_consistently():
     assert first == [buf2.normal() for _ in range(40)]
     idx = [RngStream(9).child("i").buffer().index(3) for _ in range(50)]
     assert set(idx) <= {0, 1, 2}
+
+
+def test_draw_buffer_layout_on_the_generator():
+    # The lockstep kernel reads normals in this layout: prefill normal block,
+    # a uniform block it skips, then refills of normals only.
+    stream = RngStream(31, 4)
+    buf = stream.buffer()
+    drawn = np.array([buf.normal() for _ in range(3 * 512)])
+    g = stream.generator()
+    first = g.standard_normal(512)
+    g.random(512)
+    assert np.array_equal(drawn, np.concatenate([first, g.standard_normal(1024)]))

@@ -144,6 +144,19 @@ def test_cli_invalid_cell_parameter_exits_2_without_csv(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fig9_idbd", "--capacity=-1"], "capacity must be positive"),
+    (["fig9_idbd", "--eta=1.5"], "eta must lie in (0, 1)"),
+    (["fig7_errors_vs_alpha", "--capacity=-1"], "capacity must be positive"),
+    (["fig8_optimal_alpha", "--sigma=0"], "sigma must be positive"),
+])
+def test_cli_invalid_closed_form_parameter_exits_2_without_csv(tmp_path, capsys, argv, message):
+    out = tmp_path / "bad"
+    assert main(["run", *argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_cli_dry_run(capsys):
     assert main(["run", "fig2_lms_sweep", "--dry-run", "--trials", "3"]) == 0
     assert "config ok" in capsys.readouterr().out

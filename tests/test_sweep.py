@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contilab import sweep
+from contilab.agents import build_agent
 from contilab.core import run_trajectory
-from contilab.envs import _ENV_KINDS
+from contilab.envs import _ENV_KINDS, Ar1ScalarEnv, build_env
 from contilab.errors import ConfigurationError, NumericError
 from contilab.rng import RngStream
 from contilab.sweep import (ExperimentConfig, aggregate, monte_carlo_sweep, resolve_workers,
@@ -183,3 +185,105 @@ def test_run_trials_worker_count_invariance(cells):
     metrics = lambda w: [[r.summary.metrics for r in results]
                          for results in run_trials(cells, workers=w)]
     assert metrics(1) == metrics(2)
+
+
+# ar1 x lms cells run on the lockstep kernel; every summary must equal the
+# scalar path's, trial by trial.
+def _ar1_config(eta=0.9, zeta=0.5, sigma=1.0, mu0=0.0, sigma0=1.0, alpha=0.3,
+                agent_eta=0.9, mode="shrinkage", **kw):
+    base = dict(
+        experiment_name="t",
+        env={"kind": "ar1", "eta": eta, "zeta": zeta, "sigma": sigma, "mu0": mu0, "sigma0": sigma0},
+        agent={"kind": "lms", "alpha": alpha, "eta": agent_eta, "mode": mode},
+        horizon=300, trials=3, seed=7,
+    )
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+def _scalar_outcomes(cfg):
+    """Each trial's summary, or its failure text, from run_trajectory alone."""
+    out = []
+    for i in range(cfg.trials):
+        stream = RngStream(cfg.seed).child("trial", cfg.canonical_key(), i)
+        try:
+            out.append(run_trajectory(build_env(cfg.env), build_agent(cfg.agent), cfg.horizon,
+                                      stream, record_series=False))
+        except NumericError as exc:
+            out.append(f"NumericError: {exc}")
+    return out
+
+
+def _outcomes(results):
+    assert [r.index for r in results] == list(range(len(results)))
+    return [r.summary if r.error is None else r.error for r in results]
+
+
+_unit = st.floats(0.0, 1.0)
+_ar1_lms_cells = st.lists(
+    st.builds(
+        _ar1_config,
+        eta=_unit, zeta=st.floats(0.0, 2.0), sigma=st.floats(0.0, 2.0),
+        mu0=st.floats(-3.0, 3.0), sigma0=st.floats(0.0, 4.0), alpha=_unit, agent_eta=_unit,
+        mode=st.sampled_from(["shrinkage", "plain"]),
+        horizon=st.one_of(st.sampled_from([1, 255, 256, 257, 511, 512, 513]), st.integers(1, 40)),
+        trials=st.integers(1, 3), seed=st.integers(0, 3),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_ar1_lms_cells)
+def test_lockstep_equals_scalar_path(cells):
+    expected = [_scalar_outcomes(cfg) for cfg in cells]
+    for workers in (1, 2):
+        assert [_outcomes(results) for results in run_trials(cells, workers=workers)] == expected
+
+
+def test_lockstep_fifty_trials_equal_scalar_path_without_calling_it(monkeypatch):
+    cells = [_ar1_config(alpha=alpha, trials=15, horizon=1_100, seed=3) for alpha in (0.1, 0.35, 0.8)]
+    cells.append(_ar1_config(alpha=0.5, mode="plain", trials=15, horizon=1_100, seed=3))
+    expected = [_scalar_outcomes(cfg) for cfg in cells]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_trajectory(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "run_trajectory", counted)
+    assert [_outcomes(results) for results in run_trials(cells, workers=1)] == expected
+    assert calls == []
+
+
+def test_lockstep_overflow_falls_back_to_scalar_error():
+    cells = [_ar1_config(trials=4), _ar1_config(zeta=1e200, trials=3), _ar1_config(alpha=0.7)]
+    expected = [_scalar_outcomes(cfg) for cfg in cells]
+    assert all(isinstance(o, str) and o.startswith("NumericError: non-finite reward")
+               for o in expected[1])
+    assert [_outcomes(results) for results in run_trials(cells, workers=1)] == expected
+
+
+class _ShiftedAr1Env(Ar1ScalarEnv):
+    def step(self, action):
+        return super().step(action) + 0.25
+
+
+def test_lockstep_leaves_subclasses_to_the_scalar_path(monkeypatch):
+    cfg = _ar1_config(trials=4)
+    plain = _scalar_outcomes(cfg)
+    monkeypatch.setitem(_ENV_KINDS, "ar1", _ShiftedAr1Env)
+    shifted = _scalar_outcomes(cfg)
+    assert shifted != plain
+    assert _outcomes(run_trials([cfg], workers=1)[0]) == shifted
+
+
+def test_mixed_lockstep_and_scalar_cells_keep_trial_order():
+    cells = [_ar1_config(trials=5), _coin_config(trials=3), _ar1_config(alpha=0.6, horizon=50),
+             _coin_config(trials=6, horizon=80), _ar1_config(mode="plain", trials=2)]
+    alone = [run_trials([cfg], workers=1)[0] for cfg in cells]
+    for workers in (1, 2):
+        together = run_trials(cells, workers=workers)
+        assert together == alone
+        assert [[r.index for r in results] for results in together] == [
+            list(range(cfg.trials)) for cfg in cells]

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, DegenerateMdpError, NumericError
 from .rng import DRAW_BLOCK, RngStream
 
 SERIES_POINTS = 2000
@@ -159,6 +159,12 @@ def run_trajectory(
     )
 
 
+def _summary(total: float, T: int) -> TrajectorySummary:
+    avg = total / T
+    return TrajectorySummary(horizon=T, average_reward=avg, reward_series=None,
+                             diagnostics={}, metrics={"average_reward": avg})
+
+
 def run_lockstep(envs, agents, T: int, streams) -> list[TrajectorySummary | None]:
     """``run_trajectory(envs[j], agents[j], T, streams[j], record_series=False)``
     for every j, with the trials advanced together as float64 arrays.
@@ -241,7 +247,175 @@ def run_lockstep(envs, agents, T: int, streams) -> list[TrajectorySummary | None
 
     for j, tot in zip(idx, total.tolist()):
         if math.isfinite(tot):
-            avg = tot / T
-            out[j] = TrajectorySummary(horizon=T, average_reward=avg, reward_series=None,
-                                       diagnostics={}, metrics={"average_reward": avg})
+            out[j] = _summary(tot, T)
+    return out
+
+
+def run_goal_lockstep(envs, agents, T: int, streams) -> list:
+    """``run_trajectory(envs[j], agents[j], T, streams[j], record_series=False)``
+    for every j of ``GoalMdpEnv`` x ``OptimisticQAgent``, advanced together.
+
+    Entry j is the trial's summary, the ``DegenerateMdpError`` its scalar run
+    raises (at reset or at a mid-horizon rescale), or None where trial j must
+    go to ``run_trajectory``: its env or agent is not exactly those classes,
+    their spaces differ, or its total is not finite.
+    """
+    from .agents import OptimisticQAgent  # deferred: agents and envs import this module
+    from .envs import GoalMdpEnv
+
+    if T < 1:
+        raise ValueError(f"horizon must be >= 1, got {T}")
+    out: list = [None] * len(envs)
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for j, (env, agent) in enumerate(zip(envs, agents)):
+        if (type(env) is GoalMdpEnv and type(agent) is OptimisticQAgent and env.n_actions >= 1
+                and env.action_space == agent.action_space
+                and env.observation_space == agent.observation_space):
+            shapes.setdefault((env.n_states, env.n_actions), []).append(j)
+    for idx in shapes.values():
+        results = _goal_lockstep([envs[j] for j in idx], [agents[j] for j in idx], T,
+                                 [streams[j] for j in idx])
+        for j, result in zip(idx, results):
+            out[j] = result
+    return out
+
+
+def _goal_lockstep(envs, agents, T: int, streams) -> list:
+    """:func:`run_goal_lockstep` for trials that share (n_states, n_actions)."""
+    from .envs import _initial_state, _redraw_rows, _row_events
+
+    B = DRAW_BLOCK
+    n = len(envs)
+    S, A = envs[0].n_states, envs[0].n_actions
+    out: list = [None] * n
+    # The env's and the agent's generators, each where its scalar reset
+    # leaves it: a DrawBuffer's normal block is drawn and skipped, and its
+    # uniforms are read B at a time. No reset env, agent or DrawBuffer is
+    # kept: per-trial state lives in the stacked arrays below.
+    env_streams = [stream.child("env-noise") for stream in streams]
+    row_gens = [es.child("row-draws").generator() for es in env_streams]
+    prob = [env.resample_prob for env in envs]
+    event_gens = [es.child("row-events").generator() if p > 0.0 else None
+                  for es, p in zip(env_streams, prob)]
+    move_gens = [es.child("transition").generator() for es in env_streams]
+    tie_gens = [stream.child("agent-noise").child("tie-break").generator() for stream in streams]
+    for gen in (*move_gens, *tie_gens):
+        gen.standard_normal(B)
+    tie_u = np.empty((n, B))
+    for k, gen in enumerate(tie_gens):
+        tie_u[k] = gen.random(B)
+    tie_ptr = np.zeros(n, dtype=np.intp)
+
+    P = np.empty((n, S, A, S))
+    goal_reward = np.zeros(n)
+    q_star: list = [None] * n
+    state = np.empty(n, dtype=np.intp)
+    for k, (env, es) in enumerate(zip(envs, env_streams)):
+        _redraw_rows(row_gens[k], P[k], range(S * A))
+        try:
+            goal_reward[k], q_star[k] = env.goal_scale(P[k], None)
+        except DegenerateMdpError as exc:
+            out[k] = exc
+        state[k] = _initial_state(es, S)
+    # bisect_right(cum, u) clipped to S - 1 is the first index whose cum
+    # exceeds u once the last entry of each row is +inf.
+    cum = np.empty_like(P)
+    cum_rows = cum.reshape(n * S * A, S)
+
+    def cum_of(k):
+        np.cumsum(P[k], axis=2, out=cum[k])
+        cum[k, :, :, -1] = np.inf
+
+    for k in range(n):
+        cum_of(k)
+    goal = np.array([env.goal_state for env in envs], dtype=np.intp)
+    step = np.array([a.stepsize for a in agents], dtype=float)
+    disc = np.array([a.discount for a in agents], dtype=float)
+    disc_m1 = disc - 1.0
+    boost = np.array([a.boost for a in agents], dtype=float)
+    Q = np.zeros((n, S, A))
+    q_rows = Q.reshape(n * S, A)
+    q_flat = Q.reshape(n * S * A)
+    offset = np.zeros(n)
+    row_of = np.arange(n) * S  # Q row of state 0, per trial
+
+    def row_max(q):  # column by column: max(axis=1) is slow on short rows
+        m = q[:, 0]
+        for col in range(1, A):
+            m = np.maximum(m, q[:, col])
+        return m
+
+    move_u = np.empty((B, n))  # time-major: row t feeds every trial's step t
+    total, comp, y, s = (np.zeros(n) for _ in range(4))
+    with np.errstate(all="ignore"):
+        for start in range(0, T, B):
+            steps = min(B, T - start)
+            for k, gen in enumerate(move_gens):
+                move_u[:steps, k] = gen.random(steps)
+            events: dict[int, list[tuple[int, list[int]]]] = {}
+            for k, gen in enumerate(event_gens):
+                if gen is None:
+                    continue
+                at, rows = _row_events(gen, steps, S * A, prob[k])
+                for t, flat in zip(at, rows):
+                    due = events.setdefault(t, [])
+                    if not due or due[-1][0] != k:
+                        due.append((k, []))
+                    due[-1][1].append(flat)
+            for t in range(steps):
+                # act: argmax of the Q row; ties read the trial's tie-break uniform
+                base = row_of + state
+                q = q_rows.take(base, axis=0)
+                tie = q == row_max(q)[:, None]
+                a = q.argmax(axis=1)
+                if np.count_nonzero(tie) > n:
+                    count = tie.sum(axis=1)
+                    multi = np.flatnonzero(count > 1)
+                    for k in multi[tie_ptr[multi] == B]:
+                        tie_u[k] = tie_gens[k].random(B)
+                        tie_ptr[k] = 0
+                    ptr = tie_ptr[multi]
+                    c = count[multi]
+                    pick = (tie_u[multi, ptr] * c).astype(np.intp)
+                    np.minimum(pick, c - 1, out=pick)
+                    tie_ptr[multi] = ptr + 1
+                    a[multi] = (np.cumsum(tie[multi], axis=1) > pick[:, None]).argmax(axis=1)
+                # env: row events of this step, then the transition
+                for k, flats in events.get(t, ()):
+                    if out[k] is not None:
+                        continue
+                    _redraw_rows(row_gens[k], P[k], flats)
+                    cum_of(k)
+                    try:
+                        goal_reward[k], q_star[k] = envs[k].goal_scale(P[k], q_star[k])
+                    except DegenerateMdpError as exc:
+                        out[k] = exc
+                sa = base * A + a
+                nxt = (cum_rows.take(sa, axis=0) > move_u[t, :, None]).argmax(axis=1)
+                r = np.where(nxt == goal, goal_reward, 0.0)
+                # agent: TD update on q + offset, then the offset boost
+                q_sa = q_flat[sa]
+                td = disc * row_max(q_rows.take(row_of + nxt, axis=0))
+                np.add(r, td, td)
+                td += disc_m1 * offset
+                td -= q_sa
+                q_flat[sa] = q_sa + step * td
+                offset += boost
+                state = nxt
+                # Kahan, as in run_trajectory
+                np.subtract(r, comp, y)
+                np.add(total, y, s)
+                np.subtract(s, total, comp)
+                comp -= y
+                total, s = s, total
+
+    # A non-finite total goes to the scalar path, which raises the first
+    # failure of the trial, whichever it is; so does a non-finite Q table,
+    # where np.maximum and Python's max treat NaN differently.
+    finite = np.isfinite(q_rows.reshape(n, S * A)).all(axis=1) & np.isfinite(offset)
+    for k, (tot, ok) in enumerate(zip(total.tolist(), finite.tolist())):
+        if not (ok and math.isfinite(tot)):
+            out[k] = None
+        elif out[k] is None:
+            out[k] = _summary(tot, T)
     return out

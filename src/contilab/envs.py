@@ -18,9 +18,11 @@ import numpy as np
 from .core import per_arm
 from .errors import ConfigurationError
 from .mdp_tools import goal_reward_scale
-from .rng import RngStream
+from .rng import DRAW_BLOCK, RngStream
 
-_EVENT_BLOCK = 4096
+# Steps of row events drawn at once: the transition buffer's block, so that
+# run_goal_lockstep walks both in the same chunks.
+_EVENT_BLOCK = DRAW_BLOCK
 
 
 def _draw_bias(prior, buf):
@@ -212,6 +214,35 @@ class BitFlipEnv:
         return 1.0 if action == observation else 0.0
 
 
+def _redraw_rows(gen, P: np.ndarray, flats) -> list[tuple[int, int]]:
+    """Redraw the rows ``flats`` (s * A + a) of P[s, a, :] in place, in order,
+    from Dirichlet(1/S, ..., 1/S) via normalized Gamma(1/S, 1) draws."""
+    S, A = P.shape[0], P.shape[1]
+    cells = [divmod(flat, A) for flat in flats]
+    for s, a in cells:
+        g = gen.gamma(1.0 / S, 1.0, size=S)
+        total = g.sum()
+        while total <= 0.0:
+            g = gen.gamma(1.0 / S, 1.0, size=S)
+            total = g.sum()
+        P[s, a] = g / total
+    return cells
+
+
+def _row_events(gen, steps: int, n_rows: int, prob: float) -> tuple[list[int], list[int]]:
+    """(step, row) of every row resample in the next ``steps`` steps, by step then row.
+
+    ``random((steps, n_rows))`` is one row-major stream, so drawing a horizon
+    in blocks of any length gives the same events.
+    """
+    at, rows = np.nonzero(gen.random((steps, n_rows)) < prob)
+    return at.tolist(), rows.tolist()
+
+
+def _initial_state(stream: RngStream, n_states: int) -> int:
+    return stream.child("init").buffer().index(n_states)
+
+
 class GoalMdpEnv:
     """Goal MDP whose Dirichlet transition rows are independently replaced.
 
@@ -223,6 +254,10 @@ class GoalMdpEnv:
     A degenerate draw that leaves the goal unreachable under the greedy
     policy raises DegenerateMdpError, one of the two modelled failures that
     ``sweep.run_trials`` records as a failed trial instead of aborting.
+
+    The row draws, row events and rescales never depend on the actions, so
+    :func:`contilab.core.run_goal_lockstep` walks the same schedule through
+    the module helpers this class uses.
     """
 
     def __init__(self, n_states: int = 10, n_actions: int = 3, resample_prob: float = 1e-3,
@@ -249,15 +284,11 @@ class GoalMdpEnv:
         self._mask_gen = stream.child("row-events").generator()
         self._tr = stream.child("transition").buffer()
         self.P = np.empty((S, A, S))
-        for s in range(S):
-            for a in range(A):
-                self.P[s, a] = self._draw_row()
+        _redraw_rows(self._row_gen, self.P, range(S * A))
         self._cum = [[list(np.cumsum(self.P[s, a])) for a in range(A)] for s in range(S)]
-        self._q = None
-        self._rescale()
-        self.state = stream.child("init").buffer().index(S)
+        self.goal_reward, self._q = self.goal_scale(self.P, None)
+        self.state = _initial_state(stream, S)
         self.resample_events = 0
-        self._n_rows = S * A
         self._ev_pos = 0
         if self.resample_prob > 0.0:
             self._refill_events()
@@ -265,25 +296,14 @@ class GoalMdpEnv:
     def initial_observation(self):
         return self.state
 
-    def _draw_row(self) -> np.ndarray:
-        # Dirichlet(1/S, ...) via normalized Gamma(1/S, 1) draws.
-        g = self._row_gen.gamma(1.0 / self.n_states, 1.0, size=self.n_states)
-        total = g.sum()
-        while total <= 0.0:
-            g = self._row_gen.gamma(1.0 / self.n_states, 1.0, size=self.n_states)
-            total = g.sum()
-        return g / total
-
-    def _rescale(self):
-        self.goal_reward, self._q = goal_reward_scale(
-            self.P, self.goal_state, self.plan_gamma, self.target_reward, self.vi_tol, q0=self._q
-        )
+    def goal_scale(self, P: np.ndarray, q0: np.ndarray | None) -> tuple[float, np.ndarray]:
+        """(goal reward, Q*) of transitions ``P``, warm-started from ``q0``."""
+        return goal_reward_scale(P, self.goal_state, self.plan_gamma, self.target_reward,
+                                 self.vi_tol, q0=q0)
 
     def _refill_events(self):
-        mask = self._mask_gen.random((_EVENT_BLOCK, self._n_rows)) < self.resample_prob
-        steps, rows = np.nonzero(mask)
-        self._ev_steps = steps.tolist()
-        self._ev_rows = rows.tolist()
+        self._ev_steps, self._ev_rows = _row_events(
+            self._mask_gen, _EVENT_BLOCK, self.n_states * self.n_actions, self.resample_prob)
         self._ev_ptr = 0
         self._ev_n = len(self._ev_steps)
         self._ev_pos = 0
@@ -293,22 +313,15 @@ class GoalMdpEnv:
             raise ValueError(f"action index {action} out of range")
         if self.resample_prob > 0.0:
             pos = self._ev_pos
-            ptr = self._ev_ptr
-            if ptr < self._ev_n and self._ev_steps[ptr] == pos:
-                A = self.n_actions
-                changed = False
-                while ptr < self._ev_n and self._ev_steps[ptr] == pos:
-                    flat = self._ev_rows[ptr]
-                    s, a = divmod(flat, A)
-                    row = self._draw_row()
-                    self.P[s, a] = row
-                    self._cum[s][a] = list(np.cumsum(row))
-                    self.resample_events += 1
-                    changed = True
-                    ptr += 1
-                self._ev_ptr = ptr
-                if changed:
-                    self._rescale()
+            ptr = end = self._ev_ptr
+            while end < self._ev_n and self._ev_steps[end] == pos:
+                end += 1
+            if end > ptr:
+                for s, a in _redraw_rows(self._row_gen, self.P, self._ev_rows[ptr:end]):
+                    self._cum[s][a] = list(np.cumsum(self.P[s, a]))
+                self.resample_events += end - ptr
+                self._ev_ptr = end
+                self.goal_reward, self._q = self.goal_scale(self.P, self._q)
             self._ev_pos = pos + 1
             if self._ev_pos == _EVENT_BLOCK:
                 self._refill_events()

@@ -131,7 +131,7 @@ def run_experiment(name: str, overrides: dict | None = None, out_dir=None, *,
     return paths
 
 
-def _closed_form(fn, *args) -> float:
+def _closed_form(fn, *args):
     """``fn(*args)`` for a closed form on user parameters: its ValueError is a bad config."""
     try:
         return fn(*args)
@@ -203,7 +203,7 @@ def _run_fig7(params, workers):
         for alpha in alphas:
             delta = math.sqrt(_closed_form(it.delta_star, alpha, eta, params["sigma"],
                                           params["capacity"]))
-            f, i = it.stability_errors(alpha, eta, params["sigma"], delta)
+            f, i = _closed_form(it.stability_errors, alpha, eta, params["sigma"], delta)
             coords = {"eta": eta, "alpha": round(float(alpha), 10)}
             rows.append(_analytic_row(coords, "forgetting", f))
             rows.append(_analytic_row(coords, "implasticity", i))
@@ -245,8 +245,8 @@ def _run_fig8(params, workers):
     cap_pts = []
     for cap in params["capacities"]:
         best = argmin_alpha(
-            lambda a: it.total_stability_error(
-                a, eta, sigma, math.sqrt(_closed_form(it.delta_star, a, eta, sigma, cap)))
+            lambda a: _closed_form(it.total_stability_error, a, eta, sigma,
+                                   math.sqrt(_closed_form(it.delta_star, a, eta, sigma, cap)))
         )
         coords = {"panel": "capacity", "capacity": cap}
         rows.append(_analytic_row(coords, "alpha_argmin", best))
@@ -255,7 +255,7 @@ def _run_fig8(params, workers):
 
     delta_pts = []
     for delta in params["deltas"]:
-        best = argmin_alpha(lambda a: it.total_stability_error(a, eta, sigma, delta))
+        best = argmin_alpha(lambda a: _closed_form(it.total_stability_error, a, eta, sigma, delta))
         rows.append(_analytic_row({"panel": "delta", "delta": delta}, "alpha_tilde", best))
         delta_pts.append((delta, best))
 

@@ -9,16 +9,23 @@ its output into rows with :func:`aggregate`. Only the modelled failures,
 ``NumericError`` and ``DegenerateMdpError``, are recorded as failed trials;
 any other exception (a bad config, a bug) aborts the call.
 
-Lockstep path: the trials of every cell whose env kind is ``ar1`` and agent
-kind is ``lms`` (with no series recorded) are pooled per horizon across the
-call's cells and split into ``max(workers, ceil(n / 256))`` payloads of
-nearly equal size. Each payload advances its trials together in
-:func:`~contilab.core.run_lockstep`, whose summaries equal
-``run_trajectory``'s. A trial goes back to ``run_trajectory`` when its built
-env or agent is not exactly ``Ar1ScalarEnv`` / ``LmsAgent`` (a subclass or
-wrapper could change the arithmetic the kernel reproduces) or when its total
-is not finite, so failures carry the scalar path's exact error text. Every
-other cell runs trial by trial on ``run_trajectory``.
+Lockstep kernels: cells without series whose (env kind, agent kind) pair
+has a kernel are pooled per (pair, horizon) across the call's cells:
+
+    ("ar1", "lms")                  -> core.run_lockstep
+    ("goal_mdp", "optimistic_q")    -> core.run_goal_lockstep
+
+A pool is split round robin into ``max(workers, ceil(n / 256))`` payloads,
+so each payload holds a share of every cell and of its cost. A pool whose
+payloads would hold fewer trials than the kernel's break-even
+(``_AR1_LMS_MIN_TRIALS``, ``_GOAL_Q_MIN_TRIALS``) runs on ``run_trajectory``
+instead. Each payload advances its trials together, and the kernels'
+summaries and modelled failures equal ``run_trajectory``'s. A trial goes
+back to ``run_trajectory`` when its built env or agent is not exactly the
+pair's classes (a subclass or wrapper could change the arithmetic the kernel
+reproduces) or when its total is not finite, so failures carry the scalar
+path's exact error text. Every other cell runs trial by trial on
+``run_trajectory``.
 """
 
 from __future__ import annotations
@@ -31,13 +38,22 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .agents import build_agent
-from .core import TrajectorySummary, run_lockstep, run_trajectory
+from .core import TrajectorySummary, run_goal_lockstep, run_lockstep, run_trajectory
 from .envs import build_env
 from .errors import ConfigurationError, DegenerateMdpError, NumericError
 from .rng import RngStream
 
 _Z95 = 1.959963984540054
 _LOCKSTEP_TRIALS = 256  # most trials one lockstep payload advances together
+# Fewest trials per payload at which each kernel beats run_trajectory: below
+# that, its fixed cost per step (one numpy call per operation) dominates.
+_AR1_LMS_MIN_TRIALS = 5
+_GOAL_Q_MIN_TRIALS = 10
+# (env kind, agent kind) -> (lockstep kernel, fewest trials per payload)
+_KERNELS = {
+    ("ar1", "lms"): (run_lockstep, _AR1_LMS_MIN_TRIALS),
+    ("goal_mdp", "optimistic_q"): (run_goal_lockstep, _GOAL_Q_MIN_TRIALS),
+}
 
 
 @dataclass
@@ -174,22 +190,22 @@ def _run_batch(payload):
 
 
 def _run_lockstep_batch(payload):
-    """Worker entry point: run ar1 x lms trials of one horizon together."""
-    horizon, trials = payload  # trials: [(env_spec, agent_spec, cell_key, base_seed, i)]
+    """Worker entry point: run trials of one kernel's pair and one horizon together."""
+    pair, horizon, trials = payload  # trials: [(env_spec, agent_spec, cell_key, base_seed, i)]
     envs = [build_env(env_spec) for env_spec, *_ in trials]
     agents = [build_agent(agent_spec) for _, agent_spec, *_ in trials]
     streams = [_trial_stream(seed, key, i) for _, _, key, seed, i in trials]
     results = []
     for env, agent, stream, trial, summary in zip(
-            envs, agents, streams, trials, run_lockstep(envs, agents, horizon, streams)):
+            envs, agents, streams, trials, _KERNELS[pair][0](envs, agents, horizon, streams)):
         i = trial[-1]
         if summary is None:
             try:
                 summary = run_trajectory(env, agent, horizon, stream, record_series=False)
             except (NumericError, DegenerateMdpError) as exc:
-                results.append(_failed(i, exc))
-                continue
-        results.append(TrialResult(i, summary))
+                summary = exc
+        results.append(_failed(i, summary) if isinstance(summary, Exception)
+                       else TrialResult(i, summary))
     return results
 
 
@@ -198,36 +214,51 @@ def _run_payload(payload):
     return run(args)
 
 
+def _plan(cells, workers: int, record_series: bool):
+    """Payloads of one run_trials call, each with the cell of every result it returns."""
+    keys = [cfg.canonical_key() for cfg in cells]
+    lockstep: dict[tuple, list[int]] = {}  # (pair, horizon) -> cells, in order
+    for c, cfg in enumerate(cells):
+        pair = (cfg.env.get("kind"), cfg.agent.get("kind"))
+        if not record_series and pair in _KERNELS:
+            lockstep.setdefault((pair, cfg.horizon), []).append(c)
+    payloads, owners = [], []
+    on_kernel = set()
+    for (pair, horizon), members in lockstep.items():
+        pooled = [(c, i) for c in members for i in range(cells[c].trials)]
+        n = len(pooled)
+        parts = min(n, max(workers, -(-n // _LOCKSTEP_TRIALS)))
+        if n // parts < _KERNELS[pair][1]:
+            continue
+        on_kernel.update(members)
+        for k in range(parts):  # round robin: every payload gets a share of every cell
+            part = pooled[k::parts]
+            payloads.append((_run_lockstep_batch, (pair, horizon, [
+                (cells[c].env, cells[c].agent, keys[c], cells[c].seed, i) for c, i in part])))
+            owners.append([c for c, _ in part])
+    for c, cfg in enumerate(cells):
+        if c in on_kernel:
+            continue
+        n = cfg.trials
+        chunk = max(1, -(-n // (workers * 4)))
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            payloads.append((_run_batch, (cfg.env, cfg.agent, cfg.horizon, keys[c], lo, hi,
+                                          cfg.seed, record_series)))
+            owners.append([c] * (hi - lo))
+    return payloads, owners
+
+
 def run_trials(cells, *, workers: int | None = None,
                record_series: bool = False) -> list[list[TrialResult]]:
     """Run every trial of every cell; returns each cell's results in trial order.
 
     The batches of all cells run serially with one worker (or one batch),
     else in a single process pool. See the module docstring for the
-    lockstep path of ar1 x lms cells.
+    lockstep kernels.
     """
     w = resolve_workers(workers)
-    payloads, owners = [], []
-    lockstep: dict[int, list] = {}  # horizon -> [(cell, trial item)], in cell and trial order
-    for c, cfg in enumerate(cells):
-        key, n = cfg.canonical_key(), cfg.trials
-        if not record_series and cfg.env.get("kind") == "ar1" and cfg.agent.get("kind") == "lms":
-            lockstep.setdefault(cfg.horizon, []).extend(
-                (c, (cfg.env, cfg.agent, key, cfg.seed, i)) for i in range(n))
-            continue
-        chunk = max(1, -(-n // (w * 4)))
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            payloads.append((_run_batch, (cfg.env, cfg.agent, cfg.horizon, key, lo, hi,
-                                          cfg.seed, record_series)))
-            owners.append([c] * (hi - lo))
-    for horizon, pooled in lockstep.items():
-        n = len(pooled)
-        parts = min(n, max(w, -(-n // _LOCKSTEP_TRIALS)))
-        for k in range(parts):
-            part = pooled[k * n // parts:(k + 1) * n // parts]
-            payloads.append((_run_lockstep_batch, (horizon, [item for _, item in part])))
-            owners.append([c for c, _ in part])
+    payloads, owners = _plan(cells, w, record_series)
     if w == 1 or len(payloads) == 1:
         batches = map(_run_payload, payloads)
     else:
@@ -237,10 +268,10 @@ def run_trials(cells, *, workers: int | None = None,
             except BaseException:  # abort now: drop the batches not yet started
                 pool.shutdown(cancel_futures=True)
                 raise
-    out: list[list[TrialResult]] = [[] for _ in cells]
+    out: list[list] = [[None] * cfg.trials for cfg in cells]
     for cell_of, batch in zip(owners, batches):
         for c, result in zip(cell_of, batch):
-            out[c].append(result)
+            out[c][result.index] = result
     return out
 
 

@@ -194,6 +194,30 @@ def test_goal_mdp_reward_paid_on_arrival():
     assert env.reward(1, nxt) == expected
 
 
+@pytest.mark.parametrize("horizon", [511, 512, 513, 4095, 4096, 4097, 4609])
+def test_goal_mdp_event_block_does_not_change_trajectories(monkeypatch, horizon):
+    # random((k, S*A)) is one row-major Philox stream, so the row events do
+    # not depend on how many steps of them are drawn at once.
+    from contilab import envs
+    from contilab.agents import OptimisticQAgent
+    from contilab.core import run_trajectory
+
+    def run():
+        out = []
+        for seed, prob in ((15, 1e-3), (16, 3e-2)):
+            env = GoalMdpEnv(n_states=5, n_actions=2, resample_prob=prob)
+            agent = OptimisticQAgent(5, 2, stepsize=0.3, discount=0.9, boost=1e-3)
+            summary = run_trajectory(env, agent, horizon, RngStream(seed), record_steps=True)
+            out.append((summary, env.resample_events, env.P.tolist()))
+        return out
+
+    assert envs._EVENT_BLOCK == 512
+    drawn_by_512 = run()
+    monkeypatch.setattr(envs, "_EVENT_BLOCK", 4096)
+    assert run() == drawn_by_512
+    assert all(events > 0 for _, events, _ in drawn_by_512)
+
+
 def test_build_env_unknown_kind():
     with pytest.raises(ConfigurationError, match="unknown env kind"):
         build_env({"kind": "warp_drive"})

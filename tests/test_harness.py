@@ -149,6 +149,8 @@ def test_cli_invalid_cell_parameter_exits_2_without_csv(tmp_path, capsys):
     (["fig9_idbd", "--eta=1.5"], "eta must lie in (0, 1)"),
     (["fig7_errors_vs_alpha", "--capacity=-1"], "capacity must be positive"),
     (["fig8_optimal_alpha", "--sigma=0"], "sigma must be positive"),
+    (["fig7_errors_vs_alpha", "--sigma=-0.5"], "noise scales must be nonnegative"),
+    (["fig8_optimal_alpha", "--deltas=[-1]"], "noise scales must be nonnegative"),
 ])
 def test_cli_invalid_closed_form_parameter_exits_2_without_csv(tmp_path, capsys, argv, message):
     out = tmp_path / "bad"

@@ -1,15 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contilab import sweep
+from contilab import envs, sweep
 from contilab.agents import build_agent
 from contilab.core import run_trajectory
-from contilab.envs import _ENV_KINDS, Ar1ScalarEnv, build_env
-from contilab.errors import ConfigurationError, NumericError
+from contilab.envs import _ENV_KINDS, Ar1ScalarEnv, GoalMdpEnv, build_env
+from contilab.errors import ConfigurationError, DegenerateMdpError, NumericError
 from contilab.rng import RngStream
 from contilab.sweep import (ExperimentConfig, aggregate, monte_carlo_sweep, resolve_workers,
                             run_trials)
@@ -209,9 +210,15 @@ def _scalar_outcomes(cfg):
         try:
             out.append(run_trajectory(build_env(cfg.env), build_agent(cfg.agent), cfg.horizon,
                                       stream, record_series=False))
-        except NumericError as exc:
-            out.append(f"NumericError: {exc}")
+        except (NumericError, DegenerateMdpError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
     return out
+
+
+def _on_kernels():
+    """Let every lockstep pool reach its kernel, however few trials a payload gets."""
+    return mock.patch.dict(sweep._KERNELS, {
+        pair: (kernel, 1) for pair, (kernel, _) in sweep._KERNELS.items()})
 
 
 def _outcomes(results):
@@ -237,8 +244,9 @@ _ar1_lms_cells = st.lists(
 @given(_ar1_lms_cells)
 def test_lockstep_equals_scalar_path(cells):
     expected = [_scalar_outcomes(cfg) for cfg in cells]
-    for workers in (1, 2):
-        assert [_outcomes(results) for results in run_trials(cells, workers=workers)] == expected
+    with _on_kernels():
+        for workers in (1, 2):
+            assert [_outcomes(results) for results in run_trials(cells, workers=workers)] == expected
 
 
 def test_lockstep_fifty_trials_equal_scalar_path_without_calling_it(monkeypatch):
@@ -275,7 +283,8 @@ def test_lockstep_leaves_subclasses_to_the_scalar_path(monkeypatch):
     monkeypatch.setitem(_ENV_KINDS, "ar1", _ShiftedAr1Env)
     shifted = _scalar_outcomes(cfg)
     assert shifted != plain
-    assert _outcomes(run_trials([cfg], workers=1)[0]) == shifted
+    with _on_kernels():
+        assert _outcomes(run_trials([cfg], workers=1)[0]) == shifted
 
 
 def test_mixed_lockstep_and_scalar_cells_keep_trial_order():
@@ -283,7 +292,119 @@ def test_mixed_lockstep_and_scalar_cells_keep_trial_order():
              _coin_config(trials=6, horizon=80), _ar1_config(mode="plain", trials=2)]
     alone = [run_trials([cfg], workers=1)[0] for cfg in cells]
     for workers in (1, 2):
-        together = run_trials(cells, workers=workers)
+        with _on_kernels():
+            together = run_trials(cells, workers=workers)
         assert together == alone
         assert [[r.index for r in results] for results in together] == [
             list(range(cfg.trials)) for cfg in cells]
+
+
+def _refuse_kernel(*args):
+    raise AssertionError("lockstep kernel called")
+
+
+def test_small_lockstep_pool_stays_on_the_scalar_path():
+    # 2 trials at 2 workers make 1-trial payloads, where the kernel's fixed
+    # cost per step makes it slower than run_trajectory.
+    cfg = _ar1_config(trials=2, horizon=400)
+    assert cfg.trials // 2 < sweep._AR1_LMS_MIN_TRIALS
+    refused = {("ar1", "lms"): (_refuse_kernel, sweep._AR1_LMS_MIN_TRIALS)}
+    with mock.patch.dict(sweep._KERNELS, refused):
+        assert _outcomes(run_trials([cfg], workers=2)[0]) == _scalar_outcomes(cfg)
+
+
+# goal_mdp x optimistic_q cells run on run_goal_lockstep.
+def _goal_config(n_states=4, n_actions=2, resample_prob=1e-3, stepsize=0.3, discount=0.9,
+                 boost=1e-3, **kw):
+    base = dict(
+        experiment_name="t",
+        env={"kind": "goal_mdp", "n_states": n_states, "n_actions": n_actions,
+             "resample_prob": resample_prob},
+        agent={"kind": "optimistic_q", "n_states": n_states, "n_actions": n_actions,
+               "stepsize": stepsize, "discount": discount, "boost": boost},
+        horizon=300, trials=2, seed=5,
+    )
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+_goal_q_cells = st.lists(
+    st.builds(
+        lambda shape, **kw: _goal_config(*shape, **kw),
+        shape=st.sampled_from([(1, 1), (2, 1), (2, 3), (3, 2), (5, 3)]),
+        resample_prob=st.sampled_from([0.0, 1e-4, 1e-3, 0.05]),
+        stepsize=st.sampled_from([0.0, 0.5, 1.0]),
+        discount=st.sampled_from([0.5, 0.9]),
+        boost=st.sampled_from([0.0, 1e-3]),
+        horizon=st.one_of(st.sampled_from([1, 511, 512, 513, 1023, 1024, 1025]),
+                          st.integers(1, 40)),
+        trials=st.integers(1, 3), seed=st.integers(0, 3),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_goal_q_cells)
+def test_goal_lockstep_equals_scalar_path(cells):
+    expected = [_scalar_outcomes(cfg) for cfg in cells]
+    with _on_kernels():
+        for workers in (1, 2):
+            assert [_outcomes(results) for results in run_trials(cells, workers=workers)] == expected
+
+
+def test_goal_lockstep_sixty_trials_equal_scalar_path_without_calling_it(monkeypatch):
+    cells = [_goal_config(resample_prob=p, stepsize=a, boost=b, n_states=6, n_actions=3,
+                          trials=5, horizon=1_100, seed=3)
+             for p in (1e-4, 1e-3) for a in (0.0, 0.2, 1.0) for b in (0.0, 1e-3)]
+    expected = [_scalar_outcomes(cfg) for cfg in cells]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_trajectory(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "run_trajectory", counted)
+    assert sum(cfg.trials for cfg in cells) >= 60
+    assert [_outcomes(results) for results in run_trials(cells, workers=1)] == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize("failing_call", [1, 4])
+def test_goal_lockstep_degenerate_rescale_matches_scalar_error(monkeypatch, failing_call):
+    # failing_call 1 is the reset's rescale, 4 a rescale after a row event.
+    cfg = _goal_config(n_states=3, resample_prob=0.05, trials=1, horizon=200)
+    scale = envs.goal_reward_scale
+    calls, fail_at = [0], [0]
+
+    def fails_once(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == fail_at[0]:
+            raise DegenerateMdpError(f"forced on rescale {calls[0]}")
+        return scale(*args, **kwargs)
+
+    monkeypatch.setattr(envs, "goal_reward_scale", fails_once)
+    assert isinstance(_scalar_outcomes(cfg)[0], sweep.TrajectorySummary)
+    assert calls[0] > 4  # the trial rescales past the failing call
+    calls[0], fail_at[0] = 0, failing_call
+    expected = _scalar_outcomes(cfg)
+    assert expected == [f"DegenerateMdpError: forced on rescale {failing_call}"]
+    calls[0] = 0
+    monkeypatch.setattr(sweep, "run_trajectory", _refuse_kernel)
+    with _on_kernels():
+        assert _outcomes(run_trials([cfg], workers=1)[0]) == expected
+
+
+class _LazyGoalMdpEnv(GoalMdpEnv):
+    def reward(self, action, observation):
+        return 0.5 * super().reward(action, observation)
+
+
+def test_goal_lockstep_leaves_subclasses_to_the_scalar_path(monkeypatch):
+    cfg = _goal_config(trials=4)
+    plain = _scalar_outcomes(cfg)
+    monkeypatch.setitem(_ENV_KINDS, "goal_mdp", _LazyGoalMdpEnv)
+    halved = _scalar_outcomes(cfg)
+    assert halved != plain
+    with _on_kernels():
+        assert _outcomes(run_trials([cfg], workers=1)[0]) == halved

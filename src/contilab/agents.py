@@ -350,6 +350,8 @@ class OptimisticQAgent:
         ties = [i for i, v in enumerate(row) if v == m]
         if len(ties) == 1:
             return ties[0]
+        if not ties:  # max(row) is NaN
+            raise NumericError(f"no greedy action: Q row of state {self.state} holds NaN")
         return ties[self._act_rng.index(len(ties))]
 
     def learn(self, s: int, a: int, r: float, s_next: int):

@@ -15,6 +15,7 @@ from typing import Any
 
 import numpy as np
 
+from . import mdp_tools
 from .errors import ConfigurationError, DegenerateMdpError, NumericError
 from .rng import DRAW_BLOCK, RngStream
 
@@ -258,7 +259,9 @@ def run_goal_lockstep(envs, agents, T: int, streams) -> list:
     Entry j is the trial's summary, the ``DegenerateMdpError`` its scalar run
     raises (at reset or at a mid-horizon rescale), or None where trial j must
     go to ``run_trajectory``: its env or agent is not exactly those classes,
-    their spaces differ, or its total is not finite.
+    their spaces differ, or its total, Q table or offset is not finite.
+    Goal-reward rescales of all the trials run together, one
+    ``mdp_tools.goal_reward_scales`` call per planning round.
     """
     from .agents import OptimisticQAgent  # deferred: agents and envs import this module
     from .envs import GoalMdpEnv
@@ -287,6 +290,7 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
     B = DRAW_BLOCK
     n = len(envs)
     S, A = envs[0].n_states, envs[0].n_actions
+    SA = S * A
     out: list = [None] * n
     # The env's and the agent's generators, each where its scalar reset
     # leaves it: a DrawBuffer's normal block is drawn and skipped, and its
@@ -307,28 +311,35 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
     tie_ptr = np.zeros(n, dtype=np.intp)
 
     P = np.empty((n, S, A, S))
-    goal_reward = np.zeros(n)
-    q_star: list = [None] * n
     state = np.empty(n, dtype=np.intp)
-    for k, (env, es) in enumerate(zip(envs, env_streams)):
-        _redraw_rows(row_gens[k], P[k], range(S * A))
-        try:
-            goal_reward[k], q_star[k] = env.goal_scale(P[k], None)
-        except DegenerateMdpError as exc:
-            out[k] = exc
+    for k, es in enumerate(env_streams):
+        _redraw_rows(row_gens[k], P[k], range(SA))
         state[k] = _initial_state(es, S)
+    goal = np.array([env.goal_state for env in envs], dtype=np.intp)
+    plan_gamma = np.array([env.plan_gamma for env in envs], dtype=float)
+    q_star = np.empty((n, S, A))
+
+    def rescale(ks, q0) -> list[float]:
+        """Goal rewards of trials ``ks`` from one engine call; a degenerate
+        rescale becomes that trial's failure (its reward is then unused)."""
+        mass, q = mdp_tools.goal_reward_scales(P[ks], goal[ks], plan_gamma[ks], q0)
+        q_star[ks] = q
+        rewards = []
+        for k, d in zip(ks, mass.tolist()):
+            try:
+                rewards.append(mdp_tools.goal_reward(d, envs[k].goal_state, envs[k].target_reward))
+            except DegenerateMdpError as exc:
+                out[k] = exc
+                rewards.append(0.0)
+        return rewards
+
+    goal_reward = np.array(rescale(np.arange(n), None))
     # bisect_right(cum, u) clipped to S - 1 is the first index whose cum
     # exceeds u once the last entry of each row is +inf.
-    cum = np.empty_like(P)
-    cum_rows = cum.reshape(n * S * A, S)
-
-    def cum_of(k):
-        np.cumsum(P[k], axis=2, out=cum[k])
-        cum[k, :, :, -1] = np.inf
-
-    for k in range(n):
-        cum_of(k)
-    goal = np.array([env.goal_state for env in envs], dtype=np.intp)
+    cum = np.cumsum(P, axis=3)
+    cum[..., -1] = np.inf
+    cum_rows = cum.reshape(n * SA, S)
+    P_rows = P.reshape(n * SA, S)
     step = np.array([a.stepsize for a in agents], dtype=float)
     disc = np.array([a.discount for a in agents], dtype=float)
     disc_m1 = disc - 1.0
@@ -352,16 +363,43 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
             steps = min(B, T - start)
             for k, gen in enumerate(move_gens):
                 move_u[:steps, k] = gen.random(steps)
-            events: dict[int, list[tuple[int, list[int]]]] = {}
+            # Planning pass: the row events, redraws and rescales never depend
+            # on the actions. Each round takes every live trial's next event of
+            # the chunk: it redraws the rows from the trial's own generator,
+            # keeps the redrawn cum rows, and rescales all of those trials in
+            # one engine call, each warm-started from its previous Q*. due[t]
+            # lists what the step loop applies at step t.
+            events: list[tuple[int, list[tuple[int, list[int]]]]] = []
             for k, gen in enumerate(event_gens):
-                if gen is None:
+                if gen is None or out[k] is not None:
                     continue
-                at, rows = _row_events(gen, steps, S * A, prob[k])
+                at, rows = _row_events(gen, steps, SA, prob[k])
+                mine: list[tuple[int, list[int]]] = []
                 for t, flat in zip(at, rows):
-                    due = events.setdefault(t, [])
-                    if not due or due[-1][0] != k:
-                        due.append((k, []))
-                    due[-1][1].append(flat)
+                    if not mine or mine[-1][0] != t:
+                        mine.append((t, []))
+                    mine[-1][1].append(flat)
+                if mine:
+                    events.append((k, mine))
+            due: dict[int, list] = {}
+            for rnd in range(max((len(mine) for _, mine in events), default=0)):
+                events = [(k, mine) for k, mine in events if len(mine) > rnd and out[k] is None]
+                if not events:
+                    break
+                ks = [k for k, _ in events]
+                redrawn = []  # rows of P_rows, trial by trial
+                for k, mine in events:
+                    flats = mine[rnd][1]
+                    _redraw_rows(row_gens[k], P[k], flats)
+                    redrawn.extend(k * SA + flat for flat in flats)
+                cum_new = np.cumsum(P_rows[redrawn], axis=1)
+                cum_new[:, -1] = np.inf
+                lo = 0
+                for (k, mine), reward in zip(events, rescale(ks, q_star[ks])):
+                    t, flats = mine[rnd]
+                    hi = lo + len(flats)
+                    due.setdefault(t, []).append((k, redrawn[lo:hi], cum_new[lo:hi], reward))
+                    lo = hi
             for t in range(steps):
                 # act: argmax of the Q row; ties read the trial's tie-break uniform
                 base = row_of + state
@@ -380,16 +418,10 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
                     np.minimum(pick, c - 1, out=pick)
                     tie_ptr[multi] = ptr + 1
                     a[multi] = (np.cumsum(tie[multi], axis=1) > pick[:, None]).argmax(axis=1)
-                # env: row events of this step, then the transition
-                for k, flats in events.get(t, ()):
-                    if out[k] is not None:
-                        continue
-                    _redraw_rows(row_gens[k], P[k], flats)
-                    cum_of(k)
-                    try:
-                        goal_reward[k], q_star[k] = envs[k].goal_scale(P[k], q_star[k])
-                    except DegenerateMdpError as exc:
-                        out[k] = exc
+                # env: the planned rows and goal reward of this step, then the transition
+                for k, cum_at, cum_new, reward in due.get(t, ()):
+                    cum_rows[cum_at] = cum_new
+                    goal_reward[k] = reward
                 sa = base * A + a
                 nxt = (cum_rows.take(sa, axis=0) > move_u[t, :, None]).argmax(axis=1)
                 r = np.where(nxt == goal, goal_reward, 0.0)

@@ -257,12 +257,12 @@ class GoalMdpEnv:
 
     The row draws, row events and rescales never depend on the actions, so
     :func:`contilab.core.run_goal_lockstep` walks the same schedule through
-    the module helpers this class uses.
+    the module helpers this class uses, and rescales through the engine
+    behind ``goal_reward_scale`` (``mdp_tools.goal_reward_scales``).
     """
 
     def __init__(self, n_states: int = 10, n_actions: int = 3, resample_prob: float = 1e-3,
-                 goal_state: int = 0, plan_gamma: float = 0.9, target_reward: float = 0.5,
-                 vi_tol: float = 1e-8):
+                 goal_state: int = 0, plan_gamma: float = 0.9, target_reward: float = 0.5):
         if not 0.0 <= resample_prob < 1.0:
             raise ValueError(f"resample probability must lie in [0, 1), got {resample_prob}")
         if not 0 <= goal_state < n_states:
@@ -273,7 +273,6 @@ class GoalMdpEnv:
         self.goal_state = goal_state
         self.plan_gamma = plan_gamma
         self.target_reward = target_reward
-        self.vi_tol = vi_tol
         self.action_space = ("discrete", n_actions)
         self.observation_space = ("discrete", n_states)
         self.resample_events = 0
@@ -298,8 +297,7 @@ class GoalMdpEnv:
 
     def goal_scale(self, P: np.ndarray, q0: np.ndarray | None) -> tuple[float, np.ndarray]:
         """(goal reward, Q*) of transitions ``P``, warm-started from ``q0``."""
-        return goal_reward_scale(P, self.goal_state, self.plan_gamma, self.target_reward,
-                                 self.vi_tol, q0=q0)
+        return goal_reward_scale(P, self.goal_state, self.plan_gamma, self.target_reward, q0)
 
     def _refill_events(self):
         self._ev_steps, self._ev_rows = _row_events(

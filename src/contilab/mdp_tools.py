@@ -1,6 +1,12 @@
 """Exact tabular MDP solvers: value iteration, greedy stationary distributions,
 goal-reward scaling, and a discretized belief-space planner for the two-coin
-replacement game."""
+replacement game.
+
+Goal-reward rescales have one engine, :func:`goal_reward_scales`: stacked
+policy iteration plus a stacked Cesaro occupancy over N MDPs at once.
+:func:`goal_reward_scale` is its N = 1 call, used by ``GoalMdpEnv``; the
+goal-MDP lockstep kernel calls the engine once per planning round over all
+the trials it advances. :func:`goal_reward` holds the one degeneracy check."""
 
 from __future__ import annotations
 
@@ -12,6 +18,7 @@ from .errors import DegenerateMdpError
 
 _ROW_TOL = 1e-12
 _CESARO_BETA = 1.0 - 1e-9
+_PI_ROUNDS = 200  # policy-iteration rounds before an MDP falls back to value iteration
 
 
 @dataclass
@@ -94,71 +101,95 @@ def greedy_stationary_distribution(mdp: TabularMdp, Q: np.ndarray) -> np.ndarray
     (1 - b) * mu0 * (I - b * P_pi)^-1 at b = 1 - 1e-9, then renormalized; this
     handles periodic and reducible chains that plain power iteration cannot.
     """
-    return _greedy_occupancy(mdp.P, greedy_policy(Q))
+    return _greedy_occupancy(mdp.P[None], greedy_policy(Q)[None], np.eye(mdp.n_states))[0]
 
 
-def _greedy_occupancy(P: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Cesaro-limit state distribution of the chain P[s, actions[s], :] from a
-    uniform start (see :func:`greedy_stationary_distribution`)."""
-    n = P.shape[0]
-    P_pi = P[np.arange(n), actions, :]
-    occ = np.linalg.solve(np.eye(n) - _CESARO_BETA * P_pi.T, np.full(n, 1.0 / n))
-    occ = np.maximum(occ, 0.0)
-    return occ / occ.sum()
+def _greedy_occupancy(P: np.ndarray, actions: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Cesaro-limit state distributions (N, S) of the chains P[k, s, actions[k, s], :]
+    from a uniform start (see :func:`greedy_stationary_distribution`)."""
+    n, S = actions.shape
+    P_pi = P[np.arange(n)[:, None], np.arange(S), actions]
+    occ = np.linalg.solve(eye - _CESARO_BETA * P_pi.transpose(0, 2, 1), np.full((n, S, 1), 1.0 / S))
+    occ = np.maximum(occ[..., 0], 0.0)
+    return occ / occ.sum(axis=1, keepdims=True)
 
 
-def _policy_iteration_q(P: np.ndarray, r_next: np.ndarray, gamma: float,
-                        q0: np.ndarray | None) -> np.ndarray:
-    """Exact Q* via policy iteration (rewards paid on arrival: r_next[s']).
+def goal_reward_scales(P: np.ndarray, goal_states, gammas,
+                       q0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy goal mass (N,) and exact Q* (N, S, A) of N unit-goal-reward MDPs.
 
-    For the small MDPs used here this lands on the fixed point in a few exact
-    policy evaluations, with Bellman residual at machine precision (far below
-    any iterative tolerance). Falls back to value iteration if policies cycle.
-    """
-    S, A = P.shape[0], P.shape[1]
-    P2 = P.reshape(S * A, S)
-    er = (P2 @ r_next).reshape(S, A)
-    eye = np.eye(S)
-    idx = np.arange(S)
-    policy = np.argmax(er if q0 is None else q0, axis=1)
-    for _ in range(200):
-        P_pi = P[idx, policy, :]
-        v = np.linalg.solve(eye - gamma * P_pi, er[idx, policy])
-        Q = er + gamma * (P2 @ v).reshape(S, A)
-        nxt = np.argmax(Q, axis=1)
-        if np.array_equal(nxt, policy):
-            return Q
-        policy = nxt
-    mdp = TabularMdp(P, np.broadcast_to(r_next, P.shape).copy(), gamma)
-    return value_iteration(mdp, tol=1e-10, q0=q0)
-
-
-def goal_reward_scale(P: np.ndarray, goal_state: int, gamma: float = 0.9,
-                      target: float = 0.5, tol: float = 1e-8,
-                      q0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Goal reward making the greedy policy's long-run average reward ``target``.
-
-    Solves the unit-goal-reward MDP exactly, measures the greedy stationary
-    mass d of the goal state, and returns (target / d, Q*). Raises
-    DegenerateMdpError when the goal is unreachable under the greedy policy
-    (d < 1e-9); callers resample the MDP in that case.
+    ``P`` has shape (N, S, A, S). MDP k moves by P[k], pays 1 on every
+    arrival at ``goal_states[k]`` and discounts by ``gammas[k]``. Q* comes
+    from policy iteration (Howard 1960), which for the small MDPs used here
+    lands on the fixed point in a few exact policy evaluations, started from
+    the greedy policy of ``q0[k]`` (or of the one-step reward). Each round
+    makes one stacked ``np.linalg.solve`` and one stacked ``matmul`` over the
+    MDPs whose policy has not yet repeated, so every slice equals the same
+    computation run on that MDP alone. An MDP whose policies still cycle
+    after ``_PI_ROUNDS`` rounds falls back, on its own, to value iteration.
+    The goal mass is the goal state's Cesaro occupancy under the greedy
+    policy of Q*; :func:`goal_reward` turns it into the reward scale.
     """
     P = np.asarray(P, dtype=float)
-    S = P.shape[0]
-    r_next = np.zeros(S)
-    r_next[goal_state] = 1.0
-    Q = _policy_iteration_q(P, r_next, gamma, q0)
-    d_goal = _greedy_occupancy(P, greedy_policy(Q))[goal_state]
-    if d_goal < 1e-9:
+    n, S, A = P.shape[:3]
+    goal = np.asarray(goal_states, dtype=np.intp)
+    gamma = np.asarray(gammas, dtype=float)[:, None, None]
+    # P[..., goal] is the expected one-step reward P @ onehot(goal) exactly:
+    # the other terms of that sum are exact zeros.
+    er = P[np.arange(n), :, :, goal]
+    eye = np.eye(S)
+    states = np.arange(S)
+    Q = np.empty((n, S, A))
+    todo = np.arange(n)
+    Pt, ert, gt = P, er, gamma
+    policy = np.argmax(er if q0 is None else q0, axis=2)
+    for _ in range(_PI_ROUNDS):
+        m = len(todo)
+        rows = np.arange(m)[:, None]
+        v = np.linalg.solve(eye - gt * Pt[rows, states, policy], ert[rows, states, policy][..., None])
+        Qt = ert + gt * (Pt.reshape(m, S * A, S) @ v).reshape(m, S, A)
+        # An MDP keeps the Q of the round its policy repeated.
+        Q[todo] = Qt
+        nxt = np.argmax(Qt, axis=2)
+        left = (nxt != policy).any(axis=1)
+        if not left.any():
+            break
+        todo, Pt, ert, gt, policy = todo[left], Pt[left], ert[left], gt[left], nxt[left]
+    else:
+        for k in todo:
+            r = np.zeros_like(P[k])
+            r[:, :, goal[k]] = 1.0
+            Q[k] = value_iteration(TabularMdp(P[k], r, float(gamma[k, 0, 0])), tol=1e-10,
+                                   q0=None if q0 is None else q0[k])
+    occ = _greedy_occupancy(P, np.argmax(Q, axis=2), eye)
+    return occ[np.arange(n), goal], Q
+
+
+def goal_reward(mass: float, goal_state: int, target: float) -> float:
+    """Goal reward ``target / mass`` that makes the greedy policy earn ``target``
+    per step on average. Raises DegenerateMdpError when the goal is
+    unreachable under the greedy policy (mass < 1e-9); callers resample the
+    MDP in that case."""
+    if mass < 1e-9:
         raise DegenerateMdpError(
-            f"goal state {goal_state} has stationary mass {d_goal:.3e} under the greedy policy"
+            f"goal state {goal_state} has stationary mass {mass:.3e} under the greedy policy"
         )
-    return target / d_goal, Q
+    return target / mass
+
+
+def goal_reward_scale(P: np.ndarray, goal_state: int, gamma: float = 0.9, target: float = 0.5,
+                      q0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """(goal reward, Q*) of one goal MDP: :func:`goal_reward_scales` at N = 1,
+    then :func:`goal_reward` of its goal mass."""
+    mass, Q = goal_reward_scales(np.asarray(P, dtype=float)[None], [goal_state], [gamma],
+                                 None if q0 is None else np.asarray(q0)[None])
+    return goal_reward(mass[0], goal_state, target), Q[0]
 
 
 def scale_goal_reward(mdp: TabularMdp, goal_state: int, target: float = 0.5,
                       tol: float = 1e-8, unit_reward: float = 1.0) -> float:
-    """Scaled arrival reward for ``goal_state`` (see :func:`goal_reward_scale`).
+    """Scaled arrival reward for ``goal_state`` (see :func:`goal_reward_scale`),
+    solved by value iteration to ``tol``.
 
     ``unit_reward`` sets the placeholder reward used while solving for the
     greedy policy; the returned scale is invariant to it.
@@ -167,12 +198,7 @@ def scale_goal_reward(mdp: TabularMdp, goal_state: int, target: float = 0.5,
         raise ValueError(f"goal state {goal_state} out of range")
     unit = goal_mdp(mdp.P, goal_state, unit_reward, mdp.gamma)
     Q = value_iteration(unit, tol=tol)
-    d_goal = greedy_stationary_distribution(unit, Q)[goal_state]
-    if d_goal < 1e-9:
-        raise DegenerateMdpError(
-            f"goal state {goal_state} has stationary mass {d_goal:.3e} under the greedy policy"
-        )
-    return target / d_goal
+    return goal_reward(greedy_stationary_distribution(unit, Q)[goal_state], goal_state, target)
 
 
 @dataclass

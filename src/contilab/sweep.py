@@ -48,7 +48,7 @@ _LOCKSTEP_TRIALS = 256  # most trials one lockstep payload advances together
 # Fewest trials per payload at which each kernel beats run_trajectory: below
 # that, its fixed cost per step (one numpy call per operation) dominates.
 _AR1_LMS_MIN_TRIALS = 5
-_GOAL_Q_MIN_TRIALS = 10
+_GOAL_Q_MIN_TRIALS = 8
 # (env kind, agent kind) -> (lockstep kernel, fewest trials per payload)
 _KERNELS = {
     ("ar1", "lms"): (run_lockstep, _AR1_LMS_MIN_TRIALS),

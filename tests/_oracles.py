@@ -1,11 +1,13 @@
 """Shared independent oracles for the test suite: a direct simulation of the
-quantized tracker on the standardized AR(1) process, plus batch-mean standard
-errors that respect autocorrelation."""
+quantized tracker on the standardized AR(1) process, batch-mean standard
+errors that respect autocorrelation, and the one-MDP-at-a-time goal-reward
+rescale that the stacked engine must reproduce bit for bit."""
 
 import math
 
 import numpy as np
 
+from contilab.mdp_tools import TabularMdp, value_iteration
 from contilab.rng import RngStream
 
 
@@ -33,3 +35,33 @@ def simulate_tracker(alpha, eta, sigma, delta, n, seed, burn=20_000):
 def batch_stderr(x, n_batches=100):
     means = np.array([b.mean() for b in np.array_split(x, n_batches)])
     return means.std(ddof=1) / math.sqrt(n_batches)
+
+
+def goal_mass_and_q(P, goal_state, gamma, q0=None, rounds=200):
+    """One goal MDP at a time, the arithmetic that ``mdp_tools.goal_reward_scales``
+    stacks: policy iteration on the unit goal reward (value iteration if the
+    policy has not repeated after ``rounds`` evaluations), then the goal's
+    Cesaro occupancy under the greedy policy. Returns (goal mass, Q*)."""
+    S, A = P.shape[0], P.shape[1]
+    P2 = P.reshape(S * A, S)
+    r_next = np.zeros(S)
+    r_next[goal_state] = 1.0
+    er = (P2 @ r_next).reshape(S, A)
+    eye = np.eye(S)
+    idx = np.arange(S)
+    policy = np.argmax(er if q0 is None else q0, axis=1)
+    for _ in range(rounds):
+        P_pi = P[idx, policy, :]
+        v = np.linalg.solve(eye - gamma * P_pi, er[idx, policy])
+        Q = er + gamma * (P2 @ v).reshape(S, A)
+        nxt = np.argmax(Q, axis=1)
+        if np.array_equal(nxt, policy):
+            break
+        policy = nxt
+    else:
+        mdp = TabularMdp(P, np.broadcast_to(r_next, P.shape).copy(), gamma)
+        Q = value_iteration(mdp, tol=1e-10, q0=q0)
+    P_pi = P[idx, np.argmax(Q, axis=1), :]
+    occ = np.linalg.solve(eye - (1.0 - 1e-9) * P_pi.T, np.full(S, 1.0 / S))
+    occ = np.maximum(occ, 0.0)
+    return (occ / occ.sum())[goal_state], Q

@@ -271,6 +271,19 @@ def test_optq_action_distribution_shift_invariant():
     assert [a.act() for _ in range(50)] == [b.act() for _ in range(50)]
 
 
+def test_optq_nan_q_row_is_a_numeric_error():
+    # boost=1e306 overflows the offset; the TD update then turns Q into NaN,
+    # which leaves no greedy action to tie-break among.
+    from contilab.core import run_trajectory
+    from contilab.envs import GoalMdpEnv
+
+    env = GoalMdpEnv(n_states=3, n_actions=2)
+    agent = OptimisticQAgent(3, 2, stepsize=0.3, discount=0.9, boost=1e306)
+    with pytest.raises(NumericError, match="no greedy action: Q row of state [0-2] holds NaN"):
+        with np.errstate(all="ignore"):
+            run_trajectory(env, agent, 300, RngStream(0), record_series=False)
+
+
 # -- belief filter, logit predictor, one-bit predictor -------------------------
 
 def test_coin_belief_sticky_when_no_replacement():

@@ -225,6 +225,8 @@ def test_build_env_unknown_kind():
         build_env({"kind": "ar1", "eta": 0.5, "zeta": 0.1, "sigma": 0.1, "bogus": 1})
     with pytest.raises(ConfigurationError, match="bad parameters"):
         build_env({"kind": "ar1", "eta": 1.5, "zeta": 0.1, "sigma": 0.1})
+    with pytest.raises(ConfigurationError, match="bad parameters.*vi_tol"):
+        build_env({"kind": "goal_mdp", "vi_tol": 1e-8})  # rescales are exact: no tolerance
 
 
 def test_env_param_validation():

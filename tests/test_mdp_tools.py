@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import goal_mass_and_q
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from contilab import mdp_tools
 from contilab.errors import DegenerateMdpError
 from contilab.mdp_tools import (
     TabularMdp,
     bellman_backup,
     belief_value_iteration,
     goal_mdp,
+    goal_reward,
     goal_reward_scale,
+    goal_reward_scales,
     greedy_policy,
     greedy_stationary_distribution,
     scale_goal_reward,
@@ -161,6 +167,71 @@ def test_policy_iteration_path_matches_value_iteration():
         q_vi = value_iteration(goal_mdp(P, 0), tol=1e-10)
         assert np.max(np.abs(q_exact - q_vi)) < 1e-8
         assert np.array_equal(greedy_policy(q_exact), greedy_policy(q_vi))
+
+
+def _goal_mdps(seed, n, S, A, concentration, warm):
+    """n Dirichlet goal MDPs with per-MDP goal, discount and target, and a
+    cold (None) or warm (noisy Q-like) start."""
+    gen = np.random.default_rng(seed)
+    g = gen.gamma(concentration, 1.0, size=(n, S, A, S))
+    g[g.sum(axis=3) == 0.0] = 1.0
+    P = g / g.sum(axis=3, keepdims=True)
+    goals = gen.integers(0, S, size=n)
+    gammas = gen.choice([0.5, 0.9, 0.99], size=n)
+    targets = gen.uniform(0.1, 2.0, size=n)
+    q0 = 5.0 * gen.standard_normal((n, S, A)) if warm else None
+    return P, goals, gammas, targets, q0
+
+
+_stacks = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6),
+                    st.integers(1, 3), st.sampled_from([0.05, 0.3, 1.0]), st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacks)
+@example((0, 1, 1, 1, 1.0, False))  # S = 1, A = 1, N = 1, cold
+@example((1, 5, 1, 3, 0.3, True))  # S = 1, warm
+@example((2, 4, 4, 1, 0.05, True))  # A = 1, warm
+def test_goal_reward_scales_equal_the_one_mdp_reference(case):
+    # Slice k of the stacked engine is == to the per-MDP arithmetic, and the
+    # N = 1 call (goal_reward_scale) to the reward that slice implies.
+    P, goals, gammas, targets, q0 = _goal_mdps(*case)
+    mass, Q = goal_reward_scales(P, goals, gammas, q0)
+    assert mass.shape == (len(P),) and Q.shape == P.shape[:3]
+    for k in range(len(P)):
+        q0_k = None if q0 is None else q0[k]
+        m_ref, q_ref = goal_mass_and_q(P[k], goals[k], float(gammas[k]), q0_k)
+        assert mass[k] == m_ref and np.array_equal(Q[k], q_ref)
+        if m_ref < 1e-9:
+            with pytest.raises(DegenerateMdpError):
+                goal_reward_scale(P[k], goals[k], float(gammas[k]), float(targets[k]), q0_k)
+            continue
+        scale, q_one = goal_reward_scale(P[k], goals[k], float(gammas[k]), float(targets[k]), q0_k)
+        assert scale == float(targets[k]) / m_ref and np.array_equal(q_one, q_ref)
+
+
+def test_goal_reward_scales_fall_back_to_value_iteration_per_mdp(monkeypatch):
+    # With one policy-iteration round, the MDPs whose policy has not repeated
+    # go to value iteration on their own; the others keep their exact Q*.
+    # Half the MDPs start from their own Q*, so their policy repeats at once.
+    P, goals, gammas, _, q0 = _goal_mdps(7, 12, 6, 3, 0.3, True)
+    q0[::2] = goal_reward_scales(P, goals, gammas)[1][::2]
+    monkeypatch.setattr(mdp_tools, "_PI_ROUNDS", 1)
+    mass, Q = goal_reward_scales(P, goals, gammas, q0)
+    fell_back = 0
+    for k in range(len(P)):
+        m_ref, q_ref = goal_mass_and_q(P[k], goals[k], float(gammas[k]), q0[k], rounds=1)
+        assert mass[k] == m_ref and np.array_equal(Q[k], q_ref)
+        q_vi = value_iteration(goal_mdp(P[k], goals[k], gamma=float(gammas[k])), tol=1e-10, q0=q0[k])
+        fell_back += np.array_equal(Q[k], q_vi)
+    assert 0 < fell_back < len(P)
+
+
+def test_goal_reward_degenerate_text():
+    assert goal_reward(0.25, 3, 0.5) == 2.0
+    with pytest.raises(DegenerateMdpError,
+                       match=r"^goal state 3 has stationary mass 5\.000e-10 under the greedy policy$"):
+        goal_reward(5e-10, 3, 0.5)
 
 
 def test_belief_plan_fast_replacement_prefers_known_coin():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contilab import envs, sweep
+from contilab import mdp_tools, sweep
 from contilab.agents import build_agent
 from contilab.core import run_trajectory
 from contilab.envs import _ENV_KINDS, Ar1ScalarEnv, GoalMdpEnv, build_env
@@ -373,26 +373,51 @@ def test_goal_lockstep_sixty_trials_equal_scalar_path_without_calling_it(monkeyp
 @pytest.mark.parametrize("failing_call", [1, 4])
 def test_goal_lockstep_degenerate_rescale_matches_scalar_error(monkeypatch, failing_call):
     # failing_call 1 is the reset's rescale, 4 a rescale after a row event.
+    # Both paths rescale through mdp_tools.goal_reward_scales, looked up at
+    # call time; the forced goal mass names the rescale it was forced on.
     cfg = _goal_config(n_states=3, resample_prob=0.05, trials=1, horizon=200)
-    scale = envs.goal_reward_scale
+    engine = mdp_tools.goal_reward_scales
     calls, fail_at = [0], [0]
 
-    def fails_once(*args, **kwargs):
-        calls[0] += 1
-        if calls[0] == fail_at[0]:
-            raise DegenerateMdpError(f"forced on rescale {calls[0]}")
-        return scale(*args, **kwargs)
+    def fails_once(*args):
+        mass, q = engine(*args)
+        for i in range(len(mass)):
+            calls[0] += 1
+            if calls[0] == fail_at[0]:
+                mass[i] = calls[0] * 1e-12
+        return mass, q
 
-    monkeypatch.setattr(envs, "goal_reward_scale", fails_once)
+    monkeypatch.setattr(mdp_tools, "goal_reward_scales", fails_once)
     assert isinstance(_scalar_outcomes(cfg)[0], sweep.TrajectorySummary)
     assert calls[0] > 4  # the trial rescales past the failing call
     calls[0], fail_at[0] = 0, failing_call
     expected = _scalar_outcomes(cfg)
-    assert expected == [f"DegenerateMdpError: forced on rescale {failing_call}"]
+    assert expected == [f"DegenerateMdpError: goal state 0 has stationary mass "
+                        f"{failing_call}.000e-12 under the greedy policy"]
     calls[0] = 0
     monkeypatch.setattr(sweep, "run_trajectory", _refuse_kernel)
     with _on_kernels():
         assert _outcomes(run_trials([cfg], workers=1)[0]) == expected
+
+
+def test_goal_lockstep_hands_nan_q_trials_to_the_scalar_error(monkeypatch):
+    # An overflowing boost makes Q NaN: the kernel returns those trials, and
+    # run_trajectory's NumericError becomes their failed-trial rows.
+    cfg = _goal_config(n_states=3, n_actions=2, boost=1e306, trials=3, horizon=300)
+    with np.errstate(all="ignore"):
+        expected = _scalar_outcomes(cfg)
+    assert all(o.startswith("NumericError: no greedy action") for o in expected)
+    kernel, handed_back = sweep.run_goal_lockstep, []
+
+    def recorded(*args):
+        results = kernel(*args)
+        handed_back.extend(r is None for r in results)
+        return results
+
+    monkeypatch.setitem(sweep._KERNELS, ("goal_mdp", "optimistic_q"), (recorded, 1))
+    with np.errstate(all="ignore"):
+        assert _outcomes(run_trials([cfg], workers=1)[0]) == expected
+    assert handed_back == [True] * cfg.trials
 
 
 class _LazyGoalMdpEnv(GoalMdpEnv):

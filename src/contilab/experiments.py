@@ -199,17 +199,18 @@ def _run_fig7(params, workers):
     rows = []
     series = []
     for eta in params["etas"]:
-        forg, impl = [], []
-        for alpha in alphas:
-            delta = math.sqrt(_closed_form(it.delta_star, alpha, eta, params["sigma"],
-                                          params["capacity"]))
-            f, i = _closed_form(it.stability_errors, alpha, eta, params["sigma"], delta)
+        # delta_star stays a per-alpha scalar call: its math.exp is not np.exp.
+        deltas = [math.sqrt(_closed_form(it.delta_star, alpha, eta, params["sigma"],
+                                         params["capacity"]))
+                  for alpha in alphas]
+        forg, impl = _closed_form(it.stability_errors, alphas, eta, params["sigma"],
+                                  np.array(deltas))
+        forg, impl = forg.tolist(), impl.tolist()
+        for alpha, f, i in zip(alphas, forg, impl):
             coords = {"eta": eta, "alpha": round(float(alpha), 10)}
             rows.append(_analytic_row(coords, "forgetting", f))
             rows.append(_analytic_row(coords, "implasticity", i))
             rows.append(_analytic_row(coords, "total", f + i))
-            forg.append(f)
-            impl.append(i)
         series.append((f"forgetting eta={eta}", list(alphas), forg))
         series.append((f"implasticity eta={eta}", list(alphas), impl))
     plot = ("stability vs plasticity errors", "stepsize", "error (nats)", series)
@@ -237,17 +238,15 @@ def _run_fig8(params, workers):
         rows.append(_analytic_row({"panel": "eta", "eta": e}, "alpha_star_closed_form",
                                   _closed_form(it.optimal_alpha, e, sigma)))
 
-    def argmin_alpha(total_fn):
-        values = [total_fn(float(a)) for a in alphas]
-        return float(alphas[int(np.argmin(values))])
+    def argmin_alpha(deltas):
+        forg, impl = _closed_form(it.stability_errors, alphas, eta, sigma, deltas)
+        return float(alphas[int(np.argmin(forg + impl))])
 
     star = _closed_form(it.optimal_alpha, eta, sigma)
     cap_pts = []
     for cap in params["capacities"]:
-        best = argmin_alpha(
-            lambda a: _closed_form(it.total_stability_error, a, eta, sigma,
-                                   math.sqrt(_closed_form(it.delta_star, a, eta, sigma, cap)))
-        )
+        best = argmin_alpha(np.array([math.sqrt(_closed_form(it.delta_star, a, eta, sigma, cap))
+                                      for a in alphas.tolist()]))
         coords = {"panel": "capacity", "capacity": cap}
         rows.append(_analytic_row(coords, "alpha_argmin", best))
         rows.append(_analytic_row(coords, "alpha_star_closed_form", star))
@@ -255,7 +254,7 @@ def _run_fig8(params, workers):
 
     delta_pts = []
     for delta in params["deltas"]:
-        best = argmin_alpha(lambda a: _closed_form(it.total_stability_error, a, eta, sigma, delta))
+        best = argmin_alpha(delta)
         rows.append(_analytic_row({"panel": "delta", "delta": delta}, "alpha_tilde", best))
         delta_pts.append((delta, best))
 

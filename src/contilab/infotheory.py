@@ -4,6 +4,11 @@ process: steady-state second moments, capacity-matched quantization noise,
 implasticity decomposition of prediction error, optimal stepsizes, and
 regret bounds for simple binary-prediction problems.
 
+The forgetting/implasticity pair comes from one grid engine,
+:func:`stability_errors`: one call per (eta, sigma, K) evaluates a whole
+stepsize grid on one shared future block and equals the dense one-point
+evaluation bit for bit.
+
 Model conventions (standardized throughout this module): the latent follows
 theta' = eta*theta + N(0, 1 - eta^2) with theta_0 ~ N(0, 1), observations are
 Y = theta + N(0, sigma^2), and the agent state follows
@@ -69,8 +74,12 @@ def _conditional_cov(cov: np.ndarray, x: list[int], w: list[int]) -> np.ndarray:
     S_xx = cov[np.ix_(x, x)]
     if not w:
         return S_xx
-    S_xw = cov[np.ix_(x, w)]
-    S_ww = cov[np.ix_(w, w)]
+    return _schur_complement(S_xx, cov[np.ix_(x, w)], cov[np.ix_(w, w)])
+
+
+def _schur_complement(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray) -> np.ndarray:
+    """Symmetrized S_xx - S_xw S_ww^+ S_xw^T: the body of :func:`_conditional_cov`,
+    which :func:`stability_errors` calls on blocks it builds itself."""
     well_conditioned = False
     try:
         chol = np.linalg.cholesky(S_ww)
@@ -222,25 +231,6 @@ class LmsSteadyCovariance:
         labels = ("u",) + tuple(f"y-{n - 1 - j}" for j in range(n))
         return GaussianJointModel(labels, cov)
 
-    def stability_joint(self, future: int) -> GaussianJointModel:
-        """Joint over (U_{t-1}, U_t, Y_t, Y_{t+1}, ..., Y_{t+future})."""
-        if future < 1:
-            raise ValueError("need at least one future coordinate")
-        m = future + 3
-        cov = np.empty((m, m))
-        ks = np.arange(1, future + 1, dtype=float)
-        cov[0, 0] = self.u_var()
-        cov[0, 1] = cov[1, 0] = self.u_autocov1()
-        cov[1, 1] = self.u_var()
-        cov[0, 2] = cov[2, 0] = self.u_y_fwd(1)          # E[U_{t-1} Y_t]
-        cov[1, 2] = cov[2, 1] = self.u_y_back(0)         # E[U_t Y_t]
-        cov[0, 3:] = cov[3:, 0] = self.u_y_fwd(ks + 1.0)  # E[U_{t-1} Y_{t+k}]
-        cov[1, 3:] = cov[3:, 1] = self.u_y_fwd(ks)       # E[U_t Y_{t+k}]
-        yk = np.concatenate(([0.0], ks))
-        cov[2:, 2:] = self._y_block(yk)
-        labels = ("u_prev", "u", "y") + tuple(f"y+{int(k)}" for k in ks)
-        return GaussianJointModel(labels, cov)
-
 
 def steady_cov(eta: float, sigma: float, alpha: float, delta: float) -> LmsSteadyCovariance:
     """Steady-state covariance evaluator for the quantized tracking filter."""
@@ -343,8 +333,13 @@ def default_future_horizon(eta: float, tail: float = 1e-6, cap: int = 512) -> in
     return max(1, min(k, cap))
 
 
-def stability_errors(alpha: float, eta: float, sigma: float, delta: float,
-                     future: int | None = None) -> tuple[float, float]:
+# Conditioning sets of the two errors over the head coordinates (0: U_{t-1},
+# 1: U_t, 2: Y_t), in evaluation order: forgetting given (U_t, Y_t) and given
+# (U_{t-1}, U_t, Y_t), then implasticity given U_t and given (Y_t, U_t).
+_STABILITY_SETS = ([1, 2], [0, 1, 2], [1], [2, 1])
+
+
+def stability_errors(alpha, eta: float, sigma: float, delta, future: int | None = None):
     """(forgetting, implasticity) error in nats at fixed quantization noise.
 
     Forgetting is I(Y_{t+1:t+K}; U_{t-1} | U_t, Y_t): future-relevant
@@ -352,27 +347,43 @@ def stability_errors(alpha: float, eta: float, sigma: float, delta: float,
     the next state nor the current observation. Implasticity is
     I(Y_{t+1:t+K}; Y_t | U_t): future-relevant information in the current
     observation that was not ingested.
+
+    ``alpha`` and ``delta`` are scalars, which give a pair of floats, or
+    broadcastable 1-D grids for one (eta, sigma, K), which give a pair of
+    arrays (empty for an empty grid). Every grid point is validated before
+    any linear algebra runs. The joint over (U_{t-1}, U_t, Y_t, Y_{t+1:t+K})
+    shares its future block across the grid, so the (K+1)^2 Y block is built
+    once per call; per point only the three head rows depend on
+    (alpha, delta). Each conditional covariance of the future is the Schur
+    complement of :func:`_conditional_cov` on those blocks, so every value
+    equals the one-point dense evaluation (``gaussian_cond_mi`` on the full
+    joint) bit for bit.
     """
+    scalar = np.ndim(alpha) == 0 and np.ndim(delta) == 0
+    alphas, deltas = np.broadcast_arrays(np.atleast_1d(alpha), np.atleast_1d(delta))
+    if alphas.ndim != 1:
+        raise ValueError("alpha and delta must be scalars or 1-D grids")
+    covs = [LmsSteadyCovariance(eta, sigma, a, d) for a, d in zip(alphas, deltas)]
     K = default_future_horizon(eta) if future is None else future
-    joint = steady_cov(eta, sigma, alpha, delta).stability_joint(K)
-    future_idx = list(range(3, K + 3))
-    forgetting = joint.mutual_information(future_idx, [0], [1, 2])
-    implasticity = joint.mutual_information(future_idx, [2], [1])
+    if K < 1:
+        raise ValueError("need at least one future coordinate")
+    forgetting, implasticity = np.empty(len(covs)), np.empty(len(covs))
+    if not covs:
+        return forgetting, implasticity
+    ks = np.arange(1, K + 1, dtype=float)
+    y_block = covs[0]._y_block(np.concatenate(([0.0], ks)))  # Y_t, Y_{t+1..t+K}
+    S_xx = y_block[1:, 1:]
+    for i, sc in enumerate(covs):
+        uv, ac1, fwd1, back0 = sc.u_var(), sc.u_autocov1(), sc.u_y_fwd(1), sc.u_y_back(0)
+        head = np.array(((uv, ac1, fwd1), (ac1, uv, back0), (fwd1, back0, y_block[0, 0])))
+        cross = np.column_stack((sc.u_y_fwd(ks + 1.0), sc.u_y_fwd(ks), y_block[0, 1:]))
+        logdet = [_logdet_psd(_schur_complement(S_xx, cross[:, w], head[np.ix_(w, w)]))
+                  for w in _STABILITY_SETS]
+        forgetting[i] = 0.5 * (logdet[0] - logdet[1])
+        implasticity[i] = 0.5 * (logdet[2] - logdet[3])
+    if scalar:
+        return float(forgetting[0]), float(implasticity[0])
     return forgetting, implasticity
-
-
-def forgetting_error(alpha: float, eta: float, sigma: float, capacity: float,
-                     future: int | None = None) -> float:
-    """Forgetting error at the capacity-matched quantization noise."""
-    delta = math.sqrt(delta_star(alpha, eta, sigma, capacity))
-    return stability_errors(alpha, eta, sigma, delta, future)[0]
-
-
-def implasticity_error(alpha: float, eta: float, sigma: float, capacity: float,
-                       future: int | None = None) -> float:
-    """Implasticity error at the capacity-matched quantization noise."""
-    delta = math.sqrt(delta_star(alpha, eta, sigma, capacity))
-    return stability_errors(alpha, eta, sigma, delta, future)[1]
 
 
 def total_stability_error(alpha: float, eta: float, sigma: float, delta: float,

@@ -169,12 +169,13 @@ def goal_reward(mass: float, goal_state: int, target: float) -> float:
     """Goal reward ``target / mass`` that makes the greedy policy earn ``target``
     per step on average. Raises DegenerateMdpError when the goal is
     unreachable under the greedy policy (mass < 1e-9); callers resample the
-    MDP in that case."""
+    MDP in that case. The reward is a Python float, so per-step reward and Q
+    arithmetic on the scalar path stays off numpy scalars."""
     if mass < 1e-9:
         raise DegenerateMdpError(
             f"goal state {goal_state} has stationary mass {mass:.3e} under the greedy policy"
         )
-    return target / mass
+    return float(target / mass)
 
 
 def goal_reward_scale(P: np.ndarray, goal_state: int, gamma: float = 0.9, target: float = 0.5,

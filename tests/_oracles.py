@@ -1,12 +1,15 @@
 """Shared independent oracles for the test suite: a direct simulation of the
 quantized tracker on the standardized AR(1) process, batch-mean standard
-errors that respect autocorrelation, and the one-MDP-at-a-time goal-reward
-rescale that the stacked engine must reproduce bit for bit."""
+errors that respect autocorrelation, and the one-at-a-time evaluations that
+the stacked engines must reproduce bit for bit: the goal-reward rescale of
+one MDP, and the stability errors of one stepsize on its dense joint."""
 
 import math
 
 import numpy as np
 
+from contilab.infotheory import (GaussianJointModel, LmsSteadyCovariance,
+                                 default_future_horizon, steady_cov)
 from contilab.mdp_tools import TabularMdp, value_iteration
 from contilab.rng import RngStream
 
@@ -65,3 +68,34 @@ def goal_mass_and_q(P, goal_state, gamma, q0=None, rounds=200):
     occ = np.linalg.solve(eye - (1.0 - 1e-9) * P_pi.T, np.full(S, 1.0 / S))
     occ = np.maximum(occ, 0.0)
     return (occ / occ.sum())[goal_state], Q
+
+
+def stability_joint(self: LmsSteadyCovariance, future: int) -> GaussianJointModel:
+    """Joint over (U_{t-1}, U_t, Y_t, Y_{t+1}, ..., Y_{t+future})."""
+    if future < 1:
+        raise ValueError("need at least one future coordinate")
+    m = future + 3
+    cov = np.empty((m, m))
+    ks = np.arange(1, future + 1, dtype=float)
+    cov[0, 0] = self.u_var()
+    cov[0, 1] = cov[1, 0] = self.u_autocov1()
+    cov[1, 1] = self.u_var()
+    cov[0, 2] = cov[2, 0] = self.u_y_fwd(1)          # E[U_{t-1} Y_t]
+    cov[1, 2] = cov[2, 1] = self.u_y_back(0)         # E[U_t Y_t]
+    cov[0, 3:] = cov[3:, 0] = self.u_y_fwd(ks + 1.0)  # E[U_{t-1} Y_{t+k}]
+    cov[1, 3:] = cov[3:, 1] = self.u_y_fwd(ks)       # E[U_t Y_{t+k}]
+    yk = np.concatenate(([0.0], ks))
+    cov[2:, 2:] = self._y_block(yk)
+    labels = ("u_prev", "u", "y") + tuple(f"y+{int(k)}" for k in ks)
+    return GaussianJointModel(labels, cov)
+
+
+def stability_errors(alpha, eta, sigma, delta, future=None):
+    """(forgetting, implasticity) of one stepsize from its dense joint: the
+    per-point evaluation that ``infotheory.stability_errors`` stacks."""
+    K = default_future_horizon(eta) if future is None else future
+    joint = stability_joint(steady_cov(eta, sigma, alpha, delta), K)
+    future_idx = list(range(3, K + 3))
+    forgetting = joint.mutual_information(future_idx, [0], [1, 2])
+    implasticity = joint.mutual_information(future_idx, [2], [1])
+    return forgetting, implasticity

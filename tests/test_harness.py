@@ -1,8 +1,12 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from _oracles import stability_errors as dense_stability_errors
 
+from contilab import experiments
+from contilab import infotheory as it
 from contilab.cli import main
 from contilab.errors import ConfigurationError
 from contilab.experiments import list_experiments, resolve_params, run_experiment
@@ -159,6 +163,14 @@ def test_cli_invalid_closed_form_parameter_exits_2_without_csv(tmp_path, capsys,
     assert not (out / "results.csv").exists()
 
 
+def test_cli_fig7_empty_grid_writes_no_rows(tmp_path):
+    out = tmp_path / "empty"
+    assert main(["run", "fig7_errors_vs_alpha", "--out", str(out), "--grid_points=0"]) == 0
+    lines = (out / "results.csv").read_text().splitlines()
+    assert [line for line in lines if not line.startswith("#")] == [
+        "metric,mean,std,ci95,trials,error"]
+
+
 def test_cli_dry_run(capsys):
     assert main(["run", "fig2_lms_sweep", "--dry-run", "--trials", "3"]) == 0
     assert "config ok" in capsys.readouterr().out
@@ -171,3 +183,54 @@ def test_fig7_rows_are_analytic(tmp_path):
     assert all(line.split(",")[-2] == "0" for line in lines)  # no Monte Carlo trials
     metrics = {line.split(",")[2] for line in lines}
     assert metrics == {"forgetting", "implasticity", "total"}
+
+
+def _per_point_stability_errors(alpha, eta, sigma, delta, future=None):
+    """``it.stability_errors`` on a grid, one point at a time on the dense oracle."""
+    alphas, deltas = np.broadcast_arrays(np.atleast_1d(alpha), np.atleast_1d(delta))
+    pairs = [dense_stability_errors(a, eta, sigma, d, future) for a, d in zip(alphas, deltas)]
+    return np.array([f for f, _ in pairs]), np.array([i for _, i in pairs])
+
+
+@pytest.mark.parametrize("name, overrides, engine_calls", [
+    # one engine call per eta
+    ("fig7_errors_vs_alpha", {"grid_points": "6", "etas": "[0.5, 0.9]"}, 2),
+    # one engine call per capacity and one per fixed delta
+    ("fig8_optimal_alpha", {"alpha_step": "0.1", "etas": "[0.5]", "capacities": "[0.5, 2.0]",
+                            "deltas": "[0.0, 0.3]"}, 4),
+])
+def test_analytic_rows_equal_the_per_point_oracle(monkeypatch, name, overrides, engine_calls):
+    # The experiments look it.stability_errors up at call time with the
+    # positional signature the benchmark's tracer wraps.
+    engine, calls = it.stability_errors, []
+
+    def counted(alpha, eta, sigma, delta, future=None):
+        calls.append(eta)
+        return engine(alpha, eta, sigma, delta, future)
+
+    params = resolve_params(name, overrides)
+    runner = experiments._get(name).runner
+    monkeypatch.setattr(it, "stability_errors", counted)
+    rows = runner(params, None).rows
+    assert len(calls) == engine_calls
+    monkeypatch.setattr(it, "stability_errors", _per_point_stability_errors)
+    assert runner(params, None).rows == rows
+
+
+def test_fig8_argmins_minimize_the_dense_total_error():
+    overrides = {"alpha_step": "0.1", "etas": "[0.5]", "capacities": "[0.5, 2.0]",
+                 "deltas": "[0.0, 0.3]"}
+    rows = experiments._get("fig8_optimal_alpha").runner(
+        resolve_params("fig8_optimal_alpha", overrides), None).rows
+    got = {(r.coords.get("capacity"), r.coords.get("delta"), r.metric): r.mean for r in rows}
+    alphas = np.arange(0.1, 1.0, 0.1)
+
+    def argmin(deltas):
+        totals = [sum(dense_stability_errors(a, 0.9, 0.5, d)) for a, d in zip(alphas, deltas)]
+        return float(alphas[int(np.argmin(totals))])
+
+    for cap in (0.5, 2.0):
+        deltas = [math.sqrt(it.delta_star(a, 0.9, 0.5, cap)) for a in alphas]
+        assert got[(cap, None, "alpha_argmin")] == argmin(deltas)
+    for delta in (0.0, 0.3):
+        assert got[(None, delta, "alpha_tilde")] == argmin([delta] * len(alphas))

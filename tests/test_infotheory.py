@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-
-from _oracles import batch_stderr, simulate_tracker
+from _oracles import batch_stderr, simulate_tracker, stability_joint
+from _oracles import stability_errors as dense_stability_errors
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contilab import infotheory as it
 from contilab.errors import NumericError
@@ -39,7 +41,7 @@ def test_steady_cov_rejects_zero_stepsize():
 def test_steady_cov_blocks_are_psd():
     for alpha, eta, sigma, delta in ((0.3, 0.9, 0.5, 0.2), (0.999, 0.1, 1.0, 0.0), (0.05, 0.97, 0.3, 0.4)):
         sc = it.steady_cov(eta, sigma, alpha, delta)
-        for model in (sc.capacity_joint(40), sc.stability_joint(40)):
+        for model in (sc.capacity_joint(40), stability_joint(sc, 40)):
             eigs = np.linalg.eigvalsh(model.cov)
             assert eigs[0] > -1e-10
 
@@ -213,6 +215,57 @@ def test_stability_errors_monotone_in_future_horizon():
     f_vals, i_vals = zip(*(it.stability_errors(0.4, 0.9, 0.5, delta, future=k) for k in (1, 8, 64)))
     assert f_vals[0] <= f_vals[1] + 1e-12 <= f_vals[2] + 2e-12
     assert i_vals[0] <= i_vals[1] + 1e-12 <= i_vals[2] + 2e-12
+
+
+_grid_point = st.tuples(st.floats(0.01, 1.0), st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(_grid_point, min_size=1, max_size=20),
+       eta=st.one_of(st.sampled_from([0.5, 0.9, 0.95]), st.floats(0.0, 0.95)),
+       sigma=st.floats(0.1, 2.0),
+       future=st.one_of(st.sampled_from([1, 2, 3, None]), st.integers(4, 40)),
+       scalar_delta=st.booleans())
+@example(points=[(0.2, 0.0), (0.5, 0.0), (0.8, 0.3)], eta=0.9, sigma=0.5, future=None,
+         scalar_delta=False)
+def test_stability_engine_slices_equal_the_dense_oracle(points, eta, sigma, future, scalar_delta):
+    alphas = np.array([a for a, _ in points])
+    deltas = points[0][1] if scalar_delta else np.array([d for _, d in points])
+    forgetting, implasticity = it.stability_errors(alphas, eta, sigma, deltas, future)
+    for k, a in enumerate(alphas):
+        d = deltas if scalar_delta else deltas[k]
+        assert (forgetting[k], implasticity[k]) == dense_stability_errors(a, eta, sigma, d, future)
+
+
+def test_stability_errors_scalar_call_returns_floats():
+    pair = it.stability_errors(0.4, 0.9, 0.5, 0.1)
+    assert [type(v) for v in pair] == [float, float]
+    assert pair == dense_stability_errors(0.4, 0.9, 0.5, 0.1)
+    assert type(it.total_stability_error(0.4, 0.9, 0.5, 0.1)) is float
+    forgetting, implasticity = it.stability_errors([0.4], 0.9, 0.5, 0.1)
+    assert forgetting.shape == implasticity.shape == (1,)
+
+
+@pytest.mark.parametrize("alphas, sigma, delta", [
+    ([0.3, 0.6, 1.2], 0.5, 0.1),
+    ([0.3, 0.6, 0.0], 0.5, 0.1),
+    ([0.3, 0.6, 0.9], -0.5, 0.1),
+    ([0.3, 0.6, 0.9], 0.5, [0.1, 0.2, -1.0]),
+])
+def test_stability_errors_bad_grid_point_raises_before_any_lapack_call(monkeypatch, alphas,
+                                                                        sigma, delta):
+    def refuse(*args, **kwargs):
+        raise AssertionError("linear algebra ran before validation")
+
+    for name in ("cholesky", "solve", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    with pytest.raises(ValueError):
+        it.stability_errors(np.array(alphas), 0.9, sigma, np.array(delta))
+
+
+def test_stability_errors_empty_grid_gives_empty_arrays():
+    forgetting, implasticity = it.stability_errors(np.array([]), 0.9, 0.5, np.array([]))
+    assert forgetting.shape == implasticity.shape == (0,)
 
 
 def test_total_error_decomposition_matches_direct_absent_information():

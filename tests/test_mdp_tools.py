@@ -229,6 +229,7 @@ def test_goal_reward_scales_fall_back_to_value_iteration_per_mdp(monkeypatch):
 
 def test_goal_reward_degenerate_text():
     assert goal_reward(0.25, 3, 0.5) == 2.0
+    assert type(goal_reward(np.float64(0.25), 3, 0.5)) is float
     with pytest.raises(DegenerateMdpError,
                        match=r"^goal state 3 has stationary mass 5\.000e-10 under the greedy policy$"):
         goal_reward(5e-10, 3, 0.5)

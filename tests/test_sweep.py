@@ -344,13 +344,22 @@ _goal_q_cells = st.lists(
 )
 
 
+def _python_float_rewards(outcomes):
+    """Whether every successful trial's average_reward is a Python float
+    (``==`` alone would let an np.float64 through)."""
+    return all(type(o.average_reward) is float for o in outcomes if not isinstance(o, str))
+
+
 @settings(max_examples=12, deadline=None)
 @given(_goal_q_cells)
 def test_goal_lockstep_equals_scalar_path(cells):
     expected = [_scalar_outcomes(cfg) for cfg in cells]
+    assert all(_python_float_rewards(outcomes) for outcomes in expected)
     with _on_kernels():
         for workers in (1, 2):
-            assert [_outcomes(results) for results in run_trials(cells, workers=workers)] == expected
+            got = [_outcomes(results) for results in run_trials(cells, workers=workers)]
+            assert got == expected
+            assert all(_python_float_rewards(outcomes) for outcomes in got)
 
 
 def test_goal_lockstep_sixty_trials_equal_scalar_path_without_calling_it(monkeypatch):
@@ -366,8 +375,10 @@ def test_goal_lockstep_sixty_trials_equal_scalar_path_without_calling_it(monkeyp
 
     monkeypatch.setattr(sweep, "run_trajectory", counted)
     assert sum(cfg.trials for cfg in cells) >= 60
-    assert [_outcomes(results) for results in run_trials(cells, workers=1)] == expected
+    got = [_outcomes(results) for results in run_trials(cells, workers=1)]
+    assert got == expected
     assert calls == []
+    assert all(_python_float_rewards(outcomes) for outcomes in got + expected)
 
 
 @pytest.mark.parametrize("failing_call", [1, 4])

@@ -67,51 +67,6 @@ class LmsAgent:
         self.update_estimate(observation)
 
 
-class CapacityLmsAgent:
-    """Plain tracking filter whose state update carries Gaussian quantization
-    noise: u <- u + alpha*(y - u) + N(0, delta^2).
-
-    Either pass ``delta`` (noise std) directly, or pass ``capacity`` together
-    with the tracked process parameters (eta, sigma) to pin the noise at the
-    level where the state holds exactly ``capacity`` nats about history.
-    """
-
-    action_space = ("real",)
-    observation_space = ("real",)
-
-    def __init__(self, alpha: float, delta: float | None = None, capacity: float | None = None,
-                 eta: float | None = None, sigma: float | None = None, u0: float = 0.0):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-        if capacity is not None:
-            if eta is None or sigma is None:
-                raise ConfigurationError("capacity mode needs the process eta and sigma")
-            delta = math.sqrt(delta_star(alpha, eta, sigma, capacity))
-        if delta is None:
-            raise ConfigurationError("either delta or capacity must be given")
-        if delta < 0.0:
-            raise ValueError(f"delta must be nonnegative, got {delta}")
-        self.alpha = alpha
-        self.delta = delta
-        self.capacity = capacity
-        self.u0 = u0
-        self.u = u0
-
-    def reset(self, stream: RngStream):
-        self._rng = stream.buffer()
-        self.u = self.u0
-
-    def act(self):
-        return self.u
-
-    def ingest(self, y: float) -> float:
-        self.u = self.u + self.alpha * (y - self.u) + self.delta * self._rng.normal()
-        return self.u
-
-    def update(self, action, observation, reward):
-        self.ingest(observation)
-
-
 class IdbdAgent:
     """Stepsize-adapting tracking filter (keeps a log-stepsize beta and a
     gradient trace h alongside the state u).
@@ -131,8 +86,14 @@ class IdbdAgent:
                  delta: float | None = None, alpha0: float = 0.1, u0: float = 0.0):
         if mode not in ("capacity", "standard"):
             raise ValueError(f"mode must be 'capacity' or 'standard', got {mode!r}")
-        if mode == "capacity" and (eta is None or sigma is None or capacity is None):
-            raise ConfigurationError("capacity mode needs eta, sigma, and capacity")
+        if mode == "capacity":
+            if eta is None or sigma is None or capacity is None:
+                raise ConfigurationError("capacity mode needs eta, sigma, and capacity")
+            # delta_star's own checks, so a bad spec fails at build, not at step 0
+            if capacity <= 0.0:
+                raise ValueError(f"capacity must be positive, got {capacity}")
+            if not 0.0 <= eta < 1.0:
+                raise ValueError(f"eta must lie in [0, 1), got {eta}")
         if mode == "standard" and delta is None:
             raise ConfigurationError("standard mode needs a fixed delta")
         if not 0.0 < alpha0 <= 1.0:
@@ -497,7 +458,6 @@ class BitFlipAgent:
 
 _AGENT_KINDS = {
     "lms": LmsAgent,
-    "capacity_lms": CapacityLmsAgent,
     "idbd": IdbdAgent,
     "ts": TsAgent,
     "ps": PsAgent,

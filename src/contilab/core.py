@@ -252,6 +252,130 @@ def run_lockstep(envs, agents, T: int, streams) -> list[TrajectorySummary | None
     return out
 
 
+def run_idbd_trials(envs, agents, T: int, streams,
+                    record_series: bool = False) -> list[TrajectorySummary | None]:
+    """``run_trajectory(envs[j], agents[j], T, streams[j], record_series=record_series)``
+    for every j of ``Ar1ScalarEnv`` x ``IdbdAgent``, one trial at a time.
+
+    Each trial is one loop over Python floats that applies the env's and the
+    agent's operations in their order, with ``delta_star`` and
+    ``delta_star_sq_grad`` inlined in their operation order and their
+    per-trial constants computed once. Its "env-noise" and "agent-noise"
+    normals are read in DrawBuffer's layout, a chunk at a time, so the
+    summaries, series and ``final_alpha`` are equal field for field. Entry j
+    is None where trial j must go to ``run_trajectory``: its env or agent is
+    not exactly those classes (a subclass may change the arithmetic), or its
+    log-stepsize or total is not finite (the scalar path then raises its own
+    ``NumericError`` or returns its own result).
+    """
+    from .agents import IdbdAgent  # deferred: agents and envs import this module
+    from .envs import Ar1ScalarEnv
+
+    if T < 1:
+        raise ValueError(f"horizon must be >= 1, got {T}")
+    return [_idbd_trial(env, agent, T, stream, record_series)
+            if type(env) is Ar1ScalarEnv and type(agent) is IdbdAgent else None
+            for env, agent, stream in zip(envs, agents, streams)]
+
+
+def _normals(gen, rest, n: int):
+    """The next ``n`` normals of a stream whose drawn, unread normals are
+    ``rest``, and the new ``rest``."""
+    if len(rest) < n:
+        rest = np.concatenate((rest, gen.standard_normal(n - len(rest))))
+    return rest[:n], rest[n:]
+
+
+def _idbd_trial(env, agent, T: int, stream: RngStream, record_series: bool):
+    """One trial of :func:`run_idbd_trials`: its summary, or None."""
+    from .agents import _BETA_MAX, _BETA_MIN
+
+    # Where a DrawBuffer's reset leaves each generator: the first normal block
+    # is drawn and the uniform block after it skipped. The env's first normal
+    # sets theta.
+    env_gen = stream.child("env-noise").generator()
+    env_rest = env_gen.standard_normal(DRAW_BLOCK)
+    env_gen.random(DRAW_BLOCK)
+    agent_gen = stream.child("agent-noise").generator()
+    agent_rest = agent_gen.standard_normal(DRAW_BLOCK)
+    agent_gen.random(DRAW_BLOCK)
+    theta = env.mu0 + math.sqrt(env.sigma0) * float(env_rest[0])
+    env_rest = env_rest[1:]
+    env_eta, zeta, sigma = env.eta, env.zeta, env.sigma
+
+    u, beta, h = agent.u0, agent.beta0, 0.0
+    alpha = math.exp(beta)
+    zm = agent.zeta_meta
+    capacity = agent.mode == "capacity"
+    if capacity:
+        eta = agent.eta
+        s2 = agent.sigma**2
+        damp = math.exp(-2.0 * agent.capacity)
+        one_m_damp = 1.0 - damp
+        two_kappa = 2.0 * (damp / one_m_damp)
+        half_zm = 0.5 * zm
+        ac = 1.0 - alpha  # A and B of delta_star_sq_grad at the current alpha
+        A = 1.0 - ac * eta
+        B = 1.0 + ac * eta
+    else:
+        sd = math.sqrt(agent.delta * agent.delta)
+
+    stride = -(-T // SERIES_POINTS)
+    mark = stride if record_series else -1  # next step that records a series point
+    series: list[tuple[int, float]] = []
+    alphas: list[tuple[int, float]] = []
+    exp, sqrt, inf = math.exp, math.sqrt, math.inf
+    total = 0.0
+    comp = 0.0
+    for start in range(0, T, DRAW_BLOCK):
+        steps = min(DRAW_BLOCK, T - start)
+        e, env_rest = _normals(env_gen, env_rest, 2 * steps)
+        d, agent_rest = _normals(agent_gen, agent_rest, steps)
+        noise = d.tolist() if capacity else (sd * d).tolist()
+        for t, z1, z2, n in zip(range(start + 1, start + steps + 1),
+                                (zeta * e[0::2]).tolist(), (sigma * e[1::2]).tolist(), noise):
+            theta = env_eta * theta + z1
+            err = theta + z2 - u
+            r = -(err * err)
+            # A non-finite reward makes the total non-finite for good, and the
+            # trial goes back to run_trajectory at the end.
+            beta = beta + zm * err * h
+            if capacity:
+                beta -= half_zm * alpha * (two_kappa * alpha * (s2 + B / A - eta * alpha / (A * A)))
+            if not -inf < beta < inf:
+                return None
+            if beta > _BETA_MAX:
+                beta = _BETA_MAX
+            elif beta < _BETA_MIN:
+                beta = _BETA_MIN
+            alpha = exp(beta)
+            ae = alpha * err
+            if capacity:
+                ac = 1.0 - alpha
+                A = 1.0 - ac * eta
+                B = 1.0 + ac * eta
+                n = sqrt(alpha**2 * (s2 * A + B) / A * damp / one_m_damp) * n
+            u = u + ae + n
+            h = ae + (1.0 - alpha) * h  # alpha <= 1: the agent's max(1 - alpha, 0) is a no-op
+
+            y = r - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+            if t == mark:
+                series.append((t, total / t))
+                alphas.append((t, alpha))
+                mark = min(t + stride, T)
+
+    if not math.isfinite(total):
+        return None
+    avg = total / T
+    return TrajectorySummary(
+        horizon=T, average_reward=avg, reward_series=series if record_series else None,
+        diagnostics={"alpha": alphas} if record_series else {},
+        metrics={"average_reward": avg, "final_alpha": alpha})
+
+
 def run_goal_lockstep(envs, agents, T: int, streams) -> list:
     """``run_trajectory(envs[j], agents[j], T, streams[j], record_series=False)``
     for every j of ``GoalMdpEnv`` x ``OptimisticQAgent``, advanced together.

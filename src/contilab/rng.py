@@ -71,8 +71,8 @@ class DrawBuffer:
     and then ``random(block)``; after that each exhausted block is refilled
     with one draw of its own kind. A consumer of normals only therefore sees
     the first normal block, a skipped uniform block, then one contiguous
-    ``standard_normal`` stream (:func:`contilab.core.run_lockstep` relies on
-    this).
+    ``standard_normal`` stream (:func:`contilab.core.run_lockstep` and
+    :func:`contilab.core.run_idbd_trials` rely on this).
     """
 
     __slots__ = ("generator", "_block", "_norm", "_ni", "_unif", "_ui")

@@ -9,23 +9,26 @@ its output into rows with :func:`aggregate`. Only the modelled failures,
 ``NumericError`` and ``DegenerateMdpError``, are recorded as failed trials;
 any other exception (a bad config, a bug) aborts the call.
 
-Lockstep kernels: cells without series whose (env kind, agent kind) pair
-has a kernel are pooled per (pair, horizon) across the call's cells:
+Kernels: cells whose (env kind, agent kind) pair has a kernel are pooled
+per (pair, horizon) across the call's cells, when the kernel records series
+or the call records none:
 
-    ("ar1", "lms")                  -> core.run_lockstep
-    ("goal_mdp", "optimistic_q")    -> core.run_goal_lockstep
+    ("ar1", "lms")                  -> core.run_lockstep        no series
+    ("goal_mdp", "optimistic_q")    -> core.run_goal_lockstep   no series
+    ("ar1", "idbd")                 -> core.run_idbd_trials     with series
 
 A pool is split round robin into ``max(workers, ceil(n / 256))`` payloads,
 so each payload holds a share of every cell and of its cost. A pool whose
 payloads would hold fewer trials than the kernel's break-even
-(``_AR1_LMS_MIN_TRIALS``, ``_GOAL_Q_MIN_TRIALS``) runs on ``run_trajectory``
-instead. Each payload advances its trials together, and the kernels'
-summaries and modelled failures equal ``run_trajectory``'s. A trial goes
-back to ``run_trajectory`` when its built env or agent is not exactly the
-pair's classes (a subclass or wrapper could change the arithmetic the kernel
-reproduces) or when its total is not finite, so failures carry the scalar
-path's exact error text. Every other cell runs trial by trial on
-``run_trajectory``.
+(``_AR1_LMS_MIN_TRIALS``, ``_GOAL_Q_MIN_TRIALS``, ``_AR1_IDBD_MIN_TRIALS``)
+runs on ``run_trajectory`` instead. The lockstep kernels advance a payload's
+trials together as arrays; ``run_idbd_trials`` runs them one by one in a
+fused scalar loop. The kernels' summaries and modelled failures equal
+``run_trajectory``'s. A trial goes back to ``run_trajectory`` when its built
+env or agent is not exactly the pair's classes (a subclass or wrapper could
+change the arithmetic the kernel reproduces) or when its total is not
+finite, so failures carry the scalar path's exact error text. Every other
+cell runs trial by trial on ``run_trajectory``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .agents import build_agent
-from .core import TrajectorySummary, run_goal_lockstep, run_lockstep, run_trajectory
+from .core import (TrajectorySummary, run_goal_lockstep, run_idbd_trials, run_lockstep,
+                   run_trajectory)
 from .envs import build_env
 from .errors import ConfigurationError, DegenerateMdpError, NumericError
 from .rng import RngStream
@@ -49,10 +53,12 @@ _LOCKSTEP_TRIALS = 256  # most trials one lockstep payload advances together
 # that, its fixed cost per step (one numpy call per operation) dominates.
 _AR1_LMS_MIN_TRIALS = 5
 _GOAL_Q_MIN_TRIALS = 8
-# (env kind, agent kind) -> (lockstep kernel, fewest trials per payload)
+_AR1_IDBD_MIN_TRIALS = 1  # a per-trial loop: no fixed cost to amortize
+# (env kind, agent kind) -> (kernel, fewest trials per payload, records series)
 _KERNELS = {
-    ("ar1", "lms"): (run_lockstep, _AR1_LMS_MIN_TRIALS),
-    ("goal_mdp", "optimistic_q"): (run_goal_lockstep, _GOAL_Q_MIN_TRIALS),
+    ("ar1", "lms"): (run_lockstep, _AR1_LMS_MIN_TRIALS, False),
+    ("goal_mdp", "optimistic_q"): (run_goal_lockstep, _GOAL_Q_MIN_TRIALS, False),
+    ("ar1", "idbd"): (run_idbd_trials, _AR1_IDBD_MIN_TRIALS, True),
 }
 
 
@@ -191,17 +197,21 @@ def _run_batch(payload):
 
 def _run_lockstep_batch(payload):
     """Worker entry point: run trials of one kernel's pair and one horizon together."""
-    pair, horizon, trials = payload  # trials: [(env_spec, agent_spec, cell_key, base_seed, i)]
+    # trials: [(env_spec, agent_spec, cell_key, base_seed, i)]
+    pair, horizon, trials, record_series = payload
     envs = [build_env(env_spec) for env_spec, *_ in trials]
     agents = [build_agent(agent_spec) for _, agent_spec, *_ in trials]
     streams = [_trial_stream(seed, key, i) for _, _, key, seed, i in trials]
+    kernel = _KERNELS[pair][0]
+    summaries = (kernel(envs, agents, horizon, streams, record_series=True) if record_series
+                 else kernel(envs, agents, horizon, streams))
     results = []
-    for env, agent, stream, trial, summary in zip(
-            envs, agents, streams, trials, _KERNELS[pair][0](envs, agents, horizon, streams)):
+    for env, agent, stream, trial, summary in zip(envs, agents, streams, trials, summaries):
         i = trial[-1]
         if summary is None:
             try:
-                summary = run_trajectory(env, agent, horizon, stream, record_series=False)
+                summary = run_trajectory(env, agent, horizon, stream,
+                                         record_series=record_series)
             except (NumericError, DegenerateMdpError) as exc:
                 summary = exc
         results.append(_failed(i, summary) if isinstance(summary, Exception)
@@ -220,7 +230,7 @@ def _plan(cells, workers: int, record_series: bool):
     lockstep: dict[tuple, list[int]] = {}  # (pair, horizon) -> cells, in order
     for c, cfg in enumerate(cells):
         pair = (cfg.env.get("kind"), cfg.agent.get("kind"))
-        if not record_series and pair in _KERNELS:
+        if pair in _KERNELS and (_KERNELS[pair][2] or not record_series):
             lockstep.setdefault((pair, cfg.horizon), []).append(c)
     payloads, owners = [], []
     on_kernel = set()
@@ -234,7 +244,8 @@ def _plan(cells, workers: int, record_series: bool):
         for k in range(parts):  # round robin: every payload gets a share of every cell
             part = pooled[k::parts]
             payloads.append((_run_lockstep_batch, (pair, horizon, [
-                (cells[c].env, cells[c].agent, keys[c], cells[c].seed, i) for c, i in part])))
+                (cells[c].env, cells[c].agent, keys[c], cells[c].seed, i) for c, i in part],
+                record_series)))
             owners.append([c for c, _ in part])
     for c, cfg in enumerate(cells):
         if c in on_kernel:
@@ -255,7 +266,7 @@ def run_trials(cells, *, workers: int | None = None,
 
     The batches of all cells run serially with one worker (or one batch),
     else in a single process pool. See the module docstring for the
-    lockstep kernels.
+    kernels.
     """
     w = resolve_workers(workers)
     payloads, owners = _plan(cells, w, record_series)

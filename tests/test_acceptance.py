@@ -14,7 +14,7 @@ from _oracles import batch_stderr, simulate_tracker
 
 from contilab import infotheory as it
 from contilab.agents import IdbdAgent
-from contilab.core import run_trajectory
+from contilab.core import run_idbd_trials
 from contilab.envs import Ar1ScalarEnv
 from contilab.experiments import (
     _MDP_DEFAULTS,
@@ -154,14 +154,13 @@ def test_criterion_06_capacity_aware_stepsize_adaptation():
     finals = {}
     for mode, kw in (("capacity", dict(mode="capacity", eta=eta, sigma=sigma, capacity=cap)),
                      ("standard", dict(mode="standard", delta=delta_at_star))):
-        vals = []
-        for trial in range(trials):
-            env = Ar1ScalarEnv(eta=eta, zeta=math.sqrt(1 - eta * eta), sigma=sigma)
-            agent = IdbdAgent(zeta_meta=zeta_meta, alpha0=0.1, **kw)
-            run_trajectory(env, agent, horizon, RngStream(20_240_902).child("idbd", mode, trial),
-                           record_series=False)
-            vals.append(agent.alpha)
-        finals[mode] = float(np.mean(vals))
+        envs = [Ar1ScalarEnv(eta=eta, zeta=math.sqrt(1 - eta * eta), sigma=sigma)
+                for _ in range(trials)]
+        agents = [IdbdAgent(zeta_meta=zeta_meta, alpha0=0.1, **kw) for _ in range(trials)]
+        streams = [RngStream(20_240_902).child("idbd", mode, trial) for trial in range(trials)]
+        summaries = run_idbd_trials(envs, agents, horizon, streams)
+        assert None not in summaries  # no trial diverged
+        finals[mode] = float(np.mean([s.metrics["final_alpha"] for s in summaries]))
     elapsed = time.time() - t0
     assert abs(finals["capacity"] - star) < 0.05
     assert abs(finals["standard"] - star) > 0.02

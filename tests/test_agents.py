@@ -5,7 +5,6 @@ import pytest
 
 from contilab.agents import (
     BitFlipAgent,
-    CapacityLmsAgent,
     DyadicCoinBeliefAgent,
     IdbdAgent,
     LmsAgent,
@@ -50,40 +49,48 @@ def test_lms_shrinkage_hand_value():
     assert ag.act() == pytest.approx(0.315)
 
 
+# IdbdAgent with a frozen log-stepsize (zeta_meta=0) is the capacity LMS:
+# u <- u + alpha*(y - u) + N(0, delta^2), with delta fixed ("standard") or
+# pinned by the capacity ("capacity").
+
 def test_capacity_lms_zero_noise_equals_plain_lms():
-    cap = CapacityLmsAgent(alpha=0.3, delta=0.0)
-    plain = LmsAgent(alpha=0.3, mode="plain")
+    cap = IdbdAgent(zeta_meta=0.0, mode="standard", delta=0.0, alpha0=0.3)
+    plain = LmsAgent(alpha=cap.alpha, mode="plain")
     cap.reset(RngStream(1))
     plain.reset(RngStream(1))
     ys = RngStream(2).generator().standard_normal(200)
     for y in ys:
         cap.ingest(float(y))
         plain.update_estimate(float(y))
+        assert cap.alpha == plain.alpha
     assert cap.u == pytest.approx(plain.mu, abs=0.0)
 
 
 def test_capacity_lms_huge_capacity_matches_noiseless():
-    a = CapacityLmsAgent(alpha=0.4, capacity=50.0, eta=0.9, sigma=0.5)
-    b = CapacityLmsAgent(alpha=0.4, delta=0.0)
+    a = IdbdAgent(zeta_meta=0.0, mode="capacity", eta=0.9, sigma=0.5, capacity=50.0, alpha0=0.4)
+    b = IdbdAgent(zeta_meta=0.0, mode="standard", delta=0.0, alpha0=0.4)
     a.reset(RngStream(3))
     b.reset(RngStream(3))
     ys = RngStream(4).generator().standard_normal(500)
     for y in ys:
         a.ingest(float(y))
         b.ingest(float(y))
-    assert a.delta < 1e-20
+    assert a.alpha == b.alpha
+    assert math.sqrt(delta_star(a.alpha, 0.9, 0.5, 50.0)) < 1e-20
     assert a.u == pytest.approx(b.u, abs=1e-15)
 
 
 def test_capacity_lms_noise_variance():
     delta = 0.35
-    ag = CapacityLmsAgent(alpha=0.5, delta=delta)
+    ag = IdbdAgent(zeta_meta=0.0, mode="standard", delta=delta, alpha0=0.5)
     ag.reset(RngStream(5))
+    assert ag.alpha == 0.5
     qs = []
     for _ in range(100_000):
         prev = ag.u
         ag.ingest(0.0)
         qs.append(ag.u - (1.0 - 0.5) * prev)
+    assert ag.alpha == 0.5
     qs = np.array(qs)
     se = np.std(qs**2, ddof=1) / math.sqrt(len(qs))
     assert abs(np.var(qs) - delta**2) < 4 * se
@@ -91,9 +98,14 @@ def test_capacity_lms_noise_variance():
 
 def test_capacity_lms_requires_noise_spec():
     with pytest.raises(ConfigurationError):
-        CapacityLmsAgent(alpha=0.5)
+        IdbdAgent(zeta_meta=0.0, mode="standard", alpha0=0.5)
     with pytest.raises(ConfigurationError):
-        CapacityLmsAgent(alpha=0.5, capacity=1.0)
+        IdbdAgent(zeta_meta=0.0, mode="capacity", capacity=1.0, alpha0=0.5)
+
+
+def test_capacity_lms_kind_is_gone():
+    with pytest.raises(ConfigurationError, match="unknown agent kind 'capacity_lms'"):
+        build_agent({"kind": "capacity_lms", "alpha": 0.5, "delta": 0.1})
 
 
 # -- stepsize adaptation ------------------------------------------------------
@@ -102,15 +114,29 @@ def test_idbd_frozen_meta_matches_capacity_lms():
     eta, sigma, cap, alpha0 = 0.9, 0.5, 1.0, 0.25
     idbd = IdbdAgent(zeta_meta=0.0, mode="capacity", eta=eta, sigma=sigma,
                      capacity=cap, alpha0=alpha0)
-    lms = CapacityLmsAgent(alpha=alpha0, capacity=cap, eta=eta, sigma=sigma)
     idbd.reset(RngStream(6))
-    lms.reset(RngStream(6))
+    noise = RngStream(6).buffer()  # the agent's own noise draws
+    delta = math.sqrt(delta_star(alpha0, eta, sigma, cap))
+    u = 0.0
     ys = RngStream(7).generator().standard_normal(300)
     for y in ys:
         idbd.ingest(float(y))
-        lms.ingest(float(y))
+        u = u + alpha0 * (float(y) - u) + delta * noise.normal()
         assert idbd.alpha == alpha0
-    assert idbd.u == pytest.approx(lms.u, abs=0.0)
+    assert idbd.u == pytest.approx(u, abs=0.0)
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"capacity": 0.0}, "capacity must be positive"),
+    ({"capacity": -1.0}, "capacity must be positive"),
+    ({"eta": 1.0}, r"eta must lie in \[0, 1\)"),
+    ({"eta": -0.1}, r"eta must lie in \[0, 1\)"),
+])
+def test_idbd_capacity_mode_rejects_bad_closed_form_parameters(params, message):
+    spec = {"kind": "idbd", "zeta_meta": 0.01, "mode": "capacity", "eta": 0.9, "sigma": 0.5,
+            "capacity": 0.5, **params}
+    with pytest.raises(ConfigurationError, match=message):
+        build_agent(spec)
 
 
 def test_idbd_numeric_divergence_reports_step():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contilab import mdp_tools, sweep
-from contilab.agents import build_agent
-from contilab.core import run_trajectory
+from contilab.agents import _AGENT_KINDS, IdbdAgent, build_agent
+from contilab.core import run_idbd_trials, run_trajectory
 from contilab.envs import _ENV_KINDS, Ar1ScalarEnv, GoalMdpEnv, build_env
 from contilab.errors import ConfigurationError, DegenerateMdpError, NumericError
 from contilab.rng import RngStream
@@ -202,14 +202,14 @@ def _ar1_config(eta=0.9, zeta=0.5, sigma=1.0, mu0=0.0, sigma0=1.0, alpha=0.3,
     return ExperimentConfig(**base)
 
 
-def _scalar_outcomes(cfg):
+def _scalar_outcomes(cfg, record_series=False):
     """Each trial's summary, or its failure text, from run_trajectory alone."""
     out = []
     for i in range(cfg.trials):
         stream = RngStream(cfg.seed).child("trial", cfg.canonical_key(), i)
         try:
             out.append(run_trajectory(build_env(cfg.env), build_agent(cfg.agent), cfg.horizon,
-                                      stream, record_series=False))
+                                      stream, record_series=record_series))
         except (NumericError, DegenerateMdpError) as exc:
             out.append(f"{type(exc).__name__}: {exc}")
     return out
@@ -218,7 +218,7 @@ def _scalar_outcomes(cfg):
 def _on_kernels():
     """Let every lockstep pool reach its kernel, however few trials a payload gets."""
     return mock.patch.dict(sweep._KERNELS, {
-        pair: (kernel, 1) for pair, (kernel, _) in sweep._KERNELS.items()})
+        pair: (kernel, 1, series) for pair, (kernel, _, series) in sweep._KERNELS.items()})
 
 
 def _outcomes(results):
@@ -308,7 +308,7 @@ def test_small_lockstep_pool_stays_on_the_scalar_path():
     # cost per step makes it slower than run_trajectory.
     cfg = _ar1_config(trials=2, horizon=400)
     assert cfg.trials // 2 < sweep._AR1_LMS_MIN_TRIALS
-    refused = {("ar1", "lms"): (_refuse_kernel, sweep._AR1_LMS_MIN_TRIALS)}
+    refused = {("ar1", "lms"): (_refuse_kernel, sweep._AR1_LMS_MIN_TRIALS, False)}
     with mock.patch.dict(sweep._KERNELS, refused):
         assert _outcomes(run_trials([cfg], workers=2)[0]) == _scalar_outcomes(cfg)
 
@@ -425,7 +425,7 @@ def test_goal_lockstep_hands_nan_q_trials_to_the_scalar_error(monkeypatch):
         handed_back.extend(r is None for r in results)
         return results
 
-    monkeypatch.setitem(sweep._KERNELS, ("goal_mdp", "optimistic_q"), (recorded, 1))
+    monkeypatch.setitem(sweep._KERNELS, ("goal_mdp", "optimistic_q"), (recorded, 1, False))
     with np.errstate(all="ignore"):
         assert _outcomes(run_trials([cfg], workers=1)[0]) == expected
     assert handed_back == [True] * cfg.trials
@@ -444,3 +444,145 @@ def test_goal_lockstep_leaves_subclasses_to_the_scalar_path(monkeypatch):
     assert halved != plain
     with _on_kernels():
         assert _outcomes(run_trials([cfg], workers=1)[0]) == halved
+
+
+# ar1 x idbd cells run on run_idbd_trials, with or without series.
+def _idbd_config(mode="capacity", eta=0.95, sigma=0.5, capacity=0.5, zeta_meta=0.01,
+                 alpha0=0.1, delta=0.2, agent_eta=None, agent_sigma=None, **kw):
+    agent = {"kind": "idbd", "zeta_meta": zeta_meta, "mode": mode, "alpha0": alpha0}
+    if mode == "capacity":
+        agent.update(eta=eta if agent_eta is None else agent_eta,
+                     sigma=sigma if agent_sigma is None else agent_sigma, capacity=capacity)
+    else:
+        agent.update(delta=delta)
+    base = dict(
+        experiment_name="t",
+        env={"kind": "ar1", "eta": eta, "zeta": math.sqrt(1.0 - eta * eta), "sigma": sigma},
+        agent=agent, horizon=600, trials=2, seed=9,
+    )
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+_idbd_cells = st.lists(
+    st.builds(
+        _idbd_config,
+        mode=st.sampled_from(["capacity", "standard"]),
+        eta=st.floats(0.0, 0.99), sigma=st.floats(0.05, 2.0), capacity=st.floats(0.01, 5.0),
+        zeta_meta=st.one_of(st.just(0.0), st.floats(0.0, 0.5)), alpha0=st.floats(1e-3, 1.0),
+        delta=st.floats(0.0, 2.0), agent_eta=st.one_of(st.none(), st.floats(0.0, 0.99)),
+        horizon=st.one_of(st.sampled_from([1, 511, 512, 513, 1025]), st.integers(1, 3000)),
+        trials=st.integers(1, 3), seed=st.integers(0, 3),
+    ),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_idbd_cells, st.booleans())
+def test_idbd_trials_equal_scalar_path(cells, record_series):
+    expected = [_scalar_outcomes(cfg, record_series) for cfg in cells]
+    got = [_outcomes(results) for results in run_trials(cells, workers=1,
+                                                        record_series=record_series)]
+    assert got == expected
+    for cfg, outcomes in zip(cells, expected):  # the kernel itself, trial by trial
+        streams = [RngStream(cfg.seed).child("trial", cfg.canonical_key(), i)
+                   for i in range(cfg.trials)]
+        direct = run_idbd_trials([build_env(cfg.env) for _ in streams],
+                                 [build_agent(cfg.agent) for _ in streams],
+                                 cfg.horizon, streams, record_series)
+        assert [d if d is not None else o for d, o in zip(direct, outcomes)] == outcomes
+        assert all(d is not None for d, o in zip(direct, outcomes) if not isinstance(o, str))
+
+
+def test_idbd_fig9_cells_with_series_equal_scalar_path_without_calling_it(monkeypatch):
+    # T = 2,501 records every 2nd step and the last one
+    cells = [_idbd_config(mode=mode, trials=3, horizon=2_501) for mode in ("capacity", "standard")]
+    expected = [_scalar_outcomes(cfg, record_series=True) for cfg in cells]
+    assert all(len(o.diagnostics["alpha"]) == 1_251 for outcomes in expected for o in outcomes)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_trajectory(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "run_trajectory", counted)
+    assert [_outcomes(results) for results in run_trials(cells, workers=1,
+                                                        record_series=True)] == expected
+    assert calls == []
+
+
+def test_idbd_fig9_cells_worker_count_invariance():
+    cells = [_idbd_config(mode=mode, trials=3, horizon=700) for mode in ("capacity", "standard")]
+    for record_series in (False, True):
+        assert (run_trials(cells, workers=2, record_series=record_series)
+                == run_trials(cells, workers=1, record_series=record_series))
+
+
+_DIVERGED = "NumericError: log-stepsize diverged at step "
+
+
+@pytest.mark.parametrize("cfg, message", [
+    # capacity mode: the noise-growth penalty overflows at alpha = 1, step 0
+    (_idbd_config(zeta_meta=1.0, agent_sigma=1.3e154, alpha0=1.0, trials=2), _DIVERGED),
+    # standard mode: zeta_meta * err * h overflows a few steps in, to +inf,
+    # -inf or NaN across these six trials
+    (_idbd_config(mode="standard", zeta_meta=1e308, trials=3, seed=1), _DIVERGED),
+    (_idbd_config(mode="standard", zeta_meta=1e308, trials=3, seed=2), _DIVERGED),
+    # +inf on the last step, where nothing later could reveal a clamped +inf
+    (_idbd_config(mode="standard", zeta_meta=1e308, trials=1, seed=20, horizon=2),
+     _DIVERGED + "1"),
+    # the reward overflows while the log-stepsize stays finite
+    (_idbd_config(mode="standard", sigma=1e200, zeta_meta=0.0, trials=2),
+     "NumericError: non-finite reward"),
+])
+def test_idbd_divergence_falls_back_to_scalar_error(monkeypatch, cfg, message):
+    expected = _scalar_outcomes(cfg)
+    assert all(o.startswith(message) for o in expected)
+    handed_back = []
+
+    def recorded(*args, **kwargs):
+        results = run_idbd_trials(*args, **kwargs)
+        handed_back.extend(r is None for r in results)
+        return results
+
+    monkeypatch.setitem(sweep._KERNELS, ("ar1", "idbd"), (recorded, 1, True))
+    cells = [cfg, _idbd_config(trials=2)]
+    got = [_outcomes(results) for results in run_trials(cells, workers=1)]
+    assert got == [expected, _scalar_outcomes(cells[1])]
+    assert handed_back == [True] * cfg.trials + [False] * 2
+
+
+class _DoubleStepIdbdAgent(IdbdAgent):
+    def update(self, action, observation, reward):
+        self.ingest(observation)
+        self.ingest(observation)
+
+
+@pytest.mark.parametrize("table, kind, cls", [
+    (_ENV_KINDS, "ar1", _ShiftedAr1Env),
+    (_AGENT_KINDS, "idbd", _DoubleStepIdbdAgent),
+])
+def test_idbd_kernel_leaves_subclasses_to_the_scalar_path(monkeypatch, table, kind, cls):
+    cfg = _idbd_config(trials=3, horizon=300)
+    plain = _scalar_outcomes(cfg, record_series=True)
+    monkeypatch.setitem(table, kind, cls)
+    changed = _scalar_outcomes(cfg, record_series=True)
+    assert changed != plain
+    stream = RngStream(0)
+    assert run_idbd_trials([build_env(cfg.env)], [build_agent(cfg.agent)], 300, [stream]) == [None]
+    assert _outcomes(run_trials([cfg], workers=1, record_series=True)[0]) == changed
+
+
+def test_series_cells_reach_only_kernels_that_record_series():
+    cells = [_ar1_config(trials=8), _goal_config(trials=8)]
+    refused = {pair: (_refuse_kernel, 1, False)
+               for pair in (("ar1", "lms"), ("goal_mdp", "optimistic_q"))}
+    with mock.patch.dict(sweep._KERNELS, refused):
+        got = [_outcomes(results) for results in run_trials(cells, workers=1, record_series=True)]
+    assert got == [_scalar_outcomes(cfg, record_series=True) for cfg in cells]
+
+
+def test_idbd_kernel_rejects_empty_horizon():
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        run_idbd_trials([], [], 0, [])

@@ -94,6 +94,8 @@ class IdbdAgent:
                 raise ValueError(f"capacity must be positive, got {capacity}")
             if not 0.0 <= eta < 1.0:
                 raise ValueError(f"eta must lie in [0, 1), got {eta}")
+            if not math.isfinite(sigma * sigma):
+                raise ValueError(f"sigma**2 must be finite, got sigma={sigma}")
         if mode == "standard" and delta is None:
             raise ConfigurationError("standard mode needs a fixed delta")
         if not 0.0 < alpha0 <= 1.0:
@@ -274,6 +276,8 @@ class OptimisticQAgent:
 
     def __init__(self, n_states: int, n_actions: int, stepsize: float, discount: float,
                  boost: float = 0.0):
+        if n_states < 1 or n_actions < 1:
+            raise ValueError(f"need at least one state and one action, got {n_states} x {n_actions}")
         if not 0.0 <= stepsize <= 1.0:
             raise ValueError(f"stepsize must lie in [0, 1], got {stepsize}")
         if not 0.0 < discount < 1.0:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import mdp_tools
 from .errors import ConfigurationError, DegenerateMdpError, NumericError
-from .rng import DRAW_BLOCK, RngStream
+from .rng import DRAW_BLOCK, RngStream, reset_blocks
 
 SERIES_POINTS = 2000
 _LOCKSTEP_STEPS = DRAW_BLOCK // 2  # steps per chunk of (DRAW_BLOCK, N) normals
@@ -168,47 +168,33 @@ def _summary(total: float, T: int) -> TrajectorySummary:
 
 def run_lockstep(envs, agents, T: int, streams) -> list[TrajectorySummary | None]:
     """``run_trajectory(envs[j], agents[j], T, streams[j], record_series=False)``
-    for every j, with the trials advanced together as float64 arrays.
+    for every j of ``Ar1ScalarEnv`` x ``LmsAgent``, with the trials advanced
+    together as float64 arrays.
 
     Each step applies the env's and agent's float operations in their order,
     and each trial reads its own "env-noise" normals in DrawBuffer's layout,
-    so the summaries are equal field for field. Entry j is None where trial j
-    must go to ``run_trajectory``: its env or agent is not exactly
-    ``Ar1ScalarEnv`` / ``LmsAgent`` (a subclass may change the arithmetic),
-    or its total is not finite (the scalar path then raises its own
+    so the summaries are equal field for field. Entry j is None where trial
+    j's total is not finite (the scalar path then raises its own
     ``NumericError`` or returns its own result).
     """
-    from .agents import LmsAgent  # deferred: agents and envs import this module
-    from .envs import Ar1ScalarEnv
-
-    if T < 1:
-        raise ValueError(f"horizon must be >= 1, got {T}")
-    out: list[TrajectorySummary | None] = [None] * len(envs)
-    idx = [j for j, (env, agent) in enumerate(zip(envs, agents))
-           if type(env) is Ar1ScalarEnv and type(agent) is LmsAgent]
-    if not idx:
-        return out
-    n = len(idx)
-    env_of = [envs[j] for j in idx]
-    agent_of = [agents[j] for j in idx]
-    gens = [streams[j].child("env-noise").generator() for j in idx]
+    n = len(envs)
+    gens = [stream.child("env-noise").generator() for stream in streams]
 
     # Time-major draws: rows 2t and 2t+1 of a chunk feed its step t. The
     # reset's normal block sets theta and opens the first chunk; ar1 never
     # reads the uniform block drawn after it.
     z = np.empty((2 * _LOCKSTEP_STEPS, n))
     theta = np.empty(n)
-    for k, (env, gen) in enumerate(zip(env_of, gens)):
-        head = gen.standard_normal(DRAW_BLOCK)
-        gen.random(DRAW_BLOCK)
+    for k, (env, gen) in enumerate(zip(envs, gens)):
+        head, _ = reset_blocks(gen)
         theta[k] = env.mu0 + math.sqrt(env.sigma0) * float(head[0])
         z[:DRAW_BLOCK - 1, k] = head[1:]
-    eta = np.array([env.eta for env in env_of], dtype=float)
-    zeta = np.array([env.zeta for env in env_of], dtype=float)
-    sigma = np.array([env.sigma for env in env_of], dtype=float)
-    scale = np.array([a.eta if a.mode == "shrinkage" else 1.0 for a in agent_of], dtype=float)
-    alpha = np.array([a.alpha for a in agent_of], dtype=float)
-    mu = np.array([a.mu0 for a in agent_of], dtype=float)
+    eta = np.array([env.eta for env in envs], dtype=float)
+    zeta = np.array([env.zeta for env in envs], dtype=float)
+    sigma = np.array([env.sigma for env in envs], dtype=float)
+    scale = np.array([a.eta if a.mode == "shrinkage" else 1.0 for a in agents], dtype=float)
+    alpha = np.array([a.alpha for a in agents], dtype=float)
+    mu = np.array([a.mu0 for a in agents], dtype=float)
 
     # Each chunk is rewritten in place: zeta*e1 -> theta, sigma*e2 -> o, then
     # theta -> err -> reward.
@@ -246,10 +232,7 @@ def run_lockstep(envs, agents, T: int, streams) -> list[TrajectorySummary | None
                 sub(comp, y, comp)
                 total, s = s, total
 
-    for j, tot in zip(idx, total.tolist()):
-        if math.isfinite(tot):
-            out[j] = _summary(tot, T)
-    return out
+    return [_summary(tot, T) if math.isfinite(tot) else None for tot in total.tolist()]
 
 
 def run_idbd_trials(envs, agents, T: int, streams,
@@ -263,18 +246,10 @@ def run_idbd_trials(envs, agents, T: int, streams,
     per-trial constants computed once. Its "env-noise" and "agent-noise"
     normals are read in DrawBuffer's layout, a chunk at a time, so the
     summaries, series and ``final_alpha`` are equal field for field. Entry j
-    is None where trial j must go to ``run_trajectory``: its env or agent is
-    not exactly those classes (a subclass may change the arithmetic), or its
-    log-stepsize or total is not finite (the scalar path then raises its own
-    ``NumericError`` or returns its own result).
+    is None where trial j's log-stepsize or total is not finite (the scalar
+    path then raises its own ``NumericError`` or returns its own result).
     """
-    from .agents import IdbdAgent  # deferred: agents and envs import this module
-    from .envs import Ar1ScalarEnv
-
-    if T < 1:
-        raise ValueError(f"horizon must be >= 1, got {T}")
     return [_idbd_trial(env, agent, T, stream, record_series)
-            if type(env) is Ar1ScalarEnv and type(agent) is IdbdAgent else None
             for env, agent, stream in zip(envs, agents, streams)]
 
 
@@ -290,15 +265,12 @@ def _idbd_trial(env, agent, T: int, stream: RngStream, record_series: bool):
     """One trial of :func:`run_idbd_trials`: its summary, or None."""
     from .agents import _BETA_MAX, _BETA_MIN
 
-    # Where a DrawBuffer's reset leaves each generator: the first normal block
-    # is drawn and the uniform block after it skipped. The env's first normal
-    # sets theta.
+    # Each generator where a DrawBuffer's reset leaves it; neither reads
+    # uniforms. The env's first normal sets theta.
     env_gen = stream.child("env-noise").generator()
-    env_rest = env_gen.standard_normal(DRAW_BLOCK)
-    env_gen.random(DRAW_BLOCK)
+    env_rest, _ = reset_blocks(env_gen)
     agent_gen = stream.child("agent-noise").generator()
-    agent_rest = agent_gen.standard_normal(DRAW_BLOCK)
-    agent_gen.random(DRAW_BLOCK)
+    agent_rest, _ = reset_blocks(agent_gen)
     theta = env.mu0 + math.sqrt(env.sigma0) * float(env_rest[0])
     env_rest = env_rest[1:]
     env_eta, zeta, sigma = env.eta, env.zeta, env.sigma
@@ -382,23 +354,15 @@ def run_goal_lockstep(envs, agents, T: int, streams) -> list:
 
     Entry j is the trial's summary, the ``DegenerateMdpError`` its scalar run
     raises (at reset or at a mid-horizon rescale), or None where trial j must
-    go to ``run_trajectory``: its env or agent is not exactly those classes,
-    their spaces differ, or its total, Q table or offset is not finite.
-    Goal-reward rescales of all the trials run together, one
+    go to ``run_trajectory``: its total, Q table or offset is not finite.
+    Trials are advanced together per (n_states, n_actions), and the
+    goal-reward rescales of a group run together, one
     ``mdp_tools.goal_reward_scales`` call per planning round.
     """
-    from .agents import OptimisticQAgent  # deferred: agents and envs import this module
-    from .envs import GoalMdpEnv
-
-    if T < 1:
-        raise ValueError(f"horizon must be >= 1, got {T}")
     out: list = [None] * len(envs)
     shapes: dict[tuple[int, int], list[int]] = {}
-    for j, (env, agent) in enumerate(zip(envs, agents)):
-        if (type(env) is GoalMdpEnv and type(agent) is OptimisticQAgent and env.n_actions >= 1
-                and env.action_space == agent.action_space
-                and env.observation_space == agent.observation_space):
-            shapes.setdefault((env.n_states, env.n_actions), []).append(j)
+    for j, env in enumerate(envs):
+        shapes.setdefault((env.n_states, env.n_actions), []).append(j)
     for idx in shapes.values():
         results = _goal_lockstep([envs[j] for j in idx], [agents[j] for j in idx], T,
                                  [streams[j] for j in idx])
@@ -417,9 +381,9 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
     SA = S * A
     out: list = [None] * n
     # The env's and the agent's generators, each where its scalar reset
-    # leaves it: a DrawBuffer's normal block is drawn and skipped, and its
-    # uniforms are read B at a time. No reset env, agent or DrawBuffer is
-    # kept: per-trial state lives in the stacked arrays below.
+    # leaves it: a DrawBuffer's reset blocks are drawn, its normals never
+    # read, and its uniforms read B at a time. No reset env, agent or
+    # DrawBuffer is kept: per-trial state lives in the stacked arrays below.
     env_streams = [stream.child("env-noise") for stream in streams]
     row_gens = [es.child("row-draws").generator() for es in env_streams]
     prob = [env.resample_prob for env in envs]
@@ -427,11 +391,11 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
                   for es, p in zip(env_streams, prob)]
     move_gens = [es.child("transition").generator() for es in env_streams]
     tie_gens = [stream.child("agent-noise").child("tie-break").generator() for stream in streams]
-    for gen in (*move_gens, *tie_gens):
-        gen.standard_normal(B)
+    move_u = np.empty((B, n))  # time-major: row t feeds every trial's step t
     tie_u = np.empty((n, B))
-    for k, gen in enumerate(tie_gens):
-        tie_u[k] = gen.random(B)
+    for k, (move_gen, tie_gen) in enumerate(zip(move_gens, tie_gens)):
+        move_u[:, k] = reset_blocks(move_gen)[1]
+        tie_u[k] = reset_blocks(tie_gen)[1]
     tie_ptr = np.zeros(n, dtype=np.intp)
 
     P = np.empty((n, S, A, S))
@@ -480,13 +444,13 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
             m = np.maximum(m, q[:, col])
         return m
 
-    move_u = np.empty((B, n))  # time-major: row t feeds every trial's step t
     total, comp, y, s = (np.zeros(n) for _ in range(4))
     with np.errstate(all="ignore"):
         for start in range(0, T, B):
             steps = min(B, T - start)
-            for k, gen in enumerate(move_gens):
-                move_u[:steps, k] = gen.random(steps)
+            if start:  # chunk 0 reads the reset blocks
+                for k, gen in enumerate(move_gens):
+                    move_u[:steps, k] = gen.random(steps)
             # Planning pass: the row events, redraws and rescales never depend
             # on the actions. Each round takes every live trial's next event of
             # the chunk: it redraws the rows from the trial's own generator,

@@ -20,8 +20,8 @@ from .errors import ConfigurationError
 from .mdp_tools import goal_reward_scale
 from .rng import DRAW_BLOCK, RngStream
 
-# Steps of row events drawn at once: the transition buffer's block, so that
-# run_goal_lockstep walks both in the same chunks.
+# Steps of row events drawn at once: the transition buffer's block
+# (rng.reset_blocks), so a kernel walks both in the same chunks.
 _EVENT_BLOCK = DRAW_BLOCK
 
 
@@ -263,6 +263,8 @@ class GoalMdpEnv:
 
     def __init__(self, n_states: int = 10, n_actions: int = 3, resample_prob: float = 1e-3,
                  goal_state: int = 0, plan_gamma: float = 0.9, target_reward: float = 0.5):
+        if n_states < 1 or n_actions < 1:
+            raise ValueError(f"need at least one state and one action, got {n_states} x {n_actions}")
         if not 0.0 <= resample_prob < 1.0:
             raise ValueError(f"resample probability must lie in [0, 1), got {resample_prob}")
         if not 0 <= goal_state < n_states:

@@ -132,11 +132,12 @@ def run_experiment(name: str, overrides: dict | None = None, out_dir=None, *,
 
 
 def _closed_form(fn, *args):
-    """``fn(*args)`` for a closed form on user parameters: its ValueError is a bad config."""
+    """``fn(*args)`` for a closed form on user parameters: its ValueError or
+    OverflowError is a bad config."""
     try:
         return fn(*args)
-    except ValueError as exc:
-        raise ConfigurationError(f"bad parameters: {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"bad parameters for {fn.__name__}: {exc}") from exc
 
 
 def _analytic_row(coords, metric, value) -> SweepRow:

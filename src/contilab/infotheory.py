@@ -25,18 +25,9 @@ import numpy as np
 
 from .errors import NumericError
 
-_LN2 = math.log(2.0)
 _EIG_NEG_TOL = 1e-10
 _RIDGE_REL = 1e-12
 _MERGE_TOL = 1e-9  # |eta - alpha_c| below this uses the limit branch
-
-
-def nats_to_bits(x: float) -> float:
-    return x / _LN2
-
-
-def bits_to_nats(x: float) -> float:
-    return x * _LN2
 
 
 def _logdet_psd(mat: np.ndarray) -> float:
@@ -514,13 +505,3 @@ def regret_bound_logit(horizon: int) -> float:
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     return (math.log(1.0 + 2.0 * horizon) + 1.0) / (2.0 * horizon)
-
-
-def chain_mi(i_xy: float, i_zy: float) -> float:
-    """I(X; Z) for jointly Gaussian X -> Y -> Z given I(X; Y) and I(Z; Y):
-
-        I(X; Z) = -0.5 * ln(1 - (1 - e^{-2 I(X;Y)}) * (1 - e^{-2 I(Z;Y)})).
-    """
-    if i_xy <= 0.0 or i_zy <= 0.0:
-        raise ValueError("mutual informations must be positive")
-    return -0.5 * math.log1p(-(-math.expm1(-2.0 * i_xy)) * (-math.expm1(-2.0 * i_zy)))

@@ -19,6 +19,17 @@ _MASK64 = (1 << 64) - 1
 DRAW_BLOCK = 512
 
 
+def reset_blocks(generator: np.random.Generator, block: int = DRAW_BLOCK):
+    """The draws a :class:`DrawBuffer` makes at construction, in its order:
+    ``standard_normal(block)``, then ``random(block)``.
+
+    Every later draw of the buffer refills one block of its own kind, so a
+    trial kernel that calls this first and then reads ``standard_normal`` (or
+    ``random``) in bulk sees the buffer's normals (or uniforms) in order.
+    """
+    return generator.standard_normal(block), generator.random(block)
+
+
 def _mix(stream_id: int, tags) -> int:
     """Stable 64-bit hash of a parent stream id and a tuple of int/str tags."""
     h = hashlib.blake2b(digest_size=8)
@@ -67,12 +78,8 @@ class DrawBuffer:
     generator stays accessible for bulk draws (gamma rows, arrays); blocks are
     refilled at fixed points, so consumption order is deterministic.
 
-    Draw layout on the generator: construction draws ``standard_normal(block)``
-    and then ``random(block)``; after that each exhausted block is refilled
-    with one draw of its own kind. A consumer of normals only therefore sees
-    the first normal block, a skipped uniform block, then one contiguous
-    ``standard_normal`` stream (:func:`contilab.core.run_lockstep` and
-    :func:`contilab.core.run_idbd_trials` rely on this).
+    Draw layout on the generator: construction draws :func:`reset_blocks`;
+    after that each exhausted block is refilled with one draw of its own kind.
     """
 
     __slots__ = ("generator", "_block", "_norm", "_ni", "_unif", "_ui")
@@ -80,9 +87,10 @@ class DrawBuffer:
     def __init__(self, generator: np.random.Generator, block: int = DRAW_BLOCK):
         self.generator = generator
         self._block = block
-        self._norm = generator.standard_normal(block).tolist()
+        norm, unif = reset_blocks(generator, block)
+        self._norm = norm.tolist()
         self._ni = 0
-        self._unif = generator.random(block).tolist()
+        self._unif = unif.tolist()
         self._ui = 0
 
     def normal(self) -> float:

@@ -9,26 +9,28 @@ its output into rows with :func:`aggregate`. Only the modelled failures,
 ``NumericError`` and ``DegenerateMdpError``, are recorded as failed trials;
 any other exception (a bad config, a bug) aborts the call.
 
-Kernels: cells whose (env kind, agent kind) pair has a kernel are pooled
-per (pair, horizon) across the call's cells, when the kernel records series
-or the call records none:
+Kernels: ``_KERNELS`` holds one :class:`Kernel` record per (env kind, agent
+kind) pair with a trial kernel:
 
     ("ar1", "lms")                  -> core.run_lockstep        no series
     ("goal_mdp", "optimistic_q")    -> core.run_goal_lockstep   no series
     ("ar1", "idbd")                 -> core.run_idbd_trials     with series
 
-A pool is split round robin into ``max(workers, ceil(n / 256))`` payloads,
-so each payload holds a share of every cell and of its cost. A pool whose
-payloads would hold fewer trials than the kernel's break-even
-(``_AR1_LMS_MIN_TRIALS``, ``_GOAL_Q_MIN_TRIALS``, ``_AR1_IDBD_MIN_TRIALS``)
-runs on ``run_trajectory`` instead. The lockstep kernels advance a payload's
-trials together as arrays; ``run_idbd_trials`` runs them one by one in a
-fused scalar loop. The kernels' summaries and modelled failures equal
-``run_trajectory``'s. A trial goes back to ``run_trajectory`` when its built
-env or agent is not exactly the pair's classes (a subclass or wrapper could
-change the arithmetic the kernel reproduces) or when its total is not
-finite, so failures carry the scalar path's exact error text. Every other
-cell runs trial by trial on ``run_trajectory``.
+A pair's cells are pooled per (pair, horizon) across the call, when the
+kernel records series or the call records none. A pool is split round robin
+into ``max(workers, ceil(n / 256))`` payloads, so each holds a share of every
+cell and of its cost; a pool whose payloads would hold fewer trials than the
+record's ``min_trials`` (the break-even) runs on ``run_trajectory``.
+
+:func:`_run_lockstep_batch` alone owns the contract around a kernel. It
+rejects a horizon below 1, hands the kernel only the trials whose built env
+and agent are exactly the record's classes with equal spaces (a subclass or
+wrapper could change the arithmetic the kernel reproduces), and puts the
+results back in trial order. Every other trial, and every None a kernel
+returns (a non-finite value), runs on ``run_trajectory``, so failures carry
+the scalar path's exact error text. Kernels read each trial's draws in
+DrawBuffer's layout (``rng.reset_blocks``); their summaries and modelled
+failures equal ``run_trajectory``'s.
 """
 
 from __future__ import annotations
@@ -39,26 +41,48 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
-from .agents import build_agent
+from .agents import IdbdAgent, LmsAgent, OptimisticQAgent, build_agent
 from .core import (TrajectorySummary, run_goal_lockstep, run_idbd_trials, run_lockstep,
                    run_trajectory)
-from .envs import build_env
+from .envs import Ar1ScalarEnv, GoalMdpEnv, build_env
 from .errors import ConfigurationError, DegenerateMdpError, NumericError
 from .rng import RngStream
 
 _Z95 = 1.959963984540054
 _LOCKSTEP_TRIALS = 256  # most trials one lockstep payload advances together
-# Fewest trials per payload at which each kernel beats run_trajectory: below
-# that, its fixed cost per step (one numpy call per operation) dominates.
-_AR1_LMS_MIN_TRIALS = 5
-_GOAL_Q_MIN_TRIALS = 8
-_AR1_IDBD_MIN_TRIALS = 1  # a per-trial loop: no fixed cost to amortize
-# (env kind, agent kind) -> (kernel, fewest trials per payload, records series)
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """A trial kernel and the trials it may run.
+
+    ``run(envs, agents, T, streams)`` returns per trial its summary, its
+    modelled failure, or None (run it on ``run_trajectory``); with ``series``
+    it also takes ``record_series=True``. ``min_trials`` is the fewest trials
+    per payload at which it beats ``run_trajectory``: below it, the kernel's
+    fixed cost per step (one numpy call per operation) dominates.
+    """
+
+    env_cls: type
+    agent_cls: type
+    run: Callable
+    min_trials: int
+    series: bool
+
+    def takes(self, env, agent) -> bool:
+        return (type(env) is self.env_cls and type(agent) is self.agent_cls
+                and env.action_space == agent.action_space
+                and env.observation_space == agent.observation_space)
+
+
 _KERNELS = {
-    ("ar1", "lms"): (run_lockstep, _AR1_LMS_MIN_TRIALS, False),
-    ("goal_mdp", "optimistic_q"): (run_goal_lockstep, _GOAL_Q_MIN_TRIALS, False),
-    ("ar1", "idbd"): (run_idbd_trials, _AR1_IDBD_MIN_TRIALS, True),
+    ("ar1", "lms"): Kernel(Ar1ScalarEnv, LmsAgent, run_lockstep, 5, False),
+    ("goal_mdp", "optimistic_q"): Kernel(GoalMdpEnv, OptimisticQAgent, run_goal_lockstep, 8,
+                                         False),
+    # a per-trial loop: no fixed cost to amortize
+    ("ar1", "idbd"): Kernel(Ar1ScalarEnv, IdbdAgent, run_idbd_trials, 1, True),
 }
 
 
@@ -199,12 +223,20 @@ def _run_lockstep_batch(payload):
     """Worker entry point: run trials of one kernel's pair and one horizon together."""
     # trials: [(env_spec, agent_spec, cell_key, base_seed, i)]
     pair, horizon, trials, record_series = payload
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    kernel = _KERNELS[pair]
     envs = [build_env(env_spec) for env_spec, *_ in trials]
     agents = [build_agent(agent_spec) for _, agent_spec, *_ in trials]
     streams = [_trial_stream(seed, key, i) for _, _, key, seed, i in trials]
-    kernel = _KERNELS[pair][0]
-    summaries = (kernel(envs, agents, horizon, streams, record_series=True) if record_series
-                 else kernel(envs, agents, horizon, streams))
+    summaries = [None] * len(trials)
+    idx = [j for j, (env, agent) in enumerate(zip(envs, agents)) if kernel.takes(env, agent)]
+    if idx:
+        args = ([envs[j] for j in idx], [agents[j] for j in idx], horizon,
+                [streams[j] for j in idx])
+        got = kernel.run(*args, record_series=True) if record_series else kernel.run(*args)
+        for j, summary in zip(idx, got):
+            summaries[j] = summary
     results = []
     for env, agent, stream, trial, summary in zip(envs, agents, streams, trials, summaries):
         i = trial[-1]
@@ -230,7 +262,7 @@ def _plan(cells, workers: int, record_series: bool):
     lockstep: dict[tuple, list[int]] = {}  # (pair, horizon) -> cells, in order
     for c, cfg in enumerate(cells):
         pair = (cfg.env.get("kind"), cfg.agent.get("kind"))
-        if pair in _KERNELS and (_KERNELS[pair][2] or not record_series):
+        if pair in _KERNELS and (_KERNELS[pair].series or not record_series):
             lockstep.setdefault((pair, cfg.horizon), []).append(c)
     payloads, owners = [], []
     on_kernel = set()
@@ -238,7 +270,7 @@ def _plan(cells, workers: int, record_series: bool):
         pooled = [(c, i) for c in members for i in range(cells[c].trials)]
         n = len(pooled)
         parts = min(n, max(workers, -(-n // _LOCKSTEP_TRIALS)))
-        if n // parts < _KERNELS[pair][1]:
+        if n // parts < _KERNELS[pair].min_trials:
             continue
         on_kernel.update(members)
         for k in range(parts):  # round robin: every payload gets a share of every cell

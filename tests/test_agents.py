@@ -131,6 +131,9 @@ def test_idbd_frozen_meta_matches_capacity_lms():
     ({"capacity": -1.0}, "capacity must be positive"),
     ({"eta": 1.0}, r"eta must lie in \[0, 1\)"),
     ({"eta": -0.1}, r"eta must lie in \[0, 1\)"),
+    # sigma**2 overflows: the noise-growth penalty could not be evaluated
+    ({"sigma": 1e200}, r"sigma\*\*2 must be finite"),
+    ({"sigma": math.inf}, r"sigma\*\*2 must be finite"),
 ])
 def test_idbd_capacity_mode_rejects_bad_closed_form_parameters(params, message):
     spec = {"kind": "idbd", "zeta_meta": 0.01, "mode": "capacity", "eta": 0.9, "sigma": 0.5,
@@ -451,6 +454,10 @@ def test_build_agent_errors():
         build_agent({"kind": "lms", "alpha": 0.5, "bogus": 2})
     with pytest.raises(ConfigurationError, match="bad parameters"):
         build_agent({"kind": "lms", "alpha": 1.5})
+    for shape in ({"n_states": 0}, {"n_actions": 0}):
+        with pytest.raises(ConfigurationError, match="need at least one state and one action"):
+            build_agent({"kind": "optimistic_q", "n_states": 3, "n_actions": 2, "stepsize": 0.1,
+                         "discount": 0.9, **shape})
 
 
 def test_per_arm_lists_must_match_arm_count():

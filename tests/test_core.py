@@ -5,7 +5,7 @@ import pytest
 
 from contilab.core import average_reward, run_trajectory
 from contilab.errors import ConfigurationError, NumericError
-from contilab.rng import RngStream
+from contilab.rng import RngStream, reset_blocks
 
 
 class ConstantRewardEnv:
@@ -151,8 +151,8 @@ def test_draw_buffer_refills_consistently():
 
 
 def test_draw_buffer_layout_on_the_generator():
-    # The lockstep kernel reads normals in this layout: prefill normal block,
-    # a uniform block it skips, then refills of normals only.
+    # The trial kernels read draws in this layout: reset_blocks' normal
+    # block, then its uniform block, then refills of normals only.
     stream = RngStream(31, 4)
     buf = stream.buffer()
     drawn = np.array([buf.normal() for _ in range(3 * 512)])
@@ -160,3 +160,7 @@ def test_draw_buffer_layout_on_the_generator():
     first = g.standard_normal(512)
     g.random(512)
     assert np.array_equal(drawn, np.concatenate([first, g.standard_normal(1024)]))
+    norm, unif = reset_blocks(stream.generator())
+    fresh = stream.buffer()
+    assert np.array_equal(norm, first)
+    assert unif.tolist() == [fresh.uniform() for _ in range(512)]

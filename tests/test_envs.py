@@ -227,6 +227,9 @@ def test_build_env_unknown_kind():
         build_env({"kind": "ar1", "eta": 1.5, "zeta": 0.1, "sigma": 0.1})
     with pytest.raises(ConfigurationError, match="bad parameters.*vi_tol"):
         build_env({"kind": "goal_mdp", "vi_tol": 1e-8})  # rescales are exact: no tolerance
+    for shape in ({"n_states": 0}, {"n_actions": 0}):
+        with pytest.raises(ConfigurationError, match="need at least one state and one action"):
+            build_env({"kind": "goal_mdp", **shape})
 
 
 def test_env_param_validation():

@@ -155,6 +155,9 @@ def test_cli_invalid_cell_parameter_exits_2_without_csv(tmp_path, capsys):
     (["fig8_optimal_alpha", "--sigma=0"], "sigma must be positive"),
     (["fig7_errors_vs_alpha", "--sigma=-0.5"], "noise scales must be nonnegative"),
     (["fig8_optimal_alpha", "--deltas=[-1]"], "noise scales must be nonnegative"),
+    (["fig9_idbd", "--sigma=1e200", "--trials=1", "--horizon=10"],
+     "bad parameters for optimal_alpha"),
+    (["fig15_mdp_alpha", "--n_actions=0", "--trials=1"], "need at least one state and one action"),
 ])
 def test_cli_invalid_closed_form_parameter_exits_2_without_csv(tmp_path, capsys, argv, message):
     out = tmp_path / "bad"

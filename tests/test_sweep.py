@@ -1,4 +1,8 @@
+import itertools
 import math
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Callable
 from unittest import mock
 
 import numpy as np
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 
 from contilab import mdp_tools, sweep
 from contilab.agents import _AGENT_KINDS, IdbdAgent, build_agent
-from contilab.core import run_idbd_trials, run_trajectory
+from contilab.core import run_trajectory
 from contilab.envs import _ENV_KINDS, Ar1ScalarEnv, GoalMdpEnv, build_env
 from contilab.errors import ConfigurationError, DegenerateMdpError, NumericError
 from contilab.rng import RngStream
@@ -188,18 +192,147 @@ def test_run_trials_worker_count_invariance(cells):
     assert metrics(1) == metrics(2)
 
 
-# ar1 x lms cells run on the lockstep kernel; every summary must equal the
-# scalar path's, trial by trial.
+# Kernel parity: every trial a kernel runs must equal run_trajectory's
+# outcome (summary or failure text), trial by trial. _PARITY holds one entry
+# per sweep._KERNELS record; each test below runs over all of them.
+def _cell(env, agent, **kw):
+    return ExperimentConfig(experiment_name="t", env=env, agent=agent, **kw)
+
+
 def _ar1_config(eta=0.9, zeta=0.5, sigma=1.0, mu0=0.0, sigma0=1.0, alpha=0.3,
                 agent_eta=0.9, mode="shrinkage", **kw):
-    base = dict(
-        experiment_name="t",
-        env={"kind": "ar1", "eta": eta, "zeta": zeta, "sigma": sigma, "mu0": mu0, "sigma0": sigma0},
-        agent={"kind": "lms", "alpha": alpha, "eta": agent_eta, "mode": mode},
-        horizon=300, trials=3, seed=7,
-    )
-    base.update(kw)
-    return ExperimentConfig(**base)
+    return _cell({"kind": "ar1", "eta": eta, "zeta": zeta, "sigma": sigma, "mu0": mu0,
+                  "sigma0": sigma0},
+                 {"kind": "lms", "alpha": alpha, "eta": agent_eta, "mode": mode},
+                 **{"horizon": 300, "trials": 3, "seed": 7, **kw})
+
+
+def _goal_config(n_states=4, n_actions=2, resample_prob=1e-3, stepsize=0.3, discount=0.9,
+                 boost=1e-3, **kw):
+    return _cell({"kind": "goal_mdp", "n_states": n_states, "n_actions": n_actions,
+                  "resample_prob": resample_prob},
+                 {"kind": "optimistic_q", "n_states": n_states, "n_actions": n_actions,
+                  "stepsize": stepsize, "discount": discount, "boost": boost},
+                 **{"horizon": 300, "trials": 2, "seed": 5, **kw})
+
+
+def _idbd_config(mode="capacity", eta=0.95, sigma=0.5, capacity=0.5, zeta_meta=0.01,
+                 alpha0=0.1, delta=0.2, agent_eta=None, agent_sigma=None, **kw):
+    agent = {"kind": "idbd", "zeta_meta": zeta_meta, "mode": mode, "alpha0": alpha0}
+    if mode == "capacity":
+        agent.update(eta=eta if agent_eta is None else agent_eta,
+                     sigma=sigma if agent_sigma is None else agent_sigma, capacity=capacity)
+    else:
+        agent.update(delta=delta)
+    return _cell({"kind": "ar1", "eta": eta, "zeta": math.sqrt(1.0 - eta * eta), "sigma": sigma},
+                 agent, **{"horizon": 600, "trials": 2, "seed": 9, **kw})
+
+
+class _ShiftedAr1Env(Ar1ScalarEnv):
+    def step(self, action):
+        return super().step(action) + 0.25
+
+
+class _LazyGoalMdpEnv(GoalMdpEnv):
+    def reward(self, action, observation):
+        return 0.5 * super().reward(action, observation)
+
+
+class _DoubleStepIdbdAgent(IdbdAgent):
+    def update(self, action, observation, reward):
+        self.ingest(observation)
+        self.ingest(observation)
+
+
+@dataclass
+class _Entry:
+    """What the parity suite runs for one kernel."""
+
+    cell: Callable  # keyword overrides -> one cell of the kernel's pair
+    cells: st.SearchStrategy  # cell lists for the equals-run_trajectory property
+    max_examples: int
+    gate: list  # cells that must never reach run_trajectory
+    subclasses: list  # (kind table, kind, subclass) whose trials must skip the kernel
+    non_finite: list  # (cell, failure text) of trials the kernel must hand back
+
+
+_unit = st.floats(0.0, 1.0)
+_DIVERGED = "NumericError: log-stepsize diverged at step "
+
+_PARITY = {
+    ("ar1", "lms"): _Entry(
+        cell=_ar1_config,
+        cells=st.lists(st.builds(
+            _ar1_config,
+            eta=_unit, zeta=st.floats(0.0, 2.0), sigma=st.floats(0.0, 2.0),
+            mu0=st.floats(-3.0, 3.0), sigma0=st.floats(0.0, 4.0), alpha=_unit, agent_eta=_unit,
+            mode=st.sampled_from(["shrinkage", "plain"]),
+            horizon=st.one_of(st.sampled_from([1, 255, 256, 257, 511, 512, 513]),
+                              st.integers(1, 40)),
+            trials=st.integers(1, 3), seed=st.integers(0, 3),
+        ), min_size=1, max_size=8),
+        max_examples=15,
+        gate=[_ar1_config(alpha=alpha, trials=15, horizon=1_100, seed=3)
+              for alpha in (0.1, 0.35, 0.8)]
+        + [_ar1_config(alpha=0.5, mode="plain", trials=15, horizon=1_100, seed=3)],
+        subclasses=[(_ENV_KINDS, "ar1", _ShiftedAr1Env)],
+        non_finite=[(_ar1_config(zeta=1e200, trials=3), "NumericError: non-finite reward")],
+    ),
+    ("goal_mdp", "optimistic_q"): _Entry(
+        cell=_goal_config,
+        cells=st.lists(st.builds(
+            lambda shape, **kw: _goal_config(*shape, **kw),
+            shape=st.sampled_from([(1, 1), (2, 1), (2, 3), (3, 2), (5, 3)]),
+            resample_prob=st.sampled_from([0.0, 1e-4, 1e-3, 0.05]),
+            stepsize=st.sampled_from([0.0, 0.5, 1.0]),
+            discount=st.sampled_from([0.5, 0.9]),
+            boost=st.sampled_from([0.0, 1e-3]),
+            horizon=st.one_of(st.sampled_from([1, 511, 512, 513, 1023, 1024, 1025]),
+                              st.integers(1, 40)),
+            trials=st.integers(1, 3), seed=st.integers(0, 3),
+        ), min_size=1, max_size=6),
+        max_examples=12,
+        gate=[_goal_config(resample_prob=p, stepsize=a, boost=b, n_states=6, n_actions=3,
+                           trials=5, horizon=1_100, seed=3)
+              for p in (1e-4, 1e-3) for a in (0.0, 0.2, 1.0) for b in (0.0, 1e-3)],
+        subclasses=[(_ENV_KINDS, "goal_mdp", _LazyGoalMdpEnv)],
+        # an overflowing boost makes Q NaN
+        non_finite=[(_goal_config(n_states=3, n_actions=2, boost=1e306, trials=3),
+                     "NumericError: no greedy action")],
+    ),
+    ("ar1", "idbd"): _Entry(
+        cell=_idbd_config,
+        cells=st.lists(st.builds(
+            _idbd_config,
+            mode=st.sampled_from(["capacity", "standard"]),
+            eta=st.floats(0.0, 0.99), sigma=st.floats(0.05, 2.0), capacity=st.floats(0.01, 5.0),
+            zeta_meta=st.one_of(st.just(0.0), st.floats(0.0, 0.5)), alpha0=st.floats(1e-3, 1.0),
+            delta=st.floats(0.0, 2.0), agent_eta=st.one_of(st.none(), st.floats(0.0, 0.99)),
+            horizon=st.one_of(st.sampled_from([1, 511, 512, 513, 1025]), st.integers(1, 3000)),
+            trials=st.integers(1, 3), seed=st.integers(0, 3),
+        ), min_size=1, max_size=4),
+        max_examples=25,
+        # fig9's cells; T = 2,501 records every 2nd step and the last one
+        gate=[_idbd_config(mode=mode, trials=3, horizon=2_501)
+              for mode in ("capacity", "standard")],
+        subclasses=[(_ENV_KINDS, "ar1", _ShiftedAr1Env),
+                    (_AGENT_KINDS, "idbd", _DoubleStepIdbdAgent)],
+        non_finite=[
+            # capacity mode: the noise-growth penalty overflows at alpha = 1, step 0
+            (_idbd_config(zeta_meta=1.0, agent_sigma=1.3e154, alpha0=1.0, trials=2), _DIVERGED),
+            # standard mode: zeta_meta * err * h overflows a few steps in, to +inf,
+            # -inf or NaN across these six trials
+            (_idbd_config(mode="standard", zeta_meta=1e308, trials=3, seed=1), _DIVERGED),
+            (_idbd_config(mode="standard", zeta_meta=1e308, trials=3, seed=2), _DIVERGED),
+            # +inf on the last step, where nothing later could reveal a clamped +inf
+            (_idbd_config(mode="standard", zeta_meta=1e308, trials=1, seed=20, horizon=2),
+             _DIVERGED + "1"),
+            # the reward overflows while the log-stepsize stays finite
+            (_idbd_config(mode="standard", sigma=1e200, zeta_meta=0.0, trials=2),
+             "NumericError: non-finite reward"),
+        ],
+    ),
+}
 
 
 def _scalar_outcomes(cfg, record_series=False):
@@ -215,76 +348,186 @@ def _scalar_outcomes(cfg, record_series=False):
     return out
 
 
-def _on_kernels():
-    """Let every lockstep pool reach its kernel, however few trials a payload gets."""
-    return mock.patch.dict(sweep._KERNELS, {
-        pair: (kernel, 1, series) for pair, (kernel, _, series) in sweep._KERNELS.items()})
-
-
 def _outcomes(results):
     assert [r.index for r in results] == list(range(len(results)))
     return [r.summary if r.error is None else r.error for r in results]
 
 
-_unit = st.floats(0.0, 1.0)
-_ar1_lms_cells = st.lists(
-    st.builds(
-        _ar1_config,
-        eta=_unit, zeta=st.floats(0.0, 2.0), sigma=st.floats(0.0, 2.0),
-        mu0=st.floats(-3.0, 3.0), sigma0=st.floats(0.0, 4.0), alpha=_unit, agent_eta=_unit,
-        mode=st.sampled_from(["shrinkage", "plain"]),
-        horizon=st.one_of(st.sampled_from([1, 255, 256, 257, 511, 512, 513]), st.integers(1, 40)),
-        trials=st.integers(1, 3), seed=st.integers(0, 3),
-    ),
-    min_size=1, max_size=8,
-)
+def _python_float_rewards(outcomes):
+    """Whether every successful trial's average_reward is a Python float
+    (``==`` alone would let an np.float64 through)."""
+    return all(type(o.average_reward) is float for o in outcomes if not isinstance(o, str))
 
 
-@settings(max_examples=15, deadline=None)
-@given(_ar1_lms_cells)
-def test_lockstep_equals_scalar_path(cells):
-    expected = [_scalar_outcomes(cfg) for cfg in cells]
-    with _on_kernels():
-        for workers in (1, 2):
-            assert [_outcomes(results) for results in run_trials(cells, workers=workers)] == expected
+def _on_kernels(wrap=lambda run: run):
+    """Let every pool reach its kernel, however few trials a payload gets,
+    with each kernel's ``run`` replaced by ``wrap(run)``."""
+    return mock.patch.dict(sweep._KERNELS, {
+        pair: replace(kernel, min_trials=1, run=wrap(kernel.run))
+        for pair, kernel in sweep._KERNELS.items()})
 
 
-def test_lockstep_fifty_trials_equal_scalar_path_without_calling_it(monkeypatch):
-    cells = [_ar1_config(alpha=alpha, trials=15, horizon=1_100, seed=3) for alpha in (0.1, 0.35, 0.8)]
-    cells.append(_ar1_config(alpha=0.5, mode="plain", trials=15, horizon=1_100, seed=3))
-    expected = [_scalar_outcomes(cfg) for cfg in cells]
+@contextmanager
+def _scalar_calls():
+    """The run_trajectory calls sweep makes in this process."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return run_trajectory(*args, **kwargs)
 
-    monkeypatch.setattr(sweep, "run_trajectory", counted)
-    assert [_outcomes(results) for results in run_trials(cells, workers=1)] == expected
+    with mock.patch.object(sweep, "run_trajectory", counted):
+        yield calls
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("must not be called")
+
+
+def test_parity_table_covers_every_kernel():
+    assert _PARITY.keys() == sweep._KERNELS.keys()
+
+
+@pytest.mark.parametrize("pair", _PARITY, ids="-".join)
+def test_kernel_equals_scalar_path(pair):
+    entry = _PARITY[pair]
+
+    @settings(max_examples=entry.max_examples, deadline=None)
+    @given(entry.cells, st.booleans() if sweep._KERNELS[pair].series else st.just(False))
+    def check(cells, record_series):
+        expected = [_scalar_outcomes(cfg, record_series) for cfg in cells]
+        failed = sum(isinstance(o, str) for outcomes in expected for o in outcomes)
+        run = lambda workers: [_outcomes(results) for results in run_trials(
+            cells, workers=workers, record_series=record_series)]
+        with _on_kernels():
+            with _scalar_calls() as calls:
+                got = run(1)
+            assert run(2) == got == expected
+        assert len(calls) <= failed  # the kernel ran every trial that succeeds
+        assert all(_python_float_rewards(outcomes) for outcomes in got + expected)
+
+    check()
+
+
+@pytest.mark.parametrize("pair", _PARITY, ids="-".join)
+def test_kernel_gate_never_calls_run_trajectory(pair):
+    cells, series = _PARITY[pair].gate, sweep._KERNELS[pair].series
+    expected = [_scalar_outcomes(cfg, series) for cfg in cells]
+    with _scalar_calls() as calls:
+        got = [_outcomes(results) for results in run_trials(cells, workers=1,
+                                                            record_series=series)]
+    assert got == expected
     assert calls == []
+    assert all(_python_float_rewards(outcomes) for outcomes in got)
+    if series:
+        assert {len(points) for outcomes in got for o in outcomes
+                for points in (o.reward_series, *o.diagnostics.values())} == {1_251}
 
 
-def test_lockstep_overflow_falls_back_to_scalar_error():
-    cells = [_ar1_config(trials=4), _ar1_config(zeta=1e200, trials=3), _ar1_config(alpha=0.7)]
-    expected = [_scalar_outcomes(cfg) for cfg in cells]
-    assert all(isinstance(o, str) and o.startswith("NumericError: non-finite reward")
-               for o in expected[1])
-    assert [_outcomes(results) for results in run_trials(cells, workers=1)] == expected
+@pytest.mark.parametrize("pair, table, kind, cls", [
+    pytest.param(pair, table, kind, cls, id=f"{'-'.join(pair)}-{cls.__name__.lstrip('_')}")
+    for pair, entry in _PARITY.items() for table, kind, cls in entry.subclasses])
+def test_kernel_skips_subclasses(monkeypatch, pair, table, kind, cls):
+    cfg, series = _PARITY[pair].cell(trials=3), sweep._KERNELS[pair].series
+    plain = _scalar_outcomes(cfg, series)
+    monkeypatch.setitem(table, kind, cls)
+    changed = _scalar_outcomes(cfg, series)
+    assert changed != plain
+    with _on_kernels(), _scalar_calls() as calls:
+        assert _outcomes(run_trials([cfg], workers=1, record_series=series)[0]) == changed
+    assert len(calls) == cfg.trials
 
 
-class _ShiftedAr1Env(Ar1ScalarEnv):
-    def step(self, action):
-        return super().step(action) + 0.25
+class _Delegate:
+    """Forwards every attribute to the object it wraps, as the benchmark's
+    per-layer proxies do; not a subclass of the kernel's classes."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
 
-def test_lockstep_leaves_subclasses_to_the_scalar_path(monkeypatch):
-    cfg = _ar1_config(trials=4)
-    plain = _scalar_outcomes(cfg)
-    monkeypatch.setitem(_ENV_KINDS, "ar1", _ShiftedAr1Env)
-    shifted = _scalar_outcomes(cfg)
-    assert shifted != plain
-    with _on_kernels():
-        assert _outcomes(run_trials([cfg], workers=1)[0]) == shifted
+@pytest.mark.parametrize("pair", _PARITY, ids="-".join)
+def test_kernel_skips_wrapped_builds(monkeypatch, pair):
+    # Trials 1 and 3 get wrapped builds and run on run_trajectory, the others
+    # on the kernel; all come back in trial order.
+    cfg, series = _PARITY[pair].cell(trials=5), sweep._KERNELS[pair].series
+    expected = _scalar_outcomes(cfg, series)
+
+    def every_other(build):
+        built = itertools.count()
+        return lambda spec: _Delegate(build(spec)) if next(built) % 2 else build(spec)
+
+    monkeypatch.setattr(sweep, "build_env", every_other(build_env))
+    monkeypatch.setattr(sweep, "build_agent", every_other(build_agent))
+    with _on_kernels(), _scalar_calls() as calls:
+        assert _outcomes(run_trials([cfg], workers=1, record_series=series)[0]) == expected
+    assert len(calls) == 2 and all(isinstance(env, _Delegate) for env, *_ in calls)
+
+
+def test_kernel_skips_mismatched_spaces():
+    cfg = _goal_config()
+    cfg.agent["n_actions"] = 3
+    with (_on_kernels(lambda run: _refuse),
+          pytest.raises(ConfigurationError, match="action spaces differ")):
+        run_trials([cfg], workers=1)
+
+
+@pytest.mark.parametrize("pair, cfg, message", [
+    pytest.param(pair, cfg, message, id=f"{'-'.join(pair)}-{k}")
+    for pair, entry in _PARITY.items() for k, (cfg, message) in enumerate(entry.non_finite)])
+def test_kernel_hands_back_non_finite_trials(pair, cfg, message):
+    cells = [cfg, _PARITY[pair].cell(trials=2)]
+    handed_back = []
+
+    def recorded(run):
+        def kernel(*args, **kwargs):
+            results = run(*args, **kwargs)
+            handed_back.extend(r is None for r in results)
+            return results
+        return kernel
+
+    with np.errstate(all="ignore"):
+        expected = [_scalar_outcomes(c) for c in cells]
+        with _on_kernels(recorded):
+            got = [_outcomes(results) for results in run_trials(cells, workers=1)]
+    assert all(o.startswith(message) for o in expected[0])
+    assert got == expected
+    assert handed_back == [True] * cfg.trials + [False] * 2
+
+
+@pytest.mark.parametrize("pair", [pair for pair, kernel in sweep._KERNELS.items()
+                                  if kernel.min_trials > 1], ids="-".join)
+def test_small_lockstep_pool_stays_on_the_scalar_path(pair):
+    # 2 workers split the pool into payloads one trial short of the
+    # break-even, where the kernel's fixed cost per step makes it slower
+    # than run_trajectory.
+    kernel = sweep._KERNELS[pair]
+    cfg = _PARITY[pair].cell(trials=2 * kernel.min_trials - 1)
+    with mock.patch.dict(sweep._KERNELS, {pair: replace(kernel, run=_refuse)}):
+        assert _outcomes(run_trials([cfg], workers=2)[0]) == _scalar_outcomes(cfg)
+
+
+@pytest.mark.parametrize("pair", _PARITY, ids="-".join)
+def test_kernel_pool_rejects_empty_horizon(pair):
+    cfg = _PARITY[pair].cell(trials=2)
+    cfg.horizon = 0  # past ExperimentConfig's own check
+    with (_on_kernels(lambda run: _refuse),
+          mock.patch.object(sweep, "run_trajectory", _refuse),
+          pytest.raises(ValueError, match="horizon must be >= 1")):
+        run_trials([cfg], workers=1)
+
+
+def test_series_cells_reach_only_kernels_that_record_series():
+    pairs = [pair for pair, kernel in sweep._KERNELS.items() if not kernel.series]
+    cells = [_PARITY[pair].cell(trials=8) for pair in pairs]
+    refused = {pair: replace(sweep._KERNELS[pair], run=_refuse, min_trials=1)
+               for pair in pairs}
+    with mock.patch.dict(sweep._KERNELS, refused):
+        got = [_outcomes(results) for results in run_trials(cells, workers=1, record_series=True)]
+    assert got == [_scalar_outcomes(cfg, record_series=True) for cfg in cells]
 
 
 def test_mixed_lockstep_and_scalar_cells_keep_trial_order():
@@ -297,88 +540,6 @@ def test_mixed_lockstep_and_scalar_cells_keep_trial_order():
         assert together == alone
         assert [[r.index for r in results] for results in together] == [
             list(range(cfg.trials)) for cfg in cells]
-
-
-def _refuse_kernel(*args):
-    raise AssertionError("lockstep kernel called")
-
-
-def test_small_lockstep_pool_stays_on_the_scalar_path():
-    # 2 trials at 2 workers make 1-trial payloads, where the kernel's fixed
-    # cost per step makes it slower than run_trajectory.
-    cfg = _ar1_config(trials=2, horizon=400)
-    assert cfg.trials // 2 < sweep._AR1_LMS_MIN_TRIALS
-    refused = {("ar1", "lms"): (_refuse_kernel, sweep._AR1_LMS_MIN_TRIALS, False)}
-    with mock.patch.dict(sweep._KERNELS, refused):
-        assert _outcomes(run_trials([cfg], workers=2)[0]) == _scalar_outcomes(cfg)
-
-
-# goal_mdp x optimistic_q cells run on run_goal_lockstep.
-def _goal_config(n_states=4, n_actions=2, resample_prob=1e-3, stepsize=0.3, discount=0.9,
-                 boost=1e-3, **kw):
-    base = dict(
-        experiment_name="t",
-        env={"kind": "goal_mdp", "n_states": n_states, "n_actions": n_actions,
-             "resample_prob": resample_prob},
-        agent={"kind": "optimistic_q", "n_states": n_states, "n_actions": n_actions,
-               "stepsize": stepsize, "discount": discount, "boost": boost},
-        horizon=300, trials=2, seed=5,
-    )
-    base.update(kw)
-    return ExperimentConfig(**base)
-
-
-_goal_q_cells = st.lists(
-    st.builds(
-        lambda shape, **kw: _goal_config(*shape, **kw),
-        shape=st.sampled_from([(1, 1), (2, 1), (2, 3), (3, 2), (5, 3)]),
-        resample_prob=st.sampled_from([0.0, 1e-4, 1e-3, 0.05]),
-        stepsize=st.sampled_from([0.0, 0.5, 1.0]),
-        discount=st.sampled_from([0.5, 0.9]),
-        boost=st.sampled_from([0.0, 1e-3]),
-        horizon=st.one_of(st.sampled_from([1, 511, 512, 513, 1023, 1024, 1025]),
-                          st.integers(1, 40)),
-        trials=st.integers(1, 3), seed=st.integers(0, 3),
-    ),
-    min_size=1, max_size=6,
-)
-
-
-def _python_float_rewards(outcomes):
-    """Whether every successful trial's average_reward is a Python float
-    (``==`` alone would let an np.float64 through)."""
-    return all(type(o.average_reward) is float for o in outcomes if not isinstance(o, str))
-
-
-@settings(max_examples=12, deadline=None)
-@given(_goal_q_cells)
-def test_goal_lockstep_equals_scalar_path(cells):
-    expected = [_scalar_outcomes(cfg) for cfg in cells]
-    assert all(_python_float_rewards(outcomes) for outcomes in expected)
-    with _on_kernels():
-        for workers in (1, 2):
-            got = [_outcomes(results) for results in run_trials(cells, workers=workers)]
-            assert got == expected
-            assert all(_python_float_rewards(outcomes) for outcomes in got)
-
-
-def test_goal_lockstep_sixty_trials_equal_scalar_path_without_calling_it(monkeypatch):
-    cells = [_goal_config(resample_prob=p, stepsize=a, boost=b, n_states=6, n_actions=3,
-                          trials=5, horizon=1_100, seed=3)
-             for p in (1e-4, 1e-3) for a in (0.0, 0.2, 1.0) for b in (0.0, 1e-3)]
-    expected = [_scalar_outcomes(cfg) for cfg in cells]
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return run_trajectory(*args, **kwargs)
-
-    monkeypatch.setattr(sweep, "run_trajectory", counted)
-    assert sum(cfg.trials for cfg in cells) >= 60
-    got = [_outcomes(results) for results in run_trials(cells, workers=1)]
-    assert got == expected
-    assert calls == []
-    assert all(_python_float_rewards(outcomes) for outcomes in got + expected)
 
 
 @pytest.mark.parametrize("failing_call", [1, 4])
@@ -406,183 +567,6 @@ def test_goal_lockstep_degenerate_rescale_matches_scalar_error(monkeypatch, fail
     assert expected == [f"DegenerateMdpError: goal state 0 has stationary mass "
                         f"{failing_call}.000e-12 under the greedy policy"]
     calls[0] = 0
-    monkeypatch.setattr(sweep, "run_trajectory", _refuse_kernel)
+    monkeypatch.setattr(sweep, "run_trajectory", _refuse)
     with _on_kernels():
         assert _outcomes(run_trials([cfg], workers=1)[0]) == expected
-
-
-def test_goal_lockstep_hands_nan_q_trials_to_the_scalar_error(monkeypatch):
-    # An overflowing boost makes Q NaN: the kernel returns those trials, and
-    # run_trajectory's NumericError becomes their failed-trial rows.
-    cfg = _goal_config(n_states=3, n_actions=2, boost=1e306, trials=3, horizon=300)
-    with np.errstate(all="ignore"):
-        expected = _scalar_outcomes(cfg)
-    assert all(o.startswith("NumericError: no greedy action") for o in expected)
-    kernel, handed_back = sweep.run_goal_lockstep, []
-
-    def recorded(*args):
-        results = kernel(*args)
-        handed_back.extend(r is None for r in results)
-        return results
-
-    monkeypatch.setitem(sweep._KERNELS, ("goal_mdp", "optimistic_q"), (recorded, 1, False))
-    with np.errstate(all="ignore"):
-        assert _outcomes(run_trials([cfg], workers=1)[0]) == expected
-    assert handed_back == [True] * cfg.trials
-
-
-class _LazyGoalMdpEnv(GoalMdpEnv):
-    def reward(self, action, observation):
-        return 0.5 * super().reward(action, observation)
-
-
-def test_goal_lockstep_leaves_subclasses_to_the_scalar_path(monkeypatch):
-    cfg = _goal_config(trials=4)
-    plain = _scalar_outcomes(cfg)
-    monkeypatch.setitem(_ENV_KINDS, "goal_mdp", _LazyGoalMdpEnv)
-    halved = _scalar_outcomes(cfg)
-    assert halved != plain
-    with _on_kernels():
-        assert _outcomes(run_trials([cfg], workers=1)[0]) == halved
-
-
-# ar1 x idbd cells run on run_idbd_trials, with or without series.
-def _idbd_config(mode="capacity", eta=0.95, sigma=0.5, capacity=0.5, zeta_meta=0.01,
-                 alpha0=0.1, delta=0.2, agent_eta=None, agent_sigma=None, **kw):
-    agent = {"kind": "idbd", "zeta_meta": zeta_meta, "mode": mode, "alpha0": alpha0}
-    if mode == "capacity":
-        agent.update(eta=eta if agent_eta is None else agent_eta,
-                     sigma=sigma if agent_sigma is None else agent_sigma, capacity=capacity)
-    else:
-        agent.update(delta=delta)
-    base = dict(
-        experiment_name="t",
-        env={"kind": "ar1", "eta": eta, "zeta": math.sqrt(1.0 - eta * eta), "sigma": sigma},
-        agent=agent, horizon=600, trials=2, seed=9,
-    )
-    base.update(kw)
-    return ExperimentConfig(**base)
-
-
-_idbd_cells = st.lists(
-    st.builds(
-        _idbd_config,
-        mode=st.sampled_from(["capacity", "standard"]),
-        eta=st.floats(0.0, 0.99), sigma=st.floats(0.05, 2.0), capacity=st.floats(0.01, 5.0),
-        zeta_meta=st.one_of(st.just(0.0), st.floats(0.0, 0.5)), alpha0=st.floats(1e-3, 1.0),
-        delta=st.floats(0.0, 2.0), agent_eta=st.one_of(st.none(), st.floats(0.0, 0.99)),
-        horizon=st.one_of(st.sampled_from([1, 511, 512, 513, 1025]), st.integers(1, 3000)),
-        trials=st.integers(1, 3), seed=st.integers(0, 3),
-    ),
-    min_size=1, max_size=4,
-)
-
-
-@settings(max_examples=25, deadline=None)
-@given(_idbd_cells, st.booleans())
-def test_idbd_trials_equal_scalar_path(cells, record_series):
-    expected = [_scalar_outcomes(cfg, record_series) for cfg in cells]
-    got = [_outcomes(results) for results in run_trials(cells, workers=1,
-                                                        record_series=record_series)]
-    assert got == expected
-    for cfg, outcomes in zip(cells, expected):  # the kernel itself, trial by trial
-        streams = [RngStream(cfg.seed).child("trial", cfg.canonical_key(), i)
-                   for i in range(cfg.trials)]
-        direct = run_idbd_trials([build_env(cfg.env) for _ in streams],
-                                 [build_agent(cfg.agent) for _ in streams],
-                                 cfg.horizon, streams, record_series)
-        assert [d if d is not None else o for d, o in zip(direct, outcomes)] == outcomes
-        assert all(d is not None for d, o in zip(direct, outcomes) if not isinstance(o, str))
-
-
-def test_idbd_fig9_cells_with_series_equal_scalar_path_without_calling_it(monkeypatch):
-    # T = 2,501 records every 2nd step and the last one
-    cells = [_idbd_config(mode=mode, trials=3, horizon=2_501) for mode in ("capacity", "standard")]
-    expected = [_scalar_outcomes(cfg, record_series=True) for cfg in cells]
-    assert all(len(o.diagnostics["alpha"]) == 1_251 for outcomes in expected for o in outcomes)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return run_trajectory(*args, **kwargs)
-
-    monkeypatch.setattr(sweep, "run_trajectory", counted)
-    assert [_outcomes(results) for results in run_trials(cells, workers=1,
-                                                        record_series=True)] == expected
-    assert calls == []
-
-
-def test_idbd_fig9_cells_worker_count_invariance():
-    cells = [_idbd_config(mode=mode, trials=3, horizon=700) for mode in ("capacity", "standard")]
-    for record_series in (False, True):
-        assert (run_trials(cells, workers=2, record_series=record_series)
-                == run_trials(cells, workers=1, record_series=record_series))
-
-
-_DIVERGED = "NumericError: log-stepsize diverged at step "
-
-
-@pytest.mark.parametrize("cfg, message", [
-    # capacity mode: the noise-growth penalty overflows at alpha = 1, step 0
-    (_idbd_config(zeta_meta=1.0, agent_sigma=1.3e154, alpha0=1.0, trials=2), _DIVERGED),
-    # standard mode: zeta_meta * err * h overflows a few steps in, to +inf,
-    # -inf or NaN across these six trials
-    (_idbd_config(mode="standard", zeta_meta=1e308, trials=3, seed=1), _DIVERGED),
-    (_idbd_config(mode="standard", zeta_meta=1e308, trials=3, seed=2), _DIVERGED),
-    # +inf on the last step, where nothing later could reveal a clamped +inf
-    (_idbd_config(mode="standard", zeta_meta=1e308, trials=1, seed=20, horizon=2),
-     _DIVERGED + "1"),
-    # the reward overflows while the log-stepsize stays finite
-    (_idbd_config(mode="standard", sigma=1e200, zeta_meta=0.0, trials=2),
-     "NumericError: non-finite reward"),
-])
-def test_idbd_divergence_falls_back_to_scalar_error(monkeypatch, cfg, message):
-    expected = _scalar_outcomes(cfg)
-    assert all(o.startswith(message) for o in expected)
-    handed_back = []
-
-    def recorded(*args, **kwargs):
-        results = run_idbd_trials(*args, **kwargs)
-        handed_back.extend(r is None for r in results)
-        return results
-
-    monkeypatch.setitem(sweep._KERNELS, ("ar1", "idbd"), (recorded, 1, True))
-    cells = [cfg, _idbd_config(trials=2)]
-    got = [_outcomes(results) for results in run_trials(cells, workers=1)]
-    assert got == [expected, _scalar_outcomes(cells[1])]
-    assert handed_back == [True] * cfg.trials + [False] * 2
-
-
-class _DoubleStepIdbdAgent(IdbdAgent):
-    def update(self, action, observation, reward):
-        self.ingest(observation)
-        self.ingest(observation)
-
-
-@pytest.mark.parametrize("table, kind, cls", [
-    (_ENV_KINDS, "ar1", _ShiftedAr1Env),
-    (_AGENT_KINDS, "idbd", _DoubleStepIdbdAgent),
-])
-def test_idbd_kernel_leaves_subclasses_to_the_scalar_path(monkeypatch, table, kind, cls):
-    cfg = _idbd_config(trials=3, horizon=300)
-    plain = _scalar_outcomes(cfg, record_series=True)
-    monkeypatch.setitem(table, kind, cls)
-    changed = _scalar_outcomes(cfg, record_series=True)
-    assert changed != plain
-    stream = RngStream(0)
-    assert run_idbd_trials([build_env(cfg.env)], [build_agent(cfg.agent)], 300, [stream]) == [None]
-    assert _outcomes(run_trials([cfg], workers=1, record_series=True)[0]) == changed
-
-
-def test_series_cells_reach_only_kernels_that_record_series():
-    cells = [_ar1_config(trials=8), _goal_config(trials=8)]
-    refused = {pair: (_refuse_kernel, 1, False)
-               for pair in (("ar1", "lms"), ("goal_mdp", "optimistic_q"))}
-    with mock.patch.dict(sweep._KERNELS, refused):
-        got = [_outcomes(results) for results in run_trials(cells, workers=1, record_series=True)]
-    assert got == [_scalar_outcomes(cfg, record_series=True) for cfg in cells]
-
-
-def test_idbd_kernel_rejects_empty_horizon():
-    with pytest.raises(ValueError, match="horizon must be >= 1"):
-        run_idbd_trials([], [], 0, [])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from contilab import mdp_tools, sweep
 from contilab.agents import _AGENT_KINDS, IdbdAgent, build_agent
-from contilab.core import run_trajectory
+from contilab.core import run_idbd_trials, run_trajectory
 from contilab.envs import _ENV_KINDS, Ar1ScalarEnv, GoalMdpEnv, build_env
 from contilab.errors import ConfigurationError, DegenerateMdpError, NumericError
 from contilab.rng import RngStream
@@ -518,6 +518,32 @@ def test_kernel_pool_rejects_empty_horizon(pair):
           mock.patch.object(sweep, "run_trajectory", _refuse),
           pytest.raises(ValueError, match="horizon must be >= 1")):
         run_trials([cfg], workers=1)
+
+
+# The idbd kernel alone, without sweep's handback: a trial it returns is the
+# scalar path's summary; a trial the scalar path fails on may come back None.
+@settings(max_examples=25, deadline=None)
+@given(_PARITY[("ar1", "idbd")].cells, st.booleans())
+def test_idbd_trials_equal_scalar_path(cells, record_series):
+    expected = [_scalar_outcomes(cfg, record_series) for cfg in cells]
+    got = [_outcomes(results) for results in run_trials(cells, workers=1,
+                                                        record_series=record_series)]
+    assert got == expected
+    for cfg, outcomes in zip(cells, expected):
+        streams = [RngStream(cfg.seed).child("trial", cfg.canonical_key(), i)
+                   for i in range(cfg.trials)]
+        direct = run_idbd_trials([build_env(cfg.env) for _ in streams],
+                                 [build_agent(cfg.agent) for _ in streams],
+                                 cfg.horizon, streams, record_series)
+        assert [d if d is not None else o for d, o in zip(direct, outcomes)] == outcomes
+        assert all(d is not None for d, o in zip(direct, outcomes) if not isinstance(o, str))
+
+
+def test_idbd_fig9_cells_worker_count_invariance():
+    cells = [_idbd_config(mode=mode, trials=3, horizon=700) for mode in ("capacity", "standard")]
+    for record_series in (False, True):
+        assert (run_trials(cells, workers=2, record_series=record_series)
+                == run_trials(cells, workers=1, record_series=record_series))
 
 
 def test_series_cells_reach_only_kernels_that_record_series():

@@ -158,9 +158,10 @@ class GaussianAr1BanditEnv:
 
 class LogitEnv:
     """Binary stream with a single latent logit theta ~ N(0, 1):
-    P(obs = 1) = sigmoid(theta) at every step. Actions are predicted
-    probabilities of 1; reward is the log probability assigned to the
-    realized bit."""
+    P(obs = 1) = p* = sigmoid(theta) at every step. Actions are predicted
+    probabilities of 1; reward is log p(o) - log p*(o), the log probability
+    the action assigned to the realized bit minus that of the predictor that
+    knows theta, so average reward is minus the per-step regret."""
 
     action_space = ("real",)
     observation_space = ("discrete", 2)
@@ -172,13 +173,14 @@ class LogitEnv:
         self._rng = stream.buffer()
         self.theta = self._rng.normal()
         self._p1 = 1.0 / (1.0 + math.exp(-self.theta))
+        self._log_p_star = (math.log(1.0 - self._p1), math.log(self._p1))
 
     def step(self, action):
         return 1 if self._rng.uniform() < self._p1 else 0
 
     def reward(self, action, observation) -> float:
         p = action if observation == 1 else 1.0 - action
-        return math.log(p) if p > 0.0 else float("-inf")
+        return math.log(p) - self._log_p_star[observation] if p > 0.0 else float("-inf")
 
 
 class BitFlipEnv:

@@ -4,14 +4,17 @@ seeded, deterministic CSV (plus an optional SVG).
 Trial counts default to desk scale; the larger published-scale counts are
 available through overrides (e.g. ``--trials``, ``--horizon``). Analytic
 experiments (fig7, fig8) emit closed-form values with no Monte Carlo, shown
-as rows with zero trials.
+as rows with zero trials. Every simulated trajectory runs through
+``sweep.run_trials``; logit_regret too, with one cell per horizon whose
+reward (``LogitEnv``) is the log-loss gap to the predictor that knows the
+latent logit, so its regret is minus the average reward.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -19,12 +22,9 @@ from typing import Callable
 import numpy as np
 
 from . import infotheory as it
-from .agents import LogitPredictorAgent
-from .envs import LogitEnv
 from .errors import ConfigurationError
 from .mdp_tools import belief_value_iteration
 from .output import write_config_resolved, write_line_plot, write_results_csv
-from .rng import RngStream
 from .sweep import ExperimentConfig, SweepRow, aggregate, monte_carlo_sweep, run_trials
 
 
@@ -400,11 +400,11 @@ def _mdp_best_rows(table, params, outer: str, inner: str):
     rows = []
     for resample_eta in params["resample_etas"]:
         for value in params[outer + "s"]:
-            cand = [r for r in table.select("average_reward", resample_eta=resample_eta)
-                    if r.coords[outer] == value and math.isfinite(r.mean)]
-            if not cand:
+            try:
+                best = table.best_row("average_reward", resample_eta=resample_eta,
+                                      **{outer: value})
+            except ValueError:  # no finite cell
                 continue
-            best = max(cand, key=lambda r: r.mean)
             rows.append(SweepRow({"resample_eta": resample_eta, outer: value},
                                  f"best_avg_reward_over_{inner}", best.mean, best.std,
                                  best.ci95, best.trials))
@@ -435,28 +435,14 @@ _register("fig16_mdp_boost",
 # regret of the exact logit predictor vs its rate-distortion bound
 # --------------------------------------------------------------------------
 
-def logit_regret_episodes(horizon: int, episodes: int, seed: int, grid_size: int = 513):
-    """Per-episode average regret of the exact predictor against a target that
-    knows the latent logit."""
-    regrets = []
-    for ep in range(episodes):
-        stream = RngStream(seed).child("episode", ep)
-        env = LogitEnv()
-        agent = LogitPredictorAgent(grid_size=grid_size)
-        env.reset(stream.child("env-noise"))
-        agent.reset(stream.child("agent-noise"))
-        p_true = 1.0 / (1.0 + math.exp(-env.theta))
-        total = 0.0
-        for _ in range(horizon):
-            p = agent.predict()
-            o = env.step(p)
-            if o == 1:
-                total += math.log(p_true) - math.log(p)
-            else:
-                total += math.log(1.0 - p_true) - math.log(1.0 - p)
-            agent.update(p, o, 0.0)
-        regrets.append(total / horizon)
-    return regrets
+def _logit_cells(params):
+    """One cell per horizon; a trial's average reward is minus its regret
+    against the predictor that knows the latent logit (``LogitEnv``)."""
+    return [ExperimentConfig("logit_regret", env={"kind": "logit"},
+                             agent={"kind": "logit_predictor", "grid_size": params["grid_size"]},
+                             horizon=T, trials=params["episodes"], seed=params["seed"],
+                             coords={"horizon": T})
+            for T in params["horizons"]]
 
 
 @_register(
@@ -467,13 +453,12 @@ def logit_regret_episodes(horizon: int, episodes: int, seed: int, grid_size: int
 def _run_logit_regret(params, workers):
     rows = []
     pts_mc, pts_bound = [], []
-    for T in params["horizons"]:
-        regrets = logit_regret_episodes(T, params["episodes"], params["seed"], params["grid_size"])
-        mean, std, ci = aggregate(regrets)
+    for row in monte_carlo_sweep(_logit_cells(params), workers=workers).select("average_reward"):
+        T = row.coords["horizon"]
         bound = it.regret_bound_logit(T)
-        rows.append(SweepRow({"horizon": T}, "mc_regret", mean, std, ci, len(regrets)))
+        rows.append(replace(row, metric="mc_regret", mean=-row.mean))
         rows.append(_analytic_row({"horizon": T}, "bound", bound))
-        pts_mc.append((T, mean))
+        pts_mc.append((T, -row.mean))
         pts_bound.append((T, bound))
     plot = ("regret vs bound", "horizon", "average regret",
             [("simulated", [p[0] for p in pts_mc], [p[1] for p in pts_mc]),

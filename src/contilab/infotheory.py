@@ -71,16 +71,14 @@ def _conditional_cov(cov: np.ndarray, x: list[int], w: list[int]) -> np.ndarray:
 def _schur_complement(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray) -> np.ndarray:
     """Symmetrized S_xx - S_xw S_ww^+ S_xw^T: the body of :func:`_conditional_cov`,
     which :func:`stability_errors` calls on blocks it builds itself."""
-    well_conditioned = False
-    try:
-        chol = np.linalg.cholesky(S_ww)
-        piv = np.diag(chol)
-        well_conditioned = piv.min() > 1e-7 * max(piv.max(), 1e-150)
+    out = None
+    try:  # a block Cholesky accepts can still be singular to the LU solve
+        piv = np.diag(np.linalg.cholesky(S_ww))
+        if piv.min() > 1e-7 * max(piv.max(), 1e-150):
+            out = S_xx - S_xw @ np.linalg.solve(S_ww, S_xw.T)
     except np.linalg.LinAlgError:
         pass
-    if well_conditioned:
-        out = S_xx - S_xw @ np.linalg.solve(S_ww, S_xw.T)
-    else:
+    if out is None:
         eigs, vecs = np.linalg.eigh(S_ww)
         scale = max(float(eigs[-1]), 1e-300)
         if eigs[0] < -_EIG_NEG_TOL * scale:

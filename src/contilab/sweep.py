@@ -16,21 +16,26 @@ kind) pair with a trial kernel:
     ("goal_mdp", "optimistic_q")    -> core.run_goal_lockstep   no series
     ("ar1", "idbd")                 -> core.run_idbd_trials     with series
 
-A pair's cells are pooled per (pair, horizon) across the call, when the
-kernel records series or the call records none. A pool is split round robin
-into ``max(workers, ceil(n / 256))`` payloads, so each holds a share of every
-cell and of its cost; a pool whose payloads would hold fewer trials than the
-record's ``min_trials`` (the break-even) runs on ``run_trajectory``.
+:func:`_plan` pools the trials of all cells per (pair, horizon). A pool goes
+to its pair's kernel when the pair has a record, the kernel records series or
+the call records none, and its payloads reach the record's ``min_trials``
+(the break-even); it is then split round robin into
+``max(workers, ceil(n / 256))`` payloads, so each holds a share of every cell
+and of its cost. Every other pool runs on ``run_trajectory`` and keeps
+4 * workers payloads of contiguous trials per cell: on 2 cores the kernel
+split made bitflip_demo slower (median 1.51 -> 1.55 s over 10 runs).
 
-:func:`_run_lockstep_batch` alone owns the contract around a kernel. It
-rejects a horizon below 1, hands the kernel only the trials whose built env
-and agent are exactly the record's classes with equal spaces (a subclass or
-wrapper could change the arithmetic the kernel reproduces), and puts the
-results back in trial order. Every other trial, and every None a kernel
-returns (a non-finite value), runs on ``run_trajectory``, so failures carry
-the scalar path's exact error text. Kernels read each trial's draws in
-DrawBuffer's layout (``rng.reset_blocks``); their summaries and modelled
-failures equal ``run_trajectory``'s.
+:func:`_run_batch` is the one worker entry point, and it alone owns the
+contract around a kernel. It rejects a horizon below 1, hands the kernel only
+the trials whose built env and agent are exactly the record's classes with
+equal spaces (a subclass or wrapper could change the arithmetic the kernel
+reproduces), and puts the results back in trial order. Every other trial,
+and every None a kernel returns (a non-finite value), runs on
+``run_trajectory``, so failures carry the scalar path's exact error text; a
+trial not built for a kernel is built right before it runs (holding a
+payload's built trials cost 7-15% on fig13, fig14 and bitflip_demo). Kernels
+read each trial's draws in DrawBuffer's layout (``rng.reset_blocks``); their
+summaries and modelled failures equal ``run_trajectory``'s.
 """
 
 from __future__ import annotations
@@ -202,46 +207,30 @@ def _failed(i: int, exc: Exception) -> TrialResult:
 
 
 def _run_batch(payload):
-    """Worker entry point: run a contiguous batch of trials for one cell."""
-    env_spec, agent_spec, horizon, cell_key, lo, hi, base_seed, record_series = payload
-    results = []
-    for i in range(lo, hi):
-        try:
-            env = build_env(env_spec)
-            agent = build_agent(agent_spec)
-            summary = run_trajectory(
-                env, agent, horizon, _trial_stream(base_seed, cell_key, i),
-                record_series=record_series,
-            )
-            results.append(TrialResult(i, summary))
-        except (NumericError, DegenerateMdpError) as exc:
-            results.append(_failed(i, exc))
-    return results
-
-
-def _run_lockstep_batch(payload):
-    """Worker entry point: run trials of one kernel's pair and one horizon together."""
-    # trials: [(env_spec, agent_spec, cell_key, base_seed, i)]
+    """Worker entry point: run one payload's trials, given as (env spec, agent
+    spec, cell key, seed, trial index), on ``pair``'s kernel or, with None,
+    on ``run_trajectory``."""
     pair, horizon, trials, record_series = payload
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    kernel = _KERNELS[pair]
-    envs = [build_env(env_spec) for env_spec, *_ in trials]
-    agents = [build_agent(agent_spec) for _, agent_spec, *_ in trials]
-    streams = [_trial_stream(seed, key, i) for _, _, key, seed, i in trials]
-    summaries = [None] * len(trials)
-    idx = [j for j, (env, agent) in enumerate(zip(envs, agents)) if kernel.takes(env, agent)]
-    if idx:
-        args = ([envs[j] for j in idx], [agents[j] for j in idx], horizon,
-                [streams[j] for j in idx])
-        got = kernel.run(*args, record_series=True) if record_series else kernel.run(*args)
-        for j, summary in zip(idx, got):
-            summaries[j] = summary
+    built, summaries = [None] * len(trials), [None] * len(trials)
+    if pair is not None:
+        kernel = _KERNELS[pair]
+        built = [(build_env(env), build_agent(agent), _trial_stream(seed, key, i))
+                 for env, agent, key, seed, i in trials]
+        idx = [j for j, (env, agent, _) in enumerate(built) if kernel.takes(env, agent)]
+        if idx:
+            envs, agents, streams = (list(x) for x in zip(*(built[j] for j in idx)))
+            got = (kernel.run(envs, agents, horizon, streams, record_series=True)
+                   if record_series else kernel.run(envs, agents, horizon, streams))
+            for j, summary in zip(idx, got):
+                summaries[j] = summary
     results = []
-    for env, agent, stream, trial, summary in zip(envs, agents, streams, trials, summaries):
-        i = trial[-1]
+    for (env_spec, agent_spec, key, seed, i), trial, summary in zip(trials, built, summaries):
         if summary is None:
-            try:
+            try:  # a trial not built yet is built right before it runs
+                env, agent, stream = trial or (build_env(env_spec), build_agent(agent_spec),
+                                               _trial_stream(seed, key, i))
                 summary = run_trajectory(env, agent, horizon, stream,
                                          record_series=record_series)
             except (NumericError, DegenerateMdpError) as exc:
@@ -251,44 +240,33 @@ def _run_lockstep_batch(payload):
     return results
 
 
-def _run_payload(payload):
-    run, args = payload
-    return run(args)
-
-
 def _plan(cells, workers: int, record_series: bool):
     """Payloads of one run_trials call, each with the cell of every result it returns."""
     keys = [cfg.canonical_key() for cfg in cells]
-    lockstep: dict[tuple, list[int]] = {}  # (pair, horizon) -> cells, in order
+    pools: dict[tuple, list[int]] = {}  # (pair, horizon) -> cells, in order
     for c, cfg in enumerate(cells):
         pair = (cfg.env.get("kind"), cfg.agent.get("kind"))
-        if pair in _KERNELS and (_KERNELS[pair].series or not record_series):
-            lockstep.setdefault((pair, cfg.horizon), []).append(c)
+        pools.setdefault((pair, cfg.horizon), []).append(c)
     payloads, owners = [], []
-    on_kernel = set()
-    for (pair, horizon), members in lockstep.items():
+    for (pair, horizon), members in pools.items():
+        kernel = _KERNELS.get(pair)
         pooled = [(c, i) for c in members for i in range(cells[c].trials)]
-        n = len(pooled)
-        parts = min(n, max(workers, -(-n // _LOCKSTEP_TRIALS)))
-        if n // parts < _KERNELS[pair].min_trials:
-            continue
-        on_kernel.update(members)
-        for k in range(parts):  # round robin: every payload gets a share of every cell
-            part = pooled[k::parts]
-            payloads.append((_run_lockstep_batch, (pair, horizon, [
-                (cells[c].env, cells[c].agent, keys[c], cells[c].seed, i) for c, i in part],
-                record_series)))
+        k = min(len(pooled), max(workers, -(-len(pooled) // _LOCKSTEP_TRIALS)))
+        if (kernel is None or (record_series and not kernel.series)
+                or len(pooled) // k < kernel.min_trials):
+            pair, parts = None, []
+            for c in members:  # contiguous trial ranges, 4 per worker
+                n = cells[c].trials
+                chunk = max(1, -(-n // (workers * 4)))
+                parts += [[(c, i) for i in range(lo, min(lo + chunk, n))]
+                          for lo in range(0, n, chunk)]
+        else:  # round robin: every payload gets a share of every cell
+            parts = [pooled[j::k] for j in range(k)]
+        for part in parts:
+            payloads.append((pair, horizon, [(cells[c].env, cells[c].agent, keys[c],
+                                              cells[c].seed, i) for c, i in part],
+                             record_series))
             owners.append([c for c, _ in part])
-    for c, cfg in enumerate(cells):
-        if c in on_kernel:
-            continue
-        n = cfg.trials
-        chunk = max(1, -(-n // (workers * 4)))
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            payloads.append((_run_batch, (cfg.env, cfg.agent, cfg.horizon, keys[c], lo, hi,
-                                          cfg.seed, record_series)))
-            owners.append([c] * (hi - lo))
     return payloads, owners
 
 
@@ -303,11 +281,11 @@ def run_trials(cells, *, workers: int | None = None,
     w = resolve_workers(workers)
     payloads, owners = _plan(cells, w, record_series)
     if w == 1 or len(payloads) == 1:
-        batches = map(_run_payload, payloads)
+        batches = map(_run_batch, payloads)
     else:
         with ProcessPoolExecutor(max_workers=w) as pool:
             try:
-                batches = list(pool.map(_run_payload, payloads))
+                batches = list(pool.map(_run_batch, payloads))
             except BaseException:  # abort now: drop the batches not yet started
                 pool.shutdown(cancel_futures=True)
                 raise

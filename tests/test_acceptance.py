@@ -20,12 +20,13 @@ from contilab.experiments import (
     _MDP_DEFAULTS,
     _bandit_cells,
     _mdp_best_rows,
+    _logit_cells,
     _mdp_sweep,
+    experiment_defaults,
     list_experiments,
-    logit_regret_episodes,
 )
 from contilab.rng import RngStream
-from contilab.sweep import ExperimentConfig, monte_carlo_sweep
+from contilab.sweep import ExperimentConfig, monte_carlo_sweep, run_trials
 
 
 def _report(num, text):
@@ -246,8 +247,11 @@ def test_criterion_09_logit_regret_within_bound():
     rate-distortion bound at horizons 10 and 100."""
     t0 = time.time()
     msgs = []
-    for horizon in (10, 100):
-        regrets = logit_regret_episodes(horizon, 2000, 20_240_908)
+    cells = _logit_cells({**experiment_defaults("logit_regret"), "horizons": [10, 100],
+                          "episodes": 2000, "seed": 20_240_908})
+    for cfg, results in zip(cells, run_trials(cells)):
+        horizon = cfg.horizon
+        regrets = [-r.summary.average_reward for r in results]
         mean = float(np.mean(regrets))
         stderr = float(np.std(regrets, ddof=1)) / math.sqrt(len(regrets))
         bound = it.regret_bound_logit(horizon)

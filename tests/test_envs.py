@@ -139,8 +139,15 @@ def test_logit_env_rate_matches_latent():
     p = 1.0 / (1.0 + math.exp(-env.theta))
     obs = np.array([env.step(0.5) for _ in range(50_000)])
     assert abs(obs.mean() - p) < 4 * _stderr(obs)
-    assert env.reward(0.25, 1) == pytest.approx(math.log(0.25))
-    assert env.reward(0.25, 0) == pytest.approx(math.log(0.75))
+    assert env.reward(0.25, 1) == pytest.approx(math.log(0.25) - math.log(p))
+    assert env.reward(0.25, 0) == pytest.approx(math.log(0.75) - math.log(1.0 - p))
+
+
+def test_logit_env_reward_is_zero_for_the_theta_knowing_prediction():
+    env = LogitEnv()
+    env.reset(RngStream(9))
+    assert env.reward(env._p1, 1) == 0.0
+    assert env.reward(env._p1, 0) == 0.0
 
 
 def test_goal_mdp_rows_stay_stochastic():

@@ -96,6 +96,15 @@ def test_reruns_are_byte_identical(tmp_path):
     assert (a / "config.resolved").read_bytes() == (b / "config.resolved").read_bytes()
 
 
+def test_logit_regret_bytes_do_not_depend_on_workers(tmp_path):
+    overrides = {"episodes": "12", "horizons": "[10, 30]"}
+    outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
+    for workers, out in zip((1, 2), outs):
+        run_experiment("logit_regret", overrides, out, plot=True, workers=workers)
+    for name in ("results.csv", "config.resolved", "plot.svg"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_csv_values_have_12_significant_digits(tmp_path):
     out = tmp_path / "sig"
     run_experiment("logit_regret", FAST_OVERRIDES["logit_regret"], out)

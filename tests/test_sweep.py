@@ -556,6 +556,42 @@ def test_series_cells_reach_only_kernels_that_record_series():
     assert got == [_scalar_outcomes(cfg, record_series=True) for cfg in cells]
 
 
+@pytest.mark.parametrize("record_series", [False, True])
+def test_plan_splits_kernel_and_scalar_pools_by_their_own_rules(record_series):
+    # A kernel pool of n trials makes max(workers, ceil(n / 256)) round-robin
+    # payloads; every other pool makes 4 * workers payloads per cell.
+    workers = 2
+    goal_min = sweep._KERNELS[("goal_mdp", "optimistic_q")].min_trials
+    lms = [_ar1_config(alpha=a, trials=300, horizon=50) for a in (0.2, 0.6)]
+    expected = [  # (cells of one pool, the pair its payloads name, payload count)
+        (lms, None, 16) if record_series else (lms, ("ar1", "lms"), 3),  # lms records no series
+        ([_idbd_config(mode=m, trials=400, horizon=40) for m in ("capacity", "standard")],
+         ("ar1", "idbd"), 4),
+        ([_goal_config(trials=2 * goal_min - 1)], None, 8),  # payloads below the break-even
+        ([_coin_config(trials=16)], None, 8),  # no kernel
+        ([_coin_config(trials=8, horizon=80), _coin_config(trials=16, horizon=80, seed=3)],
+         None, 16),
+    ]
+    cells = [cfg for group, _, _ in expected for cfg in group]
+    payloads, owners = sweep._plan(cells, workers, record_series)
+    assert len(payloads) == sum(count for _, _, count in expected)
+    first = 0
+    for group, pair, count in expected:
+        members = range(first, first + len(group))
+        first += len(group)
+        mine = [(p, o) for p, o in zip(payloads, owners) if o[0] in members]
+        assert len(mine) == count
+        seen = []
+        for (got_pair, horizon, trials, series), cell_of in mine:
+            assert got_pair == pair and horizon == group[0].horizon and series == record_series
+            assert len(trials) == len(cell_of) and set(cell_of) <= set(members)
+            for c, (env, agent, key, seed, i) in zip(cell_of, trials):
+                assert (env, agent, key, seed) == (cells[c].env, cells[c].agent,
+                                                   cells[c].canonical_key(), cells[c].seed)
+                seen.append((c, i))
+        assert sorted(seen) == [(c, i) for c in members for i in range(cells[c].trials)]
+
+
 def test_mixed_lockstep_and_scalar_cells_keep_trial_order():
     cells = [_ar1_config(trials=5), _coin_config(trials=3), _ar1_config(alpha=0.6, horizon=50),
              _coin_config(trials=6, horizon=80), _ar1_config(mode="plain", trials=2)]

@@ -240,8 +240,8 @@ def _run_fig8(params, workers):
                                   _closed_form(it.optimal_alpha, e, sigma)))
 
     def argmin_alpha(deltas):
-        forg, impl = _closed_form(it.stability_errors, alphas, eta, sigma, deltas)
-        return float(alphas[int(np.argmin(forg + impl))])
+        total = _closed_form(it.total_stability_error, alphas, eta, sigma, deltas)
+        return float(alphas[int(np.argmin(total))])
 
     star = _closed_form(it.optimal_alpha, eta, sigma)
     cap_pts = []

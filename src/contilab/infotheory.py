@@ -4,10 +4,14 @@ process: steady-state second moments, capacity-matched quantization noise,
 implasticity decomposition of prediction error, optimal stepsizes, and
 regret bounds for simple binary-prediction problems.
 
-The forgetting/implasticity pair comes from one grid engine,
-:func:`stability_errors`: one call per (eta, sigma, K) evaluates a whole
-stepsize grid on one shared future block and equals the dense one-point
-evaluation bit for bit.
+Two grid engines evaluate the stability/plasticity errors, one call per
+(eta, sigma, K) over a whole stepsize grid. :func:`total_stability_error` is
+the Markov-reduced one: the future enters only through theta_t, so the total
+costs one K x K solve per call and O(1) per grid point; the error-optimal
+stepsizes of fig8 come from it. :func:`stability_errors` is the dense one: it
+gives forgetting and implasticity separately, equal to the dense one-point
+evaluation bit for bit, with four K x K factorizations per point. fig7 stays
+on it only because its 12-digit CSV bytes are pinned to that arithmetic.
 
 Model conventions (standardized throughout this module): the latent follows
 theta' = eta*theta + N(0, 1 - eta^2) with theta_0 ~ N(0, 1), observations are
@@ -375,33 +379,41 @@ def stability_errors(alpha, eta: float, sigma: float, delta, future: int | None 
     return forgetting, implasticity
 
 
-def total_stability_error(alpha: float, eta: float, sigma: float, delta: float,
-                          future: int | None = None) -> float:
-    """Total informational error (forgetting + implasticity) at fixed delta."""
-    f, i = stability_errors(alpha, eta, sigma, delta, future)
-    return f + i
+def total_stability_error(alpha, eta: float, sigma: float, delta, future: int | None = None):
+    """Forgetting + implasticity in nats at fixed quantization noise, by the
+    Markov reduction; same grid contract as :func:`stability_errors`.
 
-
-def informational_error(alpha: float, eta: float, sigma: float, delta: float, past: int) -> float:
-    """I(Y_{t+1}; Y_{t-past+1:t} | U_t): next-step information missing from state.
-
-    Equals the steady-state total of forgetting and implasticity as the past
-    and future horizons grow.
+    Y_{t+1:t+K} = b*theta_t + E with b_k = eta^k and E independent of the
+    past, so by the determinant lemma and the chain rule the total is
+        0.5 * [log1p(s*Var(theta_t|U_t)) - log1p(s*Var(theta_t|U_{t-1},U_t,Y_t))]
+    with s = b^T Cov(E)^-1 b, one K x K solve per call. U_t is an update of
+    (U_{t-1}, Y_t) plus quantization noise independent of theta_t, so the last
+    variance conditions on (U_{t-1}, Y_t) alone: a 2x2 head, nonsingular at
+    every valid point (delta = 0 and alpha = 1 included). Where the dense
+    path's (U_t, Y_t) block is ill conditioned (alpha -> 1, delta -> 0), this
+    is the more accurate of the two.
     """
-    sc = steady_cov(eta, sigma, alpha, delta)
-    m = past + 2
-    cov = np.empty((m, m))
-    ks = np.arange(past)
-    cov[0, 0] = sc.u_var()
-    back = sc.u_y_back(np.arange(past - 1, -1, -1, dtype=float))
-    cov[0, 1 : past + 1] = back
-    cov[1 : past + 1, 0] = back
-    cov[0, past + 1] = cov[past + 1, 0] = sc.u_y_fwd(1)
-    cov[1 : past + 1, 1 : past + 1] = sc._y_block(ks)
-    fwd_lag = (past - ks).astype(float)
-    cov[1 : past + 1, past + 1] = cov[past + 1, 1 : past + 1] = np.power(eta, fwd_lag)
-    cov[past + 1, past + 1] = sc.y_var()
-    return gaussian_cond_mi(cov, [past + 1], list(range(1, past + 1)), [0])
+    scalar = np.ndim(alpha) == 0 and np.ndim(delta) == 0
+    alphas, deltas = np.broadcast_arrays(np.atleast_1d(alpha), np.atleast_1d(delta))
+    if alphas.ndim != 1:
+        raise ValueError("alpha and delta must be scalars or 1-D grids")
+    covs = [LmsSteadyCovariance(eta, sigma, a, d) for a, d in zip(alphas, deltas)]
+    K = default_future_horizon(eta) if future is None else future
+    if K < 1:
+        raise ValueError("need at least one future coordinate")
+    total = np.empty(len(covs))
+    if not covs:
+        return total
+    ks = np.arange(1, K + 1, dtype=float)
+    b = np.power(eta, ks)
+    s = float(b @ np.linalg.solve(covs[0]._y_block(ks) - np.outer(b, b), b))
+    s2 = sigma * sigma
+    for i, sc in enumerate(covs):
+        u, now, prev = sc.u_var(), sc.alpha / sc._A, sc.u_y_fwd(1)  # prev = E[U_{t-1} theta_t]
+        var_given_now = 1.0 - now * now / u
+        var_given_all = s2 * (u - prev * prev) / (u * (1.0 + s2) - prev * prev)
+        total[i] = 0.5 * (math.log1p(s * var_given_now) - math.log1p(s * var_given_all))
+    return float(total[0]) if scalar else total
 
 
 # -- exact finite-horizon decomposition ---------------------------------------

@@ -1,15 +1,16 @@
 """Shared independent oracles for the test suite: a direct simulation of the
 quantized tracker on the standardized AR(1) process, batch-mean standard
-errors that respect autocorrelation, and the one-at-a-time evaluations that
-the stacked engines must reproduce bit for bit: the goal-reward rescale of
-one MDP, and the stability errors of one stepsize on its dense joint."""
+errors that respect autocorrelation, the one-at-a-time evaluations that
+the stacked engines must reproduce bit for bit (the goal-reward rescale of
+one MDP, and the stability errors of one stepsize on its dense joint), and
+the next-step information missing from the state on a long past window."""
 
 import math
 
 import numpy as np
 
 from contilab.infotheory import (GaussianJointModel, LmsSteadyCovariance,
-                                 default_future_horizon, steady_cov)
+                                 default_future_horizon, gaussian_cond_mi, steady_cov)
 from contilab.mdp_tools import TabularMdp, value_iteration
 from contilab.rng import RngStream
 
@@ -99,3 +100,25 @@ def stability_errors(alpha, eta, sigma, delta, future=None):
     forgetting = joint.mutual_information(future_idx, [0], [1, 2])
     implasticity = joint.mutual_information(future_idx, [2], [1])
     return forgetting, implasticity
+
+
+def informational_error(alpha, eta, sigma, delta, past):
+    """I(Y_{t+1}; Y_{t-past+1:t} | U_t): next-step information missing from state.
+
+    Equals the steady-state total of forgetting and implasticity as the past
+    and future horizons grow.
+    """
+    sc = steady_cov(eta, sigma, alpha, delta)
+    m = past + 2
+    cov = np.empty((m, m))
+    ks = np.arange(past)
+    cov[0, 0] = sc.u_var()
+    back = sc.u_y_back(np.arange(past - 1, -1, -1, dtype=float))
+    cov[0, 1 : past + 1] = back
+    cov[1 : past + 1, 0] = back
+    cov[0, past + 1] = cov[past + 1, 0] = sc.u_y_fwd(1)
+    cov[1 : past + 1, 1 : past + 1] = sc._y_block(ks)
+    fwd_lag = (past - ks).astype(float)
+    cov[1 : past + 1, past + 1] = cov[past + 1, 1 : past + 1] = np.power(eta, fwd_lag)
+    cov[past + 1, past + 1] = sc.y_var()
+    return gaussian_cond_mi(cov, [past + 1], list(range(1, past + 1)), [0])

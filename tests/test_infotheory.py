@@ -1,8 +1,10 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from _oracles import batch_stderr, simulate_tracker, stability_joint
+from _oracles import batch_stderr, informational_error, simulate_tracker, stability_joint
 from _oracles import stability_errors as dense_stability_errors
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -208,7 +210,7 @@ def test_optimal_alpha_minimizes_conditional_residual():
     grid = np.arange(0.05, 1.0, 0.01)
     resid = [it.posterior_pred_params(a, 0.9, 0.5, 0.0)[1] for a in grid]
     assert grid[int(np.argmin(resid))] == pytest.approx(star, abs=0.01)
-    info = [it.informational_error(a, 0.9, 0.5, 0.0, past=200) for a in grid]
+    info = [informational_error(a, 0.9, 0.5, 0.0, past=200) for a in grid]
     assert grid[int(np.argmin(info))] == pytest.approx(star, abs=0.01)
 
 
@@ -228,27 +230,135 @@ def test_stability_errors_monotone_in_future_horizon():
 
 
 _grid_point = st.tuples(st.floats(0.01, 1.0), st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+_GRID_CASE = dict(points=st.lists(_grid_point, min_size=1, max_size=20),
+                  eta=st.one_of(st.sampled_from([0.5, 0.9, 0.95]), st.floats(0.0, 0.95)),
+                  sigma=st.floats(0.1, 2.0),
+                  future=st.one_of(st.sampled_from([1, 2, 3, None]), st.integers(4, 40)),
+                  scalar_delta=st.booleans())
+
+
+def _grid(points, scalar_delta):
+    """(alphas, deltas, per-point deltas) of one drawn grid case."""
+    alphas = np.array([a for a, _ in points])
+    deltas = points[0][1] if scalar_delta else np.array([d for _, d in points])
+    return alphas, deltas, np.broadcast_to(deltas, alphas.shape)
 
 
 @settings(max_examples=40, deadline=None)
-@given(points=st.lists(_grid_point, min_size=1, max_size=20),
-       eta=st.one_of(st.sampled_from([0.5, 0.9, 0.95]), st.floats(0.0, 0.95)),
-       sigma=st.floats(0.1, 2.0),
-       future=st.one_of(st.sampled_from([1, 2, 3, None]), st.integers(4, 40)),
-       scalar_delta=st.booleans())
+@given(**_GRID_CASE)
 @example(points=[(0.2, 0.0), (0.5, 0.0), (0.8, 0.3)], eta=0.9, sigma=0.5, future=None,
          scalar_delta=False)
 # S_ww passes the Cholesky check here but is singular to np.linalg.solve
 @example(points=[(0.01, 0.0)], eta=0.5, sigma=0.25211066799565773, future=3, scalar_delta=False)
 def test_stability_engine_slices_equal_the_dense_oracle(points, eta, sigma, future, scalar_delta):
-    alphas = np.array([a for a, _ in points])
-    deltas = points[0][1] if scalar_delta else np.array([d for _, d in points])
+    alphas, deltas, point_deltas = _grid(points, scalar_delta)
     forgetting, implasticity = it.stability_errors(alphas, eta, sigma, deltas, future)
-    for k, a in enumerate(alphas):
-        d = deltas if scalar_delta else deltas[k]
+    for k, (a, d) in enumerate(zip(alphas, point_deltas)):
         assert (forgetting[k], implasticity[k]) == dense_stability_errors(a, eta, sigma, d, future)
     if points == [(0.01, 0.0)] and sigma == 0.25211066799565773:
         assert forgetting[0] == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_GRID_CASE)
+# alpha = 1, delta = 0: U_t = Y_t, so the dense head over (U_t, Y_t) is singular
+@example(points=[(1.0, 0.0), (0.5, 0.0)], eta=0.9, sigma=0.5, future=None, scalar_delta=False)
+@example(points=[(0.3, 0.2), (1.0, 0.0)], eta=0.0, sigma=0.5, future=None, scalar_delta=False)
+@example(points=[(0.3, 0.2), (0.9, 0.2)], eta=0.9, sigma=0.5, future=1, scalar_delta=True)
+# alpha -> 1 with delta -> 0 makes (U_t, Y_t) nearly collinear
+@example(points=[(0.999999, 1e-6), (0.99999, 0.0)], eta=0.95, sigma=2.0, future=None,
+         scalar_delta=False)
+def test_reduced_total_is_within_1e_11_of_the_dense_oracle(points, eta, sigma, future,
+                                                           scalar_delta):
+    # The dense path conditions on the (U_t, Y_t) block, so it loses digits
+    # in proportion to that block's condition number (4.5e-6 nats at
+    # alpha = 0.999999, delta = 1e-6); the reduced engine does not, and the
+    # 40-digit test below pins that point. 1e-16 * cond is 20x the largest
+    # dense error seen over 3,000 random points with cond above 1e4.
+    alphas, deltas, point_deltas = _grid(points, scalar_delta)
+    total = it.total_stability_error(alphas, eta, sigma, deltas, future)
+    for k, (a, d) in enumerate(zip(alphas, point_deltas)):
+        sc = it.steady_cov(eta, sigma, a, d)
+        cond = np.linalg.cond([[sc.u_var(), sc.u_y_back(0)], [sc.u_y_back(0), sc.y_var()]])
+        dense = sum(dense_stability_errors(a, eta, sigma, d, future))
+        assert abs(total[k] - dense) <= 1e-11 + 1e-16 * cond
+
+
+def test_total_stability_error_grid_contract():
+    total = it.total_stability_error(0.4, 0.9, 0.5, 0.1)
+    assert type(total) is float
+    grid = it.total_stability_error([0.4, 0.7], 0.9, 0.5, 0.1)
+    assert grid.shape == (2,) and grid[0] == total
+    assert it.total_stability_error(np.array([]), 0.9, 0.5, np.array([])).shape == (0,)
+
+
+def _mp_dense_total(alpha, eta, sigma, delta, future):
+    """Forgetting + implasticity of the dense joint over (U_{t-1}, U_t, Y_t,
+    Y_{t+1:t+K}) at 40 digits. The (theta, U) moments come from a 40-digit
+    Lyapunov solve, so no float64 value of ``infotheory`` enters."""
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        a, e = mp.mpf(alpha), mp.mpf(eta)
+        s2, d2, q = mp.mpf(sigma) ** 2, mp.mpf(delta) ** 2, 1 - mp.mpf(eta) ** 2
+        F = mp.matrix([[e, 0], [a * e, 1 - a]])
+        noise = [q, a * q, a * q, a * a * (q + s2) + d2]
+        kron = mp.matrix(4, 4)
+        for i, j, k, l in itertools.product(range(2), repeat=4):
+            kron[2 * i + k, 2 * j + l] = (1 if (i, k) == (j, l) else 0) - F[i, j] * F[k, l]
+        tt, tu, _, uu = mp.lu_solve(kron, mp.matrix(noise))
+        n = future + 3
+        cov = mp.matrix(n, n)
+        cov[0, 0] = cov[1, 1] = uu
+        cov[0, 1] = (1 - a) * uu + a * e * tu
+        cov[0, 2], cov[1, 2] = e * tu, tu + a * s2
+        for k in range(1, future + 1):
+            cov[0, 2 + k], cov[1, 2 + k] = e ** (k + 1) * tu, e**k * tu
+        for i in range(future + 1):
+            for j in range(i, future + 1):
+                cov[2 + i, 2 + j] = e ** (j - i) * tt + (s2 if i == j else 0)
+        for i in range(n):
+            for j in range(i):
+                cov[i, j] = cov[j, i]
+
+        def logdet_given(w):
+            fut = list(range(3, n))
+            S_ww = mp.matrix([[cov[i, j] for j in w] for i in w])
+            S_fw = mp.matrix([[cov[i, j] for j in w] for i in fut])
+            S_ff = mp.matrix([[cov[i, j] for j in fut] for i in fut])
+            return mp.log(mp.det(S_ff - S_fw * mp.inverse(S_ww) * S_fw.T))
+
+        return float((logdet_given([1]) - logdet_given([0, 1, 2])) / 2)
+
+
+@pytest.mark.parametrize("alpha, eta, sigma, delta, future", [
+    (0.3, 0.9, 0.5, math.sqrt(it.delta_star(0.3, 0.9, 0.5, 2.0)), 40),
+    (0.8, 0.5, 1.5, 0.05, 7),
+    # the dense float path is 4.5e-6 off here (see the property above)
+    (0.999999, 0.95, 2.0, 1e-6, 40),
+])
+def test_reduced_total_matches_a_40_digit_dense_evaluation(alpha, eta, sigma, delta, future):
+    reduced = it.total_stability_error(alpha, eta, sigma, delta, future)
+    assert abs(reduced - _mp_dense_total(alpha, eta, sigma, delta, future)) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(0.01, 1.0), eta=st.floats(0.0, 0.99), sigma=st.floats(0.0, 2.0),
+       delta=st.floats(0.0, 1.0))
+def test_head_moments_match_a_lyapunov_solve(alpha, eta, sigma, delta):
+    # (theta_t, U_t) = F (theta_{t-1}, U_{t-1}) + noise, with noise from
+    # (V_t, alpha*(V_t + W_t) + Q_t); vec(S) = (I - F kron F)^-1 vec(noise cov)
+    F = np.array([[eta, 0.0], [alpha * eta, 1.0 - alpha]])
+    q = 1.0 - eta * eta
+    noise = np.array([[q, alpha * q], [alpha * q, alpha * alpha * (q + sigma**2) + delta**2]])
+    S = np.linalg.solve(np.eye(4) - np.kron(F, F), noise.ravel()).reshape(2, 2)
+    sc = it.steady_cov(eta, sigma, alpha, delta)
+    assert S[0, 0] == pytest.approx(1.0, rel=1e-12)
+    assert S[0, 1] == pytest.approx(alpha / (1.0 - (1.0 - alpha) * eta), rel=1e-12)
+    assert sc.u_var() == pytest.approx(S[1, 1], rel=1e-12)
+    # E[U_t U_{t-1}] = (1-alpha) Var(U) + alpha E[Y_t U_{t-1}], E[Y_t U_{t-1}] = eta * S_thetaU
+    assert sc.u_autocov1() == pytest.approx((1.0 - alpha) * S[1, 1] + alpha * eta * S[0, 1],
+                                            rel=1e-12)
+    assert sc.u_y_back(0) == pytest.approx(S[0, 1] + alpha * sigma**2, rel=1e-12)
 
 
 def test_stability_errors_scalar_call_returns_floats():
@@ -260,6 +370,7 @@ def test_stability_errors_scalar_call_returns_floats():
     assert forgetting.shape == implasticity.shape == (1,)
 
 
+@pytest.mark.parametrize("engine", ["stability_errors", "total_stability_error"])
 @pytest.mark.parametrize("alphas, sigma, delta", [
     ([0.3, 0.6, 1.2], 0.5, 0.1),
     ([0.3, 0.6, 0.0], 0.5, 0.1),
@@ -267,14 +378,14 @@ def test_stability_errors_scalar_call_returns_floats():
     ([0.3, 0.6, 0.9], 0.5, [0.1, 0.2, -1.0]),
 ])
 def test_stability_errors_bad_grid_point_raises_before_any_lapack_call(monkeypatch, alphas,
-                                                                        sigma, delta):
+                                                                        sigma, delta, engine):
     def refuse(*args, **kwargs):
         raise AssertionError("linear algebra ran before validation")
 
     for name in ("cholesky", "solve", "eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, refuse)
     with pytest.raises(ValueError):
-        it.stability_errors(np.array(alphas), 0.9, sigma, np.array(delta))
+        getattr(it, engine)(np.array(alphas), 0.9, sigma, np.array(delta))
 
 
 def test_stability_errors_empty_grid_gives_empty_arrays():
@@ -288,7 +399,7 @@ def test_total_error_decomposition_matches_direct_absent_information():
     for alpha, eta, sigma, cap in ((0.4, 0.9, 0.5, 1.0), (0.7, 0.8, 1.0, 2.0)):
         delta = math.sqrt(it.delta_star(alpha, eta, sigma, cap))
         total = it.total_stability_error(alpha, eta, sigma, delta)
-        direct = it.informational_error(alpha, eta, sigma, delta, past=400)
+        direct = informational_error(alpha, eta, sigma, delta, past=400)
         assert total == pytest.approx(direct, abs=1e-9)
 
 
@@ -298,7 +409,7 @@ def test_informational_error_two_evaluation_routes_agree():
     # state adds nothing beyond it
     alpha, eta, sigma, delta = 0.5, 0.9, 0.5, 0.2
     past = 300
-    route1 = it.informational_error(alpha, eta, sigma, delta, past)
+    route1 = informational_error(alpha, eta, sigma, delta, past)
     sc = it.steady_cov(eta, sigma, alpha, delta)
     var_given_state = it.posterior_pred_params(alpha, eta, sigma, delta)[1]
     lags = np.arange(past, 0, -1, dtype=float)

@@ -171,61 +171,73 @@ def run_lockstep(envs, agents, T: int, streams) -> list[TrajectorySummary | None
     for every j of ``Ar1ScalarEnv`` x ``LmsAgent``, with the trials advanced
     together as float64 arrays.
 
-    Each step applies the env's and agent's float operations in their order,
-    and each trial reads its own "env-noise" normals in DrawBuffer's layout,
-    so the summaries are equal field for field. Entry j is None where trial
-    j's total is not finite (the scalar path then raises its own
+    Each step applies the env's and agent's float operations to the same
+    operands, and each trial reads its own "env-noise" normals in DrawBuffer's
+    layout, so the summaries are equal field for field. The env's theta runs
+    one chunk ahead, in the agent's ufunc calls on 2N lanes, and its add
+    becomes zeta*e1 + eta*theta: IEEE addition commutes. Entry j is None where
+    trial j's total is not finite (the scalar path then raises its own
     ``NumericError`` or returns its own result).
     """
-    n = len(envs)
+    n, L = len(envs), _LOCKSTEP_STEPS
     gens = [stream.child("env-noise").generator() for stream in streams]
 
+    # Lane map: rows of E = [err | theta] and D = [a | zeta*e1], theta one chunk
+    # ahead. Before step t, row t of E holds mu and the next chunk's theta of
+    # step t - 1; step t writes err over mu, then row t + 1 as D + coef*E =
+    # [a + alpha*err | zeta*e1 + eta*theta]. Theta lanes past the next chunk's
+    # end run on stale zeta*e1, and nothing reads them.
+    E = np.empty((L + 1, 2 * n))
+    D = np.zeros((L, 2 * n))
+    obs, rew, m = np.empty((L, n)), np.empty((L, n)), np.empty(2 * n)
+    th, ze = E[:, n:], D[:, n:]
+    rows = list(zip(E[:-1, :n], E[:-1], E[1:], D[:, :n], D, obs))
+    rew_rows = list(rew)
+
     # Time-major draws: rows 2t and 2t+1 of a chunk feed its step t. The
-    # reset's normal block sets theta and opens the first chunk; ar1 never
-    # reads the uniform block drawn after it.
-    z = np.empty((2 * _LOCKSTEP_STEPS, n))
-    theta = np.empty(n)
+    # reset's normal block sets theta and opens chunk 0, and one more draw
+    # completes it; ar1 never reads the uniform block drawn after it.
+    z = np.empty((2 * L, n))
     for k, (env, gen) in enumerate(zip(envs, gens)):
         head, _ = reset_blocks(gen)
-        theta[k] = env.mu0 + math.sqrt(env.sigma0) * float(head[0])
+        th[0, k] = env.mu0 + math.sqrt(env.sigma0) * float(head[0])
         z[:DRAW_BLOCK - 1, k] = head[1:]
+        z[DRAW_BLOCK - 1:, k] = gen.standard_normal(2 * L - DRAW_BLOCK + 1)
     eta = np.array([env.eta for env in envs], dtype=float)
     zeta = np.array([env.zeta for env in envs], dtype=float)
     sigma = np.array([env.sigma for env in envs], dtype=float)
     scale = np.array([a.eta if a.mode == "shrinkage" else 1.0 for a in agents], dtype=float)
-    alpha = np.array([a.alpha for a in agents], dtype=float)
-    mu = np.array([a.mu0 for a in agents], dtype=float)
+    coef = np.concatenate(([a.alpha for a in agents], eta))
+    last = min(L, T)
+    E[last, :n] = [a.mu0 for a in agents]
 
-    # Each chunk is rewritten in place: zeta*e1 -> theta, sigma*e2 -> o, then
-    # theta -> err -> reward.
-    total, comp, s, a, y = (np.zeros(n) for _ in range(5))
+    total, comp, s, y = (np.zeros(n) for _ in range(4))
     mul, add, sub = np.multiply, np.add, np.subtract
-    have = DRAW_BLOCK - 1
     with np.errstate(all="ignore"):
-        for start in range(0, T, _LOCKSTEP_STEPS):
-            need = 2 * min(_LOCKSTEP_STEPS, T - start)
-            if need > have:
-                for k, gen in enumerate(gens):
-                    z[have:need, k] = gen.standard_normal(need - have)
-            have = 0
-            e1, e2 = z[0:need:2], z[1:need:2]
-            mul(e1, zeta, e1)
+        mul(z[0:2 * last:2], zeta, ze[:last])
+        for t in range(last):  # chunk 0's theta = eta*theta + zeta*e1, as the env
+            mul(eta, th[t], th[t + 1])
+            add(th[t + 1], ze[t], th[t + 1])
+        for start in range(0, T, L):
+            steps = min(L, T - start)
+            e2 = z[1:2 * steps:2]
             mul(e2, sigma, e2)
-            prev = theta
-            for row in e1:  # theta = eta*theta + zeta*e1
-                mul(eta, prev, a)
-                add(a, row, row)
-                prev = row
-            theta[:] = prev
-            add(e1, e2, e2)  # o = theta + sigma*e2
-            for row, o in zip(e1, e2):
+            add(th[1:steps + 1], e2, obs[:steps])  # o = theta + sigma*e2
+            ahead = min(L, T - start - L)
+            if ahead > 0:  # the next chunk's normals and zeta*e1
+                for k, gen in enumerate(gens):
+                    z[:2 * ahead, k] = gen.standard_normal(2 * ahead)
+                mul(z[0:2 * ahead:2], zeta, ze[:ahead])
+            E[0] = E[last]  # mu and theta carried over
+            last = steps
+            for mu, e, nxt, a, d, o in rows[:steps]:
                 mul(scale, mu, a)  # a = scale*mu
-                sub(o, a, row)  # err = o - a
-                mul(alpha, row, mu)  # mu = a + alpha*err
-                add(a, mu, mu)
-            mul(e1, e1, e1)  # r = -(err*err)
-            np.negative(e1, e1)
-            for r in e1:  # Kahan, as in run_trajectory
+                sub(o, a, mu)  # err = o - a
+                mul(coef, e, m)  # [alpha*err | eta*theta]
+                add(d, m, nxt)  # [mu = a + alpha*err | theta = zeta*e1 + eta*theta]
+            mul(E[:steps, :n], E[:steps, :n], rew[:steps])  # r = -(err*err)
+            np.negative(rew, rew)
+            for r in rew_rows[:steps]:  # Kahan, as in run_trajectory
                 sub(r, comp, y)
                 add(total, y, s)
                 sub(s, total, comp)

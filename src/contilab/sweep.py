@@ -194,7 +194,10 @@ def resolve_workers(requested: int | None = None) -> int:
     workers = requested if requested else (os.cpu_count() or 1)
     cap = os.environ.get("CONTILAB_THREADS")
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise ConfigurationError(f"CONTILAB_THREADS must be an integer, got {cap!r}") from None
     return max(1, workers)
 
 

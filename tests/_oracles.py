@@ -8,6 +8,7 @@ the next-step information missing from the state on a long past window."""
 import math
 
 import numpy as np
+from scipy.signal import lfilter
 
 from contilab.infotheory import (GaussianJointModel, LmsSteadyCovariance,
                                  default_future_horizon, gaussian_cond_mi, steady_cov)
@@ -16,6 +17,11 @@ from contilab.rng import RngStream
 
 
 def simulate_tracker(alpha, eta, sigma, delta, n, seed, burn=20_000):
+    """The last ``n`` of ``burn + n`` steps (y, u) of theta_i = eta*theta_{i-1} +
+    zeta*v_i, y_i = theta_i + sigma*w_i and u_i = (1 - alpha)*u_{i-1} +
+    alpha*y_i + delta*q_i. Both recursions run as first-order IIR filters:
+    theta's adds are the recursion's, and u's filter adds alpha*y_i + delta*q_i
+    before (1 - alpha)*u_{i-1}."""
     gen = RngStream(seed).child("oracle").generator()
     zeta = math.sqrt(max(0.0, 1.0 - eta * eta))
     total = burn + n
@@ -24,15 +30,9 @@ def simulate_tracker(alpha, eta, sigma, delta, n, seed, burn=20_000):
     Q = gen.standard_normal(total) * delta
     theta = gen.standard_normal()
     u = gen.standard_normal()
-    ys = np.empty(total)
-    us = np.empty(total)
     ac = 1.0 - alpha
-    for i in range(total):
-        theta = eta * theta + V[i]
-        y = theta + W[i]
-        u = ac * u + alpha * y + Q[i]
-        ys[i] = y
-        us[i] = u
+    ys = lfilter([1.0], [1.0, -eta], V, zi=[eta * theta])[0] + W
+    us = lfilter([1.0], [1.0, -ac], alpha * ys + Q, zi=[ac * u])[0]
     return ys[burn:], us[burn:]
 
 

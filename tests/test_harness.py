@@ -105,6 +105,17 @@ def test_logit_regret_bytes_do_not_depend_on_workers(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_fig2_bytes_do_not_depend_on_workers(tmp_path):
+    # One lockstep payload of 57 trials against two of about 28, each
+    # crossing two chunk seams of the ar1 x lms kernel.
+    overrides = {"trials": "3", "horizon": "600"}
+    outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
+    for workers, out in zip((1, 2), outs):
+        run_experiment("fig2_lms_sweep", overrides, out, workers=workers)
+    for name in ("results.csv", "config.resolved"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_csv_values_have_12_significant_digits(tmp_path):
     out = tmp_path / "sig"
     run_experiment("logit_regret", FAST_OVERRIDES["logit_regret"], out)

@@ -56,6 +56,29 @@ def test_merged_roots_branch_continuous():
     assert sc_at.u_var() == pytest.approx(sc_near.u_var(), rel=1e-5)
 
 
+@pytest.mark.parametrize("alpha, eta, sigma, delta", [
+    (0.45, 0.85, 0.6, 0.25), (0.1, 0.95, 1.2, 0.0), (0.9, 0.3, 0.3, 0.5), (0.02, 0.99, 0.5, 0.1)])
+def test_tracker_oracle_filters_equal_the_step_loop(alpha, eta, sigma, delta):
+    # simulate_tracker's filters against its recursions run one step at a
+    # time on the same draws: theta's adds are the same, u's are reordered.
+    n, seed = 10_000, 3
+    ys, us = simulate_tracker(alpha, eta, sigma, delta, n, seed=seed, burn=0)
+    gen = RngStream(seed).child("oracle").generator()
+    zeta = math.sqrt(max(0.0, 1.0 - eta * eta))
+    V = gen.standard_normal(n) * zeta
+    W = gen.standard_normal(n) * sigma
+    Q = gen.standard_normal(n) * delta
+    theta, u = gen.standard_normal(), gen.standard_normal()
+    ys_loop, us_loop = np.empty(n), np.empty(n)
+    for i in range(n):
+        theta = eta * theta + V[i]
+        ys_loop[i] = theta + W[i]
+        u = (1.0 - alpha) * u + alpha * ys_loop[i] + Q[i]
+        us_loop[i] = u
+    assert np.array_equal(ys, ys_loop)
+    assert np.max(np.abs(us - us_loop)) <= 1e-14
+
+
 def test_closed_form_moments_match_simulation():
     alpha, eta, sigma, delta = 0.45, 0.85, 0.6, 0.25
     ys, us = simulate_tracker(alpha, eta, sigma, delta, 400_000, seed=1)

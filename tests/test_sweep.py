@@ -140,6 +140,10 @@ def test_resolve_workers_env_cap(monkeypatch):
     assert resolve_workers(8) == 1
     monkeypatch.delenv("CONTILAB_THREADS")
     assert resolve_workers(3) == 3
+    for cap in ("abc", "1.5"):
+        monkeypatch.setenv("CONTILAB_THREADS", cap)
+        with pytest.raises(ConfigurationError, match="CONTILAB_THREADS"):
+            resolve_workers(2)
 
 
 def test_config_validation():

@@ -367,9 +367,11 @@ def run_goal_lockstep(envs, agents, T: int, streams) -> list:
     Entry j is the trial's summary, the ``DegenerateMdpError`` its scalar run
     raises (at reset or at a mid-horizon rescale), or None where trial j must
     go to ``run_trajectory``: its total, Q table or offset is not finite.
-    Trials are advanced together per (n_states, n_actions), and the
-    goal-reward rescales of a group run together, one
-    ``mdp_tools.goal_reward_scales`` call per planning round.
+    Trials are advanced together per (n_states, n_actions). Each
+    ``DRAW_BLOCK``-step chunk is planned before it is stepped: every trial's
+    row events and new rows come from one ``envs._row_events`` call, the
+    helper ``GoalMdpEnv`` plans with, and the goal-reward rescales run
+    together, one ``mdp_tools.goal_reward_scales`` call per planning round.
     """
     out: list = [None] * len(envs)
     shapes: dict[tuple[int, int], list[int]] = {}
@@ -385,7 +387,7 @@ def run_goal_lockstep(envs, agents, T: int, streams) -> list:
 
 def _goal_lockstep(envs, agents, T: int, streams) -> list:
     """:func:`run_goal_lockstep` for trials that share (n_states, n_actions)."""
-    from .envs import _initial_state, _redraw_rows, _row_events
+    from .envs import _dirichlet_rows, _initial_state, _row_events
 
     B = DRAW_BLOCK
     n = len(envs)
@@ -413,11 +415,12 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
     P = np.empty((n, S, A, S))
     state = np.empty(n, dtype=np.intp)
     for k, es in enumerate(env_streams):
-        _redraw_rows(row_gens[k], P[k], range(SA))
+        P[k] = _dirichlet_rows(row_gens[k], SA, S).reshape(S, A, S)
         state[k] = _initial_state(es, S)
     goal = np.array([env.goal_state for env in envs], dtype=np.intp)
     plan_gamma = np.array([env.plan_gamma for env in envs], dtype=float)
     q_star = np.empty((n, S, A))
+    alive = np.ones(n, dtype=bool)  # no failure yet
 
     def rescale(ks, q0) -> list[float]:
         """Goal rewards of trials ``ks`` from one engine call; a degenerate
@@ -430,6 +433,7 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
                 rewards.append(mdp_tools.goal_reward(d, envs[k].goal_state, envs[k].target_reward))
             except DegenerateMdpError as exc:
                 out[k] = exc
+                alive[k] = False
                 rewards.append(0.0)
         return rewards
 
@@ -463,43 +467,55 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
             if start:  # chunk 0 reads the reset blocks
                 for k, gen in enumerate(move_gens):
                     move_u[:steps, k] = gen.random(steps)
-            # Planning pass: the row events, redraws and rescales never depend
-            # on the actions. Each round takes every live trial's next event of
-            # the chunk: it redraws the rows from the trial's own generator,
-            # keeps the redrawn cum rows, and rescales all of those trials in
-            # one engine call, each warm-started from its previous Q*. due[t]
-            # lists what the step loop applies at step t.
-            events: list[tuple[int, list[tuple[int, list[int]]]]] = []
-            for k, gen in enumerate(event_gens):
-                if gen is None or out[k] is not None:
-                    continue
-                at, rows = _row_events(gen, steps, SA, prob[k])
-                mine: list[tuple[int, list[int]]] = []
-                for t, flat in zip(at, rows):
-                    if not mine or mine[-1][0] != t:
-                        mine.append((t, []))
-                    mine[-1][1].append(flat)
-                if mine:
-                    events.append((k, mine))
-            due: dict[int, list] = {}
-            for rnd in range(max((len(mine) for _, mine in events), default=0)):
-                events = [(k, mine) for k, mine in events if len(mine) > rnd and out[k] is None]
-                if not events:
-                    break
-                ks = [k for k, _ in events]
-                redrawn = []  # rows of P_rows, trial by trial
-                for k, mine in events:
-                    flats = mine[rnd][1]
-                    _redraw_rows(row_gens[k], P[k], flats)
-                    redrawn.extend(k * SA + flat for flat in flats)
-                cum_new = np.cumsum(P_rows[redrawn], axis=1)
+            # Planning pass: the row events, their new rows and the rescales
+            # never depend on the actions. One _row_events call per trial gives
+            # the chunk's events and rows, by trial, step and row. A group is
+            # one trial's events at one step, and round r plans every live
+            # trial's r-th group: it writes the group's rows into P and
+            # rescales all of those trials in one engine call, each
+            # warm-started from its previous Q*. due[t] holds what the step
+            # loop applies at step t: cum rows, and goal rewards by trial.
+            plans = [(k, _row_events(gen, row_gens[k], steps, S, A, prob[k]))
+                     for k, gen in enumerate(event_gens) if gen is not None and alive[k]]
+            plans = [(k, plan) for k, plan in plans if len(plan[0])]
+            due: dict = {}
+            if plans:
+                trial = np.concatenate([np.full(len(plan[0]), k) for k, plan in plans])
+                at = np.concatenate([plan[0] for _, plan in plans])
+                row = np.concatenate([k * SA + plan[1] for k, plan in plans])
+                new = np.concatenate([plan[2] for _, plan in plans])
+                first = np.ones(len(at), dtype=bool)  # first event of its group
+                first[1:] = (at[1:] != at[:-1]) | (trial[1:] != trial[:-1])
+                group = np.cumsum(first) - 1
+                lead = np.ones(len(at), dtype=bool)  # first event of its trial
+                lead[1:] = trial[1:] != trial[:-1]
+                rank = group - np.maximum.accumulate(np.where(lead, group, 0))
+                order = np.argsort(rank, kind="stable")
+                edges = np.searchsorted(rank[order], np.arange(rank.max() + 2)).tolist()
+                planned, rewards = [], []
+                for lo, hi in zip(edges, edges[1:]):
+                    ev = order[lo:hi]
+                    ev = ev[alive[trial[ev]]]
+                    if not len(ev):
+                        break
+                    P_rows[row[ev]] = new[ev]
+                    ks = trial[ev[first[ev]]]
+                    rewards.extend(rescale(ks, q_star[ks]))
+                    planned.append(ev)
+                ev = np.concatenate(planned)
+                grp = ev[first[ev]]  # one per reward, in order
+                ev = ev[np.argsort(at[ev], kind="stable")]
+                by_step = np.argsort(at[grp], kind="stable")
+                grp, rewards = grp[by_step], np.array(rewards)[by_step]
+                cum_new = np.cumsum(new[ev], axis=1)
                 cum_new[:, -1] = np.inf
-                lo = 0
-                for (k, mine), reward in zip(events, rescale(ks, q_star[ks])):
-                    t, flats = mine[rnd]
-                    hi = lo + len(flats)
-                    due.setdefault(t, []).append((k, redrawn[lo:hi], cum_new[lo:hi], reward))
-                    lo = hi
+                ts, e_cut = np.unique(at[ev], return_index=True)
+                g_cut = np.unique(at[grp], return_index=True)[1]
+                e_cut, g_cut = e_cut.tolist() + [len(ev)], g_cut.tolist() + [len(grp)]
+                row, trial = row[ev], trial[grp]
+                for i, t in enumerate(ts.tolist()):
+                    e0, e1, g0, g1 = e_cut[i], e_cut[i + 1], g_cut[i], g_cut[i + 1]
+                    due[t] = (row[e0:e1], cum_new[e0:e1], trial[g0:g1], rewards[g0:g1])
             for t in range(steps):
                 # act: argmax of the Q row; ties read the trial's tie-break uniform
                 base = row_of + state
@@ -519,9 +535,10 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
                     tie_ptr[multi] = ptr + 1
                     a[multi] = (np.cumsum(tie[multi], axis=1) > pick[:, None]).argmax(axis=1)
                 # env: the planned rows and goal reward of this step, then the transition
-                for k, cum_at, cum_new, reward in due.get(t, ()):
-                    cum_rows[cum_at] = cum_new
-                    goal_reward[k] = reward
+                planned_t = due.get(t)
+                if planned_t is not None:
+                    cum_rows[planned_t[0]] = planned_t[1]
+                    goal_reward[planned_t[2]] = planned_t[3]
                 sa = base * A + a
                 nxt = (cum_rows.take(sa, axis=0) > move_u[t, :, None]).argmax(axis=1)
                 r = np.where(nxt == goal, goal_reward, 0.0)

@@ -216,29 +216,38 @@ class BitFlipEnv:
         return 1.0 if action == observation else 0.0
 
 
-def _redraw_rows(gen, P: np.ndarray, flats) -> list[tuple[int, int]]:
-    """Redraw the rows ``flats`` (s * A + a) of P[s, a, :] in place, in order,
-    from Dirichlet(1/S, ..., 1/S) via normalized Gamma(1/S, 1) draws."""
-    S, A = P.shape[0], P.shape[1]
-    cells = [divmod(flat, A) for flat in flats]
-    for s, a in cells:
-        g = gen.gamma(1.0 / S, 1.0, size=S)
-        total = g.sum()
-        while total <= 0.0:
-            g = gen.gamma(1.0 / S, 1.0, size=S)
-            total = g.sum()
-        P[s, a] = g / total
-    return cells
+def _dirichlet_rows(gen, m: int, S: int) -> np.ndarray:
+    """``m`` rows (m, S) of Dirichlet(1/S, ..., 1/S), as Gamma(1/S, 1) draws
+    each divided by its sum, from one ``gamma`` call.
 
-
-def _row_events(gen, steps: int, n_rows: int, prob: float) -> tuple[list[int], list[int]]:
-    """(step, row) of every row resample in the next ``steps`` steps, by step then row.
-
-    ``random((steps, n_rows))`` is one row-major stream, so drawing a horizon
-    in blocks of any length gives the same events.
+    ``gamma(size=(m, S))`` is ``m`` calls of ``gamma(size=S)`` in one stream,
+    so row i is the i-th candidate whose sum is positive: a candidate that sums
+    to 0 (every draw underflowed) is skipped and the next one takes its place,
+    drawn further if needed.
     """
-    at, rows = np.nonzero(gen.random((steps, n_rows)) < prob)
-    return at.tolist(), rows.tolist()
+    g = gen.gamma(1.0 / S, 1.0, size=(m, S))
+    total = g.sum(axis=1)
+    bad = total <= 0.0
+    while bad.any():
+        keep = ~bad
+        more = gen.gamma(1.0 / S, 1.0, size=(int(bad.sum()), S))
+        g = np.concatenate((g[keep], more))
+        total = np.concatenate((total[keep], more.sum(axis=1)))
+        bad = total <= 0.0
+    return g / total[:, None]
+
+
+def _row_events(mask_gen, row_gen, steps: int, S: int, A: int,
+                prob: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row resamples of the next ``steps`` steps of one goal MDP, by step then
+    row: the event steps, the flat rows s * A + a, and the new rows (m, S).
+
+    ``random(steps * S * A)`` is one row-major stream, so drawing a horizon in
+    blocks of any length gives the same events; the new rows are the row
+    generator's next ``m`` Dirichlet rows, in event order.
+    """
+    at, flats = np.divmod(np.flatnonzero(mask_gen.random(steps * S * A) < prob), S * A)
+    return at, flats, _dirichlet_rows(row_gen, len(at), S)
 
 
 def _initial_state(stream: RngStream, n_states: int) -> int:
@@ -257,10 +266,12 @@ class GoalMdpEnv:
     policy raises DegenerateMdpError, one of the two modelled failures that
     ``sweep.run_trials`` records as a failed trial instead of aborting.
 
-    The row draws, row events and rescales never depend on the actions, so
-    :func:`contilab.core.run_goal_lockstep` walks the same schedule through
-    the module helpers this class uses, and rescales through the engine
-    behind ``goal_reward_scale`` (``mdp_tools.goal_reward_scales``).
+    The row events and their new rows are planned ``_EVENT_BLOCK`` steps at a
+    time by :func:`_row_events` (one event draw and one Dirichlet draw per
+    block) and applied at their steps. They and the rescales never depend on
+    the actions, so :func:`contilab.core.run_goal_lockstep` plans the same
+    schedule through the same helpers and rescales through the engine behind
+    ``goal_reward_scale`` (``mdp_tools.goal_reward_scales``).
     """
 
     def __init__(self, n_states: int = 10, n_actions: int = 3, resample_prob: float = 1e-3,
@@ -286,8 +297,7 @@ class GoalMdpEnv:
         self._row_gen = stream.child("row-draws").generator()
         self._mask_gen = stream.child("row-events").generator()
         self._tr = stream.child("transition").buffer()
-        self.P = np.empty((S, A, S))
-        _redraw_rows(self._row_gen, self.P, range(S * A))
+        self.P = _dirichlet_rows(self._row_gen, S * A, S).reshape(S, A, S)
         self._cum = [[list(np.cumsum(self.P[s, a])) for a in range(A)] for s in range(S)]
         self.goal_reward, self._q = self.goal_scale(self.P, None)
         self.state = _initial_state(stream, S)
@@ -304,8 +314,9 @@ class GoalMdpEnv:
         return goal_reward_scale(P, self.goal_state, self.plan_gamma, self.target_reward, q0)
 
     def _refill_events(self):
-        self._ev_steps, self._ev_rows = _row_events(
-            self._mask_gen, _EVENT_BLOCK, self.n_states * self.n_actions, self.resample_prob)
+        at, flats, self._ev_new = _row_events(self._mask_gen, self._row_gen, _EVENT_BLOCK,
+                                              self.n_states, self.n_actions, self.resample_prob)
+        self._ev_steps, self._ev_rows = at.tolist(), flats.tolist()
         self._ev_ptr = 0
         self._ev_n = len(self._ev_steps)
         self._ev_pos = 0
@@ -319,7 +330,9 @@ class GoalMdpEnv:
             while end < self._ev_n and self._ev_steps[end] == pos:
                 end += 1
             if end > ptr:
-                for s, a in _redraw_rows(self._row_gen, self.P, self._ev_rows[ptr:end]):
+                for i in range(ptr, end):
+                    s, a = divmod(self._ev_rows[i], self.n_actions)
+                    self.P[s, a] = self._ev_new[i]
                     self._cum[s][a] = list(np.cumsum(self.P[s, a]))
                 self.resample_events += end - ptr
                 self._ev_ptr = end

@@ -1,6 +1,5 @@
-"""Exact tabular MDP solvers: value iteration, greedy stationary distributions,
-goal-reward scaling, and a discretized belief-space planner for the two-coin
-replacement game.
+"""Exact tabular MDP solvers: value iteration, goal-reward scaling, and a
+discretized belief-space planner for the two-coin replacement game.
 
 Goal-reward rescales have one engine, :func:`goal_reward_scales`: stacked
 policy iteration plus a stacked Cesaro occupancy over N MDPs at once.
@@ -51,21 +50,6 @@ class TabularMdp:
         return self.P.shape[1]
 
 
-def goal_mdp(P: np.ndarray, goal_state: int, goal_reward: float = 1.0, gamma: float = 0.9) -> TabularMdp:
-    """MDP paying ``goal_reward`` on every arrival at ``goal_state``, 0 elsewhere."""
-    P = np.asarray(P, dtype=float)
-    r = np.zeros_like(P)
-    r[:, :, goal_state] = goal_reward
-    return TabularMdp(P, r, gamma)
-
-
-def bellman_backup(mdp: TabularMdp, Q: np.ndarray) -> np.ndarray:
-    """One application of the Bellman optimality operator."""
-    v = Q.max(axis=1)
-    expected_r = np.einsum("sat,sat->sa", mdp.P, mdp.r)
-    return expected_r + mdp.gamma * (mdp.P @ v)
-
-
 def value_iteration(mdp: TabularMdp, tol: float = 1e-8, q0: np.ndarray | None = None,
                     max_iter: int = 100_000) -> np.ndarray:
     """Optimal action values with sup-norm Bellman residual below ``tol``.
@@ -89,24 +73,11 @@ def value_iteration(mdp: TabularMdp, tol: float = 1e-8, q0: np.ndarray | None = 
     raise RuntimeError(f"value iteration did not reach tol {tol} in {max_iter} iterations")
 
 
-def greedy_policy(Q: np.ndarray) -> np.ndarray:
-    """Greedy action per state, ties broken toward the lowest action index."""
-    return np.argmax(Q, axis=1)
-
-
-def greedy_stationary_distribution(mdp: TabularMdp, Q: np.ndarray) -> np.ndarray:
-    """Long-run state distribution of the greedy-policy chain from a uniform start.
-
-    Computed as the averaged-occupancy (Cesaro) limit via the resolvent
-    (1 - b) * mu0 * (I - b * P_pi)^-1 at b = 1 - 1e-9, then renormalized; this
-    handles periodic and reducible chains that plain power iteration cannot.
-    """
-    return _greedy_occupancy(mdp.P[None], greedy_policy(Q)[None], np.eye(mdp.n_states))[0]
-
-
 def _greedy_occupancy(P: np.ndarray, actions: np.ndarray, eye: np.ndarray) -> np.ndarray:
     """Cesaro-limit state distributions (N, S) of the chains P[k, s, actions[k, s], :]
-    from a uniform start (see :func:`greedy_stationary_distribution`)."""
+    from a uniform start: the averaged occupancy (1 - b) * mu0 * (I - b * P_pi)^-1
+    at b = 1 - 1e-9, renormalized, which also handles periodic and reducible
+    chains that plain power iteration cannot."""
     n, S = actions.shape
     P_pi = P[np.arange(n)[:, None], np.arange(S), actions]
     occ = np.linalg.solve(eye - _CESARO_BETA * P_pi.transpose(0, 2, 1), np.full((n, S, 1), 1.0 / S))
@@ -185,21 +156,6 @@ def goal_reward_scale(P: np.ndarray, goal_state: int, gamma: float = 0.9, target
     mass, Q = goal_reward_scales(np.asarray(P, dtype=float)[None], [goal_state], [gamma],
                                  None if q0 is None else np.asarray(q0)[None])
     return goal_reward(mass[0], goal_state, target), Q[0]
-
-
-def scale_goal_reward(mdp: TabularMdp, goal_state: int, target: float = 0.5,
-                      tol: float = 1e-8, unit_reward: float = 1.0) -> float:
-    """Scaled arrival reward for ``goal_state`` (see :func:`goal_reward_scale`),
-    solved by value iteration to ``tol``.
-
-    ``unit_reward`` sets the placeholder reward used while solving for the
-    greedy policy; the returned scale is invariant to it.
-    """
-    if not 0 <= goal_state < mdp.n_states:
-        raise ValueError(f"goal state {goal_state} out of range")
-    unit = goal_mdp(mdp.P, goal_state, unit_reward, mdp.gamma)
-    Q = value_iteration(unit, tol=tol)
-    return goal_reward(greedy_stationary_distribution(unit, Q)[goal_state], goal_state, target)
 
 
 @dataclass

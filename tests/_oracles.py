@@ -2,8 +2,11 @@
 quantized tracker on the standardized AR(1) process, batch-mean standard
 errors that respect autocorrelation, the one-at-a-time evaluations that
 the stacked engines must reproduce bit for bit (the goal-reward rescale of
-one MDP, and the stability errors of one stepsize on its dense joint), and
-the next-step information missing from the state on a long past window."""
+one MDP, the Dirichlet rows of a goal MDP drawn row by row, and the stability
+errors of one stepsize on its dense joint), the goal-MDP tools only tests
+use (goal MDPs, Bellman backups, greedy stationary distributions, and the
+value-iteration goal-reward scale), and the next-step information missing
+from the state on a long past window."""
 
 import math
 
@@ -12,7 +15,7 @@ from scipy.signal import lfilter
 
 from contilab.infotheory import (GaussianJointModel, LmsSteadyCovariance,
                                  default_future_horizon, gaussian_cond_mi, steady_cov)
-from contilab.mdp_tools import TabularMdp, value_iteration
+from contilab.mdp_tools import TabularMdp, goal_reward, value_iteration
 from contilab.rng import RngStream
 
 
@@ -41,6 +44,55 @@ def batch_stderr(x, n_batches=100):
     return means.std(ddof=1) / math.sqrt(n_batches)
 
 
+def goal_mdp(P, goal_state, goal_reward=1.0, gamma=0.9):
+    """MDP paying ``goal_reward`` on every arrival at ``goal_state``, 0 elsewhere."""
+    P = np.asarray(P, dtype=float)
+    r = np.zeros_like(P)
+    r[:, :, goal_state] = goal_reward
+    return TabularMdp(P, r, gamma)
+
+
+def bellman_backup(mdp, Q):
+    """One application of the Bellman optimality operator."""
+    v = Q.max(axis=1)
+    expected_r = np.einsum("sat,sat->sa", mdp.P, mdp.r)
+    return expected_r + mdp.gamma * (mdp.P @ v)
+
+
+def greedy_policy(Q):
+    """Greedy action per state, ties broken toward the lowest action index."""
+    return np.argmax(Q, axis=1)
+
+
+def _occupancy(P, actions):
+    """Cesaro-limit state distribution of the chain P[s, actions[s], :] from a
+    uniform start: the resolvent (1 - b) * mu0 * (I - b * P_pi)^-1 at
+    b = 1 - 1e-9, renormalized, which handles periodic and reducible chains."""
+    S = P.shape[0]
+    P_pi = P[np.arange(S), actions, :]
+    occ = np.linalg.solve(np.eye(S) - (1.0 - 1e-9) * P_pi.T, np.full(S, 1.0 / S))
+    occ = np.maximum(occ, 0.0)
+    return occ / occ.sum()
+
+
+def greedy_stationary_distribution(mdp, Q):
+    """Long-run state distribution of the greedy-policy chain from a uniform start."""
+    return _occupancy(mdp.P, greedy_policy(Q))
+
+
+def scale_goal_reward(mdp, goal_state, target=0.5, tol=1e-8, unit_reward=1.0):
+    """Scaled arrival reward for ``goal_state`` (``mdp_tools.goal_reward_scale``),
+    solved by value iteration to ``tol``: the independent check of the
+    policy-iteration engine. ``unit_reward`` sets the placeholder reward used
+    while solving for the greedy policy; the returned scale is invariant to it.
+    """
+    if not 0 <= goal_state < mdp.n_states:
+        raise ValueError(f"goal state {goal_state} out of range")
+    unit = goal_mdp(mdp.P, goal_state, unit_reward, mdp.gamma)
+    Q = value_iteration(unit, tol=tol)
+    return goal_reward(greedy_stationary_distribution(unit, Q)[goal_state], goal_state, target)
+
+
 def goal_mass_and_q(P, goal_state, gamma, q0=None, rounds=200):
     """One goal MDP at a time, the arithmetic that ``mdp_tools.goal_reward_scales``
     stacks: policy iteration on the unit goal reward (value iteration if the
@@ -65,10 +117,23 @@ def goal_mass_and_q(P, goal_state, gamma, q0=None, rounds=200):
     else:
         mdp = TabularMdp(P, np.broadcast_to(r_next, P.shape).copy(), gamma)
         Q = value_iteration(mdp, tol=1e-10, q0=q0)
-    P_pi = P[idx, np.argmax(Q, axis=1), :]
-    occ = np.linalg.solve(eye - (1.0 - 1e-9) * P_pi.T, np.full(S, 1.0 / S))
-    occ = np.maximum(occ, 0.0)
-    return (occ / occ.sum())[goal_state], Q
+    return _occupancy(P, greedy_policy(Q))[goal_state], Q
+
+
+def redraw_rows(gen, P, flats):
+    """Redraw the rows ``flats`` (s * A + a) of P[s, a, :] in place, in order,
+    from Dirichlet(1/S, ..., 1/S), one ``gamma`` call per candidate row: the
+    row-by-row loop that ``envs._dirichlet_rows`` draws in one call. A
+    candidate whose sum is not positive is redrawn."""
+    A, S = P.shape[1], P.shape[2]
+    for flat in flats:
+        s, a = divmod(flat, A)
+        g = gen.gamma(1.0 / S, 1.0, size=S)
+        total = g.sum()
+        while total <= 0.0:
+            g = gen.gamma(1.0 / S, 1.0, size=S)
+            total = g.sum()
+        P[s, a] = g / total
 
 
 def stability_joint(self: LmsSteadyCovariance, future: int) -> GaussianJointModel:

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import greedy_policy, redraw_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contilab import envs
 from contilab.envs import (
     Ar1ScalarEnv,
     BitFlipEnv,
@@ -174,7 +178,7 @@ def test_goal_mdp_resample_rate():
 
 def test_goal_mdp_greedy_policy_earns_target():
     # frozen MDP: the scaled goal reward makes the greedy plan earn ~0.5/step
-    from contilab.mdp_tools import goal_mdp, goal_reward_scale, greedy_policy
+    from contilab.mdp_tools import goal_reward_scale
 
     env = GoalMdpEnv(resample_prob=0.0)
     env.reset(RngStream(12))
@@ -205,7 +209,6 @@ def test_goal_mdp_reward_paid_on_arrival():
 def test_goal_mdp_event_block_does_not_change_trajectories(monkeypatch, horizon):
     # random((k, S*A)) is one row-major Philox stream, so the row events do
     # not depend on how many steps of them are drawn at once.
-    from contilab import envs
     from contilab.agents import OptimisticQAgent
     from contilab.core import run_trajectory
 
@@ -223,6 +226,92 @@ def test_goal_mdp_event_block_does_not_change_trajectories(monkeypatch, horizon)
     monkeypatch.setattr(envs, "_EVENT_BLOCK", 4096)
     assert run() == drawn_by_512
     assert all(events > 0 for _, events, _ in drawn_by_512)
+
+
+class _ScriptedGamma:
+    """Generator stub whose ``gamma`` hands out candidate rows of one stream,
+    each drawn as ``gamma(1/S, 1, size=S)`` from a real generator, except
+    that the candidates at ``zeros`` are all zero. It counts the candidates
+    it handed out, whatever the call shapes."""
+
+    def __init__(self, seed, zeros=()):
+        self._gen = np.random.default_rng(seed)
+        self._zeros = set(zeros)
+        self.drawn = 0
+
+    def gamma(self, shape, scale, size):
+        m, S = (1, size) if np.isscalar(size) else size
+        rows = []
+        for _ in range(m):
+            row = self._gen.gamma(shape, scale, size=S)
+            rows.append(np.zeros(S) if self.drawn in self._zeros else row)
+            self.drawn += 1
+        return rows[0] if np.isscalar(size) else np.array(rows)
+
+
+def _row_by_row(gen, m, S):
+    P = np.empty((m, 1, S))
+    redraw_rows(gen, P, range(m))
+    return P.reshape(m, S)
+
+
+@pytest.mark.parametrize("zeros", [(0,), (3,), (6,), (2, 3), (3, 7), (6, 7, 8), (0, 1, 2, 3, 4, 5, 6)])
+def test_dirichlet_rows_skip_zero_sum_candidates(zeros):
+    # 7 rows from candidates 0, 1, ...: a zero-sum candidate is skipped and
+    # the next candidate takes its place, drawn further if needed, also when
+    # a further candidate (7, 8) is itself zero. That is the order of the
+    # row-by-row `while total <= 0` loop.
+    bulk_gen, loop_gen = _ScriptedGamma(21, zeros), _ScriptedGamma(21, zeros)
+    bulk = envs._dirichlet_rows(bulk_gen, 7, 4)
+    assert np.array_equal(bulk, _row_by_row(loop_gen, 7, 4))
+    assert bulk_gen.drawn == loop_gen.drawn == 7 + len(zeros)
+    assert np.all(bulk.sum(axis=1) > 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_dirichlet_rows_equal_the_row_by_row_draws(S, m, seed):
+    bulk_gen, loop_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    bulk = envs._dirichlet_rows(bulk_gen, m, S)
+    assert bulk.shape == (m, S) and np.array_equal(bulk, _row_by_row(loop_gen, m, S))
+    assert bulk_gen.random() == loop_gen.random()  # both left the stream at the same place
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 600),
+       st.sampled_from([1e-4, 1e-2, 0.2]), st.integers(0, 2**32 - 1))
+def test_row_events_equal_the_two_dimensional_layout(S, A, steps, prob, seed):
+    # The events of `steps` steps are those of random((steps, S*A)) by step
+    # then row, and their rows are the row generator's next Dirichlet rows.
+    at, flats, rows = envs._row_events(np.random.default_rng(seed), np.random.default_rng(seed + 1),
+                                       steps, S, A, prob)
+    ref_at, ref_flats = np.nonzero(np.random.default_rng(seed).random((steps, S * A)) < prob)
+    assert np.array_equal(at, ref_at) and np.array_equal(flats, ref_flats)
+    assert np.array_equal(rows, _row_by_row(np.random.default_rng(seed + 1), len(at), S))
+
+
+@pytest.mark.parametrize("horizon", [1, 512, 1300])
+def test_goal_mdp_resample_events_equal_the_planned_rows(horizon):
+    # resample_events (read by the benchmark's tracer) counts exactly the
+    # event rows that _row_events plans for the trial's horizon, chunk by
+    # chunk as the goal kernel plans them.
+    from contilab.agents import OptimisticQAgent
+    from contilab.core import run_trajectory
+    from contilab.rng import DRAW_BLOCK
+
+    S, A, prob = 5, 2, 3e-2
+    stream = RngStream(17)
+    env = GoalMdpEnv(n_states=S, n_actions=A, resample_prob=prob)
+    run_trajectory(env, OptimisticQAgent(S, A, stepsize=0.3, discount=0.9, boost=1e-3),
+                   horizon, stream)
+    es = stream.child("env-noise")
+    mask_gen, row_gen = es.child("row-events").generator(), es.child("row-draws").generator()
+    row_gen.gamma(1.0 / S, 1.0, size=(S * A, S))  # the reset rows
+    planned = sum(len(envs._row_events(mask_gen, row_gen, min(DRAW_BLOCK, horizon - start),
+                                       S, A, prob)[0])
+                  for start in range(0, horizon, DRAW_BLOCK))
+    assert env.resample_events == planned
+    assert planned > 0 or horizon == 1
 
 
 def test_build_env_unknown_kind():

@@ -2,7 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import goal_mass_and_q
+from _oracles import (
+    bellman_backup,
+    goal_mass_and_q,
+    goal_mdp,
+    greedy_policy,
+    greedy_stationary_distribution,
+    scale_goal_reward,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,15 +17,10 @@ from contilab import mdp_tools
 from contilab.errors import DegenerateMdpError
 from contilab.mdp_tools import (
     TabularMdp,
-    bellman_backup,
     belief_value_iteration,
-    goal_mdp,
     goal_reward,
     goal_reward_scale,
     goal_reward_scales,
-    greedy_policy,
-    greedy_stationary_distribution,
-    scale_goal_reward,
     value_iteration,
 )
 

@@ -420,6 +420,7 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
     goal = np.array([env.goal_state for env in envs], dtype=np.intp)
     plan_gamma = np.array([env.plan_gamma for env in envs], dtype=float)
     q_star = np.empty((n, S, A))
+    by_trial = np.empty(n)  # a planning round's goal rewards, by trial
     alive = np.ones(n, dtype=bool)  # no failure yet
 
     def rescale(ks, q0) -> list[float]:
@@ -469,53 +470,49 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
                     move_u[:steps, k] = gen.random(steps)
             # Planning pass: the row events, their new rows and the rescales
             # never depend on the actions. One _row_events call per trial gives
-            # the chunk's events and rows, by trial, step and row. A group is
-            # one trial's events at one step, and round r plans every live
-            # trial's r-th group: it writes the group's rows into P and
-            # rescales all of those trials in one engine call, each
+            # the chunk's events and new rows, by step then row; an event's
+            # rank is the number of earlier event steps of its trial. Round r
+            # takes the events of rank r of every live trial: it writes their
+            # rows into P and rescales those trials in one engine call, each
             # warm-started from its previous Q*. due[t] holds what the step
             # loop applies at step t: cum rows, and goal rewards by trial.
-            plans = [(k, _row_events(gen, row_gens[k], steps, S, A, prob[k]))
-                     for k, gen in enumerate(event_gens) if gen is not None and alive[k]]
-            plans = [(k, plan) for k, plan in plans if len(plan[0])]
+            plans = []
+            for k, gen in enumerate(event_gens):
+                if gen is None or not alive[k]:
+                    continue
+                at, flats, new = _row_events(gen, row_gens[k], steps, S, A, prob[k])
+                if len(at):
+                    plans.append((np.full(len(at), k), at, k * SA + flats, new))
             due: dict = {}
             if plans:
-                trial = np.concatenate([np.full(len(plan[0]), k) for k, plan in plans])
-                at = np.concatenate([plan[0] for _, plan in plans])
-                row = np.concatenate([k * SA + plan[1] for k, plan in plans])
-                new = np.concatenate([plan[2] for _, plan in plans])
-                first = np.ones(len(at), dtype=bool)  # first event of its group
-                first[1:] = (at[1:] != at[:-1]) | (trial[1:] != trial[:-1])
-                group = np.cumsum(first) - 1
-                lead = np.ones(len(at), dtype=bool)  # first event of its trial
-                lead[1:] = trial[1:] != trial[:-1]
-                rank = group - np.maximum.accumulate(np.where(lead, group, 0))
-                order = np.argsort(rank, kind="stable")
+                trial, at, row, new = (np.concatenate(c) for c in zip(*plans))
+                head = np.ones(len(at), dtype=bool)  # first event of its trial's step
+                head[1:] = (at[1:] != at[:-1]) | (trial[1:] != trial[:-1])
+                group = np.cumsum(head) - 1
+                rank = group - group[np.searchsorted(trial, trial)]  # less its trial's first group
+                order = np.argsort(rank, kind="stable")  # by rank, then trial, step and row
                 edges = np.searchsorted(rank[order], np.arange(rank.max() + 2)).tolist()
-                planned, rewards = [], []
+                planned = []
+                reward = np.empty(len(at))
                 for lo, hi in zip(edges, edges[1:]):
                     ev = order[lo:hi]
                     ev = ev[alive[trial[ev]]]
                     if not len(ev):
                         break
                     P_rows[row[ev]] = new[ev]
-                    ks = trial[ev[first[ev]]]
-                    rewards.extend(rescale(ks, q_star[ks]))
+                    ks = trial[ev[head[ev]]]
+                    by_trial[ks] = rescale(ks, q_star[ks])
+                    reward[ev] = by_trial[trial[ev]]
                     planned.append(ev)
                 ev = np.concatenate(planned)
-                grp = ev[first[ev]]  # one per reward, in order
                 ev = ev[np.argsort(at[ev], kind="stable")]
-                by_step = np.argsort(at[grp], kind="stable")
-                grp, rewards = grp[by_step], np.array(rewards)[by_step]
                 cum_new = np.cumsum(new[ev], axis=1)
                 cum_new[:, -1] = np.inf
-                ts, e_cut = np.unique(at[ev], return_index=True)
-                g_cut = np.unique(at[grp], return_index=True)[1]
-                e_cut, g_cut = e_cut.tolist() + [len(ev)], g_cut.tolist() + [len(grp)]
-                row, trial = row[ev], trial[grp]
-                for i, t in enumerate(ts.tolist()):
-                    e0, e1, g0, g1 = e_cut[i], e_cut[i + 1], g_cut[i], g_cut[i + 1]
-                    due[t] = (row[e0:e1], cum_new[e0:e1], trial[g0:g1], rewards[g0:g1])
+                ts, cuts = np.unique(at[ev], return_index=True)
+                cuts = [*cuts.tolist(), len(ev)]
+                row, trial, reward = row[ev], trial[ev], reward[ev]
+                for t, lo, hi in zip(ts.tolist(), cuts, cuts[1:]):
+                    due[t] = (row[lo:hi], cum_new[lo:hi], trial[lo:hi], reward[lo:hi])
             for t in range(steps):
                 # act: argmax of the Q row; ties read the trial's tie-break uniform
                 base = row_of + state

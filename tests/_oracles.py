@@ -13,6 +13,7 @@ import math
 import numpy as np
 from scipy.signal import lfilter
 
+from contilab import mdp_tools
 from contilab.infotheory import (GaussianJointModel, LmsSteadyCovariance,
                                  default_future_horizon, gaussian_cond_mi, steady_cov)
 from contilab.mdp_tools import TabularMdp, goal_reward, value_iteration
@@ -64,20 +65,11 @@ def greedy_policy(Q):
     return np.argmax(Q, axis=1)
 
 
-def _occupancy(P, actions):
-    """Cesaro-limit state distribution of the chain P[s, actions[s], :] from a
-    uniform start: the resolvent (1 - b) * mu0 * (I - b * P_pi)^-1 at
-    b = 1 - 1e-9, renormalized, which handles periodic and reducible chains."""
-    S = P.shape[0]
-    P_pi = P[np.arange(S), actions, :]
-    occ = np.linalg.solve(np.eye(S) - (1.0 - 1e-9) * P_pi.T, np.full(S, 1.0 / S))
-    occ = np.maximum(occ, 0.0)
-    return occ / occ.sum()
-
-
 def greedy_stationary_distribution(mdp, Q):
-    """Long-run state distribution of the greedy-policy chain from a uniform start."""
-    return _occupancy(mdp.P, greedy_policy(Q))
+    """Long-run state distribution of the greedy-policy chain from a uniform start:
+    the engine's Cesaro occupancy (``mdp_tools._greedy_occupancy``) of one MDP,
+    which handles periodic and reducible chains."""
+    return mdp_tools._greedy_occupancy(mdp.P[None], greedy_policy(Q)[None], np.eye(mdp.n_states))[0]
 
 
 def scale_goal_reward(mdp, goal_state, target=0.5, tol=1e-8, unit_reward=1.0):
@@ -117,7 +109,10 @@ def goal_mass_and_q(P, goal_state, gamma, q0=None, rounds=200):
     else:
         mdp = TabularMdp(P, np.broadcast_to(r_next, P.shape).copy(), gamma)
         Q = value_iteration(mdp, tol=1e-10, q0=q0)
-    return _occupancy(P, greedy_policy(Q))[goal_state], Q
+    P_pi = P[idx, np.argmax(Q, axis=1), :]
+    occ = np.linalg.solve(eye - (1.0 - 1e-9) * P_pi.T, np.full(S, 1.0 / S))
+    occ = np.maximum(occ, 0.0)
+    return (occ / occ.sum())[goal_state], Q
 
 
 def redraw_rows(gen, P, flats):

@@ -131,6 +131,27 @@ def test_scale_goal_reward_cycle_arithmetic():
     assert scale_goal_reward(mdp, 0) == pytest.approx(5.0, abs=1e-6)
 
 
+def _cycle(n):
+    P = np.zeros((n, 1, n))
+    P[np.arange(n), 0, (np.arange(n) + 1) % n] = 1.0
+    return P
+
+
+@pytest.mark.parametrize("P, scale", [
+    (_cycle(2), 1.0),  # periodic: goal mass 1/2
+    (np.eye(4)[:, None, :], 2.0),  # reducible, every state absorbing: goal mass 1/4
+    (_cycle(10), 5.0),  # periodic: goal mass 1/10
+    # period 2, not doubly stochastic: from uniform, state 0 holds 1/6 and 1/3
+    # on alternate steps, so its Cesaro mass is 1/4
+    (np.array([[[0, 1, 0]], [[0.5, 0, 0.5]], [[0, 1, 0]]], dtype=float), 2.0),
+    # reducible, transient middle state: from uniform, 0 and 2 each absorb 1/2
+    (np.array([[[1, 0, 0]], [[0.5, 0, 0.5]], [[0, 0, 1]]], dtype=float), 1.0),
+])
+def test_goal_reward_scale_on_periodic_and_reducible_chains(P, scale):
+    # The engine's Cesaro occupancy on the chains power iteration cannot settle.
+    assert goal_reward_scale(P, 0, 0.9, 0.5)[0] == pytest.approx(scale, rel=1e-8)
+
+
 def test_scale_goal_reward_unit_reward_invariance():
     gen = np.random.default_rng(4)
     g = gen.gamma(0.1, 1.0, size=(10, 3, 10)) + 1e-12

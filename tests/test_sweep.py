@@ -621,7 +621,7 @@ def test_goal_lockstep_degenerate_rescale_matches_scalar_error(monkeypatch, fail
         mass, q = engine(*args)
         for i in range(len(mass)):
             calls[0] += 1
-            if calls[0] == fail_at[0]:
+            if calls[0] >= fail_at[0] > 0:  # and every rescale after it
                 mass[i] = calls[0] * 1e-12
         return mass, q
 
@@ -636,3 +636,16 @@ def test_goal_lockstep_degenerate_rescale_matches_scalar_error(monkeypatch, fail
     monkeypatch.setattr(sweep, "run_trajectory", _refuse)
     with _on_kernels():
         assert _outcomes(run_trials([cfg], workers=1)[0]) == expected
+
+
+def test_goal_lockstep_trials_with_events_at_the_same_step():
+    # At T = 1 every row event falls on step 0, so a trial's first event step
+    # is the previous trial's last: each trial must still be rescaled in the
+    # round of its own events.
+    cells = [_goal_config(n_states=3, resample_prob=0.5, trials=8, horizon=T, seed=seed)
+             for T in (1, 2) for seed in (0, 1)]
+    expected = [_scalar_outcomes(cfg) for cfg in cells]
+    with _on_kernels():
+        with _scalar_calls() as calls:
+            got = [_outcomes(results) for results in run_trials(cells, workers=1)]
+    assert got == expected and not calls

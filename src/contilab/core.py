@@ -10,6 +10,7 @@ trajectory bit-reproducible and safe to farm out to worker processes.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -38,19 +39,30 @@ class TrajectorySummary:
     """Aggregated outputs of a single simulated trajectory.
 
     ``average_reward`` is the exact finite-horizon mean (compensated
-    summation, no thinning). ``reward_series`` holds thinned
-    (t, running average) pairs, one every ceil(T / 2000) steps.
-    ``diagnostics`` holds named thinned series exposed by the agent, and
+    summation, no thinning). ``reward_series`` holds the running average
+    reward at each step of ``series_steps(horizon)``, as an ``array('d')``
+    (8 bytes a value, also when pickled). ``diagnostics`` holds the agent's
+    named diagnostics at the same steps, one ``array('d')`` each, and
     ``metrics`` holds per-trajectory scalars (always including
     ``average_reward``).
     """
 
     horizon: int
     average_reward: float
-    reward_series: list[tuple[int, float]] | None
-    diagnostics: dict[str, list[tuple[int, float]]] = field(default_factory=dict)
+    reward_series: array | None
+    diagnostics: dict[str, array] = field(default_factory=dict)
     metrics: dict[str, float] = field(default_factory=dict)
     steps: list[StepRecord] | None = None
+
+
+def series_steps(T: int) -> list[int]:
+    """Steps (1-based) at which a ``T``-step trajectory records its thinned
+    series: every ceil(T / SERIES_POINTS)-th step, and step T."""
+    stride = -(-T // SERIES_POINTS)
+    steps = list(range(stride, T + 1, stride))
+    if steps[-1] != T:
+        steps.append(T)
+    return steps
 
 
 def _spaces_compatible(a, b) -> bool:
@@ -91,6 +103,9 @@ def run_trajectory(
     agent only from the "agent-noise" child (agents split off a "tie-break"
     child internally for action randomization), so reruns with the same stream
     are bit-identical and trials can run on any worker in any order.
+
+    With ``record_series``, the summary holds the running average reward and
+    the agent's ``diagnostics()`` at each step of ``series_steps(T)``.
     """
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
@@ -110,9 +125,10 @@ def run_trajectory(
     if hasattr(env, "initial_observation") and hasattr(agent, "set_initial_observation"):
         agent.set_initial_observation(env.initial_observation())
 
-    stride = -(-T // SERIES_POINTS)
-    series: list[tuple[int, float]] | None = [] if record_series else None
-    diag_series: dict[str, list[tuple[int, float]]] = {}
+    marks = iter(series_steps(T) if record_series else ())
+    mark = next(marks, 0)  # next step that records a series point
+    series = array("d") if record_series else None
+    diag_series: dict[str, array] = {}
     steps: list[StepRecord] | None = [] if record_steps else None
     probe = agent.diagnostics if (record_series and hasattr(agent, "diagnostics")) else None
 
@@ -140,11 +156,15 @@ def run_trajectory(
 
         if steps is not None:
             steps.append(StepRecord(t, a, o, r))
-        if series is not None and ((t + 1) % stride == 0 or t + 1 == T):
-            series.append((t + 1, total / (t + 1)))
+        if t + 1 == mark:
+            series.append(total / mark)
             if probe is not None:
                 for name, value in probe().items():
-                    diag_series.setdefault(name, []).append((t + 1, value))
+                    column = diag_series.get(name)
+                    if column is None:
+                        column = diag_series[name] = array("d")
+                    column.append(value)
+            mark = next(marks, 0)
 
     avg = total / T
     metrics = {"average_reward": avg}
@@ -257,7 +277,9 @@ def run_idbd_trials(envs, agents, T: int, streams,
     ``delta_star_sq_grad`` inlined in their operation order and their
     per-trial constants computed once. Its "env-noise" and "agent-noise"
     normals are read in DrawBuffer's layout, a chunk at a time, so the
-    summaries, series and ``final_alpha`` are equal field for field. Entry j
+    summaries, series and ``final_alpha`` are equal field for field: with
+    ``record_series``, the running average reward and the "alpha" diagnostic
+    at each step of ``series_steps(T)``. Entry j
     is None where trial j's log-stepsize or total is not finite (the scalar
     path then raises its own ``NumericError`` or returns its own result).
     """
@@ -304,10 +326,9 @@ def _idbd_trial(env, agent, T: int, stream: RngStream, record_series: bool):
     else:
         sd = math.sqrt(agent.delta * agent.delta)
 
-    stride = -(-T // SERIES_POINTS)
-    mark = stride if record_series else -1  # next step that records a series point
-    series: list[tuple[int, float]] = []
-    alphas: list[tuple[int, float]] = []
+    marks = iter(series_steps(T) if record_series else ())
+    mark = next(marks, 0)  # next step that records a series point
+    series, alphas = array("d"), array("d")
     exp, sqrt, inf = math.exp, math.sqrt, math.inf
     total = 0.0
     comp = 0.0
@@ -347,9 +368,9 @@ def _idbd_trial(env, agent, T: int, stream: RngStream, record_series: bool):
             comp = (s - total) - y
             total = s
             if t == mark:
-                series.append((t, total / t))
-                alphas.append((t, alpha))
-                mark = min(t + stride, T)
+                series.append(total / t)
+                alphas.append(alpha)
+                mark = next(marks, 0)
 
     if not math.isfinite(total):
         return None

@@ -22,20 +22,24 @@ from typing import Callable
 import numpy as np
 
 from . import infotheory as it
+from .core import series_steps
 from .errors import ConfigurationError
 from .mdp_tools import belief_value_iteration
 from .output import write_config_resolved, write_line_plot, write_results_csv
-from .sweep import ExperimentConfig, SweepRow, aggregate, monte_carlo_sweep, run_trials
+from .sweep import (ExperimentConfig, SweepRow, aggregate, failed_row, monte_carlo_sweep,
+                    run_trials)
 
 
 @dataclass
 class ExperimentResult:
     rows: list[SweepRow]
     plot: tuple[str, str, str, list] | None = None  # (title, xlabel, ylabel, series)
+    series_ok: bool = False  # a cell whose rows carry no trial count had a successful trial
 
     def all_failed(self) -> bool:
         data = [r for r in self.rows if r.trials > 0 or r.error]
-        return bool(data) and all(r.error and r.trials == 0 for r in data)
+        return (not self.series_ok and bool(data)
+                and all(r.error and r.trials == 0 for r in data))
 
 
 @dataclass(frozen=True)
@@ -144,13 +148,13 @@ def _analytic_row(coords, metric, value) -> SweepRow:
     return SweepRow(dict(coords), metric, float(value), 0.0, 0.0, 0)
 
 
-def _mean_series(results, diagnostic=None):
-    """Stepwise mean over successful trials of the thinned running-reward
-    series, or of the agent diagnostic named ``diagnostic``."""
-    series = [r.summary.reward_series if diagnostic is None else r.summary.diagnostics[diagnostic]
-              for r in results if r.summary is not None]
-    steps = [t for t, _ in series[0]]
-    return steps, np.array([[v for _, v in s] for s in series]).mean(axis=0)
+def _mean_series(summaries, diagnostic=None):
+    """The steps of ``series_steps`` and, at each, the mean over ``summaries``
+    (a cell's successful trials) of the running average reward, or of the
+    agent diagnostic named ``diagnostic``."""
+    series = [s.reward_series if diagnostic is None else s.diagnostics[diagnostic]
+              for s in summaries]
+    return series_steps(summaries[0].horizon), np.array(series).mean(axis=0)
 
 
 # --------------------------------------------------------------------------
@@ -295,10 +299,14 @@ def _run_fig9(params, workers):
     rows = [_analytic_row({"variant": "reference"}, "alpha_star", star)]
     series = []
     for variant, results in zip(variants, run_trials(cells, workers=workers, record_series=True)):
-        steps, mean_alpha = _mean_series(results, "alpha")
+        ok = [r.summary for r in results if r.summary is not None]
+        if not ok:
+            rows.append(failed_row({"variant": variant}, "final_alpha", results))
+            continue
+        steps, mean_alpha = _mean_series(ok, "alpha")
         for t, m in zip(steps, mean_alpha):
             rows.append(_analytic_row({"variant": variant, "t": t}, "mean_alpha", m))
-        finals = [r.summary.metrics["final_alpha"] for r in results if r.summary]
+        finals = [s.metrics["final_alpha"] for s in ok]
         rows.append(SweepRow({"variant": variant}, "final_alpha", *aggregate(finals), len(finals)))
         series.append((variant, list(steps), list(mean_alpha)))
     series.append(("optimal", [0, params["horizon"]], [star, star]))
@@ -336,14 +344,19 @@ def _run_fig13(params, workers):
     series = []
     for cfg, results in zip(cells, run_trials(cells, workers=workers, record_series=True)):
         kind = cfg.coords["agent"]
-        steps, mean_reward = _mean_series(results)
-        g_steps, mean_greedy = _mean_series(results, "greedy_rate")
+        ok = [r.summary for r in results if r.summary is not None]
+        if not ok:
+            rows.append(failed_row({"agent": kind}, "cum_avg_reward", results))
+            continue
+        steps, mean_reward = _mean_series(ok)
+        _, mean_greedy = _mean_series(ok, "greedy_rate")
         for t, m in zip(steps, mean_reward):
             rows.append(_analytic_row({"agent": kind, "t": t}, "cum_avg_reward", m))
-        for t, m in zip(g_steps, mean_greedy):
+        for t, m in zip(steps, mean_greedy):
             rows.append(_analytic_row({"agent": kind, "t": t}, "greedy_rate", m))
-        series.append((f"{kind} reward", list(steps), list(mean_reward)))
-    return ExperimentResult(rows, ("running average reward", "step", "reward", series))
+        series.append((f"{kind} reward", steps, list(mean_reward)))
+    return ExperimentResult(rows, ("running average reward", "step", "reward", series),
+                            series_ok=bool(series))
 
 
 @_register(

@@ -310,6 +310,18 @@ def aggregate(values: list[float]) -> tuple[float, float, float]:
     return mean, std, _Z95 * std / math.sqrt(n)
 
 
+def _failure_note(results) -> str | None:
+    """"k/n trials failed (first failure)" for one cell's results, or None."""
+    failed = [r.error for r in results if r.error is not None]
+    return f"{len(failed)}/{len(results)} trials failed ({failed[0]})" if failed else None
+
+
+def failed_row(coords: dict, metric: str, results) -> SweepRow:
+    """The one row of a cell with no successful trial: NaN, carrying the failure note."""
+    nan = float("nan")
+    return SweepRow(dict(coords), metric, nan, nan, nan, 0, _failure_note(results))
+
+
 def monte_carlo_sweep(cells, *, workers: int | None = None) -> SweepTable:
     """Aggregate per-cell trajectory metrics over seeded independent trials.
 
@@ -321,13 +333,11 @@ def monte_carlo_sweep(cells, *, workers: int | None = None) -> SweepTable:
     cells = list(cells)
     rows: list[SweepRow] = []
     for cfg, results in zip(cells, run_trials(cells, workers=workers)):
-        failed = [r.error for r in results if r.error is not None]
-        note = f"{len(failed)}/{cfg.trials} trials failed ({failed[0]})" if failed else None
         metrics = [r.summary.metrics for r in results if r.error is None]
         if not metrics:
-            nan = float("nan")
-            rows.append(SweepRow(dict(cfg.coords), "average_reward", nan, nan, nan, 0, note))
+            rows.append(failed_row(cfg.coords, "average_reward", results))
             continue
+        note = _failure_note(results)
         for metric in sorted(metrics[0]):
             mean, std, ci = aggregate([m[metric] for m in metrics])
             rows.append(SweepRow(dict(cfg.coords), metric, mean, std, ci, len(metrics), note))

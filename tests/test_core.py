@@ -1,9 +1,11 @@
 import math
+import pickle
+from array import array
 
 import numpy as np
 import pytest
 
-from contilab.core import average_reward, run_trajectory
+from contilab.core import TrajectorySummary, average_reward, run_trajectory, series_steps
 from contilab.errors import ConfigurationError, NumericError
 from contilab.rng import RngStream, reset_blocks
 
@@ -107,13 +109,53 @@ def test_reward_accounting_matches_step_records():
     assert [s.t for s in summary.steps] == list(range(20_000))
 
 
+class CountingAgent(AlwaysOneAgent):
+    """Reports the number of updates so far as its diagnostic."""
+
+    def reset(self, stream):
+        self.updates = 0
+
+    def update(self, action, observation, reward):
+        self.updates += 1
+
+    def diagnostics(self):
+        return {"updates": float(self.updates)}
+
+
 def test_series_thinning():
     summary = run_trajectory(ConstantRewardEnv(), AlwaysOneAgent(), 4_000, RngStream(1))
     # stride = ceil(4000 / 2000) = 2
+    assert isinstance(summary.reward_series, array) and summary.reward_series.typecode == "d"
     assert len(summary.reward_series) == 2_000
-    assert summary.reward_series[-1] == (4_000, 1.0)
+    assert series_steps(4_000)[-1] == 4_000
+    assert summary.reward_series[-1] == 1.0
     short = run_trajectory(ConstantRewardEnv(), AlwaysOneAgent(), 7, RngStream(1))
-    assert [t for t, _ in short.reward_series] == list(range(1, 8))
+    assert series_steps(7) == list(range(1, 8))
+    assert len(short.reward_series) == 7
+
+
+@pytest.mark.parametrize("T", [1, 7, 1999, 2000, 2001, 4001])
+def test_series_steps_are_the_recorded_steps(T):
+    summary = run_trajectory(ConstantRewardEnv(), CountingAgent(), T, RngStream(2))
+    steps = series_steps(T)
+    stride = -(-T // 2000)
+    assert steps[0] == stride and steps[-1] == T
+    assert steps == sorted(set(steps))
+    # the agent has made t updates when step t records
+    assert summary.diagnostics["updates"].tolist() == [float(t) for t in steps]
+    assert summary.reward_series.tolist() == [1.0] * len(steps)
+    assert run_trajectory(ConstantRewardEnv(), CountingAgent(), T, RngStream(2),
+                          record_series=False).reward_series is None
+
+
+def test_series_summary_pickles_compactly():
+    summary = run_trajectory(FairCoinEnv(), CountingAgent(), 4_000, RngStream(3))
+    values = len(summary.reward_series) + len(summary.diagnostics["updates"])
+    assert values == 4_000
+    data = pickle.dumps(summary)
+    assert pickle.loads(data) == summary
+    assert isinstance(pickle.loads(data), TrajectorySummary)
+    assert len(data) <= 8 * values + 1_024
 
 
 def test_non_finite_reward_reports_step():

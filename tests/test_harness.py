@@ -186,6 +186,37 @@ def test_cli_invalid_closed_form_parameter_exits_2_without_csv(tmp_path, capsys,
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("argv, metric, cells", [
+    (["fig13_ps_vs_ts_time", "--trials=4", "--sigma=1e308"], "cum_avg_reward", 2),
+    (["fig14_ps_vs_ts_eta", "--trials=4", "--sigma=1e308"], "average_reward", 10),
+    (["fig9_idbd", "--trials=2", "--horizon=100", "--zeta_meta=1e308"], "final_alpha", 2),
+])
+def test_cli_every_trial_failing_exits_2_with_nan_rows(tmp_path, capsys, argv, metric, cells):
+    out = tmp_path / "failed"
+    assert main(["run", *argv, "--out", str(out)]) == 2
+    assert f"every cell of {argv[0]} failed" in capsys.readouterr().err
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[4:]]
+    failed = [row for row in rows if row[-1]]
+    assert len(failed) == cells
+    for row in failed:
+        assert row[-6:-1] == [metric, "nan", "nan", "nan", "0"]
+        assert "trials failed (NumericError: " in row[-1]
+
+
+def test_cli_fig13_with_one_cell_failed_exits_0(tmp_path):
+    # At this seed every ts trial fails and some ps trial does not.
+    out = tmp_path / "ts_failed"
+    assert main(["run", "fig13_ps_vs_ts_time", "--trials=4", "--horizon=20", "--sigma=1e308",
+                 "--eta=0.7", "--seed=1", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[4:]]
+    assert [row for row in rows if row[0] == "ts"] == [
+        ["ts", "", "cum_avg_reward", "nan", "nan", "nan", "0",
+         "4/4 trials failed (NumericError: non-finite reward inf at step 15)"]]
+    ps = [row for row in rows if row[0] == "ps"]
+    assert [row[1] for row in ps] == [str(t) for t in range(1, 21)] * 2
+    assert all(row[-2:] == ["0", ""] for row in ps)
+
+
 def test_cli_fig7_empty_grid_writes_no_rows(tmp_path):
     out = tmp_path / "empty"
     assert main(["run", "fig7_errors_vs_alpha", "--out", str(out), "--grid_points=0"]) == 0

@@ -59,10 +59,7 @@ def series_steps(T: int) -> list[int]:
     """Steps (1-based) at which a ``T``-step trajectory records its thinned
     series: every ceil(T / SERIES_POINTS)-th step, and step T."""
     stride = -(-T // SERIES_POINTS)
-    steps = list(range(stride, T + 1, stride))
-    if steps[-1] != T:
-        steps.append(T)
-    return steps
+    return [*range(stride, T, stride), T]
 
 
 def _spaces_compatible(a, b) -> bool:

@@ -4,7 +4,7 @@ harness."""
 
 __version__ = "0.1.0"
 
-from .core import StepRecord, TrajectorySummary, average_reward, run_trajectory
+from .core import StepRecord, TrajectorySummary, run_trajectory
 from .errors import ConfigurationError, ContilabError, DegenerateMdpError, NumericError
 from .rng import RngStream
 from .sweep import ExperimentConfig, SweepRow, SweepTable, monte_carlo_sweep, run_trials
@@ -20,7 +20,6 @@ __all__ = [
     "SweepRow",
     "SweepTable",
     "TrajectorySummary",
-    "average_reward",
     "monte_carlo_sweep",
     "run_trajectory",
     "run_trials",

@@ -74,17 +74,6 @@ def per_arm(value, arms: int) -> list[float]:
     return [float(v) for v in values]
 
 
-def average_reward(rewards) -> float:
-    """Arithmetic mean of a nonempty sequence of finite rewards."""
-    rewards = list(rewards)
-    if not rewards:
-        raise ValueError("average_reward requires a nonempty reward sequence")
-    for r in rewards:
-        if not math.isfinite(r):
-            raise ValueError(f"average_reward requires finite rewards, got {r!r}")
-    return math.fsum(rewards) / len(rewards)
-
-
 def run_trajectory(
     env,
     agent,
@@ -163,6 +152,8 @@ def run_trajectory(
                     column.append(value)
             mark = next(marks, 0)
 
+    if not isfinite(total):  # finite rewards whose sum overflowed
+        raise NumericError(f"reward sum {total!r} is not finite after {T} steps")
     avg = total / T
     metrics = {"average_reward": avg}
     if hasattr(agent, "trajectory_metrics"):

@@ -26,8 +26,8 @@ from .core import series_steps
 from .errors import ConfigurationError
 from .mdp_tools import belief_value_iteration
 from .output import write_config_resolved, write_line_plot, write_results_csv
-from .sweep import (ExperimentConfig, SweepRow, aggregate, failed_row, monte_carlo_sweep,
-                    run_trials)
+from .sweep import (ExperimentConfig, SweepRow, aggregate, failed_row, failure_note,
+                    monte_carlo_sweep, run_trials)
 
 
 @dataclass
@@ -144,8 +144,8 @@ def _closed_form(fn, *args):
         raise ConfigurationError(f"bad parameters for {fn.__name__}: {exc}") from exc
 
 
-def _analytic_row(coords, metric, value) -> SweepRow:
-    return SweepRow(dict(coords), metric, float(value), 0.0, 0.0, 0)
+def _analytic_row(coords, metric, value, error=None) -> SweepRow:
+    return SweepRow(dict(coords), metric, float(value), 0.0, 0.0, 0, error)
 
 
 def _mean_series(summaries, diagnostic=None):
@@ -303,11 +303,13 @@ def _run_fig9(params, workers):
         if not ok:
             rows.append(failed_row({"variant": variant}, "final_alpha", results))
             continue
+        note = failure_note(results)
         steps, mean_alpha = _mean_series(ok, "alpha")
         for t, m in zip(steps, mean_alpha):
-            rows.append(_analytic_row({"variant": variant, "t": t}, "mean_alpha", m))
+            rows.append(_analytic_row({"variant": variant, "t": t}, "mean_alpha", m, note))
         finals = [s.metrics["final_alpha"] for s in ok]
-        rows.append(SweepRow({"variant": variant}, "final_alpha", *aggregate(finals), len(finals)))
+        rows.append(SweepRow({"variant": variant}, "final_alpha", *aggregate(finals), len(finals),
+                             note))
         series.append((variant, list(steps), list(mean_alpha)))
     series.append(("optimal", [0, params["horizon"]], [star, star]))
     return ExperimentResult(rows, ("adapted stepsize", "step", "stepsize", series))
@@ -348,12 +350,13 @@ def _run_fig13(params, workers):
         if not ok:
             rows.append(failed_row({"agent": kind}, "cum_avg_reward", results))
             continue
+        note = failure_note(results)
         steps, mean_reward = _mean_series(ok)
         _, mean_greedy = _mean_series(ok, "greedy_rate")
         for t, m in zip(steps, mean_reward):
-            rows.append(_analytic_row({"agent": kind, "t": t}, "cum_avg_reward", m))
+            rows.append(_analytic_row({"agent": kind, "t": t}, "cum_avg_reward", m, note))
         for t, m in zip(steps, mean_greedy):
-            rows.append(_analytic_row({"agent": kind, "t": t}, "greedy_rate", m))
+            rows.append(_analytic_row({"agent": kind, "t": t}, "greedy_rate", m, note))
         series.append((f"{kind} reward", steps, list(mean_reward)))
     return ExperimentResult(rows, ("running average reward", "step", "reward", series),
                             series_ok=bool(series))

@@ -1,17 +1,17 @@
 """Closed-form Gaussian analysis of a quantized tracking filter on an AR(1)
 process: steady-state second moments, capacity-matched quantization noise,
 (conditional) mutual information via log-determinants, the forgetting and
-implasticity decomposition of prediction error, optimal stepsizes, and
-regret bounds for simple binary-prediction problems.
+implasticity decomposition of prediction error, optimal stepsizes, and the
+regret bound of the logit prediction stream.
 
-Two grid engines evaluate the stability/plasticity errors, one call per
-(eta, sigma, K) over a whole stepsize grid. :func:`total_stability_error` is
-the Markov-reduced one: the future enters only through theta_t, so the total
-costs one K x K solve per call and O(1) per grid point; the error-optimal
-stepsizes of fig8 come from it. :func:`stability_errors` is the dense one: it
-gives forgetting and implasticity separately, equal to the dense one-point
-evaluation bit for bit, with four K x K factorizations per point. fig7 stays
-on it only because its 12-digit CSV bytes are pinned to that arithmetic.
+Every conditional mutual information I(X; Z | D) goes through one block
+function on the covariance of X, its cross block with the conditioning
+coordinates W and the covariance of W. :func:`gaussian_cond_mi` slices those
+blocks out of a full joint. :func:`stability_errors` builds them per stepsize
+around one shared future block, equal bit for bit to the dense one-point
+evaluation; fig7's 12-digit CSV bytes are pinned to that arithmetic.
+:func:`total_stability_error` is the Markov-reduced total, one K x K solve per
+call and O(1) per grid point; fig8's error-optimal stepsizes come from it.
 
 Model conventions (standardized throughout this module): the latent follows
 theta' = eta*theta + N(0, 1 - eta^2) with theta_0 ~ N(0, 1), observations are
@@ -59,22 +59,13 @@ def _logdet_psd(mat: np.ndarray) -> float:
     return float(np.sum(np.log(w)))
 
 
-def _conditional_cov(cov: np.ndarray, x: list[int], w: list[int]) -> np.ndarray:
-    """Covariance of coordinates ``x`` given coordinates ``w`` (Schur complement).
+def _schur_complement(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray) -> np.ndarray:
+    """Covariance of X given W: the symmetrized S_xx - S_xw S_ww^+ S_xw^T.
 
     Uses a pseudo-inverse when the conditioning block is singular, which is
     the correct minimum-mean-square-error residual for degenerate Gaussians
     (e.g. a noiseless agent state exactly determined by its conditioners).
     """
-    S_xx = cov[np.ix_(x, x)]
-    if not w:
-        return S_xx
-    return _schur_complement(S_xx, cov[np.ix_(x, w)], cov[np.ix_(w, w)])
-
-
-def _schur_complement(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray) -> np.ndarray:
-    """Symmetrized S_xx - S_xw S_ww^+ S_xw^T: the body of :func:`_conditional_cov`,
-    which :func:`stability_errors` calls on blocks it builds itself."""
     out = None
     try:  # a block Cholesky accepts can still be singular to the LU solve
         piv = np.diag(np.linalg.cholesky(S_ww))
@@ -93,46 +84,32 @@ def _schur_complement(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray) -> n
     return (out + out.T) / 2.0
 
 
-def gaussian_cond_mi(cov, x, z, d=()) -> float:
+def _cond_mi_blocks(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray,
+                    z: list[int], d: list[int]) -> float:
+    """I(X; Z | D) of a zero-mean Gaussian from its blocks: ``S_xx`` over X,
+    ``S_xw`` and ``S_ww`` over the conditioning coordinates W, with ``z`` and
+    ``d`` index lists into W. Evaluated as 0.5 * (ln det S_x|d - ln det
+    S_x|z,d), which stays finite when conditioning coordinates are degenerate.
+    """
+    def given(w):
+        return _schur_complement(S_xx, S_xw[:, w], S_ww[np.ix_(w, w)]) if w else S_xx
+
+    return 0.5 * (_logdet_psd(given(d)) - _logdet_psd(given(z + d)))
+
+
+def gaussian_cond_mi(cov: np.ndarray, x, z, d=()) -> float:
     """Conditional mutual information I(X; Z | D) of a zero-mean Gaussian.
 
-    ``cov`` is a joint covariance matrix (or a GaussianJointModel) and x, z, d
-    are disjoint index sets; empty d gives the unconditional MI. The value is
-    0.5 * ln(det S_xd * det S_zd / (det S_xzd * det S_d)), evaluated in the
-    equivalent residual form 0.5 * (ln det S_x|d - ln det S_x|z,d), which
-    stays finite and consistent when conditioning coordinates are degenerate.
+    ``cov`` is a joint covariance matrix and x, z, d are disjoint index sets;
+    empty d gives the unconditional MI. The value is
+    0.5 * ln(det S_xd * det S_zd / (det S_xzd * det S_d)).
     """
-    if isinstance(cov, GaussianJointModel):
-        cov = cov.cov
     x, z, d = list(x), list(z), list(d)
     if set(x) & set(z) or set(x) & set(d) or set(z) & set(d):
         raise ValueError("index sets must be disjoint")
-    given_d = _conditional_cov(cov, x, d)
-    given_zd = _conditional_cov(cov, x, z + d)
-    return 0.5 * (_logdet_psd(given_d) - _logdet_psd(given_zd))
-
-
-@dataclass
-class GaussianJointModel:
-    """Zero-mean Gaussian over named coordinates, defined by its covariance."""
-
-    labels: tuple[str, ...]
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.cov = np.asarray(self.cov, dtype=float)
-        n = self.cov.shape[0]
-        if self.cov.shape != (n, n) or len(self.labels) != n:
-            raise ValueError("covariance must be square with one label per coordinate")
-        scale = max(float(np.abs(self.cov).max()), 1.0)
-        if float(np.abs(self.cov - self.cov.T).max()) > 1e-12 * scale:
-            raise ValueError("covariance must be symmetric within 1e-12")
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
-    def mutual_information(self, x, z, d=()) -> float:
-        return gaussian_cond_mi(self.cov, x, z, d)
+    w = z + d
+    return _cond_mi_blocks(cov[np.ix_(x, x)], cov[np.ix_(x, w)], cov[np.ix_(w, w)],
+                           list(range(len(z))), list(range(len(z), len(w))))
 
 
 def _geom_ratio(eta: float, alpha_c: float, i: int | np.ndarray):
@@ -210,7 +187,7 @@ class LmsSteadyCovariance:
         np.fill_diagonal(block, self.y_var())
         return block
 
-    def capacity_joint(self, n: int) -> GaussianJointModel:
+    def capacity_joint(self, n: int) -> np.ndarray:
         """Joint over (U_t, Y_{t-n+1}, ..., Y_t): index 0 is U, then oldest first."""
         if n < 1:
             raise ValueError("need at least one observation coordinate")
@@ -221,8 +198,7 @@ class LmsSteadyCovariance:
         cov[0, 1:] = back
         cov[1:, 0] = back
         cov[1:, 1:] = self._y_block(ks)
-        labels = ("u",) + tuple(f"y-{n - 1 - j}" for j in range(n))
-        return GaussianJointModel(labels, cov)
+        return cov
 
 
 def steady_cov(eta: float, sigma: float, alpha: float, delta: float) -> LmsSteadyCovariance:
@@ -274,7 +250,7 @@ def mi_capacity(alpha: float, eta: float, sigma: float, delta: float, n: int) ->
     configured capacity as n grows.
     """
     sc = steady_cov(eta, sigma, alpha, delta)
-    return sc.capacity_joint(n).mutual_information([0], list(range(1, n + 1)))
+    return gaussian_cond_mi(sc.capacity_joint(n), [0], range(1, n + 1))
 
 
 def posterior_pred_params(alpha: float, eta: float, sigma: float, delta: float) -> tuple[float, float]:
@@ -326,10 +302,19 @@ def default_future_horizon(eta: float, tail: float = 1e-6, cap: int = 512) -> in
     return max(1, min(k, cap))
 
 
-# Conditioning sets of the two errors over the head coordinates (0: U_{t-1},
-# 1: U_t, 2: Y_t), in evaluation order: forgetting given (U_t, Y_t) and given
-# (U_{t-1}, U_t, Y_t), then implasticity given U_t and given (Y_t, U_t).
-_STABILITY_SETS = ([1, 2], [0, 1, 2], [1], [2, 1])
+def _grid(alpha, eta: float, sigma: float, delta, future: int | None):
+    """The grid contract of the stability engines: whether (alpha, delta) are
+    scalars, one validated :class:`LmsSteadyCovariance` per point of their
+    1-D broadcast, and the future lags 1..K as floats."""
+    scalar = np.ndim(alpha) == 0 and np.ndim(delta) == 0
+    alphas, deltas = np.broadcast_arrays(np.atleast_1d(alpha), np.atleast_1d(delta))
+    if alphas.ndim != 1:
+        raise ValueError("alpha and delta must be scalars or 1-D grids")
+    covs = [LmsSteadyCovariance(eta, sigma, a, d) for a, d in zip(alphas, deltas)]
+    K = default_future_horizon(eta) if future is None else future
+    if K < 1:
+        raise ValueError("need at least one future coordinate")
+    return scalar, covs, np.arange(1, K + 1, dtype=float)
 
 
 def stability_errors(alpha, eta: float, sigma: float, delta, future: int | None = None):
@@ -346,34 +331,24 @@ def stability_errors(alpha, eta: float, sigma: float, delta, future: int | None 
     arrays (empty for an empty grid). Every grid point is validated before
     any linear algebra runs. The joint over (U_{t-1}, U_t, Y_t, Y_{t+1:t+K})
     shares its future block across the grid, so the (K+1)^2 Y block is built
-    once per call; per point only the three head rows depend on
-    (alpha, delta). Each conditional covariance of the future is the Schur
-    complement of :func:`_conditional_cov` on those blocks, so every value
-    equals the one-point dense evaluation (``gaussian_cond_mi`` on the full
-    joint) bit for bit.
+    once per call; per point only the 3 x 3 head over (U_{t-1}, U_t, Y_t) and
+    its cross block with the future depend on (alpha, delta). Both errors go
+    through the block function that :func:`gaussian_cond_mi` uses, so every
+    value equals the one-point dense evaluation (``gaussian_cond_mi`` on the
+    full joint) bit for bit.
     """
-    scalar = np.ndim(alpha) == 0 and np.ndim(delta) == 0
-    alphas, deltas = np.broadcast_arrays(np.atleast_1d(alpha), np.atleast_1d(delta))
-    if alphas.ndim != 1:
-        raise ValueError("alpha and delta must be scalars or 1-D grids")
-    covs = [LmsSteadyCovariance(eta, sigma, a, d) for a, d in zip(alphas, deltas)]
-    K = default_future_horizon(eta) if future is None else future
-    if K < 1:
-        raise ValueError("need at least one future coordinate")
+    scalar, covs, ks = _grid(alpha, eta, sigma, delta, future)
     forgetting, implasticity = np.empty(len(covs)), np.empty(len(covs))
     if not covs:
         return forgetting, implasticity
-    ks = np.arange(1, K + 1, dtype=float)
     y_block = covs[0]._y_block(np.concatenate(([0.0], ks)))  # Y_t, Y_{t+1..t+K}
     S_xx = y_block[1:, 1:]
     for i, sc in enumerate(covs):
         uv, ac1, fwd1, back0 = sc.u_var(), sc.u_autocov1(), sc.u_y_fwd(1), sc.u_y_back(0)
         head = np.array(((uv, ac1, fwd1), (ac1, uv, back0), (fwd1, back0, y_block[0, 0])))
         cross = np.column_stack((sc.u_y_fwd(ks + 1.0), sc.u_y_fwd(ks), y_block[0, 1:]))
-        logdet = [_logdet_psd(_schur_complement(S_xx, cross[:, w], head[np.ix_(w, w)]))
-                  for w in _STABILITY_SETS]
-        forgetting[i] = 0.5 * (logdet[0] - logdet[1])
-        implasticity[i] = 0.5 * (logdet[2] - logdet[3])
+        forgetting[i] = _cond_mi_blocks(S_xx, cross, head, [0], [1, 2])
+        implasticity[i] = _cond_mi_blocks(S_xx, cross, head, [2], [1])
     if scalar:
         return float(forgetting[0]), float(implasticity[0])
     return forgetting, implasticity
@@ -393,18 +368,10 @@ def total_stability_error(alpha, eta: float, sigma: float, delta, future: int | 
     path's (U_t, Y_t) block is ill conditioned (alpha -> 1, delta -> 0), this
     is the more accurate of the two.
     """
-    scalar = np.ndim(alpha) == 0 and np.ndim(delta) == 0
-    alphas, deltas = np.broadcast_arrays(np.atleast_1d(alpha), np.atleast_1d(delta))
-    if alphas.ndim != 1:
-        raise ValueError("alpha and delta must be scalars or 1-D grids")
-    covs = [LmsSteadyCovariance(eta, sigma, a, d) for a, d in zip(alphas, deltas)]
-    K = default_future_horizon(eta) if future is None else future
-    if K < 1:
-        raise ValueError("need at least one future coordinate")
+    scalar, covs, ks = _grid(alpha, eta, sigma, delta, future)
     total = np.empty(len(covs))
     if not covs:
         return total
-    ks = np.arange(1, K + 1, dtype=float)
     b = np.power(eta, ks)
     s = float(b @ np.linalg.solve(covs[0]._y_block(ks) - np.outer(b, b), b))
     s2 = sigma * sigma
@@ -498,16 +465,7 @@ def lag_decomposition(alpha: float, eta: float, sigma: float, delta: float, t: i
     return LagDecomposition(terms=terms, absent_info=absent)
 
 
-# -- regret bounds and the Markov information chain ---------------------------
-
-def regret_bound_entropy(target_entropy: float, horizon: int) -> float:
-    """Average-regret bound H / T for a finite-entropy learning target."""
-    if target_entropy < 0.0:
-        raise ValueError(f"entropy must be nonnegative, got {target_entropy}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return target_entropy / horizon
-
+# -- regret bound -------------------------------------------------------------
 
 def regret_bound_logit(horizon: int) -> float:
     """Optimized rate-distortion regret bound (ln(1 + 2T) + 1) / (2T) for the

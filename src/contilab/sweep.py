@@ -108,7 +108,6 @@ class ExperimentConfig:
     seed: int = 0
     sweep: dict = field(default_factory=dict)
     coords: dict = field(default_factory=dict)
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -310,7 +309,7 @@ def aggregate(values: list[float]) -> tuple[float, float, float]:
     return mean, std, _Z95 * std / math.sqrt(n)
 
 
-def _failure_note(results) -> str | None:
+def failure_note(results) -> str | None:
     """"k/n trials failed (first failure)" for one cell's results, or None."""
     failed = [r.error for r in results if r.error is not None]
     return f"{len(failed)}/{len(results)} trials failed ({failed[0]})" if failed else None
@@ -319,7 +318,7 @@ def _failure_note(results) -> str | None:
 def failed_row(coords: dict, metric: str, results) -> SweepRow:
     """The one row of a cell with no successful trial: NaN, carrying the failure note."""
     nan = float("nan")
-    return SweepRow(dict(coords), metric, nan, nan, nan, 0, _failure_note(results))
+    return SweepRow(dict(coords), metric, nan, nan, nan, 0, failure_note(results))
 
 
 def monte_carlo_sweep(cells, *, workers: int | None = None) -> SweepTable:
@@ -337,7 +336,7 @@ def monte_carlo_sweep(cells, *, workers: int | None = None) -> SweepTable:
         if not metrics:
             rows.append(failed_row(cfg.coords, "average_reward", results))
             continue
-        note = _failure_note(results)
+        note = failure_note(results)
         for metric in sorted(metrics[0]):
             mean, std, ci = aggregate([m[metric] for m in metrics])
             rows.append(SweepRow(dict(cfg.coords), metric, mean, std, ci, len(metrics), note))

@@ -5,8 +5,9 @@ the stacked engines must reproduce bit for bit (the goal-reward rescale of
 one MDP, the Dirichlet rows of a goal MDP drawn row by row, and the stability
 errors of one stepsize on its dense joint), the goal-MDP tools only tests
 use (goal MDPs, Bellman backups, greedy stationary distributions, and the
-value-iteration goal-reward scale), and the next-step information missing
-from the state on a long past window."""
+value-iteration goal-reward scale), the next-step information missing
+from the state on a long past window, the exact mean of a reward sequence,
+and the entropy regret bound."""
 
 import math
 
@@ -14,8 +15,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from contilab import mdp_tools
-from contilab.infotheory import (GaussianJointModel, LmsSteadyCovariance,
-                                 default_future_horizon, gaussian_cond_mi, steady_cov)
+from contilab.infotheory import (LmsSteadyCovariance, default_future_horizon, gaussian_cond_mi,
+                                 steady_cov)
 from contilab.mdp_tools import TabularMdp, goal_reward, value_iteration
 from contilab.rng import RngStream
 
@@ -131,7 +132,7 @@ def redraw_rows(gen, P, flats):
         P[s, a] = g / total
 
 
-def stability_joint(self: LmsSteadyCovariance, future: int) -> GaussianJointModel:
+def stability_joint(self: LmsSteadyCovariance, future: int) -> np.ndarray:
     """Joint over (U_{t-1}, U_t, Y_t, Y_{t+1}, ..., Y_{t+future})."""
     if future < 1:
         raise ValueError("need at least one future coordinate")
@@ -147,8 +148,7 @@ def stability_joint(self: LmsSteadyCovariance, future: int) -> GaussianJointMode
     cov[1, 3:] = cov[3:, 1] = self.u_y_fwd(ks)       # E[U_t Y_{t+k}]
     yk = np.concatenate(([0.0], ks))
     cov[2:, 2:] = self._y_block(yk)
-    labels = ("u_prev", "u", "y") + tuple(f"y+{int(k)}" for k in ks)
-    return GaussianJointModel(labels, cov)
+    return cov
 
 
 def stability_errors(alpha, eta, sigma, delta, future=None):
@@ -156,9 +156,9 @@ def stability_errors(alpha, eta, sigma, delta, future=None):
     per-point evaluation that ``infotheory.stability_errors`` stacks."""
     K = default_future_horizon(eta) if future is None else future
     joint = stability_joint(steady_cov(eta, sigma, alpha, delta), K)
-    future_idx = list(range(3, K + 3))
-    forgetting = joint.mutual_information(future_idx, [0], [1, 2])
-    implasticity = joint.mutual_information(future_idx, [2], [1])
+    future_idx = range(3, K + 3)
+    forgetting = gaussian_cond_mi(joint, future_idx, [0], [1, 2])
+    implasticity = gaussian_cond_mi(joint, future_idx, [2], [1])
     return forgetting, implasticity
 
 
@@ -182,3 +182,23 @@ def informational_error(alpha, eta, sigma, delta, past):
     cov[1 : past + 1, past + 1] = cov[past + 1, 1 : past + 1] = np.power(eta, fwd_lag)
     cov[past + 1, past + 1] = sc.y_var()
     return gaussian_cond_mi(cov, [past + 1], list(range(1, past + 1)), [0])
+
+
+def average_reward(rewards) -> float:
+    """Arithmetic mean of a nonempty sequence of finite rewards."""
+    rewards = list(rewards)
+    if not rewards:
+        raise ValueError("average_reward requires a nonempty reward sequence")
+    for r in rewards:
+        if not math.isfinite(r):
+            raise ValueError(f"average_reward requires finite rewards, got {r!r}")
+    return math.fsum(rewards) / len(rewards)
+
+
+def regret_bound_entropy(target_entropy: float, horizon: int) -> float:
+    """Average-regret bound H / T for a finite-entropy learning target."""
+    if target_entropy < 0.0:
+        raise ValueError(f"entropy must be nonnegative, got {target_entropy}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    return target_entropy / horizon

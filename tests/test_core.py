@@ -4,8 +4,9 @@ from array import array
 
 import numpy as np
 import pytest
+from _oracles import average_reward
 
-from contilab.core import TrajectorySummary, average_reward, run_trajectory, series_steps
+from contilab.core import TrajectorySummary, run_trajectory, series_steps
 from contilab.errors import ConfigurationError, NumericError
 from contilab.rng import RngStream, reset_blocks
 
@@ -161,6 +162,18 @@ def test_series_summary_pickles_compactly():
 def test_non_finite_reward_reports_step():
     with pytest.raises(NumericError, match="step 3"):
         run_trajectory(ExplodingRewardEnv(bad_step=3), AlwaysOneAgent(), 10, RngStream(0))
+
+
+class HugeRewardEnv(ConstantRewardEnv):
+    def reward(self, action, observation):
+        return 1e308
+
+
+def test_overflowed_reward_sum_is_a_numeric_error():
+    # Every reward is finite, but their sum is not: no NaN average may pass.
+    with pytest.raises(NumericError, match="reward sum nan is not finite after 3 steps"):
+        run_trajectory(HugeRewardEnv(), AlwaysOneAgent(), 3, RngStream(0))
+    assert run_trajectory(HugeRewardEnv(), AlwaysOneAgent(), 1, RngStream(0)).average_reward == 1e308
 
 
 def test_incompatible_spaces_rejected():

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,8 @@ def test_cli_invalid_closed_form_parameter_exits_2_without_csv(tmp_path, capsys,
     (["fig13_ps_vs_ts_time", "--trials=4", "--sigma=1e308"], "cum_avg_reward", 2),
     (["fig14_ps_vs_ts_eta", "--trials=4", "--sigma=1e308"], "average_reward", 10),
     (["fig9_idbd", "--trials=2", "--horizon=100", "--zeta_meta=1e308"], "final_alpha", 2),
+    # Some trials here have finite rewards whose sum overflows.
+    (["fig14_ps_vs_ts_eta", "--trials=4", "--sigma=1e308", "--horizon=20"], "average_reward", 10),
 ])
 def test_cli_every_trial_failing_exits_2_with_nan_rows(tmp_path, capsys, argv, metric, cells):
     out = tmp_path / "failed"
@@ -204,17 +207,39 @@ def test_cli_every_trial_failing_exits_2_with_nan_rows(tmp_path, capsys, argv, m
 
 
 def test_cli_fig13_with_one_cell_failed_exits_0(tmp_path):
-    # At this seed every ts trial fails and some ps trial does not.
-    out = tmp_path / "ts_failed"
+    # At this seed every ps trial fails and one ts trial does not.
+    out = tmp_path / "ps_failed"
     assert main(["run", "fig13_ps_vs_ts_time", "--trials=4", "--horizon=20", "--sigma=1e308",
-                 "--eta=0.7", "--seed=1", "--out", str(out)]) == 0
+                 "--eta=0.7", "--seed=8", "--out", str(out)]) == 0
     rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[4:]]
-    assert [row for row in rows if row[0] == "ts"] == [
-        ["ts", "", "cum_avg_reward", "nan", "nan", "nan", "0",
-         "4/4 trials failed (NumericError: non-finite reward inf at step 15)"]]
-    ps = [row for row in rows if row[0] == "ps"]
-    assert [row[1] for row in ps] == [str(t) for t in range(1, 21)] * 2
-    assert all(row[-2:] == ["0", ""] for row in ps)
+    assert [row for row in rows if row[0] == "ps"] == [
+        ["ps", "", "cum_avg_reward", "nan", "nan", "nan", "0",
+         "4/4 trials failed (NumericError: non-finite reward inf at step 1)"]]
+    ts = [row for row in rows if row[0] == "ts"]
+    assert [row[1] for row in ts] == [str(t) for t in range(1, 21)] * 2
+    assert all(math.isfinite(float(row[3])) for row in ts)
+    assert all(row[-2:] == ["0", "3/4 trials failed (NumericError: reward sum nan is not finite "
+                                 "after 20 steps)"] for row in ts)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig13_ps_vs_ts_time", "--trials=4", "--horizon=20", "--sigma=3e307", "--eta=0.7",
+     "--seed=3"],
+    ["fig9_idbd", "--trials=4", "--horizon=100", "--sigma=6e152"],
+])
+def test_cli_series_rows_carry_partial_failure_notes(tmp_path, argv):
+    # Some trials of every cell overflow their reward sum and some do not.
+    out = tmp_path / "partial"
+    assert main(["run", *argv, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[4:]]
+    rows = [row for row in rows if row[0] != "reference"]
+    assert rows
+    for row in rows:
+        assert math.isfinite(float(row[-5]))
+        note = re.fullmatch(r"([123])/4 trials failed \(NumericError: reward sum .+\)", row[-1])
+        assert note
+        if row[-6] == "final_alpha":
+            assert int(note[1]) + int(row[-2]) == 4
 
 
 def test_cli_fig7_empty_grid_writes_no_rows(tmp_path):

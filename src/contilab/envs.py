@@ -263,7 +263,8 @@ class GoalMdpEnv:
     the current MDP earns ``target_reward`` per step on average. Arrival at
     the goal state pays that scaled reward, every other transition pays 0.
     A degenerate draw that leaves the goal unreachable under the greedy
-    policy raises DegenerateMdpError, one of the two modelled failures that
+    policy, or on which policy iteration does not settle, raises
+    DegenerateMdpError, one of the two modelled failures that
     ``sweep.run_trials`` records as a failed trial instead of aborting.
 
     The row events and their new rows are planned ``_EVENT_BLOCK`` steps at a
@@ -282,6 +283,8 @@ class GoalMdpEnv:
             raise ValueError(f"resample probability must lie in [0, 1), got {resample_prob}")
         if not 0 <= goal_state < n_states:
             raise ValueError(f"goal state {goal_state} out of range")
+        if not 0.0 < plan_gamma < 1.0:
+            raise ValueError(f"planning discount must lie in (0, 1), got {plan_gamma}")
         self.n_states = n_states
         self.n_actions = n_actions
         self.resample_prob = resample_prob
@@ -299,7 +302,8 @@ class GoalMdpEnv:
         self._tr = stream.child("transition").buffer()
         self.P = _dirichlet_rows(self._row_gen, S * A, S).reshape(S, A, S)
         self._cum = [[list(np.cumsum(self.P[s, a])) for a in range(A)] for s in range(S)]
-        self.goal_reward, self._q = self.goal_scale(self.P, None)
+        self.goal_reward, self._q = goal_reward_scale(self.P, self.goal_state, self.plan_gamma,
+                                                      self.target_reward)
         self.state = _initial_state(stream, S)
         self.resample_events = 0
         self._ev_pos = 0
@@ -308,10 +312,6 @@ class GoalMdpEnv:
 
     def initial_observation(self):
         return self.state
-
-    def goal_scale(self, P: np.ndarray, q0: np.ndarray | None) -> tuple[float, np.ndarray]:
-        """(goal reward, Q*) of transitions ``P``, warm-started from ``q0``."""
-        return goal_reward_scale(P, self.goal_state, self.plan_gamma, self.target_reward, q0)
 
     def _refill_events(self):
         at, flats, self._ev_new = _row_events(self._mask_gen, self._row_gen, _EVENT_BLOCK,
@@ -336,7 +336,8 @@ class GoalMdpEnv:
                     self._cum[s][a] = list(np.cumsum(self.P[s, a]))
                 self.resample_events += end - ptr
                 self._ev_ptr = end
-                self.goal_reward, self._q = self.goal_scale(self.P, self._q)
+                self.goal_reward, self._q = goal_reward_scale(
+                    self.P, self.goal_state, self.plan_gamma, self.target_reward, self._q)
             self._ev_pos = pos + 1
             if self._ev_pos == _EVENT_BLOCK:
                 self._refill_events()

@@ -14,4 +14,5 @@ class NumericError(ContilabError):
 
 
 class DegenerateMdpError(ContilabError):
-    """Raised when the goal state carries no stationary mass under the greedy policy."""
+    """Raised when the goal state carries no stationary mass under the greedy policy,
+    or when policy iteration for the greedy policy does not settle."""

@@ -136,12 +136,16 @@ def run_experiment(name: str, overrides: dict | None = None, out_dir=None, *,
 
 
 def _closed_form(fn, *args):
-    """``fn(*args)`` for a closed form on user parameters: its ValueError or
-    OverflowError is a bad config."""
+    """``fn(*args)`` for a closed form on user parameters: its ValueError,
+    OverflowError or ZeroDivisionError, or a non-finite value in its result,
+    is a bad config."""
     try:
-        return fn(*args)
-    except (ValueError, OverflowError) as exc:
+        out = fn(*args)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ConfigurationError(f"bad parameters for {fn.__name__}: {exc}") from exc
+    if not np.isfinite(out).all():
+        raise ConfigurationError(f"bad parameters for {fn.__name__}: non-finite result")
+    return out
 
 
 def _analytic_row(coords, metric, value, error=None) -> SweepRow:

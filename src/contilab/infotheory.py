@@ -201,11 +201,6 @@ class LmsSteadyCovariance:
         return cov
 
 
-def steady_cov(eta: float, sigma: float, alpha: float, delta: float) -> LmsSteadyCovariance:
-    """Steady-state covariance evaluator for the quantized tracking filter."""
-    return LmsSteadyCovariance(eta, sigma, alpha, delta)
-
-
 # -- capacity noise ----------------------------------------------------------
 
 def delta_star(alpha: float, eta: float, sigma: float, capacity: float) -> float:
@@ -249,7 +244,7 @@ def mi_capacity(alpha: float, eta: float, sigma: float, delta: float, n: int) ->
     Nondecreasing in n; with delta^2 = delta_star(...) it converges to the
     configured capacity as n grows.
     """
-    sc = steady_cov(eta, sigma, alpha, delta)
+    sc = LmsSteadyCovariance(eta, sigma, alpha, delta)
     return gaussian_cond_mi(sc.capacity_joint(n), [0], range(1, n + 1))
 
 

@@ -1,76 +1,33 @@
-"""Exact tabular MDP solvers: value iteration, goal-reward scaling, and a
-discretized belief-space planner for the two-coin replacement game.
+"""Exact tabular MDP solvers: goal-reward scaling and a discretized
+belief-space planner for the two-coin replacement game.
 
 Goal-reward rescales have one engine, :func:`goal_reward_scales`: stacked
 policy iteration plus a stacked Cesaro occupancy over N MDPs at once.
 :func:`goal_reward_scale` is its N = 1 call, used by ``GoalMdpEnv``; the
 goal-MDP lockstep kernel calls the engine once per planning round over all
-the trials it advances. :func:`goal_reward` holds the one degeneracy check."""
+the trials it advances. :func:`goal_reward` holds the one degeneracy check.
+
+Policy iteration keeps a state's action unless the greedy action is strictly
+better: it moves only when its action value beats the current one by more
+than ``_PI_MARGIN`` relative (Puterman 1994, section 6.4). Each round that
+moves a state then raises the policy's value, so no policy repeats and the
+loop ends on one of finitely many policies. Without the margin, rounding
+noise in the evaluation can make near-tied actions (equal rows, rows one ulp
+apart) trade places forever: switching to the plain argmax cycles with
+period 2 to 5 on such MDPs."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateMdpError
 
-_ROW_TOL = 1e-12
 _CESARO_BETA = 1.0 - 1e-9
-_PI_ROUNDS = 200  # policy-iteration rounds before an MDP falls back to value iteration
-
-
-@dataclass
-class TabularMdp:
-    """Finite MDP with transition tensor P[s, a, s'] and rewards r[s, a, s']."""
-
-    P: np.ndarray
-    r: np.ndarray
-    gamma: float = 0.9
-
-    def __post_init__(self):
-        self.P = np.asarray(self.P, dtype=float)
-        self.r = np.asarray(self.r, dtype=float)
-        if self.P.ndim != 3 or self.P.shape[0] != self.P.shape[2]:
-            raise ValueError(f"transition tensor must have shape (S, A, S), got {self.P.shape}")
-        if self.r.shape != self.P.shape:
-            raise ValueError("reward tensor must match transition tensor shape")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"discount must lie in (0, 1), got {self.gamma}")
-        row_sums = self.P.sum(axis=2)
-        if np.any(self.P < 0.0) or np.any(np.abs(row_sums - 1.0) > _ROW_TOL):
-            raise ValueError("transition rows must be nonnegative and sum to 1 within 1e-12")
-
-    @property
-    def n_states(self) -> int:
-        return self.P.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.P.shape[1]
-
-
-def value_iteration(mdp: TabularMdp, tol: float = 1e-8, q0: np.ndarray | None = None,
-                    max_iter: int = 100_000) -> np.ndarray:
-    """Optimal action values with sup-norm Bellman residual below ``tol``.
-
-    ``q0`` warm-starts the iteration (useful when only a few transition rows
-    changed since the last solve); the fixed point does not depend on it.
-    """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    expected_r = np.einsum("sat,sat->sa", mdp.P, mdp.r)
-    P = mdp.P
-    gamma = mdp.gamma
-    Q = np.zeros((mdp.n_states, mdp.n_actions)) if q0 is None else np.array(q0, dtype=float)
-    # Stopping at ||Q_{k+1} - Q_k|| < tol leaves a residual below gamma * tol.
-    for _ in range(max_iter):
-        Q_next = expected_r + gamma * (P @ Q.max(axis=1))
-        gap = np.max(np.abs(Q_next - Q))
-        Q = Q_next
-        if gap < tol:
-            return Q
-    raise RuntimeError(f"value iteration did not reach tol {tol} in {max_iter} iterations")
+_PI_ROUNDS = 200  # loop bound of policy iteration; an MDP still moving after it gets goal mass NaN
+_PI_MARGIN = 1e-12  # relative gain a state's greedy action needs over its current one to move
 
 
 def _greedy_occupancy(P: np.ndarray, actions: np.ndarray, eye: np.ndarray) -> np.ndarray:
@@ -95,11 +52,15 @@ def goal_reward_scales(P: np.ndarray, goal_states, gammas,
     lands on the fixed point in a few exact policy evaluations, started from
     the greedy policy of ``q0[k]`` (or of the one-step reward). Each round
     makes one stacked ``np.linalg.solve`` and one stacked ``matmul`` over the
-    MDPs whose policy has not yet repeated, so every slice equals the same
-    computation run on that MDP alone. An MDP whose policies still cycle
-    after ``_PI_ROUNDS`` rounds falls back, on its own, to value iteration.
-    The goal mass is the goal state's Cesaro occupancy under the greedy
-    policy of Q*; :func:`goal_reward` turns it into the reward scale.
+    MDPs still moving, so every slice equals the same computation run on that
+    MDP alone. A state moves to its greedy action a' only if
+    Q(s, a') - Q(s, pi(s)) > ``_PI_MARGIN`` * (1 + |Q(s, pi(s))|); an MDP
+    leaves the stack with that round's Q when no state moves. The strict
+    gain makes every round raise the policy's value, so the loop terminates
+    (see the module docstring). An MDP still moving after ``_PI_ROUNDS``
+    rounds gets goal mass NaN, which :func:`goal_reward` reports. The goal
+    mass is the goal state's Cesaro occupancy under the greedy policy of Q*;
+    :func:`goal_reward` turns it into the reward scale.
     """
     P = np.asarray(P, dtype=float)
     n, S, A = P.shape[:3]
@@ -119,29 +80,30 @@ def goal_reward_scales(P: np.ndarray, goal_states, gammas,
         rows = np.arange(m)[:, None]
         v = np.linalg.solve(eye - gt * Pt[rows, states, policy], ert[rows, states, policy][..., None])
         Qt = ert + gt * (Pt.reshape(m, S * A, S) @ v).reshape(m, S, A)
-        # An MDP keeps the Q of the round its policy repeated.
         Q[todo] = Qt
-        nxt = np.argmax(Qt, axis=2)
-        left = (nxt != policy).any(axis=1)
-        if not left.any():
+        q_pi = Qt[rows, states, policy]
+        move = Qt.max(axis=2) - q_pi > _PI_MARGIN * (1.0 + np.abs(q_pi))
+        left = move.any(axis=1)
+        todo = todo[left]
+        if not len(todo):
             break
-        todo, Pt, ert, gt, policy = todo[left], Pt[left], ert[left], gt[left], nxt[left]
-    else:
-        for k in todo:
-            r = np.zeros_like(P[k])
-            r[:, :, goal[k]] = 1.0
-            Q[k] = value_iteration(TabularMdp(P[k], r, float(gamma[k, 0, 0])), tol=1e-10,
-                                   q0=None if q0 is None else q0[k])
+        policy = np.where(move, np.argmax(Qt, axis=2), policy)[left]
+        Pt, ert, gt = Pt[left], ert[left], gt[left]
     occ = _greedy_occupancy(P, np.argmax(Q, axis=2), eye)
-    return occ[np.arange(n), goal], Q
+    mass = occ[np.arange(n), goal]
+    mass[todo] = np.nan
+    return mass, Q
 
 
 def goal_reward(mass: float, goal_state: int, target: float) -> float:
     """Goal reward ``target / mass`` that makes the greedy policy earn ``target``
     per step on average. Raises DegenerateMdpError when the goal is
-    unreachable under the greedy policy (mass < 1e-9); callers resample the
-    MDP in that case. The reward is a Python float, so per-step reward and Q
-    arithmetic on the scalar path stays off numpy scalars."""
+    unreachable under the greedy policy (mass < 1e-9) or when policy
+    iteration did not settle (mass NaN); callers resample the MDP in that
+    case. The reward is a Python float, so per-step reward and Q arithmetic
+    on the scalar path stays off numpy scalars."""
+    if math.isnan(mass):
+        raise DegenerateMdpError(f"policy iteration did not settle in {_PI_ROUNDS} rounds")
     if mass < 1e-9:
         raise DegenerateMdpError(
             f"goal state {goal_state} has stationary mass {mass:.3e} under the greedy policy"

@@ -19,15 +19,15 @@ _MASK64 = (1 << 64) - 1
 DRAW_BLOCK = 512
 
 
-def reset_blocks(generator: np.random.Generator, block: int = DRAW_BLOCK):
+def reset_blocks(generator: np.random.Generator):
     """The draws a :class:`DrawBuffer` makes at construction, in its order:
-    ``standard_normal(block)``, then ``random(block)``.
+    ``standard_normal(DRAW_BLOCK)``, then ``random(DRAW_BLOCK)``.
 
     Every later draw of the buffer refills one block of its own kind, so a
     trial kernel that calls this first and then reads ``standard_normal`` (or
     ``random``) in bulk sees the buffer's normals (or uniforms) in order.
     """
-    return generator.standard_normal(block), generator.random(block)
+    return generator.standard_normal(DRAW_BLOCK), generator.random(DRAW_BLOCK)
 
 
 def _mix(stream_id: int, tags) -> int:
@@ -66,15 +66,15 @@ class RngStream:
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def buffer(self, block: int = DRAW_BLOCK) -> "DrawBuffer":
-        return DrawBuffer(self.generator(), block)
+    def buffer(self) -> "DrawBuffer":
+        return DrawBuffer(self.generator())
 
 
 class DrawBuffer:
     """Scalar normal/uniform draws served from pre-filled blocks.
 
     Wraps a Generator so tight simulation loops pay one vectorized draw per
-    `block` scalars instead of one Generator call each. The underlying
+    ``DRAW_BLOCK`` scalars instead of one Generator call each. The underlying
     generator stays accessible for bulk draws (gamma rows, arrays); blocks are
     refilled at fixed points, so consumption order is deterministic.
 
@@ -82,12 +82,11 @@ class DrawBuffer:
     after that each exhausted block is refilled with one draw of its own kind.
     """
 
-    __slots__ = ("generator", "_block", "_norm", "_ni", "_unif", "_ui")
+    __slots__ = ("generator", "_norm", "_ni", "_unif", "_ui")
 
-    def __init__(self, generator: np.random.Generator, block: int = DRAW_BLOCK):
+    def __init__(self, generator: np.random.Generator):
         self.generator = generator
-        self._block = block
-        norm, unif = reset_blocks(generator, block)
+        norm, unif = reset_blocks(generator)
         self._norm = norm.tolist()
         self._ni = 0
         self._unif = unif.tolist()
@@ -95,16 +94,16 @@ class DrawBuffer:
 
     def normal(self) -> float:
         i = self._ni
-        if i == self._block:
-            self._norm = self.generator.standard_normal(self._block).tolist()
+        if i == DRAW_BLOCK:
+            self._norm = self.generator.standard_normal(DRAW_BLOCK).tolist()
             i = 0
         self._ni = i + 1
         return self._norm[i]
 
     def uniform(self) -> float:
         i = self._ui
-        if i == self._block:
-            self._unif = self.generator.random(self._block).tolist()
+        if i == DRAW_BLOCK:
+            self._unif = self.generator.random(DRAW_BLOCK).tolist()
             i = 0
         self._ui = i + 1
         return self._unif[i]

@@ -4,20 +4,20 @@ errors that respect autocorrelation, the one-at-a-time evaluations that
 the stacked engines must reproduce bit for bit (the goal-reward rescale of
 one MDP, the Dirichlet rows of a goal MDP drawn row by row, and the stability
 errors of one stepsize on its dense joint), the goal-MDP tools only tests
-use (goal MDPs, Bellman backups, greedy stationary distributions, and the
-value-iteration goal-reward scale), the next-step information missing
-from the state on a long past window, the exact mean of a reward sequence,
-and the entropy regret bound."""
+use (a tabular MDP, value iteration, goal MDPs, Bellman backups, greedy
+stationary distributions, and the value-iteration goal-reward scale), the
+next-step information missing from the state on a long past window, the
+exact mean of a reward sequence, and the entropy regret bound."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
 
 from contilab import mdp_tools
-from contilab.infotheory import (LmsSteadyCovariance, default_future_horizon, gaussian_cond_mi,
-                                 steady_cov)
-from contilab.mdp_tools import TabularMdp, goal_reward, value_iteration
+from contilab.infotheory import LmsSteadyCovariance, default_future_horizon, gaussian_cond_mi
+from contilab.mdp_tools import goal_reward
 from contilab.rng import RngStream
 
 
@@ -44,6 +44,57 @@ def simulate_tracker(alpha, eta, sigma, delta, n, seed, burn=20_000):
 def batch_stderr(x, n_batches=100):
     means = np.array([b.mean() for b in np.array_split(x, n_batches)])
     return means.std(ddof=1) / math.sqrt(n_batches)
+
+
+_ROW_TOL = 1e-12
+
+
+@dataclass
+class TabularMdp:
+    """Finite MDP with transition tensor P[s, a, s'] and rewards r[s, a, s']."""
+
+    P: np.ndarray
+    r: np.ndarray
+    gamma: float = 0.9
+
+    def __post_init__(self):
+        self.P = np.asarray(self.P, dtype=float)
+        self.r = np.asarray(self.r, dtype=float)
+        if self.P.ndim != 3 or self.P.shape[0] != self.P.shape[2]:
+            raise ValueError(f"transition tensor must have shape (S, A, S), got {self.P.shape}")
+        if self.r.shape != self.P.shape:
+            raise ValueError("reward tensor must match transition tensor shape")
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError(f"discount must lie in (0, 1), got {self.gamma}")
+        row_sums = self.P.sum(axis=2)
+        if np.any(self.P < 0.0) or np.any(np.abs(row_sums - 1.0) > _ROW_TOL):
+            raise ValueError("transition rows must be nonnegative and sum to 1 within 1e-12")
+
+    @property
+    def n_states(self) -> int:
+        return self.P.shape[0]
+
+    @property
+    def n_actions(self) -> int:
+        return self.P.shape[1]
+
+
+def value_iteration(mdp, tol=1e-8, q0=None, max_iter=100_000):
+    """Optimal action values with sup-norm Bellman residual below ``tol``: the
+    independent reference for the policy-iteration engine. ``q0`` warm-starts
+    the iteration; the fixed point does not depend on it."""
+    if tol <= 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    expected_r = np.einsum("sat,sat->sa", mdp.P, mdp.r)
+    Q = np.zeros((mdp.n_states, mdp.n_actions)) if q0 is None else np.array(q0, dtype=float)
+    # Stopping at ||Q_{k+1} - Q_k|| < tol leaves a residual below gamma * tol.
+    for _ in range(max_iter):
+        Q_next = expected_r + mdp.gamma * (mdp.P @ Q.max(axis=1))
+        gap = np.max(np.abs(Q_next - Q))
+        Q = Q_next
+        if gap < tol:
+            return Q
+    raise RuntimeError(f"value iteration did not reach tol {tol} in {max_iter} iterations")
 
 
 def goal_mdp(P, goal_state, goal_reward=1.0, gamma=0.9):
@@ -88,9 +139,11 @@ def scale_goal_reward(mdp, goal_state, target=0.5, tol=1e-8, unit_reward=1.0):
 
 def goal_mass_and_q(P, goal_state, gamma, q0=None, rounds=200):
     """One goal MDP at a time, the arithmetic that ``mdp_tools.goal_reward_scales``
-    stacks: policy iteration on the unit goal reward (value iteration if the
-    policy has not repeated after ``rounds`` evaluations), then the goal's
-    Cesaro occupancy under the greedy policy. Returns (goal mass, Q*)."""
+    stacks: policy iteration on the unit goal reward, where a state moves to
+    its greedy action only on a gain above 1e-12 relative, then the goal's
+    Cesaro occupancy under the greedy policy. Returns (goal mass, Q*); the
+    mass is NaN, and Q that of the last round, if some state still moves
+    after ``rounds`` evaluations."""
     S, A = P.shape[0], P.shape[1]
     P2 = P.reshape(S * A, S)
     r_next = np.zeros(S)
@@ -103,13 +156,13 @@ def goal_mass_and_q(P, goal_state, gamma, q0=None, rounds=200):
         P_pi = P[idx, policy, :]
         v = np.linalg.solve(eye - gamma * P_pi, er[idx, policy])
         Q = er + gamma * (P2 @ v).reshape(S, A)
-        nxt = np.argmax(Q, axis=1)
-        if np.array_equal(nxt, policy):
+        q_pi = Q[idx, policy]
+        move = Q.max(axis=1) - q_pi > 1e-12 * (1.0 + np.abs(q_pi))
+        if not move.any():
             break
-        policy = nxt
+        policy = np.where(move, np.argmax(Q, axis=1), policy)
     else:
-        mdp = TabularMdp(P, np.broadcast_to(r_next, P.shape).copy(), gamma)
-        Q = value_iteration(mdp, tol=1e-10, q0=q0)
+        return math.nan, Q
     P_pi = P[idx, np.argmax(Q, axis=1), :]
     occ = np.linalg.solve(eye - (1.0 - 1e-9) * P_pi.T, np.full(S, 1.0 / S))
     occ = np.maximum(occ, 0.0)
@@ -155,7 +208,7 @@ def stability_errors(alpha, eta, sigma, delta, future=None):
     """(forgetting, implasticity) of one stepsize from its dense joint: the
     per-point evaluation that ``infotheory.stability_errors`` stacks."""
     K = default_future_horizon(eta) if future is None else future
-    joint = stability_joint(steady_cov(eta, sigma, alpha, delta), K)
+    joint = stability_joint(LmsSteadyCovariance(eta, sigma, alpha, delta), K)
     future_idx = range(3, K + 3)
     forgetting = gaussian_cond_mi(joint, future_idx, [0], [1, 2])
     implasticity = gaussian_cond_mi(joint, future_idx, [2], [1])
@@ -168,7 +221,7 @@ def informational_error(alpha, eta, sigma, delta, past):
     Equals the steady-state total of forgetting and implasticity as the past
     and future horizons grow.
     """
-    sc = steady_cov(eta, sigma, alpha, delta)
+    sc = LmsSteadyCovariance(eta, sigma, alpha, delta)
     m = past + 2
     cov = np.empty((m, m))
     ks = np.arange(past)

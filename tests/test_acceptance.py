@@ -274,7 +274,7 @@ def test_criterion_10_closed_forms_match_simulation():
         sigma = gen.uniform(0.3, 1.2)
         delta = gen.uniform(0.0, 0.5)
         ys, us = simulate_tracker(alpha, eta, sigma, delta, 1_000_000, seed=7_000 + trial)
-        sc = it.steady_cov(eta, sigma, alpha, delta)
+        sc = it.LmsSteadyCovariance(eta, sigma, alpha, delta)
         checks = [
             (ys * ys, sc.y_var()),
             (ys[:-1] * ys[1:], sc.y_autocov(1)),

@@ -8,7 +8,7 @@ from _oracles import average_reward
 
 from contilab.core import TrajectorySummary, run_trajectory, series_steps
 from contilab.errors import ConfigurationError, NumericError
-from contilab.rng import RngStream, reset_blocks
+from contilab.rng import DRAW_BLOCK, RngStream, reset_blocks
 
 
 class ConstantRewardEnv:
@@ -197,10 +197,12 @@ def test_rng_stream_children_differ():
 
 
 def test_draw_buffer_refills_consistently():
-    buf = RngStream(9).buffer(block=16)
-    first = [buf.normal() for _ in range(40)]
-    buf2 = RngStream(9).buffer(block=16)
-    assert first == [buf2.normal() for _ in range(40)]
+    # Past two refills of each kind, interleaved the same way twice.
+    n = 2 * DRAW_BLOCK + 40
+    buf = RngStream(9).buffer()
+    first = [(buf.normal(), buf.uniform()) for _ in range(n)]
+    buf2 = RngStream(9).buffer()
+    assert first == [(buf2.normal(), buf2.uniform()) for _ in range(n)]
     idx = [RngStream(9).child("i").buffer().index(3) for _ in range(50)]
     assert set(idx) <= {0, 1, 2}
 

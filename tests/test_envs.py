@@ -328,6 +328,14 @@ def test_build_env_unknown_kind():
             build_env({"kind": "goal_mdp", **shape})
 
 
+@pytest.mark.parametrize("plan_gamma", [1.0, 1.5, 0.0, -0.5, math.nan])
+def test_goal_mdp_rejects_planning_discount_outside_unit_interval(plan_gamma):
+    with pytest.raises(ValueError, match="planning discount must lie in"):
+        GoalMdpEnv(plan_gamma=plan_gamma)
+    with pytest.raises(ConfigurationError, match="bad parameters.*planning discount"):
+        build_env({"kind": "goal_mdp", "plan_gamma": plan_gamma})
+
+
 def test_env_param_validation():
     with pytest.raises(ValueError):
         Ar1ScalarEnv(eta=1.5, zeta=0.1, sigma=0.1)

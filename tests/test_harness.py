@@ -179,6 +179,10 @@ def test_cli_invalid_cell_parameter_exits_2_without_csv(tmp_path, capsys):
     (["fig9_idbd", "--sigma=1e200", "--trials=1", "--horizon=10"],
      "bad parameters for optimal_alpha"),
     (["fig15_mdp_alpha", "--n_actions=0", "--trials=1"], "need at least one state and one action"),
+    # optimal_alpha divides by zero, returns inf, and returns nan at these.
+    (["fig8_optimal_alpha", "--sigma=1e-200"], "bad parameters for optimal_alpha"),
+    (["fig8_optimal_alpha", "--sigma=1e-100"], "bad parameters for optimal_alpha: non-finite result"),
+    (["fig8_optimal_alpha", "--sigma=1e-160"], "bad parameters for optimal_alpha: non-finite result"),
 ])
 def test_cli_invalid_closed_form_parameter_exits_2_without_csv(tmp_path, capsys, argv, message):
     out = tmp_path / "bad"

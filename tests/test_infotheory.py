@@ -23,13 +23,13 @@ def random_psd(gen, n):
 # -- steady-state covariances --------------------------------------------------
 
 def test_observation_autocovariance_closed_form():
-    sc = it.steady_cov(0.9, 1.0, 0.5, 0.1)
+    sc = it.LmsSteadyCovariance(0.9, 1.0, 0.5, 0.1)
     assert sc.y_autocov(3) == pytest.approx(0.729, abs=1e-15)
     assert sc.y_var() == pytest.approx(2.0)
 
 
 def test_state_observation_cross_moment_hand_value():
-    sc = it.steady_cov(eta=0.8, sigma=1.0, alpha=0.5, delta=0.0)
+    sc = it.LmsSteadyCovariance(eta=0.8, sigma=1.0, alpha=0.5, delta=0.0)
     # E[U_t Y_{t+2}] = alpha * eta^2 / (1 - (1-alpha)*eta)
     assert sc.u_y_fwd(2) == pytest.approx(0.5 * 0.64 / 0.6, rel=1e-12)
     # E[U_t Y_t] = alpha*sigma^2 + alpha / (1 - (1-alpha)*eta)
@@ -38,12 +38,12 @@ def test_state_observation_cross_moment_hand_value():
 
 def test_steady_cov_rejects_zero_stepsize():
     with pytest.raises(ValueError):
-        it.steady_cov(0.9, 1.0, 0.0, 0.1)
+        it.LmsSteadyCovariance(0.9, 1.0, 0.0, 0.1)
 
 
 def test_steady_cov_blocks_are_psd():
     for alpha, eta, sigma, delta in ((0.3, 0.9, 0.5, 0.2), (0.999, 0.1, 1.0, 0.0), (0.05, 0.97, 0.3, 0.4)):
-        sc = it.steady_cov(eta, sigma, alpha, delta)
+        sc = it.LmsSteadyCovariance(eta, sigma, alpha, delta)
         for cov in (sc.capacity_joint(40), stability_joint(sc, 40)):
             assert np.array_equal(cov, cov.T)
             eigs = np.linalg.eigvalsh(cov)
@@ -52,8 +52,8 @@ def test_steady_cov_blocks_are_psd():
 
 def test_merged_roots_branch_continuous():
     # eta == 1 - alpha hits the removable singularity
-    sc_at = it.steady_cov(eta=0.6, sigma=0.5, alpha=0.4, delta=0.1)
-    sc_near = it.steady_cov(eta=0.6 + 1e-7, sigma=0.5, alpha=0.4, delta=0.1)
+    sc_at = it.LmsSteadyCovariance(eta=0.6, sigma=0.5, alpha=0.4, delta=0.1)
+    sc_near = it.LmsSteadyCovariance(eta=0.6 + 1e-7, sigma=0.5, alpha=0.4, delta=0.1)
     assert sc_at.u_y_back(3) == pytest.approx(sc_near.u_y_back(3), rel=1e-5)
     assert sc_at.u_var() == pytest.approx(sc_near.u_var(), rel=1e-5)
 
@@ -84,7 +84,7 @@ def test_tracker_oracle_filters_equal_the_step_loop(alpha, eta, sigma, delta):
 def test_closed_form_moments_match_simulation():
     alpha, eta, sigma, delta = 0.45, 0.85, 0.6, 0.25
     ys, us = simulate_tracker(alpha, eta, sigma, delta, 400_000, seed=1)
-    sc = it.steady_cov(eta, sigma, alpha, delta)
+    sc = it.LmsSteadyCovariance(eta, sigma, alpha, delta)
     checks = [
         (ys * ys, sc.y_var()),
         (ys[:-2] * ys[2:], sc.y_autocov(2)),
@@ -296,7 +296,7 @@ def test_reduced_total_is_within_1e_11_of_the_dense_oracle(points, eta, sigma, f
     alphas, deltas, point_deltas = _grid(points, scalar_delta)
     total = it.total_stability_error(alphas, eta, sigma, deltas, future)
     for k, (a, d) in enumerate(zip(alphas, point_deltas)):
-        sc = it.steady_cov(eta, sigma, a, d)
+        sc = it.LmsSteadyCovariance(eta, sigma, a, d)
         cond = np.linalg.cond([[sc.u_var(), sc.u_y_back(0)], [sc.u_y_back(0), sc.y_var()]])
         dense = sum(dense_stability_errors(a, eta, sigma, d, future))
         assert abs(total[k] - dense) <= 1e-11 + 1e-16 * cond
@@ -369,7 +369,7 @@ def test_head_moments_match_a_lyapunov_solve(alpha, eta, sigma, delta):
     q = 1.0 - eta * eta
     noise = np.array([[q, alpha * q], [alpha * q, alpha * alpha * (q + sigma**2) + delta**2]])
     S = np.linalg.solve(np.eye(4) - np.kron(F, F), noise.ravel()).reshape(2, 2)
-    sc = it.steady_cov(eta, sigma, alpha, delta)
+    sc = it.LmsSteadyCovariance(eta, sigma, alpha, delta)
     assert S[0, 0] == pytest.approx(1.0, rel=1e-12)
     assert S[0, 1] == pytest.approx(alpha / (1.0 - (1.0 - alpha) * eta), rel=1e-12)
     assert sc.u_var() == pytest.approx(S[1, 1], rel=1e-12)
@@ -428,7 +428,7 @@ def test_informational_error_two_evaluation_routes_agree():
     alpha, eta, sigma, delta = 0.5, 0.9, 0.5, 0.2
     past = 300
     route1 = informational_error(alpha, eta, sigma, delta, past)
-    sc = it.steady_cov(eta, sigma, alpha, delta)
+    sc = it.LmsSteadyCovariance(eta, sigma, alpha, delta)
     var_given_state = it.posterior_pred_params(alpha, eta, sigma, delta)[1]
     lags = np.arange(past, 0, -1, dtype=float)
     y_block = sc._y_block(np.arange(past))
@@ -443,7 +443,7 @@ def test_prediction_error_decomposes_into_info_and_inference_terms():
     # the informational part plus the divergence of the readout from the
     # state-optimal prediction; all three evaluated in closed form.
     alpha, eta, sigma, delta, past = 0.5, 0.9, 0.5, 0.2, 300
-    sc = it.steady_cov(eta, sigma, alpha, delta)
+    sc = it.LmsSteadyCovariance(eta, sigma, alpha, delta)
     slope, var_u = it.posterior_pred_params(alpha, eta, sigma, delta)
     u2 = sc.u_var()
     bad_slope, bad_var = slope * 1.4, var_u * 1.3
@@ -471,7 +471,7 @@ def test_data_processing_bound_on_state_information():
     for alpha in (0.2, 0.5, 0.9):
         for cap in (0.5, 2.0):
             delta = math.sqrt(it.delta_star(alpha, 0.9, 0.5, cap))
-            sc = it.steady_cov(0.9, 0.5, alpha, delta)
+            sc = it.LmsSteadyCovariance(0.9, 0.5, alpha, delta)
             cov = np.array([[sc.u_var(), sc.u_y_fwd(1)], [sc.u_y_fwd(1), sc.y_var()]])
             i_next = it.gaussian_cond_mi(cov, [0], [1])
             i_hist = it.mi_capacity(alpha, 0.9, 0.5, delta, 300)

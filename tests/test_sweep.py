@@ -638,6 +638,18 @@ def test_goal_lockstep_degenerate_rescale_matches_scalar_error(monkeypatch, fail
         assert _outcomes(run_trials([cfg], workers=1)[0]) == expected
 
 
+def test_goal_lockstep_unsettled_rescale_matches_scalar_error(monkeypatch):
+    # With one policy-iteration round most rescales are still moving: both
+    # paths fail those trials with goal_reward's text.
+    monkeypatch.setattr(mdp_tools, "_PI_ROUNDS", 1)
+    cfg = _goal_config(n_states=3, resample_prob=0.05, trials=6, horizon=200)
+    expected = _scalar_outcomes(cfg)
+    assert "DegenerateMdpError: policy iteration did not settle in 1 rounds" in expected
+    monkeypatch.setattr(sweep, "run_trajectory", _refuse)
+    with _on_kernels():
+        assert _outcomes(run_trials([cfg], workers=1)[0]) == expected
+
+
 def test_goal_lockstep_trials_with_events_at_the_same_step():
     # At T = 1 every row event falls on step 0, so a trial's first event step
     # is the previous trial's last: each trial must still be rescaled in the

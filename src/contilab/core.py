@@ -396,7 +396,7 @@ def run_goal_lockstep(envs, agents, T: int, streams) -> list:
 
 def _goal_lockstep(envs, agents, T: int, streams) -> list:
     """:func:`run_goal_lockstep` for trials that share (n_states, n_actions)."""
-    from .envs import _dirichlet_rows, _initial_state, _row_events
+    from .envs import _TARGET_REWARD, _dirichlet_rows, _initial_state, _row_events
 
     B = DRAW_BLOCK
     n = len(envs)
@@ -440,7 +440,7 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
         rewards = []
         for k, d in zip(ks, mass.tolist()):
             try:
-                rewards.append(mdp_tools.goal_reward(d, envs[k].goal_state, envs[k].target_reward))
+                rewards.append(mdp_tools.goal_reward(d, envs[k].goal_state, _TARGET_REWARD))
             except DegenerateMdpError as exc:
                 out[k] = exc
                 alive[k] = False

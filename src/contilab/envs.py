@@ -23,6 +23,7 @@ from .rng import DRAW_BLOCK, RngStream
 # Steps of row events drawn at once: the transition buffer's block
 # (rng.reset_blocks), so a kernel walks both in the same chunks.
 _EVENT_BLOCK = DRAW_BLOCK
+_TARGET_REWARD = 0.5  # average reward per step of a goal MDP's greedy policy
 
 
 def _draw_bias(prior, buf):
@@ -260,8 +261,8 @@ class GoalMdpEnv:
     Each step, every (state, action) row is resampled from
     Dirichlet(1/S, ..., 1/S) with probability ``resample_prob``; whenever any
     row changed, the goal-arrival reward is rescaled so the greedy policy of
-    the current MDP earns ``target_reward`` per step on average. Arrival at
-    the goal state pays that scaled reward, every other transition pays 0.
+    the current MDP earns ``_TARGET_REWARD`` (0.5) per step on average. The
+    goal state pays that scaled reward on arrival, every other transition 0.
     A degenerate draw that leaves the goal unreachable under the greedy
     policy, or on which policy iteration does not settle, raises
     DegenerateMdpError, one of the two modelled failures that
@@ -276,7 +277,7 @@ class GoalMdpEnv:
     """
 
     def __init__(self, n_states: int = 10, n_actions: int = 3, resample_prob: float = 1e-3,
-                 goal_state: int = 0, plan_gamma: float = 0.9, target_reward: float = 0.5):
+                 goal_state: int = 0, plan_gamma: float = 0.9):
         if n_states < 1 or n_actions < 1:
             raise ValueError(f"need at least one state and one action, got {n_states} x {n_actions}")
         if not 0.0 <= resample_prob < 1.0:
@@ -290,7 +291,6 @@ class GoalMdpEnv:
         self.resample_prob = resample_prob
         self.goal_state = goal_state
         self.plan_gamma = plan_gamma
-        self.target_reward = target_reward
         self.action_space = ("discrete", n_actions)
         self.observation_space = ("discrete", n_states)
         self.resample_events = 0
@@ -303,7 +303,7 @@ class GoalMdpEnv:
         self.P = _dirichlet_rows(self._row_gen, S * A, S).reshape(S, A, S)
         self._cum = [[list(np.cumsum(self.P[s, a])) for a in range(A)] for s in range(S)]
         self.goal_reward, self._q = goal_reward_scale(self.P, self.goal_state, self.plan_gamma,
-                                                      self.target_reward)
+                                                      _TARGET_REWARD)
         self.state = _initial_state(stream, S)
         self.resample_events = 0
         self._ev_pos = 0
@@ -337,7 +337,7 @@ class GoalMdpEnv:
                 self.resample_events += end - ptr
                 self._ev_ptr = end
                 self.goal_reward, self._q = goal_reward_scale(
-                    self.P, self.goal_state, self.plan_gamma, self.target_reward, self._q)
+                    self.P, self.goal_state, self.plan_gamma, _TARGET_REWARD, self._q)
             self._ev_pos = pos + 1
             if self._ev_pos == _EVENT_BLOCK:
                 self._refill_events()

@@ -76,26 +76,22 @@ def _get(name: str) -> ExperimentDef:
     return _REGISTRY[name]
 
 
-def _coerce(default, raw):
+def _coerce(key: str, default, raw):
     if not isinstance(raw, str):
         return raw
-    if isinstance(default, bool):
-        if raw.lower() in ("1", "true", "yes"):
-            return True
-        if raw.lower() in ("0", "false", "no"):
-            return False
-        raise ConfigurationError(f"cannot parse boolean from {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
+    if isinstance(default, (int, float)):
+        try:
+            return type(default)(raw)
+        except ValueError:
+            raise ConfigurationError(
+                f"override {key!r} must be {type(default).__name__}, got {raw!r}") from None
     if isinstance(default, (list, tuple)):
         try:
             value = json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"list overrides must be JSON, got {raw!r}") from exc
+            raise ConfigurationError(f"override {key!r} must be a JSON list, got {raw!r}") from exc
         if not isinstance(value, list):
-            raise ConfigurationError(f"expected a JSON list, got {raw!r}")
+            raise ConfigurationError(f"override {key!r} must be a JSON list, got {raw!r}")
         return value
     return raw
 
@@ -107,7 +103,7 @@ def resolve_params(name: str, overrides: dict | None = None) -> dict:
         if key not in params:
             valid = ", ".join(sorted(params))
             raise ConfigurationError(f"unknown override {key!r} for {name}; valid keys: {valid}")
-        params[key] = _coerce(params[key], raw)
+        params[key] = _coerce(key, params[key], raw)
     return params
 
 
@@ -178,15 +174,14 @@ _ALPHA_GRID_19 = [round(0.05 * k, 2) for k in range(1, 20)]
     },
 )
 def _run_fig2(params, workers):
-    base = ExperimentConfig(
-        "fig2_lms_sweep",
-        env={"kind": "ar1", "eta": params["env.eta"], "zeta": params["env.zeta"],
-             "sigma": params["env.sigma"], "mu0": params["env.mu0"], "sigma0": params["env.sigma0"]},
-        agent={"kind": "lms", "alpha": 0.0, "eta": params["agent.eta"], "mode": "shrinkage"},
-        horizon=params["horizon"], trials=params["trials"], seed=params["seed"],
-        sweep={"agent.alpha": params["alphas"]},
-    )
-    table = monte_carlo_sweep(base.expand(), workers=workers)
+    env = {"kind": "ar1", "eta": params["env.eta"], "zeta": params["env.zeta"],
+           "sigma": params["env.sigma"], "mu0": params["env.mu0"], "sigma0": params["env.sigma0"]}
+    cells = [ExperimentConfig(env, {"kind": "lms", "alpha": alpha, "eta": params["agent.eta"],
+                                    "mode": "shrinkage"},
+                              horizon=params["horizon"], trials=params["trials"],
+                              seed=params["seed"], coords={"agent.alpha": alpha})
+             for alpha in params["alphas"]]
+    table = monte_carlo_sweep(cells, workers=workers)
     rows = table.rows
     pts = sorted((r.coords["agent.alpha"], r.mean) for r in rows if r.metric == "average_reward")
     plot = ("average reward vs stepsize", "stepsize", "average reward",
@@ -297,8 +292,8 @@ def _run_fig9(params, workers):
         "standard": {"kind": "idbd", "zeta_meta": params["zeta_meta"], "mode": "standard",
                      "delta": delta_at_star, "alpha0": params["alpha0"]},
     }
-    cells = [ExperimentConfig("fig9_idbd", env=env, agent=agent, horizon=params["horizon"],
-                              trials=params["trials"], seed=params["seed"])
+    cells = [ExperimentConfig(env, agent, horizon=params["horizon"], trials=params["trials"],
+                              seed=params["seed"])
              for agent in variants.values()]
     rows = [_analytic_row({"variant": "reference"}, "alpha_star", star)]
     series = []
@@ -323,13 +318,12 @@ def _run_fig9(params, workers):
 # posterior sampling vs shrunk posterior sampling on drifting bandits
 # --------------------------------------------------------------------------
 
-def _bandit_cells(name, etas, agents, sigma, horizon, trials, seed):
+def _bandit_cells(etas, agents, sigma, horizon, trials, seed):
     cells = []
     for eta in etas:
         zeta = math.sqrt(max(0.0, 1.0 - eta * eta))
         for kind in agents:
             cells.append(ExperimentConfig(
-                name,
                 env={"kind": "ar1_bandit", "arms": 2, "eta": eta, "sigma": sigma},
                 agent={"kind": kind, "arms": 2, "eta": eta, "zeta": zeta, "sigma": sigma},
                 horizon=horizon, trials=trials, seed=seed,
@@ -344,8 +338,8 @@ def _bandit_cells(name, etas, agents, sigma, horizon, trials, seed):
     {"eta": 0.9, "sigma": 1.0, "horizon": 200, "trials": 2000, "seed": 20_240_913},
 )
 def _run_fig13(params, workers):
-    cells = _bandit_cells("fig13_ps_vs_ts_time", [params["eta"]], ["ts", "ps"],
-                          params["sigma"], params["horizon"], params["trials"], params["seed"])
+    cells = _bandit_cells([params["eta"]], ["ts", "ps"], params["sigma"], params["horizon"],
+                          params["trials"], params["seed"])
     rows = []
     series = []
     for cfg, results in zip(cells, run_trials(cells, workers=workers, record_series=True)):
@@ -373,8 +367,8 @@ def _run_fig13(params, workers):
      "seed": 20_240_914},
 )
 def _run_fig14(params, workers):
-    cells = _bandit_cells("fig14_ps_vs_ts_eta", params["etas"], ["ts", "ps"],
-                          params["sigma"], params["horizon"], params["trials"], params["seed"])
+    cells = _bandit_cells(params["etas"], ["ts", "ps"], params["sigma"], params["horizon"],
+                          params["trials"], params["seed"])
     table = monte_carlo_sweep(cells, workers=workers)
     series = []
     for kind in ("ts", "ps"):
@@ -396,13 +390,12 @@ _MDP_DEFAULTS = {
 }
 
 
-def _mdp_sweep(name, params, workers):
+def _mdp_sweep(params, workers):
     cells = []
     for resample_eta in params["resample_etas"]:
         for alpha in params["alphas"]:
             for boost in params["boosts"]:
                 cells.append(ExperimentConfig(
-                    name,
                     env={"kind": "goal_mdp", "n_states": params["n_states"],
                          "n_actions": params["n_actions"], "resample_prob": resample_eta,
                          "plan_gamma": params["discount"]},
@@ -431,9 +424,9 @@ def _mdp_best_rows(table, params, outer: str, inner: str):
     return rows
 
 
-def _run_mdp(name, outer: str, inner: str, label: str, params, workers):
+def _run_mdp(outer: str, inner: str, label: str, params, workers):
     """Reward vs the ``outer`` axis (best over ``inner``), then every sweep cell."""
-    table = _mdp_sweep(name, params, workers)
+    table = _mdp_sweep(params, workers)
     best = _mdp_best_rows(table, params, outer, inner)
     series = []
     for resample_eta in params["resample_etas"]:
@@ -445,10 +438,10 @@ def _run_mdp(name, outer: str, inner: str, label: str, params, workers):
 
 _register("fig15_mdp_alpha",
           "reward vs Q-learning stepsize (best boost) in slow and fast drifting MDPs",
-          dict(_MDP_DEFAULTS))(partial(_run_mdp, "fig15_mdp_alpha", "alpha", "boost", "stepsize"))
+          dict(_MDP_DEFAULTS))(partial(_run_mdp, "alpha", "boost", "stepsize"))
 _register("fig16_mdp_boost",
           "reward vs optimistic boost (best stepsize) in slow and fast drifting MDPs",
-          dict(_MDP_DEFAULTS))(partial(_run_mdp, "fig16_mdp_boost", "boost", "alpha", "boost"))
+          dict(_MDP_DEFAULTS))(partial(_run_mdp, "boost", "alpha", "boost"))
 
 
 # --------------------------------------------------------------------------
@@ -458,8 +451,8 @@ _register("fig16_mdp_boost",
 def _logit_cells(params):
     """One cell per horizon; a trial's average reward is minus its regret
     against the predictor that knows the latent logit (``LogitEnv``)."""
-    return [ExperimentConfig("logit_regret", env={"kind": "logit"},
-                             agent={"kind": "logit_predictor", "grid_size": params["grid_size"]},
+    return [ExperimentConfig({"kind": "logit"},
+                             {"kind": "logit_predictor", "grid_size": params["grid_size"]},
                              horizon=T, trials=params["episodes"], seed=params["seed"],
                              coords={"horizon": T})
             for T in params["horizons"]]
@@ -512,7 +505,6 @@ def _run_bitflip(params, workers):
     for prior in params["priors"]:
         mean_p = _prior_mean(prior)
         cells.append(ExperimentConfig(
-            "bitflip_demo",
             env={"kind": "bit_flip", "prior": list(prior)},
             agent={"kind": "bit_flip", "mean_p": mean_p},
             horizon=params["horizon"], trials=params["trials"], seed=params["seed"],
@@ -552,7 +544,6 @@ def _run_coinswap(params, workers):
         rows.append(_analytic_row({"q2": q2}, "start_action", plan.action_at(0.5)))
         for label, actions in (("planner", [int(a) for a in plan.actions]), ("coin1_only", [0, 0])):
             sim_cells.append(ExperimentConfig(
-                "coinswap_belief",
                 env={"kind": "coin_swap",
                      "arms": [{"prior": ["fixed", params["p1"]], "swap_prob": 0.0},
                               {"prior": ["dyadic", 0.5], "swap_prob": q2}]},

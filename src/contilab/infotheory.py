@@ -274,27 +274,28 @@ def posterior_pred_params(alpha: float, eta: float, sigma: float, delta: float) 
 def optimal_alpha(eta: float, sigma: float) -> float:
     """Stepsize making the agent state a sufficient statistic of history.
 
-    Solves a_c + 1/a_c = eta + 1/eta + 1/(sigma^2 eta) - eta/sigma^2 for the
-    root a_c in (0, 1) by the quadratic formula and returns 1 - a_c. The
-    result is also the error-optimal stepsize under any information capacity.
+    Solves a_c + 1/a_c = eta + 1/eta + 1/(sigma^2 eta) - eta/sigma^2 = rhs for
+    the root a_c = 2/(rhs + sqrt((rhs - 2)(rhs + 2))) in (0, 1), a form that
+    does not cancel as sigma^2 eta -> 0, and returns 1 - a_c. The result is
+    also the error-optimal stepsize under any information capacity.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     rhs = eta + 1.0 / eta + 1.0 / (sigma**2 * eta) - eta / sigma**2
-    ac = (rhs - math.sqrt(rhs * rhs - 4.0)) / 2.0
+    ac = 2.0 / (rhs + math.sqrt((rhs - 2.0) * (rhs + 2.0)))
     return 1.0 - ac
 
 
 # -- stability / plasticity --------------------------------------------------
 
-def default_future_horizon(eta: float, tail: float = 1e-6, cap: int = 512) -> int:
-    """Future truncation K with eta^K below ``tail``, capped at ``cap``."""
+def default_future_horizon(eta: float) -> int:
+    """Future truncation K with eta^K below 1e-6, capped at 512."""
     if eta <= 0.0:
         return 1
-    k = math.ceil(math.log(tail) / math.log(eta))
-    return max(1, min(k, cap))
+    k = math.ceil(math.log(1e-6) / math.log(eta))
+    return max(1, min(k, 512))
 
 
 def _grid(alpha, eta: float, sigma: float, delta, future: int | None):

@@ -154,9 +154,9 @@ class BeliefPlan:
         return self.actions[mask]
 
 
-def belief_value_iteration(p1: float, q2: float, gamma: float, grid_size: int = 2001,
-                           tol: float = 1e-9, max_iter: int = 2_000_000) -> BeliefPlan:
-    """Eps-optimal policy over the belief that the replaceable coin has bias 1.
+def belief_value_iteration(p1: float, q2: float, gamma: float,
+                           grid_size: int = 2001) -> BeliefPlan:
+    """1e-9-optimal policy over the belief that the replaceable coin has bias 1.
 
     Belief dynamics follow the replacement filter: after any step the
     decision-time belief moves to T(b) = (1 - q2) * b + q2 / 2; tossing the
@@ -177,8 +177,8 @@ def belief_value_iteration(p1: float, q2: float, gamma: float, grid_size: int = 
     i_tails = int(project(q2 * 0.5))
 
     V = np.zeros(grid_size)
-    stop = tol * (1.0 - gamma) / (2.0 * gamma)
-    for _ in range(max_iter):
+    stop = 1e-9 * (1.0 - gamma) / (2.0 * gamma)
+    for _ in range(2_000_000):
         q_known = p1 + gamma * V[idx_stay]
         q_swap = beliefs + gamma * (beliefs * V[i_heads] + (1.0 - beliefs) * V[i_tails])
         V_next = np.maximum(q_known, q_swap)

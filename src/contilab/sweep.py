@@ -1,5 +1,6 @@
-"""Declarative experiment configs and seeded Monte Carlo trials.
+"""Experiment cells and seeded Monte Carlo trials.
 
+Runners build their grids as plain lists of cells (:class:`ExperimentConfig`).
 Trial i of a cell draws from its own stream keyed by (seed, a content hash of
 the cell's env/agent/horizon spec, i), so its numbers do not depend on the
 other cells in a call, their order, the worker count or the batch it lands
@@ -40,12 +41,11 @@ summaries and modelled failures equal ``run_trajectory``'s.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .agents import IdbdAgent, LmsAgent, OptimisticQAgent, build_agent
@@ -93,20 +93,16 @@ _KERNELS = {
 
 @dataclass
 class ExperimentConfig:
-    """One experiment cell (or a sweep template when ``sweep`` is nonempty).
-
-    ``sweep`` maps dotted parameter paths ("agent.alpha", "env.eta",
-    "horizon") to value lists; :meth:`expand` produces the Cartesian product
-    of cells with ``coords`` recording each cell's coordinates.
+    """One experiment cell: an env spec and an agent spec run for ``trials``
+    seeded trials of ``horizon`` steps. ``coords`` labels the cell's rows
+    (the CSV columns before the metric) and is not part of the cell's key.
     """
 
-    experiment_name: str
     env: dict
     agent: dict
     horizon: int
     trials: int = 1
     seed: int = 0
-    sweep: dict = field(default_factory=dict)
     coords: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -121,31 +117,6 @@ class ExperimentConfig:
             {"env": self.env, "agent": self.agent, "horizon": self.horizon},
             sort_keys=True, separators=(",", ":"),
         )
-
-    def _apply(self, dotted: str, value) -> "ExperimentConfig":
-        if dotted == "horizon":
-            return replace(self, horizon=int(value))
-        section, _, key = dotted.partition(".")
-        if section == "env" and key in self.env:
-            return replace(self, env={**self.env, key: value})
-        if section == "agent" and key in self.agent:
-            return replace(self, agent={**self.agent, key: value})
-        raise ConfigurationError(
-            f"sweep axis {dotted!r} does not name an existing env/agent parameter"
-        )
-
-    def expand(self) -> list["ExperimentConfig"]:
-        if not self.sweep:
-            return [self]
-        axes = list(self.sweep.items())
-        cells = []
-        for values in itertools.product(*(vals for _, vals in axes)):
-            cfg = replace(self, sweep={}, coords=dict(self.coords))
-            for (name, _), value in zip(axes, values):
-                cfg = cfg._apply(name, value)
-                cfg.coords[name] = value
-            cells.append(cfg)
-        return cells
 
 
 @dataclass
@@ -181,11 +152,12 @@ class SweepTable:
                 out.append(row)
         return out
 
-    def best_row(self, metric: str, maximize: bool = True, **coords) -> SweepRow:
+    def best_row(self, metric: str, **coords) -> SweepRow:
+        """The selected row with the largest finite mean."""
         rows = [r for r in self.select(metric, **coords) if math.isfinite(r.mean)]
         if not rows:
             raise ValueError(f"no finite rows for metric {metric!r}")
-        return max(rows, key=lambda r: r.mean) if maximize else min(rows, key=lambda r: r.mean)
+        return max(rows, key=lambda r: r.mean)
 
 
 def resolve_workers(requested: int | None = None) -> int:

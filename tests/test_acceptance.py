@@ -46,14 +46,12 @@ def _unimodal(values, rising_first, tol):
 def test_criterion_01_tracking_stepsize_sweep():
     """Stepsize sweep on the drifting scalar: reward peaks at 0.35 +/- 0.05."""
     t0 = time.time()
-    base = ExperimentConfig(
-        "acc1",
-        env={"kind": "ar1", "eta": 0.9, "zeta": 0.5, "sigma": 1.0, "mu0": 0.0, "sigma0": 1.0},
-        agent={"kind": "lms", "alpha": 0.0, "eta": 0.9, "mode": "shrinkage"},
-        horizon=10_000, trials=200, seed=20_240_601,
-        sweep={"agent.alpha": [round(0.05 * k, 2) for k in range(1, 20)]},
-    )
-    table = monte_carlo_sweep(base.expand(), workers=None)
+    env = {"kind": "ar1", "eta": 0.9, "zeta": 0.5, "sigma": 1.0, "mu0": 0.0, "sigma0": 1.0}
+    cells = [ExperimentConfig(env, {"kind": "lms", "alpha": alpha, "eta": 0.9, "mode": "shrinkage"},
+                              horizon=10_000, trials=200, seed=20_240_601,
+                              coords={"agent.alpha": alpha})
+             for alpha in (round(0.05 * k, 2) for k in range(1, 20))]
+    table = monte_carlo_sweep(cells, workers=None)
     best = table.best_row("average_reward").coords["agent.alpha"]
     elapsed = time.time() - t0
     assert abs(best - 0.35) <= 0.05 + 1e-12
@@ -182,7 +180,7 @@ def test_criterion_07_shrunk_sampler_beats_plain_sampler():
     """
     t0 = time.time()
     etas = [0.1, 0.3, 0.5, 0.7, 0.9]
-    cells = _bandit_cells("acc7", etas, ["ts", "ps"], 1.0, 200, 2000, 20_240_914)
+    cells = _bandit_cells(etas, ["ts", "ps"], 1.0, 200, 2000, 20_240_914)
     table = monte_carlo_sweep(cells, workers=None)
     reward_gaps, freq_gaps, freq_cis = [], [], []
     for eta in etas:
@@ -222,7 +220,7 @@ def test_criterion_08_drifting_mdp_hyperparameter_sweep():
     """
     t0 = time.time()
     params = dict(_MDP_DEFAULTS)
-    table = _mdp_sweep("acc8", params, workers=None)
+    table = _mdp_sweep(params, workers=None)
     alpha_grid = params["alphas"]
     best = {}
     for outer, inner in (("alpha", "boost"), ("boost", "alpha")):

@@ -323,6 +323,8 @@ def test_build_env_unknown_kind():
         build_env({"kind": "ar1", "eta": 1.5, "zeta": 0.1, "sigma": 0.1})
     with pytest.raises(ConfigurationError, match="bad parameters.*vi_tol"):
         build_env({"kind": "goal_mdp", "vi_tol": 1e-8})  # rescales are exact: no tolerance
+    with pytest.raises(ConfigurationError, match="bad parameters.*target_reward"):
+        build_env({"kind": "goal_mdp", "target_reward": math.nan})  # the target is fixed at 0.5
     for shape in ({"n_states": 0}, {"n_actions": 0}):
         with pytest.raises(ConfigurationError, match="need at least one state and one action"):
             build_env({"kind": "goal_mdp", **shape})

@@ -179,14 +179,48 @@ def test_cli_invalid_cell_parameter_exits_2_without_csv(tmp_path, capsys):
     (["fig9_idbd", "--sigma=1e200", "--trials=1", "--horizon=10"],
      "bad parameters for optimal_alpha"),
     (["fig15_mdp_alpha", "--n_actions=0", "--trials=1"], "need at least one state and one action"),
-    # optimal_alpha divides by zero, returns inf, and returns nan at these.
+    # sigma**2 underflows to zero, and to a subnormal whose inverse overflows.
     (["fig8_optimal_alpha", "--sigma=1e-200"], "bad parameters for optimal_alpha"),
-    (["fig8_optimal_alpha", "--sigma=1e-100"], "bad parameters for optimal_alpha: non-finite result"),
     (["fig8_optimal_alpha", "--sigma=1e-160"], "bad parameters for optimal_alpha: non-finite result"),
 ])
 def test_cli_invalid_closed_form_parameter_exits_2_without_csv(tmp_path, capsys, argv, message):
     out = tmp_path / "bad"
     assert main(["run", *argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("sigma, row", [
+    # 1 - alpha* is about 1e-200 here: 1 is the correctly rounded alpha*.
+    ("1e-100", "eta,0.5,,,alpha_star_closed_form,1,0,0,0,"),
+    ("1e-4", "eta,0.05,,,alpha_star_closed_form,0.999999999499,0,0,0,"),
+], ids=["1e-100", "1e-4"])
+def test_cli_fig8_tiny_sigma_writes_alpha_star_near_one(tmp_path, sigma, row):
+    out = tmp_path / "tiny"
+    assert main(["run", "fig8_optimal_alpha", f"--sigma={sigma}", "--etas=[0.05, 0.5]",
+                 "--alpha_step=0.2", "--capacities=[1.0]", "--deltas=[0.0]",
+                 "--out", str(out)]) == 0
+    assert row in (out / "results.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("name, key", [
+    (name, key) for name in list_experiments()
+    for key, value in experiments.experiment_defaults(name).items()
+    if isinstance(value, (int, float))])
+def test_unparsable_numeric_override_is_a_configuration_error(name, key):
+    with pytest.raises(ConfigurationError, match=f"override '{re.escape(key)}' must be"):
+        resolve_params(name, {key: "abc"})
+
+
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+@pytest.mark.parametrize("argv, message", [
+    (["fig7_errors_vs_alpha", "--grid_points=2.5"], "override 'grid_points' must be int"),
+    (["fig2_lms_sweep", "--env.eta=abc"], "override 'env.eta' must be float"),
+    (["fig2_lms_sweep", "--horizon=1e3"], "override 'horizon' must be int"),
+])
+def test_cli_unparsable_numeric_override_exits_2(tmp_path, capsys, argv, message, dry_run):
+    out = tmp_path / "bad"
+    assert main(["run", *argv, *dry_run, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not (out / "results.csv").exists()
 

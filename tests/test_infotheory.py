@@ -223,6 +223,26 @@ def test_optimal_alpha_value_and_limits():
         it.optimal_alpha(0.0, 0.5)
 
 
+def _mp_optimal_alpha(eta, sigma):
+    """1 - a_c from the quadratic formula at 40 digits."""
+    with mpmath.workdps(40):
+        e, s2 = mpmath.mpf(eta), mpmath.mpf(sigma) ** 2
+        rhs = e + 1 / e + 1 / (s2 * e) - e / s2
+        return 1 - (rhs - mpmath.sqrt(rhs * rhs - 4)) / 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 0.99), st.floats(1e-6, 1.0))
+@example(0.01, 0.01)
+@example(0.5, 1e-3)
+@example(0.5, 1e-4)
+def test_optimal_alpha_matches_a_40_digit_root(eta, sigma):
+    # The quadratic formula in floats cancels as sigma^2 eta -> 0 (1e8 ulps
+    # off in this domain, alpha = 1 exactly at the last example).
+    alpha = it.optimal_alpha(eta, sigma)
+    assert abs(alpha - _mp_optimal_alpha(eta, sigma)) <= 256 * math.ulp(alpha)
+
+
 def test_optimal_alpha_minimizes_conditional_residual():
     star = it.optimal_alpha(0.9, 0.5)
     grid = np.arange(0.05, 1.0, 0.01)

@@ -22,7 +22,6 @@ from contilab.sweep import (ExperimentConfig, aggregate, monte_carlo_sweep, reso
 
 def _coin_config(**kw):
     base = dict(
-        experiment_name="t",
         env={"kind": "bit_flip", "prior": ["fixed", 0.7]},
         agent={"kind": "bit_flip", "mean_p": 0.7},
         horizon=500,
@@ -46,9 +45,13 @@ def test_single_trial_equals_run_trajectory():
     assert row.trials == 1 and row.std == 0.0 and row.ci95 == 0.0
 
 
+def _mean_p_cells(values, **kw):
+    return [_coin_config(agent={"kind": "bit_flip", "mean_p": p}, coords={"agent.mean_p": p}, **kw)
+            for p in values]
+
+
 def test_grid_permutation_invariance():
-    cfg = _coin_config(sweep={"agent.mean_p": [0.6, 0.7, 0.8]})
-    cells = cfg.expand()
+    cells = _mean_p_cells([0.6, 0.7, 0.8])
     t1 = monte_carlo_sweep(cells, workers=1)
     t2 = monte_carlo_sweep(list(reversed(cells)), workers=1)
     by_coord = lambda t: {tuple(r.coords.items()): r.mean for r in t.rows if r.metric == "average_reward"}
@@ -56,17 +59,12 @@ def test_grid_permutation_invariance():
 
 
 def test_worker_count_invariance():
-    cfg = _coin_config(trials=6, sweep={"agent.mean_p": [0.6, 0.8]})
-    t1 = monte_carlo_sweep(cfg.expand(), workers=1)
-    t2 = monte_carlo_sweep(cfg.expand(), workers=2)
+    cells = _mean_p_cells([0.6, 0.8], trials=6)
+    t1 = monte_carlo_sweep(cells, workers=1)
+    t2 = monte_carlo_sweep(cells, workers=2)
     for r1, r2 in zip(t1.rows, t2.rows):
         assert r1.coords == r2.coords and r1.metric == r2.metric
         assert r1.mean == r2.mean and r1.std == r2.std
-
-
-def test_sweep_axis_must_exist():
-    with pytest.raises(ConfigurationError, match="sweep axis"):
-        _coin_config(sweep={"agent.nonexistent": [1, 2]}).expand()
 
 
 def test_aggregate_statistics():
@@ -199,25 +197,22 @@ def test_run_trials_worker_count_invariance(cells):
 # Kernel parity: every trial a kernel runs must equal run_trajectory's
 # outcome (summary or failure text), trial by trial. _PARITY holds one entry
 # per sweep._KERNELS record; each test below runs over all of them.
-def _cell(env, agent, **kw):
-    return ExperimentConfig(experiment_name="t", env=env, agent=agent, **kw)
-
-
 def _ar1_config(eta=0.9, zeta=0.5, sigma=1.0, mu0=0.0, sigma0=1.0, alpha=0.3,
                 agent_eta=0.9, mode="shrinkage", **kw):
-    return _cell({"kind": "ar1", "eta": eta, "zeta": zeta, "sigma": sigma, "mu0": mu0,
-                  "sigma0": sigma0},
-                 {"kind": "lms", "alpha": alpha, "eta": agent_eta, "mode": mode},
-                 **{"horizon": 300, "trials": 3, "seed": 7, **kw})
+    return ExperimentConfig({"kind": "ar1", "eta": eta, "zeta": zeta, "sigma": sigma,
+                             "mu0": mu0, "sigma0": sigma0},
+                            {"kind": "lms", "alpha": alpha, "eta": agent_eta, "mode": mode},
+                            **{"horizon": 300, "trials": 3, "seed": 7, **kw})
 
 
 def _goal_config(n_states=4, n_actions=2, resample_prob=1e-3, stepsize=0.3, discount=0.9,
                  boost=1e-3, **kw):
-    return _cell({"kind": "goal_mdp", "n_states": n_states, "n_actions": n_actions,
-                  "resample_prob": resample_prob},
-                 {"kind": "optimistic_q", "n_states": n_states, "n_actions": n_actions,
-                  "stepsize": stepsize, "discount": discount, "boost": boost},
-                 **{"horizon": 300, "trials": 2, "seed": 5, **kw})
+    return ExperimentConfig({"kind": "goal_mdp", "n_states": n_states, "n_actions": n_actions,
+                             "resample_prob": resample_prob},
+                            {"kind": "optimistic_q", "n_states": n_states,
+                             "n_actions": n_actions, "stepsize": stepsize, "discount": discount,
+                             "boost": boost},
+                            **{"horizon": 300, "trials": 2, "seed": 5, **kw})
 
 
 def _idbd_config(mode="capacity", eta=0.95, sigma=0.5, capacity=0.5, zeta_meta=0.01,
@@ -228,8 +223,9 @@ def _idbd_config(mode="capacity", eta=0.95, sigma=0.5, capacity=0.5, zeta_meta=0
                      sigma=sigma if agent_sigma is None else agent_sigma, capacity=capacity)
     else:
         agent.update(delta=delta)
-    return _cell({"kind": "ar1", "eta": eta, "zeta": math.sqrt(1.0 - eta * eta), "sigma": sigma},
-                 agent, **{"horizon": 600, "trials": 2, "seed": 9, **kw})
+    return ExperimentConfig({"kind": "ar1", "eta": eta, "zeta": math.sqrt(1.0 - eta * eta),
+                             "sigma": sigma},
+                            agent, **{"horizon": 600, "trials": 2, "seed": 9, **kw})
 
 
 class _ShiftedAr1Env(Ar1ScalarEnv):

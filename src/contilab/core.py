@@ -38,17 +38,15 @@ class StepRecord:
 class TrajectorySummary:
     """Aggregated outputs of a single simulated trajectory.
 
-    ``average_reward`` is the exact finite-horizon mean (compensated
-    summation, no thinning). ``reward_series`` holds the running average
-    reward at each step of ``series_steps(horizon)``, as an ``array('d')``
-    (8 bytes a value, also when pickled). ``diagnostics`` holds the agent's
-    named diagnostics at the same steps, one ``array('d')`` each, and
-    ``metrics`` holds per-trajectory scalars (always including
-    ``average_reward``).
+    ``metrics`` holds per-trajectory scalars, always including
+    ``average_reward``: the exact finite-horizon mean (compensated summation,
+    no thinning). ``reward_series`` holds the running average reward at each
+    step of ``series_steps(horizon)``, as an ``array('d')`` (8 bytes a value,
+    also when pickled). ``diagnostics`` holds the agent's named diagnostics
+    at the same steps, one ``array('d')`` each.
     """
 
     horizon: int
-    average_reward: float
     reward_series: array | None
     diagnostics: dict[str, array] = field(default_factory=dict)
     metrics: dict[str, float] = field(default_factory=dict)
@@ -154,13 +152,11 @@ def run_trajectory(
 
     if not isfinite(total):  # finite rewards whose sum overflowed
         raise NumericError(f"reward sum {total!r} is not finite after {T} steps")
-    avg = total / T
-    metrics = {"average_reward": avg}
+    metrics = {"average_reward": total / T}
     if hasattr(agent, "trajectory_metrics"):
         metrics.update(agent.trajectory_metrics())
     return TrajectorySummary(
         horizon=T,
-        average_reward=avg,
         reward_series=series,
         diagnostics=diag_series,
         metrics=metrics,
@@ -169,9 +165,8 @@ def run_trajectory(
 
 
 def _summary(total: float, T: int) -> TrajectorySummary:
-    avg = total / T
-    return TrajectorySummary(horizon=T, average_reward=avg, reward_series=None,
-                             diagnostics={}, metrics={"average_reward": avg})
+    return TrajectorySummary(horizon=T, reward_series=None, diagnostics={},
+                             metrics={"average_reward": total / T})
 
 
 def run_lockstep(envs, agents, T: int, streams) -> list[TrajectorySummary | None]:
@@ -362,11 +357,10 @@ def _idbd_trial(env, agent, T: int, stream: RngStream, record_series: bool):
 
     if not math.isfinite(total):
         return None
-    avg = total / T
     return TrajectorySummary(
-        horizon=T, average_reward=avg, reward_series=series if record_series else None,
+        horizon=T, reward_series=series if record_series else None,
         diagnostics={"alpha": alphas} if record_series else {},
-        metrics={"average_reward": avg, "final_alpha": alpha})
+        metrics={"average_reward": total / T, "final_alpha": alpha})
 
 
 def run_goal_lockstep(envs, agents, T: int, streams) -> list:

@@ -26,6 +26,18 @@ _EVENT_BLOCK = DRAW_BLOCK
 _TARGET_REWARD = 0.5  # average reward per step of a goal MDP's greedy policy
 
 
+def _check_prior(prior) -> list:
+    """``prior`` as a list, or ValueError unless its kind is known and, for
+    ``beta``, it has two finite, positive parameters."""
+    prior = list(prior)
+    if not prior or prior[0] not in ("fixed", "dyadic", "beta", "uniform"):
+        raise ValueError(f"unknown bias prior {prior!r}")
+    if prior[0] == "beta" and not (len(prior) == 3
+                                   and all(0.0 < float(v) < math.inf for v in prior[1:])):
+        raise ValueError(f"a beta prior needs two finite, positive parameters, got {prior!r}")
+    return prior
+
+
 def _draw_bias(prior, buf):
     kind = prior[0]
     if kind == "fixed":
@@ -35,9 +47,7 @@ def _draw_bias(prior, buf):
         return 1.0 if buf.uniform() < p_hi else 0.0
     if kind == "beta":
         return float(buf.generator.beta(float(prior[1]), float(prior[2])))
-    if kind == "uniform":
-        return buf.uniform()
-    raise ConfigurationError(f"unknown bias prior {prior!r}")
+    return buf.uniform()  # "uniform"
 
 
 class Ar1ScalarEnv:
@@ -90,7 +100,7 @@ class CoinSwapEnv:
             q = float(arm.get("swap_prob", 0.0))
             if not 0.0 <= q <= 1.0:
                 raise ValueError(f"swap probability must lie in [0, 1], got {q}")
-            self._priors.append(list(prior))
+            self._priors.append(_check_prior(prior))
             self._swap_probs.append(q)
         self.n_arms = len(arms)
         self.action_space = ("discrete", self.n_arms)
@@ -193,7 +203,7 @@ class BitFlipEnv:
     observation_space = ("discrete", 2)
 
     def __init__(self, prior=("beta", 2.0, 1.0)):
-        self._prior = list(prior)
+        self._prior = _check_prior(prior)
         self.p = 0.5
         self.last_bit: int | None = None
 

@@ -22,24 +22,17 @@ from typing import Callable
 import numpy as np
 
 from . import infotheory as it
-from .core import series_steps
+from .envs import build_env
 from .errors import ConfigurationError
 from .mdp_tools import belief_value_iteration
 from .output import write_config_resolved, write_line_plot, write_results_csv
-from .sweep import (ExperimentConfig, SweepRow, aggregate, failed_row, failure_note,
-                    monte_carlo_sweep, run_trials)
+from .sweep import ExperimentConfig, SweepRow, cell_rows, monte_carlo_sweep, run_trials
 
 
 @dataclass
 class ExperimentResult:
     rows: list[SweepRow]
     plot: tuple[str, str, str, list] | None = None  # (title, xlabel, ylabel, series)
-    series_ok: bool = False  # a cell whose rows carry no trial count had a successful trial
-
-    def all_failed(self) -> bool:
-        data = [r for r in self.rows if r.trials > 0 or r.error]
-        return (not self.series_ok and bool(data)
-                and all(r.error and r.trials == 0 for r in data))
 
 
 @dataclass(frozen=True)
@@ -126,7 +119,8 @@ def run_experiment(name: str, overrides: dict | None = None, out_dir=None, *,
     if plot and result.plot is not None:
         title, xl, yl, series = result.plot
         paths.append(write_line_plot(out / "plot.svg", title, xl, yl, series))
-    if result.all_failed():
+    data = [r for r in result.rows if r.trials > 0 or r.error]  # not analytic
+    if data and all(r.error and math.isnan(r.mean) for r in data):
         raise ConfigurationError(f"every cell of {name} failed; see {paths[0]}")
     return paths
 
@@ -144,17 +138,17 @@ def _closed_form(fn, *args):
     return out
 
 
-def _analytic_row(coords, metric, value, error=None) -> SweepRow:
-    return SweepRow(dict(coords), metric, float(value), 0.0, 0.0, 0, error)
+def _analytic_row(coords, metric, value) -> SweepRow:
+    return SweepRow(dict(coords), metric, float(value), 0.0, 0.0, 0)
 
 
-def _mean_series(summaries, diagnostic=None):
-    """The steps of ``series_steps`` and, at each, the mean over ``summaries``
-    (a cell's successful trials) of the running average reward, or of the
-    agent diagnostic named ``diagnostic``."""
-    series = [s.reward_series if diagnostic is None else s.diagnostics[diagnostic]
-              for s in summaries]
-    return series_steps(summaries[0].horizon), np.array(series).mean(axis=0)
+def _time_series(rows, key: str, metric: str, label: str = "{}") -> list:
+    """Plot series of ``metric``'s rows whose coords hold a step "t": one per
+    value of ``coords[key]``, in row order, named ``label.format(value)``."""
+    pts = [(r.coords[key], r.coords["t"], r.mean) for r in rows
+           if r.metric == metric and "t" in r.coords]
+    return [(label.format(v), [t for k, t, _ in pts if k == v], [m for k, _, m in pts if k == v])
+            for v in dict.fromkeys(k for k, _, _ in pts)]
 
 
 # --------------------------------------------------------------------------
@@ -235,7 +229,10 @@ def _run_fig7(params, workers):
 def _run_fig8(params, workers):
     sigma = params["sigma"]
     eta = params["eta"]
-    alphas = np.arange(params["alpha_step"], 1.0, params["alpha_step"])
+    step = params["alpha_step"]
+    if not 0.0 < step < 1.0:
+        raise ConfigurationError(f"alpha_step must lie in (0, 1), got {step}")
+    alphas = np.arange(step, 1.0, step)
     rows = []
 
     for e in params["etas"]:
@@ -296,20 +293,9 @@ def _run_fig9(params, workers):
                               seed=params["seed"])
              for agent in variants.values()]
     rows = [_analytic_row({"variant": "reference"}, "alpha_star", star)]
-    series = []
     for variant, results in zip(variants, run_trials(cells, workers=workers, record_series=True)):
-        ok = [r.summary for r in results if r.summary is not None]
-        if not ok:
-            rows.append(failed_row({"variant": variant}, "final_alpha", results))
-            continue
-        note = failure_note(results)
-        steps, mean_alpha = _mean_series(ok, "alpha")
-        for t, m in zip(steps, mean_alpha):
-            rows.append(_analytic_row({"variant": variant, "t": t}, "mean_alpha", m, note))
-        finals = [s.metrics["final_alpha"] for s in ok]
-        rows.append(SweepRow({"variant": variant}, "final_alpha", *aggregate(finals), len(finals),
-                             note))
-        series.append((variant, list(steps), list(mean_alpha)))
+        rows += cell_rows({"variant": variant}, results, ["final_alpha"], [("mean_alpha", "alpha")])
+    series = _time_series(rows, "variant", "mean_alpha")
     series.append(("optimal", [0, params["horizon"]], [star, star]))
     return ExperimentResult(rows, ("adapted stepsize", "step", "stepsize", series))
 
@@ -341,23 +327,11 @@ def _run_fig13(params, workers):
     cells = _bandit_cells([params["eta"]], ["ts", "ps"], params["sigma"], params["horizon"],
                           params["trials"], params["seed"])
     rows = []
-    series = []
     for cfg, results in zip(cells, run_trials(cells, workers=workers, record_series=True)):
-        kind = cfg.coords["agent"]
-        ok = [r.summary for r in results if r.summary is not None]
-        if not ok:
-            rows.append(failed_row({"agent": kind}, "cum_avg_reward", results))
-            continue
-        note = failure_note(results)
-        steps, mean_reward = _mean_series(ok)
-        _, mean_greedy = _mean_series(ok, "greedy_rate")
-        for t, m in zip(steps, mean_reward):
-            rows.append(_analytic_row({"agent": kind, "t": t}, "cum_avg_reward", m, note))
-        for t, m in zip(steps, mean_greedy):
-            rows.append(_analytic_row({"agent": kind, "t": t}, "greedy_rate", m, note))
-        series.append((f"{kind} reward", steps, list(mean_reward)))
-    return ExperimentResult(rows, ("running average reward", "step", "reward", series),
-                            series_ok=bool(series))
+        rows += cell_rows({"agent": cfg.coords["agent"]}, results, [],
+                          [("cum_avg_reward", None), ("greedy_rate", "greedy_rate")])
+    series = _time_series(rows, "agent", "cum_avg_reward", "{} reward")
+    return ExperimentResult(rows, ("running average reward", "step", "reward", series))
 
 
 @_register(
@@ -484,6 +458,7 @@ def _run_logit_regret(params, workers):
 # --------------------------------------------------------------------------
 
 def _prior_mean(prior) -> float:
+    build_env({"kind": "bit_flip", "prior": prior})  # a bad prior fails here, not below
     kind = prior[0]
     if kind == "beta":
         return prior[1] / (prior[1] + prior[2])
@@ -501,22 +476,18 @@ def _prior_mean(prior) -> float:
      "horizon": 1000, "trials": 1000, "seed": 20_240_909},
 )
 def _run_bitflip(params, workers):
-    cells = []
+    cells, theory = [], []
     for prior in params["priors"]:
         mean_p = _prior_mean(prior)
+        coords = {"prior": "-".join(str(p) for p in prior)}
         cells.append(ExperimentConfig(
             env={"kind": "bit_flip", "prior": list(prior)},
             agent={"kind": "bit_flip", "mean_p": mean_p},
             horizon=params["horizon"], trials=params["trials"], seed=params["seed"],
-            coords={"prior": "-".join(str(p) for p in prior)},
+            coords=coords,
         ))
-    table = monte_carlo_sweep(cells, workers=workers)
-    rows = list(table.rows)
-    for prior in params["priors"]:
-        mean_p = _prior_mean(prior)
-        rows.append(_analytic_row({"prior": "-".join(str(p) for p in prior)},
-                                  "theory_accuracy", max(mean_p, 1.0 - mean_p)))
-    return ExperimentResult(rows)
+        theory.append(_analytic_row(coords, "theory_accuracy", max(mean_p, 1.0 - mean_p)))
+    return ExperimentResult(monte_carlo_sweep(cells, workers=workers).rows + theory)
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,18 @@
-"""Experiment cells and seeded Monte Carlo trials.
+"""Experiment cells, their seeded Monte Carlo trials, and the rows those become.
 
 Runners build their grids as plain lists of cells (:class:`ExperimentConfig`).
 Trial i of a cell draws from its own stream keyed by (seed, a content hash of
 the cell's env/agent/horizon spec, i), so its numbers do not depend on the
 other cells in a call, their order, the worker count or the batch it lands
 in. :func:`run_trials` is the one executor: the batches of all its cells run
-serially or in one process pool per call. :func:`monte_carlo_sweep` turns
-its output into rows with :func:`aggregate`. Only the modelled failures,
+serially or in one process pool per call. Only the modelled failures,
 ``NumericError`` and ``DegenerateMdpError``, are recorded as failed trials;
 any other exception (a bad config, a bug) aborts the call.
+
+:func:`cell_rows` is the one aggregation step: it turns one cell's trial
+results into its :class:`SweepRow` rows. :func:`monte_carlo_sweep` is
+``run_trials`` then ``cell_rows`` with every metric the agents report;
+runners that plot series (fig9, fig13) call the two themselves.
 
 Kernels: ``_KERNELS`` holds one :class:`Kernel` record per (env kind, agent
 kind) pair with a trial kernel:
@@ -27,14 +31,14 @@ and of its cost. Every other pool runs on ``run_trajectory`` and keeps
 split made bitflip_demo slower (median 1.51 -> 1.55 s over 10 runs).
 
 :func:`_run_batch` is the one worker entry point, and it alone owns the
-contract around a kernel. It rejects a horizon below 1, hands the kernel only
-the trials whose built env and agent are exactly the record's classes with
-equal spaces (a subclass or wrapper could change the arithmetic the kernel
-reproduces), and puts the results back in trial order. Every other trial,
-and every None a kernel returns (a non-finite value), runs on
-``run_trajectory``, so failures carry the scalar path's exact error text; a
-trial not built for a kernel is built right before it runs (holding a
-payload's built trials cost 7-15% on fig13, fig14 and bitflip_demo). Kernels
+contract around a kernel. It hands the kernel only the trials whose built
+env and agent are exactly the record's classes with equal spaces (a subclass
+or wrapper could change the arithmetic the kernel reproduces), and puts the
+results back in trial order. Every other trial, and every None a kernel
+returns (a non-finite value), runs on ``run_trajectory``, so failures carry
+the scalar path's exact error text; a trial not built for a kernel is built
+right before it runs (holding a payload's built trials cost 7-15% on fig13,
+fig14 and bitflip_demo). Kernels
 read each trial's draws in DrawBuffer's layout (``rng.reset_blocks``); their
 summaries and modelled failures equal ``run_trajectory``'s.
 """
@@ -48,9 +52,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .agents import IdbdAgent, LmsAgent, OptimisticQAgent, build_agent
 from .core import (TrajectorySummary, run_goal_lockstep, run_idbd_trials, run_lockstep,
-                   run_trajectory)
+                   run_trajectory, series_steps)
 from .envs import Ar1ScalarEnv, GoalMdpEnv, build_env
 from .errors import ConfigurationError, DegenerateMdpError, NumericError
 from .rng import RngStream
@@ -91,7 +97,7 @@ _KERNELS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment cell: an env spec and an agent spec run for ``trials``
     seeded trials of ``horizon`` steps. ``coords`` labels the cell's rows
@@ -185,8 +191,6 @@ def _run_batch(payload):
     spec, cell key, seed, trial index), on ``pair``'s kernel or, with None,
     on ``run_trajectory``."""
     pair, horizon, trials, record_series = payload
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     built, summaries = [None] * len(trials), [None] * len(trials)
     if pair is not None:
         kernel = _KERNELS[pair]
@@ -281,35 +285,35 @@ def aggregate(values: list[float]) -> tuple[float, float, float]:
     return mean, std, _Z95 * std / math.sqrt(n)
 
 
-def failure_note(results) -> str | None:
-    """"k/n trials failed (first failure)" for one cell's results, or None."""
+def cell_rows(coords: dict, results, metrics=None, series=()) -> list[SweepRow]:
+    """One cell's rows: per ``(metric, diagnostic)`` of ``series``, the mean
+    over the successful trials of the running average reward (``diagnostic``
+    None) or of that diagnostic at each step "t"; then an :func:`aggregate`
+    row per name in ``metrics`` (None: every metric reported, sorted). Each
+    row notes "k/n trials failed (first error)" if a trial failed. A cell
+    with no successful trial gives one NaN row, named after the first metric
+    ("average_reward" for None), else the first series metric."""
+    ok = [r.summary for r in results if r.error is None]
     failed = [r.error for r in results if r.error is not None]
-    return f"{len(failed)}/{len(results)} trials failed ({failed[0]})" if failed else None
-
-
-def failed_row(coords: dict, metric: str, results) -> SweepRow:
-    """The one row of a cell with no successful trial: NaN, carrying the failure note."""
-    nan = float("nan")
-    return SweepRow(dict(coords), metric, nan, nan, nan, 0, failure_note(results))
+    note = f"{len(failed)}/{len(results)} trials failed ({failed[0]})" if failed else None
+    if not ok:
+        metric = "average_reward" if metrics is None else (metrics or [series[0][0]])[0]
+        nan = float("nan")
+        return [SweepRow(dict(coords), metric, nan, nan, nan, 0, note)]
+    rows = []
+    for metric, diagnostic in series:
+        means = np.array([s.reward_series if diagnostic is None else s.diagnostics[diagnostic]
+                          for s in ok]).mean(axis=0)
+        rows += [SweepRow({**coords, "t": t}, metric, float(m), 0.0, 0.0, 0, note)
+                 for t, m in zip(series_steps(ok[0].horizon), means)]
+    for metric in sorted(ok[0].metrics) if metrics is None else metrics:
+        rows.append(SweepRow(dict(coords), metric, *aggregate([s.metrics[metric] for s in ok]),
+                             len(ok), note))
+    return rows
 
 
 def monte_carlo_sweep(cells, *, workers: int | None = None) -> SweepTable:
-    """Aggregate per-cell trajectory metrics over seeded independent trials.
-
-    Every metric each cell's agent reports (always including average_reward)
-    becomes one table row with :func:`aggregate`'s statistics. Modelled trial
-    failures are noted on the row; a cell with no successful trial is
-    reported as missing (NaN mean).
-    """
+    """:func:`cell_rows` of every cell's seeded trials, every metric per cell."""
     cells = list(cells)
-    rows: list[SweepRow] = []
-    for cfg, results in zip(cells, run_trials(cells, workers=workers)):
-        metrics = [r.summary.metrics for r in results if r.error is None]
-        if not metrics:
-            rows.append(failed_row(cfg.coords, "average_reward", results))
-            continue
-        note = failure_note(results)
-        for metric in sorted(metrics[0]):
-            mean, std, ci = aggregate([m[metric] for m in metrics])
-            rows.append(SweepRow(dict(cfg.coords), metric, mean, std, ci, len(metrics), note))
-    return SweepTable(rows)
+    return SweepTable([row for cfg, results in zip(cells, run_trials(cells, workers=workers))
+                       for row in cell_rows(cfg.coords, results)])

@@ -249,7 +249,7 @@ def test_criterion_09_logit_regret_within_bound():
                           "episodes": 2000, "seed": 20_240_908})
     for cfg, results in zip(cells, run_trials(cells)):
         horizon = cfg.horizon
-        regrets = [-r.summary.average_reward for r in results]
+        regrets = [-r.summary.metrics["average_reward"] for r in results]
         mean = float(np.mean(regrets))
         stderr = float(np.std(regrets, ddof=1)) / math.sqrt(len(regrets))
         bound = it.regret_bound_logit(horizon)

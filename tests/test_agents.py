@@ -413,7 +413,7 @@ def test_bitflip_long_run_accuracy_matches_prior_mean():
         env = BitFlipEnv(prior=["beta", 2.0, 1.0])
         ag = BitFlipAgent(mean_p=2.0 / 3.0)
         s = run_trajectory(env, ag, 1_000, RngStream(32).child("ep", ep), record_series=False)
-        rewards.append(s.average_reward)
+        rewards.append(s.metrics["average_reward"])
     mean = np.mean(rewards)
     se = np.std(rewards, ddof=1) / math.sqrt(len(rewards))
     assert abs(mean - 2.0 / 3.0) < 4 * se

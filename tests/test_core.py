@@ -84,29 +84,29 @@ def test_average_reward_errors():
 
 def test_constant_reward_is_exactly_one():
     summary = run_trajectory(ConstantRewardEnv(), AlwaysOneAgent(), 100, RngStream(0))
-    assert summary.average_reward == 1.0
+    assert summary.metrics["average_reward"] == 1.0
 
 
 def test_fair_coin_prediction_near_half():
     summary = run_trajectory(FairCoinEnv(), AlwaysOneAgent(), 100_000, RngStream(3))
     stderr = math.sqrt(0.25 / 100_000)
-    assert abs(summary.average_reward - 0.5) < 3 * stderr
+    assert abs(summary.metrics["average_reward"] - 0.5) < 3 * stderr
 
 
 def test_determinism_bit_identical():
     a = run_trajectory(FairCoinEnv(), AlwaysOneAgent(), 5_000, RngStream(42, 7))
     b = run_trajectory(FairCoinEnv(), AlwaysOneAgent(), 5_000, RngStream(42, 7))
-    assert a.average_reward == b.average_reward
+    assert a.metrics["average_reward"] == b.metrics["average_reward"]
     assert a.reward_series == b.reward_series
     c = run_trajectory(FairCoinEnv(), AlwaysOneAgent(), 5_000, RngStream(42, 8))
-    assert c.average_reward != a.average_reward
+    assert c.metrics["average_reward"] != a.metrics["average_reward"]
 
 
 def test_reward_accounting_matches_step_records():
     summary = run_trajectory(FairCoinEnv(), AlwaysOneAgent(), 20_000, RngStream(5),
                              record_steps=True)
     replayed = math.fsum(s.reward for s in summary.steps) / len(summary.steps)
-    assert summary.average_reward == replayed
+    assert summary.metrics["average_reward"] == replayed
     assert [s.t for s in summary.steps] == list(range(20_000))
 
 
@@ -173,7 +173,8 @@ def test_overflowed_reward_sum_is_a_numeric_error():
     # Every reward is finite, but their sum is not: no NaN average may pass.
     with pytest.raises(NumericError, match="reward sum nan is not finite after 3 steps"):
         run_trajectory(HugeRewardEnv(), AlwaysOneAgent(), 3, RngStream(0))
-    assert run_trajectory(HugeRewardEnv(), AlwaysOneAgent(), 1, RngStream(0)).average_reward == 1e308
+    summary = run_trajectory(HugeRewardEnv(), AlwaysOneAgent(), 1, RngStream(0))
+    assert summary.metrics["average_reward"] == 1e308
 
 
 def test_incompatible_spaces_rejected():

@@ -330,6 +330,22 @@ def test_build_env_unknown_kind():
             build_env({"kind": "goal_mdp", **shape})
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "bit_flip", "prior": ["beta", 0, 1]}, "two finite, positive parameters"),
+    ({"kind": "bit_flip", "prior": ["beta", 0, 0]}, "two finite, positive parameters"),
+    ({"kind": "bit_flip", "prior": ["beta", 1, math.inf]}, "two finite, positive parameters"),
+    ({"kind": "bit_flip", "prior": ["beta", math.nan, 1]}, "two finite, positive parameters"),
+    ({"kind": "bit_flip", "prior": ["beta", 2]}, "two finite, positive parameters"),
+    ({"kind": "bit_flip", "prior": ["gamma", 1, 1]}, "unknown bias prior"),
+    ({"kind": "coin_swap", "arms": [{"prior": ["fixed", 0.5]}, {"prior": ["beta", -1, 2]}]},
+     "two finite, positive parameters"),
+])
+def test_build_env_rejects_bad_priors(spec, message):
+    # Checked when the env is built, not at the first trial's draw.
+    with pytest.raises(ConfigurationError, match=f"bad parameters.*{message}"):
+        build_env(spec)
+
+
 @pytest.mark.parametrize("plan_gamma", [1.0, 1.5, 0.0, -0.5, math.nan])
 def test_goal_mdp_rejects_planning_discount_outside_unit_interval(plan_gamma):
     with pytest.raises(ValueError, match="planning discount must lie in"):

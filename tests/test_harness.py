@@ -1,5 +1,7 @@
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +192,24 @@ def test_cli_invalid_closed_form_parameter_exits_2_without_csv(tmp_path, capsys,
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("prior", ['[["beta", 0, 1]]', '[["beta", 0, 0]]'])
+def test_cli_bad_beta_prior_exits_2_without_csv(tmp_path, capsys, prior):
+    out = tmp_path / "bad"
+    assert main(["run", "bitflip_demo", f"--priors={prior}", "--trials=2", "--horizon=10",
+                 "--out", str(out)]) == 2
+    assert "a beta prior needs two finite, positive parameters" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("alpha_step", ["0", "-0.1", "1", "1.5", "nan"])
+def test_cli_fig8_alpha_step_outside_unit_interval_exits_2(tmp_path, capsys, alpha_step):
+    out = tmp_path / "bad"
+    assert main(["run", "fig8_optimal_alpha", f"--alpha_step={alpha_step}",
+                 "--out", str(out)]) == 2
+    assert "alpha_step must lie in (0, 1)" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 @pytest.mark.parametrize("sigma, row", [
     # 1 - alpha* is about 1e-200 here: 1 is the correctly rounded alpha*.
     ("1e-100", "eta,0.5,,,alpha_star_closed_form,1,0,0,0,"),
@@ -365,3 +385,16 @@ def test_fig8_argmins_minimize_the_dense_total_error():
         assert got[(cap, None, "alpha_argmin")] == argmin(deltas)
     for delta in (0.0, 0.3):
         assert got[(None, delta, "alpha_tilde")] == argmin([delta] * len(alphas))
+
+
+def test_bench_tracing_patches_only_names_that_exist():
+    # bench/tracing.py replaces module attributes of contilab by name (e.g.
+    # experiments.monte_carlo_sweep, sweep.run_trajectory, envs.goal_reward_scale,
+    # agents.delta_star), reading each first; a rename would break only traced
+    # benchmark runs.
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import tracing; "
+            "tracing._install(tracing.Tracer(), tracing._Recorder(), proxies=True)")
+    done = subprocess.run([sys.executable, "-c", code, str(root / "bench"), str(root / "src")],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1,7 +1,8 @@
 import itertools
 import math
+from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from typing import Callable
 from unittest import mock
 
@@ -12,12 +13,12 @@ from hypothesis import strategies as st
 
 from contilab import mdp_tools, sweep
 from contilab.agents import _AGENT_KINDS, IdbdAgent, build_agent
-from contilab.core import run_idbd_trials, run_trajectory
+from contilab.core import TrajectorySummary, run_idbd_trials, run_trajectory, series_steps
 from contilab.envs import _ENV_KINDS, Ar1ScalarEnv, GoalMdpEnv, build_env
 from contilab.errors import ConfigurationError, DegenerateMdpError, NumericError
 from contilab.rng import RngStream
-from contilab.sweep import (ExperimentConfig, aggregate, monte_carlo_sweep, resolve_workers,
-                            run_trials)
+from contilab.sweep import (ExperimentConfig, SweepRow, TrialResult, aggregate, cell_rows,
+                            monte_carlo_sweep, resolve_workers, run_trials)
 
 
 def _coin_config(**kw):
@@ -41,7 +42,7 @@ def test_single_trial_equals_run_trajectory():
 
     stream = RngStream(cfg.seed).child("trial", cfg.canonical_key(), 0)
     summary = run_trajectory(build_env(cfg.env), build_agent(cfg.agent), cfg.horizon, stream)
-    assert row.mean == summary.average_reward
+    assert row.mean == summary.metrics["average_reward"]
     assert row.trials == 1 and row.std == 0.0 and row.ci95 == 0.0
 
 
@@ -69,7 +70,7 @@ def test_worker_count_invariance():
 
 def test_aggregate_statistics():
     cfg = _coin_config(trials=8)
-    values = [r.summary.average_reward for r in run_trials([cfg], workers=1)[0]]
+    values = [r.summary.metrics["average_reward"] for r in run_trials([cfg], workers=1)[0]]
     mean, std, ci95 = aggregate(values)
     assert mean == pytest.approx(np.mean(values), abs=1e-15)
     assert std == pytest.approx(np.std(values, ddof=1), rel=1e-12)
@@ -122,6 +123,56 @@ def test_trial_failures_recorded(monkeypatch):
     table = monte_carlo_sweep([cfg], workers=1)
     row = table.rows[0]
     assert math.isnan(row.mean) and row.trials == 0
+
+
+def _trial(i, rewards, alphas, final_alpha):
+    summary = TrajectorySummary(len(rewards), array("d", rewards), {"alpha": array("d", alphas)},
+                                {"average_reward": rewards[-1], "final_alpha": final_alpha})
+    return TrialResult(i, summary)
+
+
+# Dyadic values, so every mean below is exact.
+_OK_TRIALS = [_trial(0, [1.0, 0.5, 0.25], [0.125, 0.25, 0.5], 0.5),
+              _trial(1, [3.0, 1.5, 0.75], [0.375, 0.5, 0.75], 0.75)]
+_FAILED_TRIAL = TrialResult(2, None, "NumericError: boom")
+
+
+@pytest.mark.parametrize("results, note", [
+    (_OK_TRIALS, None),
+    (_OK_TRIALS + [_FAILED_TRIAL], "1/3 trials failed (NumericError: boom)"),
+], ids=["all-ok", "partly-failed"])
+def test_cell_rows_of_successful_trials(results, note):
+    coords = {"x": 1}
+    rows = cell_rows(coords, results)
+    assert rows == [SweepRow(coords, "average_reward", *aggregate([0.25, 0.75]), 2, note),
+                    SweepRow(coords, "final_alpha", *aggregate([0.5, 0.75]), 2, note)]
+    assert all(row.coords is not coords for row in rows)
+
+    rows = cell_rows(coords, results, ["final_alpha"],
+                     [("reward", None), ("mean_alpha", "alpha")])
+    steps = series_steps(3)
+    assert steps == [1, 2, 3]
+    assert rows == (
+        [SweepRow({"x": 1, "t": t}, "reward", m, 0.0, 0.0, 0, note)
+         for t, m in zip(steps, [2.0, 1.0, 0.5])]
+        + [SweepRow({"x": 1, "t": t}, "mean_alpha", m, 0.0, 0.0, 0, note)
+           for t, m in zip(steps, [0.25, 0.375, 0.625])]
+        + [SweepRow(coords, "final_alpha", *aggregate([0.5, 0.75]), 2, note)])
+    assert all(type(row.mean) is float for row in rows)
+    assert cell_rows(coords, results, [], [("reward", None)])[-1].metric == "reward"
+
+
+@pytest.mark.parametrize("metrics, series, name", [
+    (None, (), "average_reward"),
+    (["final_alpha"], [("mean_alpha", "alpha")], "final_alpha"),
+    ([], [("cum_avg_reward", None), ("greedy_rate", "greedy_rate")], "cum_avg_reward"),
+], ids=["per-metric", "series-and-metric", "series-only"])
+def test_cell_rows_of_a_cell_with_no_successful_trial(metrics, series, name):
+    results = [_FAILED_TRIAL, TrialResult(3, None, "DegenerateMdpError: stuck")]
+    [row] = cell_rows({"x": 1}, results, metrics, series)
+    assert (row.coords, row.metric, row.trials) == ({"x": 1}, name, 0)
+    assert row.error == "2/2 trials failed (NumericError: boom)"
+    assert all(math.isnan(v) for v in (row.mean, row.std, row.ci95))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -356,7 +407,8 @@ def _outcomes(results):
 def _python_float_rewards(outcomes):
     """Whether every successful trial's average_reward is a Python float
     (``==`` alone would let an np.float64 through)."""
-    return all(type(o.average_reward) is float for o in outcomes if not isinstance(o, str))
+    return all(type(o.metrics["average_reward"]) is float
+               for o in outcomes if not isinstance(o, str))
 
 
 def _on_kernels(wrap=lambda run: run):
@@ -510,14 +562,11 @@ def test_small_lockstep_pool_stays_on_the_scalar_path(pair):
         assert _outcomes(run_trials([cfg], workers=2)[0]) == _scalar_outcomes(cfg)
 
 
-@pytest.mark.parametrize("pair", _PARITY, ids="-".join)
-def test_kernel_pool_rejects_empty_horizon(pair):
-    cfg = _PARITY[pair].cell(trials=2)
-    cfg.horizon = 0  # past ExperimentConfig's own check
-    with (_on_kernels(lambda run: _refuse),
-          mock.patch.object(sweep, "run_trajectory", _refuse),
-          pytest.raises(ValueError, match="horizon must be >= 1")):
-        run_trials([cfg], workers=1)
+def test_cell_is_frozen_after_its_checks():
+    # ExperimentConfig's own checks are the only ones a cell's horizon gets.
+    cfg = _coin_config()
+    with pytest.raises(FrozenInstanceError):
+        cfg.horizon = 0
 
 
 # The idbd kernel alone, without sweep's handback: a trial it returns is the

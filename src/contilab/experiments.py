@@ -119,7 +119,7 @@ def run_experiment(name: str, overrides: dict | None = None, out_dir=None, *,
     if plot and result.plot is not None:
         title, xl, yl, series = result.plot
         paths.append(write_line_plot(out / "plot.svg", title, xl, yl, series))
-    data = [r for r in result.rows if r.trials > 0 or r.error]  # not analytic
+    data = [r for r in result.rows if r.trials > 0 or r.error or "t" in r.coords]  # not analytic
     if data and all(r.error and math.isnan(r.mean) for r in data):
         raise ConfigurationError(f"every cell of {name} failed; see {paths[0]}")
     return paths

@@ -280,6 +280,21 @@ def test_cli_fig13_with_one_cell_failed_exits_0(tmp_path):
                                  "after 20 steps)"] for row in ts)
 
 
+def test_cli_fig13_with_one_cell_failed_and_one_clean_exits_0(tmp_path):
+    # At this seed both ps trials fail at their first step and neither ts trial does:
+    # the ts cell's series rows carry no failure note and still count as data.
+    out = tmp_path / "ps_failed_ts_clean"
+    assert main(["run", "fig13_ps_vs_ts_time", "--trials=2", "--horizon=1", "--sigma=1e308",
+                 "--eta=0.7", "--seed=44", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[4:]]
+    assert [row for row in rows if row[0] == "ps"] == [
+        ["ps", "", "cum_avg_reward", "nan", "nan", "nan", "0",
+         "2/2 trials failed (NumericError: non-finite reward inf at step 0)"]]
+    ts = [row for row in rows if row[0] == "ts"]
+    assert [row[2] for row in ts] == ["cum_avg_reward", "greedy_rate"]
+    assert all(math.isfinite(float(row[3])) and row[-2:] == ["0", ""] for row in ts)
+
+
 @pytest.mark.parametrize("argv", [
     ["fig13_ps_vs_ts_time", "--trials=4", "--horizon=20", "--sigma=3e307", "--eta=0.7",
      "--seed=3"],

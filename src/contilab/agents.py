@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 
-from .core import per_arm
 from .errors import ConfigurationError, NumericError
 from .infotheory import delta_star, delta_star_sq_grad
 from .rng import RngStream
@@ -25,7 +24,7 @@ _BETA_MAX = 0.0
 
 
 class LmsAgent:
-    """Scalar tracking filter mu <- eta*mu + alpha*(y - eta*mu).
+    """Scalar tracking filter mu <- eta*mu + alpha*(y - eta*mu), from mu = 0.
 
     ``mode`` selects the prediction/update pairing: "shrinkage" predicts
     eta*mu and shrinks inside the update; "plain" predicts mu and updates
@@ -35,7 +34,7 @@ class LmsAgent:
     action_space = ("real",)
     observation_space = ("real",)
 
-    def __init__(self, alpha: float, eta: float = 1.0, mode: str = "shrinkage", mu0: float = 0.0):
+    def __init__(self, alpha: float, eta: float = 1.0, mode: str = "shrinkage"):
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
         if not 0.0 <= eta <= 1.0:
@@ -45,26 +44,17 @@ class LmsAgent:
         self.alpha = alpha
         self.eta = eta
         self.mode = mode
-        self.mu0 = mu0
-        self.mu = mu0
+        self.mu = 0.0
 
     def reset(self, stream: RngStream):
-        self.mu = self.mu0
+        self.mu = 0.0
 
     def act(self):
         return self.eta * self.mu if self.mode == "shrinkage" else self.mu
 
-    def update_estimate(self, y: float) -> float:
-        """Ingest one observation; returns the next prediction."""
-        if self.mode == "shrinkage":
-            pred = self.eta * self.mu
-            self.mu = pred + self.alpha * (y - pred)
-            return self.eta * self.mu
-        self.mu = self.mu + self.alpha * (y - self.mu)
-        return self.mu
-
     def update(self, action, observation, reward):
-        self.update_estimate(observation)
+        pred = self.act()
+        self.mu = pred + self.alpha * (observation - pred)
 
 
 class IdbdAgent:
@@ -83,7 +73,7 @@ class IdbdAgent:
 
     def __init__(self, zeta_meta: float, mode: str = "capacity", eta: float | None = None,
                  sigma: float | None = None, capacity: float | None = None,
-                 delta: float | None = None, alpha0: float = 0.1, u0: float = 0.0):
+                 delta: float | None = None, alpha0: float = 0.1):
         if mode not in ("capacity", "standard"):
             raise ValueError(f"mode must be 'capacity' or 'standard', got {mode!r}")
         if mode == "capacity":
@@ -107,11 +97,10 @@ class IdbdAgent:
         self.capacity = capacity
         self.delta = delta
         self.beta0 = min(max(math.log(alpha0), _BETA_MIN), _BETA_MAX)
-        self.u0 = u0
         self._init_state()
 
     def _init_state(self):
-        self.u = self.u0
+        self.u = 0.0
         self.beta = self.beta0
         self.alpha = math.exp(self.beta)
         self.h = 0.0
@@ -124,9 +113,8 @@ class IdbdAgent:
     def act(self):
         return self.u
 
-    def ingest(self, y: float) -> tuple[float, float]:
-        """Ingest one observation; returns (new state, new stepsize)."""
-        err = y - self.u
+    def update(self, action, observation, reward):
+        err = observation - self.u
         beta = self.beta + self.zeta_meta * err * self.h
         if self.mode == "capacity":
             beta -= 0.5 * self.zeta_meta * self.alpha * delta_star_sq_grad(
@@ -144,10 +132,6 @@ class IdbdAgent:
         self.u = self.u + alpha * err + math.sqrt(var) * self._rng.normal()
         self.h = alpha * err + max(1.0 - alpha, 0.0) * self.h
         self._t += 1
-        return self.u, alpha
-
-    def update(self, action, observation, reward):
-        self.ingest(observation)
 
     def diagnostics(self):
         return {"alpha": self.alpha}
@@ -159,31 +143,29 @@ class IdbdAgent:
 class TsAgent:
     """Posterior-sampling bandit agent for drifting Gaussian arms.
 
-    Keeps per-arm posterior mean/variance (mu, Sigma) under the linear-
-    Gaussian drift model and samples a plausible value per arm before taking
-    the argmax (ties uniform). The pulled arm gets the full predict-correct
-    recursion; unpulled arms only drift.
+    Keeps per-arm posterior mean/variance (mu, Sigma), from N(0, 1), under the
+    drift model theta <- eta*theta + N(0, zeta^2) of every arm and samples a
+    plausible value per arm before taking the argmax (ties uniform). The pulled
+    arm gets the full predict-correct recursion; unpulled arms only drift.
     """
 
     observation_space = ("real",)
 
-    def __init__(self, arms: int, eta, zeta, sigma: float, mu0=0.0, sigma0=1.0):
+    def __init__(self, arms: int, eta: float, zeta: float, sigma: float):
         if arms < 1:
             raise ValueError("at least one arm required")
         self.n_arms = arms
         self.action_space = ("discrete", arms)
-        self.etas = per_arm(eta, arms)
-        self.zetas = per_arm(zeta, arms)
+        self.eta = float(eta)
+        self.zeta = float(zeta)
         self.sigma = float(sigma)
-        self.mu0s = per_arm(mu0, arms)
-        self.sigma0s = per_arm(sigma0, arms)
-        self.mus = list(self.mu0s)
-        self.sigmas = list(self.sigma0s)
+        self.mus = [0.0] * arms
+        self.sigmas = [1.0] * arms
 
     def reset(self, stream: RngStream):
         self._act_rng = stream.child("tie-break").buffer()
-        self.mus = list(self.mu0s)
-        self.sigmas = list(self.sigma0s)
+        self.mus = [0.0] * self.n_arms
+        self.sigmas = [1.0] * self.n_arms
         self._acts = 0
         self._greedy = 0
 
@@ -212,22 +194,19 @@ class TsAgent:
             self._greedy += 1
         return best_i
 
-    def posterior_update(self, arm: int, obs: float):
+    def update(self, action, observation, reward):
         s2 = self.sigma * self.sigma
+        e = self.eta
         for i in range(self.n_arms):
-            e = self.etas[i]
-            drift_var = e * e * self.sigmas[i] + self.zetas[i] ** 2
-            if i == arm:
+            drift_var = e * e * self.sigmas[i] + self.zeta ** 2
+            if i == action:
                 post = 1.0 / (1.0 / drift_var + 1.0 / s2) if drift_var > 0.0 else 0.0
                 gain = post / s2
-                self.mus[i] = e * self.mus[i] + gain * (obs - e * self.mus[i])
+                self.mus[i] = e * self.mus[i] + gain * (observation - e * self.mus[i])
                 self.sigmas[i] = post
             else:
                 self.mus[i] = e * self.mus[i]
                 self.sigmas[i] = drift_var
-
-    def update(self, action, observation, reward):
-        self.posterior_update(action, observation)
 
     def trajectory_metrics(self):
         freq = self._greedy / self._acts if self._acts else 0.0
@@ -249,18 +228,16 @@ class PsAgent(TsAgent):
     acts greedily.
     """
 
-    def __init__(self, arms: int, eta, zeta, sigma: float, mu0=0.0, sigma0=1.0):
-        super().__init__(arms, eta, zeta, sigma, mu0, sigma0)
-        s2 = self.sigma * self.sigma
-        self.x_stars = []
-        for e, z in zip(self.etas, self.zetas):
-            b = z * z + s2 - e * e * s2
-            self.x_stars.append(0.5 * (b + math.sqrt(b * b + 4.0 * e * e * z * z * s2)))
+    def __init__(self, arms: int, eta: float, zeta: float, sigma: float):
+        super().__init__(arms, eta, zeta, sigma)
+        e, z, s2 = self.eta, self.zeta, self.sigma * self.sigma
+        b = z * z + s2 - e * e * s2
+        self.x_star = 0.5 * (b + math.sqrt(b * b + 4.0 * e * e * z * z * s2))
 
     def sampling_params(self, arm: int) -> tuple[float, float]:
-        e2 = self.etas[arm] ** 2
+        e2 = self.eta ** 2
         sig = self.sigmas[arm]
-        denom = e2 * sig + self.x_stars[arm]
+        denom = e2 * sig + self.x_star
         var = e2 * sig * sig / denom if denom > 0.0 else 0.0
         return self.mus[arm], var
 
@@ -319,16 +296,14 @@ class OptimisticQAgent:
             raise NumericError(f"no greedy action: Q row of state {self.state} holds NaN")
         return ties[self._act_rng.index(len(ties))]
 
-    def learn(self, s: int, a: int, r: float, s_next: int):
-        row = self._q[s]
+    def update(self, action, observation, reward):
+        row = self._q[self.state]
         # TD target on effective values q + offset; the (discount-1)*offset
         # term folds the offset difference back into the raw table.
-        td = r + self.discount * max(self._q[s_next]) + (self.discount - 1.0) * self._offset - row[a]
-        row[a] += self.stepsize * td
+        td = (reward + self.discount * max(self._q[observation])
+              + (self.discount - 1.0) * self._offset - row[action])
+        row[action] += self.stepsize * td
         self._offset += self.boost
-
-    def update(self, action, observation, reward):
-        self.learn(self.state, action, reward, observation)
         self.state = observation
 
 
@@ -336,68 +311,51 @@ class DyadicCoinBeliefAgent:
     """Exact belief filter for the two-coin game with a replaceable second
     coin whose bias is 0 or 1.
 
-    ``b`` is the probability that the replaceable coin currently has bias 1.
-    A toss of that coin reveals the bias exactly; every step the belief then
-    relaxes toward 1/2 at the replacement rate. Acts by looking the belief up
-    in ``policy_actions`` (a table over a uniform belief grid), or myopically
-    (pick the replaceable coin when b > p1) when no table is given.
+    ``b`` is the probability that the replaceable coin currently has bias 1,
+    1/2 at the start. A toss of that coin (action 1) reveals the bias exactly;
+    every step the belief then relaxes toward 1/2 at the replacement rate.
+    Acts by looking the belief up in ``policy_actions``, a table over a
+    uniform belief grid planned for the fixed coin's bias ``p1``.
     """
 
     observation_space = ("discrete", 2)
     action_space = ("discrete", 2)
 
-    def __init__(self, p1: float, q2: float, policy_actions=None, b0: float = 0.5):
+    def __init__(self, p1: float, q2: float, policy_actions):
         if not 0.0 <= q2 <= 1.0:
             raise ValueError(f"replacement probability must lie in [0, 1], got {q2}")
         self.p1 = p1
         self.q2 = q2
-        self.policy_actions = list(policy_actions) if policy_actions is not None else None
-        self.b0 = b0
-        self.b = b0
+        self.policy_actions = list(policy_actions)
+        self.b = 0.5
 
     def reset(self, stream: RngStream):
-        self.b = self.b0
+        self.b = 0.5
 
     def act(self):
-        if self.policy_actions is None:
-            return 1 if self.b > self.p1 else 0
-        n = len(self.policy_actions)
-        i = int(round(self.b * (n - 1)))
-        return int(self.policy_actions[min(max(i, 0), n - 1)])
-
-    def update_belief(self, pulled_coin2: bool, outcome=None) -> float:
-        if pulled_coin2:
-            if outcome is None:
-                raise ValueError("outcome required when the replaceable coin was tossed")
-            self.b = 1.0 if outcome == 1 else 0.0
-        elif outcome is not None:
-            raise ValueError("outcome only meaningful when the replaceable coin was tossed")
-        self.b = (1.0 - self.q2) * self.b + self.q2 * 0.5
-        return self.b
+        return int(self.policy_actions[round(self.b * (len(self.policy_actions) - 1))])
 
     def update(self, action, observation, reward):
-        pulled = action == 1
-        self.update_belief(pulled, observation if pulled else None)
-
-    def diagnostics(self):
-        return {"belief": self.b}
+        if action == 1:
+            self.b = 1.0 if observation == 1 else 0.0
+        self.b = (1.0 - self.q2) * self.b + self.q2 * 0.5
 
 
 class LogitPredictorAgent:
     """Exact posterior predictor for the single-logit binary stream.
 
     Maintains the posterior over the latent logit on a trapezoidal quadrature
-    grid (log-space accumulation with max subtraction) and predicts the
-    posterior-predictive probability of a 1.
+    grid over [-6, 6] (log-space accumulation with max subtraction) and
+    predicts the posterior-predictive probability of a 1.
     """
 
     action_space = ("real",)
     observation_space = ("discrete", 2)
 
-    def __init__(self, grid_lo: float = -6.0, grid_hi: float = 6.0, grid_size: int = 513):
+    def __init__(self, grid_size: int = 513):
         if grid_size < 3:
             raise ValueError(f"grid needs at least 3 points, got {grid_size}")
-        theta = np.linspace(grid_lo, grid_hi, grid_size)
+        theta = np.linspace(-6.0, 6.0, grid_size)
         trap = np.full(grid_size, 1.0)
         trap[0] = trap[-1] = 0.5
         self._sig = 1.0 / (1.0 + np.exp(-theta))
@@ -409,17 +367,10 @@ class LogitPredictorAgent:
     def reset(self, stream: RngStream):
         self._loglik = np.zeros_like(self._loglik)
 
-    def posterior_weights(self):
+    def act(self):
         lw = self._log_prior + self._loglik
         w = np.exp(lw - lw.max())
-        return w / w.sum()
-
-    def predict(self) -> float:
-        w = self.posterior_weights()
-        return float(w @ self._sig)
-
-    def act(self):
-        return self.predict()
+        return float((w / w.sum()) @ self._sig)
 
     def update(self, action, observation, reward):
         self._loglik = self._loglik + (self._log_sig if observation == 1 else self._log_1m_sig)

@@ -64,14 +64,6 @@ def _spaces_compatible(a, b) -> bool:
     return a is None or b is None or a == b
 
 
-def per_arm(value, arms: int) -> list[float]:
-    """One float per arm: a scalar is repeated, a list must hold exactly ``arms`` values."""
-    values = value if isinstance(value, (list, tuple)) else [value] * arms
-    if len(values) != arms:
-        raise ValueError(f"per-arm parameter needs {arms} values, got {len(values)}")
-    return [float(v) for v in values]
-
-
 def run_trajectory(
     env,
     agent,
@@ -212,7 +204,7 @@ def run_lockstep(envs, agents, T: int, streams) -> list[TrajectorySummary | None
     scale = np.array([a.eta if a.mode == "shrinkage" else 1.0 for a in agents], dtype=float)
     coef = np.concatenate(([a.alpha for a in agents], eta))
     last = min(L, T)
-    E[last, :n] = [a.mu0 for a in agents]
+    E[last, :n] = 0.0  # mu of every agent
 
     total, comp, s, y = (np.zeros(n) for _ in range(4))
     mul, add, sub = np.multiply, np.add, np.subtract
@@ -292,7 +284,7 @@ def _idbd_trial(env, agent, T: int, stream: RngStream, record_series: bool):
     env_rest = env_rest[1:]
     env_eta, zeta, sigma = env.eta, env.zeta, env.sigma
 
-    u, beta, h = agent.u0, agent.beta0, 0.0
+    u, beta, h = 0.0, agent.beta0, 0.0
     alpha = math.exp(beta)
     zm = agent.zeta_meta
     capacity = agent.mode == "capacity"
@@ -390,7 +382,7 @@ def run_goal_lockstep(envs, agents, T: int, streams) -> list:
 
 def _goal_lockstep(envs, agents, T: int, streams) -> list:
     """:func:`run_goal_lockstep` for trials that share (n_states, n_actions)."""
-    from .envs import _TARGET_REWARD, _dirichlet_rows, _initial_state, _row_events
+    from .envs import _GOAL_STATE, _TARGET_REWARD, _dirichlet_rows, _initial_state, _row_events
 
     B = DRAW_BLOCK
     n = len(envs)
@@ -420,7 +412,6 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
     for k, es in enumerate(env_streams):
         P[k] = _dirichlet_rows(row_gens[k], SA, S).reshape(S, A, S)
         state[k] = _initial_state(es, S)
-    goal = np.array([env.goal_state for env in envs], dtype=np.intp)
     plan_gamma = np.array([env.plan_gamma for env in envs], dtype=float)
     q_star = np.empty((n, S, A))
     by_trial = np.empty(n)  # a planning round's goal rewards, by trial
@@ -429,12 +420,12 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
     def rescale(ks, q0) -> list[float]:
         """Goal rewards of trials ``ks`` from one engine call; a degenerate
         rescale becomes that trial's failure (its reward is then unused)."""
-        mass, q = mdp_tools.goal_reward_scales(P[ks], goal[ks], plan_gamma[ks], q0)
+        mass, q = mdp_tools.goal_reward_scales(P[ks], [_GOAL_STATE] * len(ks), plan_gamma[ks], q0)
         q_star[ks] = q
         rewards = []
         for k, d in zip(ks, mass.tolist()):
             try:
-                rewards.append(mdp_tools.goal_reward(d, envs[k].goal_state, _TARGET_REWARD))
+                rewards.append(mdp_tools.goal_reward(d, _GOAL_STATE, _TARGET_REWARD))
             except DegenerateMdpError as exc:
                 out[k] = exc
                 alive[k] = False
@@ -541,7 +532,7 @@ def _goal_lockstep(envs, agents, T: int, streams) -> list:
                     goal_reward[planned_t[2]] = planned_t[3]
                 sa = base * A + a
                 nxt = (cum_rows.take(sa, axis=0) > move_u[t, :, None]).argmax(axis=1)
-                r = np.where(nxt == goal, goal_reward, 0.0)
+                r = np.where(nxt == _GOAL_STATE, goal_reward, 0.0)
                 # agent: TD update on q + offset, then the offset boost
                 q_sa = q_flat[sa]
                 td = disc * row_max(q_rows.take(row_of + nxt, axis=0))

@@ -15,7 +15,6 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .core import per_arm
 from .errors import ConfigurationError
 from .mdp_tools import goal_reward_scale
 from .rng import DRAW_BLOCK, RngStream
@@ -24,17 +23,22 @@ from .rng import DRAW_BLOCK, RngStream
 # (rng.reset_blocks), so a kernel walks both in the same chunks.
 _EVENT_BLOCK = DRAW_BLOCK
 _TARGET_REWARD = 0.5  # average reward per step of a goal MDP's greedy policy
+_GOAL_STATE = 0  # the state of a goal MDP that pays on arrival
 
 
 def _check_prior(prior) -> list:
-    """``prior`` as a list, or ValueError unless its kind is known and, for
-    ``beta``, it has two finite, positive parameters."""
+    """``prior`` as a list, or ValueError unless its kind is known and its
+    parameters fit it: two finite, positive ones for ``beta``; one
+    probability in [0, 1] for ``fixed`` (the bias) and ``dyadic`` (P(bias = 1))."""
     prior = list(prior)
-    if not prior or prior[0] not in ("fixed", "dyadic", "beta", "uniform"):
+    kind = prior[0] if prior else None
+    if kind not in ("fixed", "dyadic", "beta", "uniform"):
         raise ValueError(f"unknown bias prior {prior!r}")
-    if prior[0] == "beta" and not (len(prior) == 3
-                                   and all(0.0 < float(v) < math.inf for v in prior[1:])):
+    if kind == "beta" and not (len(prior) == 3
+                               and all(0.0 < float(v) < math.inf for v in prior[1:])):
         raise ValueError(f"a beta prior needs two finite, positive parameters, got {prior!r}")
+    if kind in ("fixed", "dyadic") and not (len(prior) == 2 and 0.0 <= float(prior[1]) <= 1.0):
+        raise ValueError(f"a {kind} prior takes one probability in [0, 1], got {prior!r}")
     return prior
 
 
@@ -43,8 +47,7 @@ def _draw_bias(prior, buf):
     if kind == "fixed":
         return float(prior[1])
     if kind == "dyadic":
-        p_hi = float(prior[1]) if len(prior) > 1 else 0.5
-        return 1.0 if buf.uniform() < p_hi else 0.0
+        return 1.0 if buf.uniform() < float(prior[1]) else 0.0
     if kind == "beta":
         return float(buf.generator.beta(float(prior[1]), float(prior[2])))
     return buf.uniform()  # "uniform"
@@ -127,31 +130,25 @@ class GaussianAr1BanditEnv:
     """Bandit whose per-arm latent means follow independent AR(1) processes.
 
     Pulling an arm returns theta[arm] + N(0, sigma^2); afterwards every
-    latent advances by theta <- eta*theta + N(0, zeta^2), pulled or not.
-    ``zeta`` defaults to sqrt(1 - eta^2), which together with sigma0 = 1
-    keeps each latent marginally standard normal.
+    latent advances by theta <- eta*theta + N(0, zeta^2), pulled or not. Each
+    latent starts at N(0, 1), and zeta = sqrt(1 - eta^2) keeps it there.
     """
 
     observation_space = ("real",)
 
-    def __init__(self, arms: int, eta, sigma: float, zeta=None, mu0=0.0, sigma0=1.0):
+    def __init__(self, arms: int, eta: float, sigma: float):
         if arms < 1:
             raise ValueError("at least one arm required")
         self.n_arms = arms
         self.action_space = ("discrete", arms)
-        self.etas = per_arm(eta, arms)
-        if zeta is None:
-            self.zetas = [math.sqrt(max(0.0, 1.0 - e * e)) for e in self.etas]
-        else:
-            self.zetas = per_arm(zeta, arms)
-        self.mu0s = per_arm(mu0, arms)
-        self.sigma0s = per_arm(sigma0, arms)
+        self.eta = float(eta)
+        self.zeta = math.sqrt(max(0.0, 1.0 - self.eta * self.eta))
         self.sigma = float(sigma)
         self.thetas: list[float] = []
 
     def reset(self, stream: RngStream):
         self._rng = stream.buffer()
-        self.thetas = [m + math.sqrt(s) * self._rng.normal() for m, s in zip(self.mu0s, self.sigma0s)]
+        self.thetas = [self._rng.normal() for _ in range(self.n_arms)]
 
     def step(self, arm):
         if not 0 <= arm < self.n_arms:
@@ -160,7 +157,7 @@ class GaussianAr1BanditEnv:
         obs = self.thetas[arm] + self.sigma * rng.normal()
         thetas = self.thetas
         for i in range(self.n_arms):
-            thetas[i] = self.etas[i] * thetas[i] + self.zetas[i] * rng.normal()
+            thetas[i] = self.eta * thetas[i] + self.zeta * rng.normal()
         return obs
 
     def reward(self, action, observation) -> float:
@@ -272,7 +269,8 @@ class GoalMdpEnv:
     Dirichlet(1/S, ..., 1/S) with probability ``resample_prob``; whenever any
     row changed, the goal-arrival reward is rescaled so the greedy policy of
     the current MDP earns ``_TARGET_REWARD`` (0.5) per step on average. The
-    goal state pays that scaled reward on arrival, every other transition 0.
+    goal state ``_GOAL_STATE`` (0) pays that scaled reward on arrival, every
+    other transition 0.
     A degenerate draw that leaves the goal unreachable under the greedy
     policy, or on which policy iteration does not settle, raises
     DegenerateMdpError, one of the two modelled failures that
@@ -287,19 +285,16 @@ class GoalMdpEnv:
     """
 
     def __init__(self, n_states: int = 10, n_actions: int = 3, resample_prob: float = 1e-3,
-                 goal_state: int = 0, plan_gamma: float = 0.9):
+                 plan_gamma: float = 0.9):
         if n_states < 1 or n_actions < 1:
             raise ValueError(f"need at least one state and one action, got {n_states} x {n_actions}")
         if not 0.0 <= resample_prob < 1.0:
             raise ValueError(f"resample probability must lie in [0, 1), got {resample_prob}")
-        if not 0 <= goal_state < n_states:
-            raise ValueError(f"goal state {goal_state} out of range")
         if not 0.0 < plan_gamma < 1.0:
             raise ValueError(f"planning discount must lie in (0, 1), got {plan_gamma}")
         self.n_states = n_states
         self.n_actions = n_actions
         self.resample_prob = resample_prob
-        self.goal_state = goal_state
         self.plan_gamma = plan_gamma
         self.action_space = ("discrete", n_actions)
         self.observation_space = ("discrete", n_states)
@@ -312,7 +307,7 @@ class GoalMdpEnv:
         self._tr = stream.child("transition").buffer()
         self.P = _dirichlet_rows(self._row_gen, S * A, S).reshape(S, A, S)
         self._cum = [[list(np.cumsum(self.P[s, a])) for a in range(A)] for s in range(S)]
-        self.goal_reward, self._q = goal_reward_scale(self.P, self.goal_state, self.plan_gamma,
+        self.goal_reward, self._q = goal_reward_scale(self.P, _GOAL_STATE, self.plan_gamma,
                                                       _TARGET_REWARD)
         self.state = _initial_state(stream, S)
         self.resample_events = 0
@@ -347,7 +342,7 @@ class GoalMdpEnv:
                 self.resample_events += end - ptr
                 self._ev_ptr = end
                 self.goal_reward, self._q = goal_reward_scale(
-                    self.P, self.goal_state, self.plan_gamma, _TARGET_REWARD, self._q)
+                    self.P, _GOAL_STATE, self.plan_gamma, _TARGET_REWARD, self._q)
             self._ev_pos = pos + 1
             if self._ev_pos == _EVENT_BLOCK:
                 self._refill_events()
@@ -359,7 +354,7 @@ class GoalMdpEnv:
         return nxt
 
     def reward(self, action, observation) -> float:
-        return self.goal_reward if observation == self.goal_state else 0.0
+        return self.goal_reward if observation == _GOAL_STATE else 0.0
 
 
 _ENV_KINDS = {

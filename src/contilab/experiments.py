@@ -142,6 +142,11 @@ def _analytic_row(coords, metric, value) -> SweepRow:
     return SweepRow(dict(coords), metric, float(value), 0.0, 0.0, 0)
 
 
+def _xy(pts) -> tuple[list, list]:
+    """The x and the y values of a plot series given as (x, y) points."""
+    return [p[0] for p in pts], [p[1] for p in pts]
+
+
 def _time_series(rows, key: str, metric: str, label: str = "{}") -> list:
     """Plot series of ``metric``'s rows whose coords hold a step "t": one per
     value of ``coords[key]``, in row order, named ``label.format(value)``."""
@@ -179,7 +184,7 @@ def _run_fig2(params, workers):
     rows = table.rows
     pts = sorted((r.coords["agent.alpha"], r.mean) for r in rows if r.metric == "average_reward")
     plot = ("average reward vs stepsize", "stepsize", "average reward",
-            [("tracking filter", [p[0] for p in pts], [p[1] for p in pts])])
+            [("tracking filter", *_xy(pts))])
     return ExperimentResult(rows, plot)
 
 
@@ -260,8 +265,7 @@ def _run_fig8(params, workers):
         delta_pts.append((delta, best))
 
     plot = ("optimal stepsize vs capacity and noise", "capacity / noise std", "stepsize",
-            [("argmin vs capacity", [p[0] for p in cap_pts], [p[1] for p in cap_pts]),
-             ("argmin vs delta", [p[0] for p in delta_pts], [p[1] for p in delta_pts])])
+            [("argmin vs capacity", *_xy(cap_pts)), ("argmin vs delta", *_xy(delta_pts))])
     return ExperimentResult(rows, plot)
 
 
@@ -347,7 +351,7 @@ def _run_fig14(params, workers):
     series = []
     for kind in ("ts", "ps"):
         pts = sorted((r.coords["eta"], r.mean) for r in table.select("average_reward", agent=kind))
-        series.append((kind, [p[0] for p in pts], [p[1] for p in pts]))
+        series.append((kind, *_xy(pts)))
     return ExperimentResult(table.rows, ("reward vs drift rate", "eta", "average reward", series))
 
 
@@ -405,7 +409,7 @@ def _run_mdp(outer: str, inner: str, label: str, params, workers):
     series = []
     for resample_eta in params["resample_etas"]:
         pts = [(r.coords[outer], r.mean) for r in best if r.coords["resample_eta"] == resample_eta]
-        series.append((f"resample={resample_eta:g}", [p[0] for p in pts], [p[1] for p in pts]))
+        series.append((f"resample={resample_eta:g}", *_xy(pts)))
     return ExperimentResult(best + table.rows,
                             (f"reward vs {label}", label, "average reward", series))
 
@@ -448,8 +452,7 @@ def _run_logit_regret(params, workers):
         pts_mc.append((T, -row.mean))
         pts_bound.append((T, bound))
     plot = ("regret vs bound", "horizon", "average regret",
-            [("simulated", [p[0] for p in pts_mc], [p[1] for p in pts_mc]),
-             ("bound", [p[0] for p in pts_bound], [p[1] for p in pts_bound])])
+            [("simulated", *_xy(pts_mc)), ("bound", *_xy(pts_bound))])
     return ExperimentResult(rows, plot)
 
 
@@ -501,10 +504,16 @@ def _run_bitflip(params, workers):
      "horizon": 20_000, "trials": 8, "seed": 20_240_910, "policy_stride": 20},
 )
 def _run_coinswap(params, workers):
+    p1 = params["p1"]
+    envs = [{"kind": "coin_swap", "arms": [{"prior": ["fixed", p1], "swap_prob": 0.0},
+                                           {"prior": ["dyadic", 0.5], "swap_prob": q2}]}
+            for q2 in params["q2s"]]
+    for env in envs:  # a bad p1 or q2 fails here, before any planning
+        build_env(env)
     rows = []
     sim_cells = []
-    for q2 in params["q2s"]:
-        plan = belief_value_iteration(params["p1"], q2, params["gamma"], params["grid_size"])
+    for q2, env in zip(params["q2s"], envs):
+        plan = belief_value_iteration(p1, q2, params["gamma"], params["grid_size"])
         stride = max(1, params["policy_stride"])
         for i in range(0, len(plan.beliefs), stride):
             coords = {"q2": q2, "belief": round(float(plan.beliefs[i]), 10)}
@@ -515,11 +524,8 @@ def _run_coinswap(params, workers):
         rows.append(_analytic_row({"q2": q2}, "start_action", plan.action_at(0.5)))
         for label, actions in (("planner", [int(a) for a in plan.actions]), ("coin1_only", [0, 0])):
             sim_cells.append(ExperimentConfig(
-                env={"kind": "coin_swap",
-                     "arms": [{"prior": ["fixed", params["p1"]], "swap_prob": 0.0},
-                              {"prior": ["dyadic", 0.5], "swap_prob": q2}]},
-                agent={"kind": "coin_belief", "p1": params["p1"], "q2": q2,
-                       "policy_actions": actions},
+                env=env,
+                agent={"kind": "coin_belief", "p1": p1, "q2": q2, "policy_actions": actions},
                 horizon=params["horizon"], trials=params["trials"], seed=params["seed"],
                 coords={"q2": q2, "policy": label},
             ))

@@ -8,6 +8,7 @@ seed are byte-identical.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 from . import __version__
@@ -62,17 +63,26 @@ def write_config_resolved(path: Path, params: dict) -> Path:
 _COLORS = ["#1f6fb2", "#d1495b", "#3a7d44", "#8d5a97", "#c97b2d", "#4f6d7a", "#997b1d"]
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """``(lo, hi)``; an empty range becomes (lo, lo + 1), or (lo, lo / 2)
+    sorted where 1 is below lo's resolution: a positive, finite width."""
     if hi <= lo:
-        hi = lo + 1.0
+        lo, hi = (lo, lo + 1.0) if lo + 1.0 > lo else sorted((lo, 0.5 * lo))
+    return lo, hi
+
+
+def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+    lo, hi = _widen(lo, hi)
     raw = (hi - lo) / max(n - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 2.5 * mag, 5 * mag, 10 * mag) if s >= raw)
     start = math.ceil(lo / step) * step
     out = []
     t = start
-    while t <= hi + 1e-12 * step:
+    while t <= hi + 1e-12 * step and t < math.inf:  # hi + ... is inf near the top
         out.append(0.0 if abs(t) < 1e-15 * step else t)
+        if t + step == t:  # step is below t's resolution
+            break
         t += step
     return out or [lo, hi]
 
@@ -87,14 +97,11 @@ def write_line_plot(path: Path, title: str, xlabel: str, ylabel: str, series) ->
     ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
     if not xs_all or not ys_all:
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _widen(min(xs_all), max(xs_all))
+    y_lo, y_hi = _widen(min(ys_all), max(ys_all))
     pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    top = sys.float_info.max  # the pad must not carry an end past it
+    y_lo, y_hi = max(y_lo - pad, -top), min(y_hi + pad, top)
 
     def px(x):
         return ml + (x - x_lo) / (x_hi - x_lo) * pw

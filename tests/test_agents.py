@@ -23,29 +23,42 @@ def _phi(x):
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
+def _observe(agent, y):
+    """One ``update`` of an agent that reads only the observation."""
+    agent.update(None, y, 0.0)
+
+
+def _learn(agent, s, a, r, s_next):
+    """One TD update of an ``OptimisticQAgent`` from state ``s``."""
+    agent.state = s
+    agent.update(a, s_next, r)
+
+
 # -- tracking filters ---------------------------------------------------------
 
 def test_lms_plain_zero_stepsize_frozen():
-    ag = LmsAgent(alpha=0.0, eta=1.0, mode="plain", mu0=0.4)
+    ag = LmsAgent(alpha=0.0, eta=1.0, mode="plain")
     ag.reset(RngStream(0))
+    ag.mu = 0.4
     for y in (1.0, -3.0, 7.0):
-        ag.update_estimate(y)
+        _observe(ag, y)
     assert ag.mu == 0.4
 
 
 def test_lms_shrinkage_full_stepsize_tracks():
     ag = LmsAgent(alpha=1.0, eta=0.9, mode="shrinkage")
     ag.reset(RngStream(0))
-    ag.update_estimate(2.5)
+    _observe(ag, 2.5)
     assert ag.mu == 2.5
 
 
 def test_lms_shrinkage_hand_value():
-    ag = LmsAgent(alpha=0.35, eta=0.9, mode="shrinkage", mu0=0.0)
+    ag = LmsAgent(alpha=0.35, eta=0.9, mode="shrinkage")
     ag.reset(RngStream(0))
-    pred = ag.update_estimate(1.0)
+    assert ag.mu == 0.0
+    _observe(ag, 1.0)
     assert ag.mu == pytest.approx(0.35)
-    assert pred == pytest.approx(0.9 * 0.35)
+    assert ag.act() == pytest.approx(0.9 * 0.35)
     assert ag.act() == pytest.approx(0.315)
 
 
@@ -60,8 +73,8 @@ def test_capacity_lms_zero_noise_equals_plain_lms():
     plain.reset(RngStream(1))
     ys = RngStream(2).generator().standard_normal(200)
     for y in ys:
-        cap.ingest(float(y))
-        plain.update_estimate(float(y))
+        _observe(cap, float(y))
+        _observe(plain, float(y))
         assert cap.alpha == plain.alpha
     assert cap.u == pytest.approx(plain.mu, abs=0.0)
 
@@ -73,8 +86,8 @@ def test_capacity_lms_huge_capacity_matches_noiseless():
     b.reset(RngStream(3))
     ys = RngStream(4).generator().standard_normal(500)
     for y in ys:
-        a.ingest(float(y))
-        b.ingest(float(y))
+        _observe(a, float(y))
+        _observe(b, float(y))
     assert a.alpha == b.alpha
     assert math.sqrt(delta_star(a.alpha, 0.9, 0.5, 50.0)) < 1e-20
     assert a.u == pytest.approx(b.u, abs=1e-15)
@@ -88,7 +101,7 @@ def test_capacity_lms_noise_variance():
     qs = []
     for _ in range(100_000):
         prev = ag.u
-        ag.ingest(0.0)
+        _observe(ag, 0.0)
         qs.append(ag.u - (1.0 - 0.5) * prev)
     assert ag.alpha == 0.5
     qs = np.array(qs)
@@ -120,7 +133,7 @@ def test_idbd_frozen_meta_matches_capacity_lms():
     u = 0.0
     ys = RngStream(7).generator().standard_normal(300)
     for y in ys:
-        idbd.ingest(float(y))
+        _observe(idbd, float(y))
         u = u + alpha0 * (float(y) - u) + delta * noise.normal()
         assert idbd.alpha == alpha0
     assert idbd.u == pytest.approx(u, abs=0.0)
@@ -145,25 +158,26 @@ def test_idbd_capacity_mode_rejects_bad_closed_form_parameters(params, message):
 def test_idbd_numeric_divergence_reports_step():
     ag = IdbdAgent(zeta_meta=1.0, mode="standard", delta=0.0, alpha0=0.5)
     ag.reset(RngStream(8))
-    ag.ingest(1e200)
+    _observe(ag, 1e200)
     with pytest.raises(NumericError, match="step 1"):
-        ag.ingest(-1e200)
+        _observe(ag, -1e200)
 
 
 def test_idbd_alpha_clamped():
     ag = IdbdAgent(zeta_meta=0.5, mode="standard", delta=0.0, alpha0=1.0)
     ag.reset(RngStream(9))
     for y in RngStream(10).generator().standard_normal(500):
-        ag.ingest(float(y) * 10)
+        _observe(ag, float(y) * 10)
         assert 0.0 < ag.alpha <= 1.0
 
 
 # -- posterior-sampling bandits ----------------------------------------------
 
 def test_ts_update_conjugate_averaging():
-    ag = TsAgent(arms=2, eta=1.0, zeta=0.0, sigma=2.0, mu0=1.0, sigma0=4.0)
+    ag = TsAgent(arms=2, eta=1.0, zeta=0.0, sigma=2.0)
     ag.reset(RngStream(11))
-    ag.posterior_update(0, 3.0)
+    ag.mus, ag.sigmas = [1.0, 1.0], [4.0, 4.0]
+    ag.update(0, 3.0, 3.0)
     # prior Sigma = sigma^2: posterior halves, mean averages
     assert ag.sigmas[0] == pytest.approx(2.0)
     assert ag.mus[0] == pytest.approx((1.0 + 3.0) / 2.0)
@@ -171,9 +185,10 @@ def test_ts_update_conjugate_averaging():
 
 
 def test_ts_update_hand_value():
-    ag = TsAgent(arms=1, eta=0.9, zeta=math.sqrt(0.19), sigma=1.0, mu0=0.0, sigma0=1.0)
+    ag = TsAgent(arms=1, eta=0.9, zeta=math.sqrt(0.19), sigma=1.0)
     ag.reset(RngStream(12))
-    ag.posterior_update(0, 1.0)
+    assert ag.mus == [0.0] and ag.sigmas == [1.0]  # the N(0, 1) prior
+    ag.update(0, 1.0, 1.0)
     assert ag.sigmas[0] == pytest.approx(0.5)
     assert ag.mus[0] == pytest.approx(0.5)
 
@@ -186,20 +201,23 @@ def test_ts_variance_recursion_ignores_observations():
     g = RngStream(14).generator()
     for t in range(50):
         arm = t % 2
-        a.posterior_update(arm, float(g.standard_normal()))
-        b.posterior_update(arm, float(g.standard_normal()) * 5.0)
+        y = float(g.standard_normal())
+        a.update(arm, y, y)
+        y = float(g.standard_normal()) * 5.0
+        b.update(arm, y, y)
         assert a.sigmas == pytest.approx(b.sigmas, abs=0.0)
         assert min(a.sigmas) > 0.0
 
 
 def test_ts_act_degenerate_argmax():
-    ag = TsAgent(arms=3, eta=1.0, zeta=0.0, sigma=1.0, mu0=[0.1, 0.9, -2.0], sigma0=0.0)
+    ag = TsAgent(arms=3, eta=1.0, zeta=0.0, sigma=1.0)
     ag.reset(RngStream(15))
+    ag.mus, ag.sigmas = [0.1, 0.9, -2.0], [0.0, 0.0, 0.0]
     assert all(ag.act() == 1 for _ in range(20))
 
 
 def test_ts_act_symmetric_arms_split_evenly():
-    ag = TsAgent(arms=2, eta=1.0, zeta=0.0, sigma=1.0, mu0=0.0, sigma0=1.0)
+    ag = TsAgent(arms=2, eta=1.0, zeta=0.0, sigma=1.0)
     ag.reset(RngStream(16))
     pulls = np.array([ag.act() for _ in range(100_000)])
     assert abs(pulls.mean() - 0.5) < 4 * math.sqrt(0.25 / len(pulls))
@@ -207,14 +225,16 @@ def test_ts_act_symmetric_arms_split_evenly():
 
 def test_ts_act_gaussian_difference_probability():
     # P(pick arm 0) = Phi((mu0 - mu1) / sqrt(S0 + S1))
-    ag = TsAgent(arms=2, eta=1.0, zeta=0.0, sigma=1.0, mu0=[0.5, 0.0], sigma0=[0.25, 0.25])
+    ag = TsAgent(arms=2, eta=1.0, zeta=0.0, sigma=1.0)
     ag.reset(RngStream(17))
+    ag.mus, ag.sigmas = [0.5, 0.0], [0.25, 0.25]
     pulls = np.array([ag.act() for _ in range(100_000)])
     p = _phi(0.5 / math.sqrt(0.5))
     assert abs((pulls == 0).mean() - p) < 4 * math.sqrt(p * (1 - p) / len(pulls))
 
-    tight = TsAgent(arms=2, eta=1.0, zeta=0.0, sigma=1.0, mu0=[1.0, 0.0], sigma0=[0.01, 0.01])
+    tight = TsAgent(arms=2, eta=1.0, zeta=0.0, sigma=1.0)
     tight.reset(RngStream(18))
+    tight.mus, tight.sigmas = [1.0, 0.0], [0.01, 0.01]
     pulls = np.array([tight.act() for _ in range(20_000)])
     assert (pulls == 0).mean() == pytest.approx(_phi(1.0 / math.sqrt(0.02)), abs=1e-3)
 
@@ -222,8 +242,8 @@ def test_ts_act_gaussian_difference_probability():
 def test_ps_x_star_and_sampling_variance_hand_values():
     ag = PsAgent(arms=1, eta=0.9, zeta=math.sqrt(0.19), sigma=1.0)
     x_star = 0.5 * (0.38 + math.sqrt(0.38**2 + 4 * 0.81 * 0.19))
-    assert ag.x_stars[0] == pytest.approx(x_star, rel=1e-12)
-    assert ag.x_stars[0] == pytest.approx(0.6258898, abs=1e-6)
+    assert ag.x_star == pytest.approx(x_star, rel=1e-12)
+    assert ag.x_star == pytest.approx(0.6258898, abs=1e-6)
     ag.sigmas = [1.0]
     _, var = ag.sampling_params(0)
     assert var == pytest.approx(0.81 / (0.81 + x_star), rel=1e-12)
@@ -259,21 +279,22 @@ def test_ps_variance_ratio_monotone_in_eta():
 def test_optq_single_update_hand_values():
     ag = OptimisticQAgent(4, 2, stepsize=1.0, discount=0.5, boost=0.0)
     ag.reset(RngStream(20))
-    ag.learn(0, 1, 1.0, 2)
+    _learn(ag, 0, 1, 1.0, 2)
+    assert ag.state == 2
     q = ag.q_table
     assert q[0][1] == 1.0 and q[0][0] == 0.0
 
     ag = OptimisticQAgent(3, 3, stepsize=0.0, discount=0.9, boost=0.01)
     ag.reset(RngStream(21))
     for _ in range(5):
-        ag.learn(0, 0, 1.0, 1)
+        _learn(ag, 0, 0, 1.0, 1)
     assert np.allclose(ag.q_table, 0.05)
 
 
 def test_optq_boost_plus_td_hand_value():
     ag = OptimisticQAgent(5, 3, stepsize=0.2, discount=0.9, boost=0.0001)
     ag.reset(RngStream(22))
-    ag.learn(2, 1, 5.0, 4)
+    _learn(ag, 2, 1, 5.0, 4)
     q = np.array(ag.q_table)
     assert q[2][1] == pytest.approx(1.0001)
     mask = np.ones((5, 3), bool)
@@ -296,7 +317,8 @@ def test_optq_action_distribution_shift_invariant():
     a.reset(RngStream(24))
     b.reset(RngStream(24))
     for _ in range(7):
-        a.learn(0, 0, 1.0, 1)
+        _learn(a, 0, 0, 1.0, 1)
+    a.state = 0
     assert [a.act() for _ in range(50)] == [b.act() for _ in range(50)]
 
 
@@ -315,55 +337,60 @@ def test_optq_nan_q_row_is_a_numeric_error():
 
 # -- belief filter, logit predictor, one-bit predictor -------------------------
 
+# Action 1 tosses the replaceable coin; action 0 tosses the fixed coin,
+# whose outcome tells nothing about the replaceable one.
+
 def test_coin_belief_sticky_when_no_replacement():
-    ag = DyadicCoinBeliefAgent(p1=0.8, q2=0.0)
-    ag.update_belief(True, 1)
-    for _ in range(50):
-        assert ag.update_belief(False) == 1.0
+    ag = DyadicCoinBeliefAgent(p1=0.8, q2=0.0, policy_actions=[0])
+    assert ag.b == 0.5
+    ag.update(1, 1, 1.0)
+    for o in (0, 1) * 25:
+        ag.update(0, o, float(o))
+        assert ag.b == 1.0
 
 
 def test_coin_belief_full_replacement_pins_half():
-    ag = DyadicCoinBeliefAgent(p1=0.8, q2=1.0)
-    ag.update_belief(True, 1)
+    ag = DyadicCoinBeliefAgent(p1=0.8, q2=1.0, policy_actions=[0])
+    ag.update(1, 1, 1.0)
     assert ag.b == 0.5
-    ag.update_belief(True, 0)
+    ag.update(1, 0, 0.0)
     assert ag.b == 0.5
 
 
 def test_coin_belief_geometric_decay():
-    ag = DyadicCoinBeliefAgent(p1=0.8, q2=0.001)
-    ag.update_belief(True, 1)
+    ag = DyadicCoinBeliefAgent(p1=0.8, q2=0.001, policy_actions=[0])
+    ag.update(1, 1, 1.0)
     for _ in range(99):
-        ag.update_belief(False)
+        ag.update(0, 1, 1.0)
     # 100 replacement relaxations after the revealing toss
     assert ag.b == pytest.approx(0.5 + 0.5 * 0.999**100, rel=1e-12)
     assert ag.b == pytest.approx(0.9523961, abs=1e-6)
 
 
 def test_coin_belief_stays_in_unit_interval():
-    ag = DyadicCoinBeliefAgent(p1=0.8, q2=0.37)
+    ag = DyadicCoinBeliefAgent(p1=0.8, q2=0.37, policy_actions=[0])
     g = RngStream(25).generator()
     for _ in range(500):
-        if g.random() < 0.5:
-            ag.update_belief(True, int(g.random() < 0.5))
-        else:
-            ag.update_belief(False)
+        o = int(g.random() < 0.5)
+        ag.update(int(g.random() < 0.5), o, float(o))
         assert 0.0 <= ag.b <= 1.0
 
 
-def test_coin_belief_outcome_contract():
-    ag = DyadicCoinBeliefAgent(p1=0.8, q2=0.1)
-    with pytest.raises(ValueError):
-        ag.update_belief(True)
-    with pytest.raises(ValueError):
-        ag.update_belief(False, 1)
+def test_coin_belief_acts_from_its_policy_table():
+    # The belief picks the nearest of the table's uniform grid points 0, 1/2, 1.
+    ag = DyadicCoinBeliefAgent(p1=0.8, q2=0.0, policy_actions=[0, 1, 0])
+    ag.reset(RngStream(0))
+    assert ag.act() == 1
+    ag.update(1, 0, 0.0)
+    assert ag.b == 0.0 and ag.act() == 0
 
 
 def test_logit_prior_prediction_exactly_half():
     ag = LogitPredictorAgent()
     ag.reset(RngStream(26))
-    assert ag.predict() == pytest.approx(0.5, abs=1e-15)
-    assert ag.posterior_weights().sum() == pytest.approx(1.0, abs=1e-12)
+    assert ag.act() == pytest.approx(0.5, abs=1e-15)
+    ag._sig = np.ones_like(ag._sig)  # act() then returns the sum of the posterior weights
+    assert ag.act() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_logit_posterior_concentration():
@@ -373,7 +400,7 @@ def test_logit_posterior_concentration():
     g = RngStream(28).generator()
     for o in (g.random(10_000) < p).astype(int):
         ag.update(None, int(o), 0.0)
-    assert abs(ag.predict() - p) < 0.01
+    assert abs(ag.act() - p) < 0.01
 
 
 def test_logit_grid_refinement_stable():
@@ -387,7 +414,7 @@ def test_logit_grid_refinement_stable():
         for o in (g.random(100) < p).astype(int):
             coarse.update(None, int(o), 0.0)
             fine.update(None, int(o), 0.0)
-        assert abs(coarse.predict() - fine.predict()) < 1e-8
+        assert abs(coarse.act() - fine.act()) < 1e-8
 
 
 def test_bitflip_decision_rule():
@@ -458,11 +485,5 @@ def test_build_agent_errors():
         with pytest.raises(ConfigurationError, match="need at least one state and one action"):
             build_agent({"kind": "optimistic_q", "n_states": 3, "n_actions": 2, "stepsize": 0.1,
                          "discount": 0.9, **shape})
-
-
-def test_per_arm_lists_must_match_arm_count():
-    with pytest.raises(ValueError, match="needs 2 values, got 1"):
-        TsAgent(arms=2, eta=[0.9], zeta=0.4, sigma=1.0)
-    with pytest.raises(ValueError, match="needs 2 values, got 3"):
-        PsAgent(arms=2, eta=0.9, zeta=0.4, sigma=1.0, sigma0=[1.0, 1.0, 1.0])
-    assert TsAgent(arms=2, eta=[0.9, 0.5], zeta=0.4, sigma=1.0).etas == [0.9, 0.5]
+    with pytest.raises(ConfigurationError, match="bad parameters"):  # one drift model for all arms
+        build_agent({"kind": "ts", "arms": 2, "eta": [0.9, 0.5], "zeta": 0.4, "sigma": 1.0})

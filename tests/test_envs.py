@@ -92,7 +92,8 @@ def test_coin_invalid_arm():
 
 
 def test_bandit_frozen_latent_mean():
-    env = GaussianAr1BanditEnv(arms=2, eta=1.0, zeta=0.0, sigma=1.0)
+    env = GaussianAr1BanditEnv(arms=2, eta=1.0, sigma=1.0)
+    assert env.zeta == 0.0
     env.reset(RngStream(6))
     theta0 = env.thetas[0]
     rewards = np.array([env.step(0) for _ in range(100_000)])
@@ -100,7 +101,8 @@ def test_bandit_frozen_latent_mean():
 
 
 def test_bandit_iid_variance():
-    env = GaussianAr1BanditEnv(arms=1, eta=0.0, zeta=1.0, sigma=0.5)
+    env = GaussianAr1BanditEnv(arms=1, eta=0.0, sigma=0.5)
+    assert env.zeta == 1.0
     env.reset(RngStream(7))
     rewards = np.array([env.step(0) for _ in range(100_000)])
     se = np.std(rewards**2, ddof=1) / math.sqrt(len(rewards))
@@ -109,7 +111,7 @@ def test_bandit_iid_variance():
 
 def test_bandit_latent_autocovariance():
     eta = 0.8
-    env = GaussianAr1BanditEnv(arms=2, eta=eta, sigma=1.0)  # zeta defaults to stationary
+    env = GaussianAr1BanditEnv(arms=2, eta=eta, sigma=1.0)  # zeta = sqrt(1 - eta^2): stationary
     env.reset(RngStream(8))
     thetas = []
     for _ in range(100_000):
@@ -182,7 +184,7 @@ def test_goal_mdp_greedy_policy_earns_target():
 
     env = GoalMdpEnv(resample_prob=0.0)
     env.reset(RngStream(12))
-    r_goal, q_star = goal_reward_scale(env.P, env.goal_state, 0.9)
+    r_goal, q_star = goal_reward_scale(env.P, envs._GOAL_STATE, 0.9)
     assert r_goal == env.goal_reward
     policy = greedy_policy(q_star)
     g = RngStream(13).generator()
@@ -191,7 +193,7 @@ def test_goal_mdp_greedy_policy_earns_target():
     for _ in range(steps):
         nxt = int(np.searchsorted(cum[state, policy[state]], g.random()))
         nxt = min(nxt, env.n_states - 1)
-        if nxt == env.goal_state:
+        if nxt == envs._GOAL_STATE:
             total += r_goal
         state = nxt
     assert abs(total / steps - 0.5) < 0.02
@@ -201,7 +203,7 @@ def test_goal_mdp_reward_paid_on_arrival():
     env = GoalMdpEnv(resample_prob=0.0)
     env.reset(RngStream(14))
     nxt = env.step(1)
-    expected = env.goal_reward if nxt == env.goal_state else 0.0
+    expected = env.goal_reward if nxt == envs._GOAL_STATE else 0.0
     assert env.reward(1, nxt) == expected
 
 
@@ -339,6 +341,15 @@ def test_build_env_unknown_kind():
     ({"kind": "bit_flip", "prior": ["gamma", 1, 1]}, "unknown bias prior"),
     ({"kind": "coin_swap", "arms": [{"prior": ["fixed", 0.5]}, {"prior": ["beta", -1, 2]}]},
      "two finite, positive parameters"),
+    ({"kind": "bit_flip", "prior": ["fixed", 1.5]}, r"a fixed prior takes one probability in \[0, 1\]"),
+    ({"kind": "bit_flip", "prior": ["fixed", math.nan]}, "a fixed prior takes one probability"),
+    ({"kind": "bit_flip", "prior": ["fixed"]}, "a fixed prior takes one probability"),
+    ({"kind": "bit_flip", "prior": ["dyadic", -0.1]}, "a dyadic prior takes one probability"),
+    ({"kind": "bit_flip", "prior": ["dyadic"]}, "a dyadic prior takes one probability"),
+    ({"kind": "coin_swap", "arms": [{"prior": ["fixed", math.inf]}, {"prior": ["dyadic", 0.5]}]},
+     "a fixed prior takes one probability"),
+    ({"kind": "coin_swap", "arms": [{"prior": ["fixed", 0.8]}, {"prior": ["dyadic", 2.0]}]},
+     "a dyadic prior takes one probability"),
 ])
 def test_build_env_rejects_bad_priors(spec, message):
     # Checked when the env is built, not at the first trial's draw.
@@ -361,5 +372,3 @@ def test_env_param_validation():
         GoalMdpEnv(resample_prob=-0.1)
     with pytest.raises(ValueError):
         CoinSwapEnv([])
-    with pytest.raises(ValueError, match="needs 2 values, got 1"):
-        GaussianAr1BanditEnv(arms=2, eta=0.9, sigma=1.0, mu0=[0.0])

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import subprocess
@@ -8,11 +9,14 @@ import numpy as np
 import pytest
 from _oracles import stability_errors as dense_stability_errors
 
-from contilab import experiments
+from contilab import experiments, sweep
 from contilab import infotheory as it
+from contilab.agents import _AGENT_KINDS
 from contilab.cli import main
+from contilab.envs import _ENV_KINDS
 from contilab.errors import ConfigurationError
 from contilab.experiments import list_experiments, resolve_params, run_experiment
+from contilab.output import write_line_plot
 
 EXPECTED_NAMES = [
     "fig2_lms_sweep",
@@ -45,6 +49,29 @@ FAST_OVERRIDES = {
     "coinswap_belief": {"grid_size": "201", "trials": "2", "horizon": "200",
                         "q2s": "[0.5]", "gamma": "0.9"},
 }
+
+
+def test_every_env_and_agent_setting_is_set_by_some_experiment(monkeypatch):
+    # A kind no experiment builds, or a constructor parameter no experiment
+    # sets, is code that only tests reach: a setting with one value in use
+    # belongs in the code as a constant. The cells are recorded, not run.
+    cells = []
+
+    def record(batch, *, workers=None, record_series=False):
+        cells.extend(batch)
+        return [[sweep.TrialResult(i, None, "NumericError: not run") for i in range(cfg.trials)]
+                for cfg in batch]
+
+    monkeypatch.setattr(experiments, "run_trials", record)
+    monkeypatch.setattr(sweep, "run_trials", record)
+    for name in list_experiments():
+        experiments._get(name).runner(resolve_params(name, FAST_OVERRIDES[name]), 1)
+    for side, kinds in (("env", _ENV_KINDS), ("agent", _AGENT_KINDS)):
+        for kind, cls in kinds.items():
+            specs = [getattr(cfg, side) for cfg in cells if getattr(cfg, side)["kind"] == kind]
+            assert specs, f"no experiment builds {side} kind {kind!r}"
+            unset = set(inspect.signature(cls.__init__).parameters) - {"self"} - set().union(*specs)
+            assert not unset, f"no experiment sets {sorted(unset)} of {side} kind {kind!r}"
 
 
 def test_registry_names_and_uniqueness():
@@ -192,12 +219,24 @@ def test_cli_invalid_closed_form_parameter_exits_2_without_csv(tmp_path, capsys,
     assert not (out / "results.csv").exists()
 
 
-@pytest.mark.parametrize("prior", ['[["beta", 0, 1]]', '[["beta", 0, 0]]'])
-def test_cli_bad_beta_prior_exits_2_without_csv(tmp_path, capsys, prior):
+@pytest.mark.parametrize("argv, message", [
+    (["bitflip_demo", '--priors=[["beta", 0, 1]]'],
+     "a beta prior needs two finite, positive parameters"),
+    (["bitflip_demo", '--priors=[["beta", 0, 0]]'],
+     "a beta prior needs two finite, positive parameters"),
+    (["coinswap_belief", "--p1=1.5", "--grid_size=11"],
+     "a fixed prior takes one probability in [0, 1]"),
+    (["coinswap_belief", "--q2s=[0.5, 1.5]", "--grid_size=11"],
+     "swap probability must lie in [0, 1]"),
+])
+def test_cli_bad_prior_exits_2_without_csv(tmp_path, capsys, monkeypatch, argv, message):
+    def plan(*args):
+        raise AssertionError("a bad config reached the planner")
+
+    monkeypatch.setattr(experiments, "belief_value_iteration", plan)
     out = tmp_path / "bad"
-    assert main(["run", "bitflip_demo", f"--priors={prior}", "--trials=2", "--horizon=10",
-                 "--out", str(out)]) == 2
-    assert "a beta prior needs two finite, positive parameters" in capsys.readouterr().err
+    assert main(["run", *argv, "--trials=2", "--horizon=10", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not (out / "results.csv").exists()
 
 
@@ -283,9 +322,11 @@ def test_cli_fig13_with_one_cell_failed_exits_0(tmp_path):
 def test_cli_fig13_with_one_cell_failed_and_one_clean_exits_0(tmp_path):
     # At this seed both ps trials fail at their first step and neither ts trial does:
     # the ts cell's series rows carry no failure note and still count as data.
+    # The plot holds one point, the ts running average near 7.8e307.
     out = tmp_path / "ps_failed_ts_clean"
     assert main(["run", "fig13_ps_vs_ts_time", "--trials=2", "--horizon=1", "--sigma=1e308",
-                 "--eta=0.7", "--seed=44", "--out", str(out)]) == 0
+                 "--eta=0.7", "--seed=44", "--plot", "--out", str(out)]) == 0
+    assert "polyline" in (out / "plot.svg").read_text()
     rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[4:]]
     assert [row for row in rows if row[0] == "ps"] == [
         ["ps", "", "cum_avg_reward", "nan", "nan", "nan", "0",
@@ -293,6 +334,17 @@ def test_cli_fig13_with_one_cell_failed_and_one_clean_exits_0(tmp_path):
     ts = [row for row in rows if row[0] == "ts"]
     assert [row[2] for row in ts] == ["cum_avg_reward", "greedy_rate"]
     assert all(math.isfinite(float(row[3])) and row[-2:] == ["0", ""] for row in ts)
+
+
+@pytest.mark.parametrize("value", [7.8e307, 1.7976931348623157e308, -1.7976931348623157e308,
+                                   -2.0**53, 5e15, 1e16, 0.0, 5.0])
+def test_plot_of_a_constant_series_has_finite_ticks(tmp_path, value):
+    # An empty range is widened to a positive, finite width, also where
+    # adding 1 cannot move the value, and the ticks stop where the step is
+    # below the resolution of the values or they would overflow.
+    path = write_line_plot(tmp_path / "plot.svg", "t", "x", "y", [("a", [value], [value])])
+    labels = re.findall(r'text-anchor="end">([^<]*)<', path.read_text())
+    assert labels and all(math.isfinite(float(v)) for v in labels)
 
 
 @pytest.mark.parametrize("argv", [

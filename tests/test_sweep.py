@@ -291,8 +291,8 @@ class _LazyGoalMdpEnv(GoalMdpEnv):
 
 class _DoubleStepIdbdAgent(IdbdAgent):
     def update(self, action, observation, reward):
-        self.ingest(observation)
-        self.ingest(observation)
+        super().update(action, observation, reward)
+        super().update(action, observation, reward)
 
 
 @dataclass

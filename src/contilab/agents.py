@@ -28,7 +28,7 @@ class LmsAgent:
 
     ``mode`` selects the prediction/update pairing: "shrinkage" predicts
     eta*mu and shrinks inside the update; "plain" predicts mu and updates
-    mu <- mu + alpha*(y - mu).
+    mu <- mu + alpha*(y - mu), which is eta = 1 (1.0*mu == mu bit for bit).
     """
 
     action_space = ("real",)
@@ -42,15 +42,14 @@ class LmsAgent:
         if mode not in ("shrinkage", "plain"):
             raise ValueError(f"mode must be 'shrinkage' or 'plain', got {mode!r}")
         self.alpha = alpha
-        self.eta = eta
-        self.mode = mode
+        self.eta = eta if mode == "shrinkage" else 1.0
         self.mu = 0.0
 
     def reset(self, stream: RngStream):
         self.mu = 0.0
 
     def act(self):
-        return self.eta * self.mu if self.mode == "shrinkage" else self.mu
+        return self.eta * self.mu
 
     def update(self, action, observation, reward):
         pred = self.act()
@@ -154,6 +153,12 @@ class TsAgent:
     def __init__(self, arms: int, eta: float, zeta: float, sigma: float):
         if arms < 1:
             raise ValueError("at least one arm required")
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        if not zeta >= 0.0:
+            raise ValueError(f"zeta must be nonnegative, got {zeta}")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {sigma}")
         self.n_arms = arms
         self.action_space = ("discrete", arms)
         self.eta = float(eta)

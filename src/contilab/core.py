@@ -201,7 +201,7 @@ def run_lockstep(envs, agents, T: int, streams) -> list[TrajectorySummary | None
     eta = np.array([env.eta for env in envs], dtype=float)
     zeta = np.array([env.zeta for env in envs], dtype=float)
     sigma = np.array([env.sigma for env in envs], dtype=float)
-    scale = np.array([a.eta if a.mode == "shrinkage" else 1.0 for a in agents], dtype=float)
+    scale = np.array([a.eta for a in agents], dtype=float)
     coef = np.concatenate(([a.alpha for a in agents], eta))
     last = min(L, T)
     E[last, :n] = 0.0  # mu of every agent

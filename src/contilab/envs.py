@@ -139,6 +139,10 @@ class GaussianAr1BanditEnv:
     def __init__(self, arms: int, eta: float, sigma: float):
         if arms < 1:
             raise ValueError("at least one arm required")
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        if not 0.0 <= sigma < math.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
         self.n_arms = arms
         self.action_space = ("discrete", arms)
         self.eta = float(eta)

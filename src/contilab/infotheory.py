@@ -4,14 +4,14 @@ process: steady-state second moments, capacity-matched quantization noise,
 implasticity decomposition of prediction error, optimal stepsizes, and the
 regret bound of the logit prediction stream.
 
-Every conditional mutual information I(X; Z | D) goes through one block
-function on the covariance of X, its cross block with the conditioning
-coordinates W and the covariance of W. :func:`gaussian_cond_mi` slices those
-blocks out of a full joint. :func:`stability_errors` builds them per stepsize
-around one shared future block, equal bit for bit to the dense one-point
-evaluation; fig7's 12-digit CSV bytes are pinned to that arithmetic.
-:func:`total_stability_error` is the Markov-reduced total, one K x K solve per
-call and O(1) per grid point; fig8's error-optimal stepsizes come from it.
+The steady-state quantities (:func:`mi_capacity`, :func:`posterior_pred_params`
+and :func:`total_stability_error`, whose argmins are fig8's) are closed forms in
+the :class:`LmsSteadyCovariance` moments and the information about theta_t in
+K future observations from a scalar backward filter: no linear algebra runs.
+The dense block engine, :func:`gaussian_cond_mi` on a joint covariance, serves
+the exact :func:`lag_decomposition` and :func:`stability_errors`, which builds
+its blocks around one shared future block, equal bit for bit to the dense
+one-point evaluation; fig7's 12-digit CSV bytes are pinned to that arithmetic.
 
 Model conventions (standardized throughout this module): the latent follows
 theta' = eta*theta + N(0, 1 - eta^2) with theta_0 ~ N(0, 1), observations are
@@ -173,6 +173,10 @@ class LmsSteadyCovariance:
         )
         return val if val.ndim else float(val)
 
+    def u_theta(self) -> float:
+        """E[U_t theta_t]."""
+        return self.alpha / self._A
+
     def u_y_fwd(self, k):
         """E[U_t Y_{t+k}] for k >= 1."""
         k = np.asarray(k, dtype=float)
@@ -186,19 +190,6 @@ class LmsSteadyCovariance:
         block = np.power(self.eta, lag)
         np.fill_diagonal(block, self.y_var())
         return block
-
-    def capacity_joint(self, n: int) -> np.ndarray:
-        """Joint over (U_t, Y_{t-n+1}, ..., Y_t): index 0 is U, then oldest first."""
-        if n < 1:
-            raise ValueError("need at least one observation coordinate")
-        ks = np.arange(n)
-        cov = np.empty((n + 1, n + 1))
-        cov[0, 0] = self.u_var()
-        back = self.u_y_back(np.arange(n - 1, -1, -1, dtype=float))
-        cov[0, 1:] = back
-        cov[1:, 0] = back
-        cov[1:, 1:] = self._y_block(ks)
-        return cov
 
 
 # -- capacity noise ----------------------------------------------------------
@@ -238,37 +229,45 @@ def delta_star_sq_grad(alpha: float, eta: float, sigma: float, capacity: float) 
     return 2.0 * kappa * alpha * (sigma**2 + B / A - eta * alpha / (A * A))
 
 
-def mi_capacity(alpha: float, eta: float, sigma: float, delta: float, n: int) -> float:
-    """I(U_t; Y_{t-n+1:t}) in nats on the steady-state joint (truncated history).
+def _future_information(eta: float, sigma: float, K: int) -> float:
+    """Fisher information s about theta_t in Y_{t+1:t+K} (b^T Cov(E)^-1 b for
+    Y_{t+1:t+K} = b*theta_t + E) by the scalar backward information filter
+    (Kalman 1960; Fraser & Potter 1969): J_K = 1/sigma^2, J_k = eta^2 J_{k+1} /
+    (1 + zeta^2 J_{k+1}) + 1/sigma^2, s = eta^2 J_1 / (1 + zeta^2 J_1). It runs
+    on G = J - 1/sigma^2, so s = 0 at eta = 0 and s = eta^2/zeta^2 at sigma = 0
+    need no branch."""
+    s2, zeta2, info = sigma * sigma, 1.0 - eta * eta, 0.0
+    for _ in range(K):
+        info = eta * eta / (s2 / (1.0 + s2 * info) + zeta2)
+    return info
 
-    Nondecreasing in n; with delta^2 = delta_star(...) it converges to the
-    configured capacity as n grows.
+
+def mi_capacity(alpha: float, eta: float, sigma: float, delta: float, n: int) -> float:
+    """I(U_t; Y_{t-n+1:t}) in nats at steady state (truncated history).
+
+    Given the window, U_t is a_c^n U_{t-n}, plus terms the window fixes, plus
+    noise of variance delta^2 (1 - a_c^(2n)) / (1 - a_c^2); the window sees
+    U_{t-n} only through theta_{t-n}. Nondecreasing in n; with delta^2 =
+    delta_star(...) it converges to the configured capacity as n grows.
     """
+    if n < 1:
+        raise ValueError("need at least one observation coordinate")
     sc = LmsSteadyCovariance(eta, sigma, alpha, delta)
-    return gaussian_cond_mi(sc.capacity_joint(n), [0], range(1, n + 1))
+    u, c, s = sc.u_var(), sc.u_theta(), _future_information(eta, sigma, n)
+    x = 2 * n * math.log1p(-alpha) if alpha < 1.0 else -math.inf  # ln a_c^(2n)
+    held = u - c * c * s / (1.0 + s)  # Var(U_{t-n} | window)
+    noise = -delta * delta * math.expm1(x) / (alpha * (2.0 - alpha))
+    if noise == 0.0:  # ln Var = x + ln held, also where a_c^(2n) underflows
+        return 0.5 * (math.log(u / held) - x)
+    return 0.5 * math.log(u / (math.exp(x) * held + noise))
 
 
 def posterior_pred_params(alpha: float, eta: float, sigma: float, delta: float) -> tuple[float, float]:
-    """Steady-state law of Y_{t+1} | U_t: returns (slope on U_t, variance).
-
-    mean = slope * U_t with
-        slope = a*eta*(1 - a_c^2) / (a^2 s^2 A + a^2 B + d^2 A)
-        var   = 1 + s^2 - a^2 eta^2 (1 - a_c^2) / (a^2 s^2 A^2 + a^2 (1 - a_c^2 eta^2) + d^2 A^2)
-    where A = 1 - a_c*eta, B = 1 + a_c*eta, a_c = 1 - alpha.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    ac = 1.0 - alpha
-    A = 1.0 - ac * eta
-    B = 1.0 + ac * eta
-    a2 = alpha * alpha
-    d2 = delta * delta
-    s2 = sigma * sigma
-    slope = alpha * eta * (1.0 - ac * ac) / (a2 * s2 * A + a2 * B + d2 * A)
-    var = 1.0 + s2 - a2 * eta * eta * (1.0 - ac * ac) / (
-        a2 * s2 * A * A + a2 * (1.0 - ac * ac * eta * eta) + d2 * A * A
-    )
-    return slope, var
+    """Steady-state law of Y_{t+1} | U_t, the regression of Y_{t+1} on U_t:
+    returns (slope on U_t, variance)."""
+    sc = LmsSteadyCovariance(eta, sigma, alpha, delta)
+    u, fwd = sc.u_var(), sc.u_y_fwd(1)
+    return fwd / u, sc.y_var() - fwd * fwd / u
 
 
 def optimal_alpha(eta: float, sigma: float) -> float:
@@ -357,7 +356,7 @@ def total_stability_error(alpha, eta: float, sigma: float, delta, future: int | 
     Y_{t+1:t+K} = b*theta_t + E with b_k = eta^k and E independent of the
     past, so by the determinant lemma and the chain rule the total is
         0.5 * [log1p(s*Var(theta_t|U_t)) - log1p(s*Var(theta_t|U_{t-1},U_t,Y_t))]
-    with s = b^T Cov(E)^-1 b, one K x K solve per call. U_t is an update of
+    with s = b^T Cov(E)^-1 b from :func:`_future_information`. U_t is an update of
     (U_{t-1}, Y_t) plus quantization noise independent of theta_t, so the last
     variance conditions on (U_{t-1}, Y_t) alone: a 2x2 head, nonsingular at
     every valid point (delta = 0 and alpha = 1 included). Where the dense
@@ -368,11 +367,10 @@ def total_stability_error(alpha, eta: float, sigma: float, delta, future: int | 
     total = np.empty(len(covs))
     if not covs:
         return total
-    b = np.power(eta, ks)
-    s = float(b @ np.linalg.solve(covs[0]._y_block(ks) - np.outer(b, b), b))
+    s = _future_information(eta, sigma, len(ks))
     s2 = sigma * sigma
     for i, sc in enumerate(covs):
-        u, now, prev = sc.u_var(), sc.alpha / sc._A, sc.u_y_fwd(1)  # prev = E[U_{t-1} theta_t]
+        u, now, prev = sc.u_var(), sc.u_theta(), sc.u_y_fwd(1)  # prev = E[U_{t-1} theta_t]
         var_given_now = 1.0 - now * now / u
         var_given_all = s2 * (u - prev * prev) / (u * (1.0 + s2) - prev * prev)
         total[i] = 0.5 * (math.log1p(s * var_given_now) - math.log1p(s * var_given_all))

@@ -71,9 +71,11 @@ def _widen(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About five round ticks on [lo, hi]. Widths, here and in the pixel maps,
+    use halved ends: finite for finite ends, exact above the smallest normal."""
     lo, hi = _widen(lo, hi)
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi / 2 - lo / 2) / 2  # (hi - lo) / 4
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 2.5 * mag, 5 * mag, 10 * mag) if s >= raw)
     start = math.ceil(lo / step) * step
@@ -99,15 +101,16 @@ def write_line_plot(path: Path, title: str, xlabel: str, ylabel: str, series) ->
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = _widen(min(xs_all), max(xs_all))
     y_lo, y_hi = _widen(min(ys_all), max(ys_all))
-    pad = 0.05 * (y_hi - y_lo)
+    pad = 0.1 * (y_hi / 2 - y_lo / 2)
     top = sys.float_info.max  # the pad must not carry an end past it
     y_lo, y_hi = max(y_lo - pad, -top), min(y_hi + pad, top)
+    x_half, y_half = x_hi / 2 - x_lo / 2, y_hi / 2 - y_lo / 2
 
     def px(x):
-        return ml + (x - x_lo) / (x_hi - x_lo) * pw
+        return ml + (x / 2 - x_lo / 2) / x_half * pw
 
     def py(y):
-        return mt + ph - (y - y_lo) / (y_hi - y_lo) * ph
+        return mt + ph - (y / 2 - y_lo / 2) / y_half * ph
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

@@ -3,7 +3,9 @@ quantized tracker on the standardized AR(1) process, batch-mean standard
 errors that respect autocorrelation, the one-at-a-time evaluations that
 the stacked engines must reproduce bit for bit (the goal-reward rescale of
 one MDP, the Dirichlet rows of a goal MDP drawn row by row, and the stability
-errors of one stepsize on its dense joint), the goal-MDP tools only tests
+errors of one stepsize on its dense joint), the dense joint of the state and
+its recent observations and the hand-expanded steady-state prediction law
+(references for the reduced closed forms), the goal-MDP tools only tests
 use (a tabular MDP, value iteration, goal MDPs, Bellman backups, greedy
 stationary distributions, and the value-iteration goal-reward scale), the
 next-step information missing from the state on a long past window, the
@@ -204,6 +206,36 @@ def stability_joint(self: LmsSteadyCovariance, future: int) -> np.ndarray:
     return cov
 
 
+def capacity_joint(self: LmsSteadyCovariance, n: int) -> np.ndarray:
+    """Joint over (U_t, Y_{t-n+1}, ..., Y_t): index 0 is U, then oldest first."""
+    if n < 1:
+        raise ValueError("need at least one observation coordinate")
+    cov = np.empty((n + 1, n + 1))
+    cov[0, 0] = self.u_var()
+    back = self.u_y_back(np.arange(n - 1, -1, -1, dtype=float))
+    cov[0, 1:] = back
+    cov[1:, 0] = back
+    cov[1:, 1:] = self._y_block(np.arange(n))
+    return cov
+
+
+def posterior_pred_params(alpha, eta, sigma, delta):
+    """Steady-state (slope, variance) of Y_{t+1} | U_t, hand-expanded:
+        slope = a*eta*(1 - a_c^2) / (a^2 s^2 A + a^2 B + d^2 A)
+        var   = 1 + s^2 - a^2 eta^2 (1 - a_c^2) / (a^2 s^2 A^2 + a^2 (1 - a_c^2 eta^2) + d^2 A^2)
+    where A = 1 - a_c*eta, B = 1 + a_c*eta, a_c = 1 - alpha.
+    """
+    ac = 1.0 - alpha
+    A = 1.0 - ac * eta
+    B = 1.0 + ac * eta
+    a2, d2, s2 = alpha * alpha, delta * delta, sigma * sigma
+    slope = alpha * eta * (1.0 - ac * ac) / (a2 * s2 * A + a2 * B + d2 * A)
+    var = 1.0 + s2 - a2 * eta * eta * (1.0 - ac * ac) / (
+        a2 * s2 * A * A + a2 * (1.0 - ac * ac * eta * eta) + d2 * A * A
+    )
+    return slope, var
+
+
 def stability_errors(alpha, eta, sigma, delta, future=None):
     """(forgetting, implasticity) of one stepsize from its dense joint: the
     per-point evaluation that ``infotheory.stability_errors`` stacks."""
@@ -224,14 +256,9 @@ def informational_error(alpha, eta, sigma, delta, past):
     sc = LmsSteadyCovariance(eta, sigma, alpha, delta)
     m = past + 2
     cov = np.empty((m, m))
-    ks = np.arange(past)
-    cov[0, 0] = sc.u_var()
-    back = sc.u_y_back(np.arange(past - 1, -1, -1, dtype=float))
-    cov[0, 1 : past + 1] = back
-    cov[1 : past + 1, 0] = back
+    cov[: past + 1, : past + 1] = capacity_joint(sc, past)
     cov[0, past + 1] = cov[past + 1, 0] = sc.u_y_fwd(1)
-    cov[1 : past + 1, 1 : past + 1] = sc._y_block(ks)
-    fwd_lag = (past - ks).astype(float)
+    fwd_lag = (past - np.arange(past)).astype(float)
     cov[1 : past + 1, past + 1] = cov[past + 1, 1 : past + 1] = np.power(eta, fwd_lag)
     cov[past + 1, past + 1] = sc.y_var()
     return gaussian_cond_mi(cov, [past + 1], list(range(1, past + 1)), [0])

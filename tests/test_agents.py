@@ -487,3 +487,27 @@ def test_build_agent_errors():
                          "discount": 0.9, **shape})
     with pytest.raises(ConfigurationError, match="bad parameters"):  # one drift model for all arms
         build_agent({"kind": "ts", "arms": 2, "eta": [0.9, 0.5], "zeta": 0.4, "sigma": 1.0})
+
+
+@pytest.mark.parametrize("cls", [TsAgent, PsAgent])
+@pytest.mark.parametrize("params, message", [
+    ({"eta": 1.5}, r"eta must lie in \[0, 1\]"),
+    ({"eta": -0.1}, r"eta must lie in \[0, 1\]"),
+    ({"eta": math.nan}, r"eta must lie in \[0, 1\]"),
+    ({"zeta": -0.1}, "zeta must be nonnegative"),
+    ({"zeta": math.nan}, "zeta must be nonnegative"),
+    ({"sigma": 0.0}, "sigma must be finite and positive"),
+    ({"sigma": -1.0}, "sigma must be finite and positive"),
+    ({"sigma": math.inf}, "sigma must be finite and positive"),
+    ({"sigma": math.nan}, "sigma must be finite and positive"),
+])
+def test_bandit_samplers_reject_drift_and_noise_outside_their_range(cls, params, message):
+    with pytest.raises(ValueError, match=message):
+        cls(**{"arms": 2, "eta": 0.9, "zeta": 0.4, "sigma": 1.0, **params})
+
+
+def test_plain_lms_is_shrinkage_lms_at_eta_one():
+    plain = LmsAgent(alpha=0.3, eta=0.7, mode="plain")
+    assert plain.eta == 1.0
+    plain.mu = 0.4
+    assert plain.act() == 0.4

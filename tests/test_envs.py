@@ -365,6 +365,18 @@ def test_goal_mdp_rejects_planning_discount_outside_unit_interval(plan_gamma):
         build_env({"kind": "goal_mdp", "plan_gamma": plan_gamma})
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"eta": 1.5}, r"eta must lie in \[0, 1\]"),
+    ({"eta": -0.5}, r"eta must lie in \[0, 1\]"),
+    ({"sigma": -1.0}, "sigma must be finite and nonnegative"),
+    ({"sigma": math.inf}, "sigma must be finite and nonnegative"),
+    ({"sigma": math.nan}, "sigma must be finite and nonnegative"),
+])
+def test_bandit_env_rejects_drift_and_noise_outside_its_range(params, message):
+    with pytest.raises(ValueError, match=message):
+        GaussianAr1BanditEnv(**{"arms": 2, "eta": 0.9, "sigma": 1.0, **params})
+
+
 def test_env_param_validation():
     with pytest.raises(ValueError):
         Ar1ScalarEnv(eta=1.5, zeta=0.1, sigma=0.1)

@@ -198,6 +198,22 @@ def test_cli_invalid_cell_parameter_exits_2_without_csv(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    ("--eta=1.5", "eta must lie in [0, 1], got 1.5"),
+    ("--eta=-0.5", "eta must lie in [0, 1], got -0.5"),
+    ("--sigma=-1", "sigma must be finite and nonnegative, got -1.0"),
+    ("--sigma=nan", "sigma must be finite and nonnegative, got nan"),
+    # the env takes noiseless observations; the samplers' 1/sigma^2 does not
+    ("--sigma=0", "bad parameters for agent 'ts': sigma must be finite and positive, got 0.0"),
+])
+def test_cli_bad_bandit_drift_or_noise_exits_2_without_csv(tmp_path, capsys, override, message):
+    out = tmp_path / "bad"
+    assert main(["run", "fig13_ps_vs_ts_time", "--trials=2", "--horizon=10", override,
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["fig9_idbd", "--capacity=-1"], "capacity must be positive"),
     (["fig9_idbd", "--eta=1.5"], "eta must lie in (0, 1)"),
@@ -347,6 +363,19 @@ def test_plot_of_a_constant_series_has_finite_ticks(tmp_path, value):
     assert labels and all(math.isfinite(float(v)) for v in labels)
 
 
+def test_plot_of_values_spanning_more_than_the_largest_float_has_finite_coordinates(tmp_path):
+    # 1e308 - (-1e308) overflows; widths, tick steps and pixel maps are
+    # taken on halved values.
+    svg = write_line_plot(tmp_path / "plot.svg", "t", "x", "y",
+                          [("a", [0, 1], [-1e308, 1e308])]).read_text()
+    coords = re.findall(r' (?:x|y|x1|x2|y1|y2)="([^"]*)"', svg)
+    coords += [v for pts in re.findall(r'points="([^"]*)"', svg) for p in pts.split()
+               for v in p.split(",")]
+    assert len(coords) > 20 and all(math.isfinite(float(v)) for v in coords)
+    labels = re.findall(r'text-anchor="end">([^<]*)<', svg)
+    assert labels == ["-1e+308", "0", "1e+308"]
+
+
 @pytest.mark.parametrize("argv", [
     ["fig13_ps_vs_ts_time", "--trials=4", "--horizon=20", "--sigma=3e307", "--eta=0.7",
      "--seed=3"],
@@ -433,6 +462,17 @@ def test_analytic_rows_equal_the_per_point_oracle(monkeypatch, name, overrides, 
     assert len(calls) == engine_calls
     monkeypatch.setattr(it, engine_name, per_point)
     assert runner(params, None).rows == rows
+
+
+@pytest.mark.parametrize("size, alpha_step", [("full", "0.02"), ("smoke", "0.1")])
+def test_fig8_bytes_equal_the_benchmark_reference(tmp_path, size, alpha_step):
+    # The benchmark's analytic workload runs fig8 at these sizes and checks
+    # its bytes against these files. fig7 is left out: its bytes follow the
+    # OpenBLAS thread count.
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / size / "analytic"
+    run_experiment("fig8_optimal_alpha", {"alpha_step": alpha_step}, tmp_path, plot=False)
+    assert (tmp_path / "results.csv").read_bytes() == \
+        (reference / "fig8_optimal_alpha.csv").read_bytes()
 
 
 def test_fig8_argmins_minimize_the_dense_total_error():

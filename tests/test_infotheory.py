@@ -4,10 +4,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from _oracles import (batch_stderr, informational_error, regret_bound_entropy, simulate_tracker,
-                      stability_joint)
+from _oracles import (batch_stderr, capacity_joint, informational_error, regret_bound_entropy,
+                      simulate_tracker, stability_joint)
+from _oracles import posterior_pred_params as expanded_posterior_pred_params
 from _oracles import stability_errors as dense_stability_errors
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contilab import infotheory as it
@@ -18,6 +19,22 @@ from contilab.rng import RngStream
 def random_psd(gen, n):
     a = gen.standard_normal((n, n + 2))
     return a @ a.T + 0.1 * np.eye(n)
+
+
+def _mp_lyapunov(alpha, eta, sigma, delta):
+    """Steady-state (Var theta, E[theta U], Var U) from a Lyapunov solve in
+    the current mpmath precision, so no float64 value of ``infotheory``
+    enters."""
+    mp = mpmath.mp
+    a, e = mp.mpf(alpha), mp.mpf(eta)
+    s2, d2, q = mp.mpf(sigma) ** 2, mp.mpf(delta) ** 2, 1 - mp.mpf(eta) ** 2
+    F = mp.matrix([[e, 0], [a * e, 1 - a]])
+    noise = [q, a * q, a * q, a * a * (q + s2) + d2]
+    kron = mp.matrix(4, 4)
+    for i, j, k, l in itertools.product(range(2), repeat=4):
+        kron[2 * i + k, 2 * j + l] = (1 if (i, k) == (j, l) else 0) - F[i, j] * F[k, l]
+    tt, tu, _, uu = mp.lu_solve(kron, mp.matrix(noise))
+    return tt, tu, uu
 
 
 # -- steady-state covariances --------------------------------------------------
@@ -44,7 +61,7 @@ def test_steady_cov_rejects_zero_stepsize():
 def test_steady_cov_blocks_are_psd():
     for alpha, eta, sigma, delta in ((0.3, 0.9, 0.5, 0.2), (0.999, 0.1, 1.0, 0.0), (0.05, 0.97, 0.3, 0.4)):
         sc = it.LmsSteadyCovariance(eta, sigma, alpha, delta)
-        for cov in (sc.capacity_joint(40), stability_joint(sc, 40)):
+        for cov in (capacity_joint(sc, 40), stability_joint(sc, 40)):
             assert np.array_equal(cov, cov.T)
             eigs = np.linalg.eigvalsh(cov)
             assert eigs[0] > -1e-10
@@ -193,6 +210,98 @@ def test_mi_capacity_monotone_in_history_and_noise():
     assert it.mi_capacity(0.4, 0.9, 0.5, 1e6, 50) < 1e-10
 
 
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta=st.one_of(st.just(0.0), st.floats(1e-3, 0.99)),
+       sigma=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)), K=st.integers(1, 128))
+@example(eta=0.9, sigma=0.0, K=40)
+@example(eta=0.0, sigma=0.5, K=40)
+@example(eta=0.99, sigma=0.05, K=512)
+def test_future_information_equals_the_k_by_k_solve(eta, sigma, K):
+    # s = b^T Cov(E)^-1 b for Y_{t+1:t+K} = b*theta_t + E. The solve loses
+    # digits in proportion to Cov(E)'s condition number; the filter stays
+    # within a few ulps (1.6 eps * cond at most over 300 random points).
+    ks = np.arange(1, K + 1, dtype=float)
+    b = eta**ks
+    cov_e = it.LmsSteadyCovariance(eta, sigma, 0.5, 0.0)._y_block(ks) - np.outer(b, b)
+    solved = float(b @ np.linalg.solve(cov_e, b))
+    s = it._future_information(eta, sigma, K)
+    assert abs(s - solved) <= 8 * _EPS * np.linalg.cond(cov_e) * solved
+    if sigma == 0.0:  # Y_{t+1} = theta_{t+1} fixes all there is to know
+        assert abs(s - eta**2 / (1.0 - eta**2)) <= 4 * _EPS * s
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(0.01, 1.0), eta=st.floats(0.0, 0.99), sigma=st.floats(0.05, 2.0),
+       delta=st.floats(0.0, 1.0), n=st.integers(1, 60))
+@example(alpha=0.35, eta=0.9, sigma=0.5, delta=0.3, n=60)
+@example(alpha=0.5, eta=0.500275343240475, sigma=1.0, delta=0.0, n=2)
+def test_mi_capacity_equals_the_dense_joint_where_it_is_well_conditioned(alpha, eta, sigma,
+                                                                         delta, n):
+    # The dense value's log-determinants over n + 1 coordinates carry about
+    # n + 1 ulps times the joint's condition number, and its cross moments
+    # (eta^i - a_c^i) / (eta - a_c) another ulp per |eta - a_c| (the 40-digit
+    # test below arbitrates near merged roots). Above cond 1e8 the dense
+    # path's 1e-12 ridge takes over and the dense value is no reference.
+    joint = capacity_joint(it.LmsSteadyCovariance(eta, sigma, alpha, delta), n)
+    cond, gap = np.linalg.cond(joint), abs(eta - (1.0 - alpha))
+    assume(cond < 1e8 and gap > 1e-6)
+    dense = it.gaussian_cond_mi(joint, [0], range(1, n + 1))
+    tol = 4 * _EPS * cond * (n + 1 + 1 / gap)
+    assert abs(it.mi_capacity(alpha, eta, sigma, delta, n) - dense) <= tol
+
+
+def _mp_mi_capacity(alpha, eta, sigma, delta, n):
+    """I(U_t; Y_{t-n+1:t}) = 0.5 ln(Var U / Var(U | window)) on the dense
+    joint at 40 digits, on :func:`_mp_lyapunov`'s moments. E[U_t Y_{t-j}] =
+    a_c^j (E[U theta] + alpha sigma^2) + alpha sum_{i<j} a_c^i eta^(j-i)."""
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        a, e, s2 = mp.mpf(alpha), mp.mpf(eta), mp.mpf(sigma) ** 2
+        tt, tu, uu = _mp_lyapunov(alpha, eta, sigma, delta)
+        cross = mp.matrix([(1 - a) ** j * (tu + a * s2)
+                           + a * mp.fsum((1 - a) ** i * e ** (j - i) * tt for i in range(j))
+                           for j in range(n)])
+        window = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                window[i, j] = e ** abs(i - j) * tt + (s2 if i == j else 0)
+        held = uu - (cross.T * mp.lu_solve(window, cross))[0]
+        return float(mp.log(uu / held) / 2)
+
+
+@pytest.mark.parametrize("alpha, eta, sigma, delta, n", [
+    (0.35, 0.9, 0.5, math.sqrt(it.delta_star(0.35, 0.9, 0.5, 2.0)), 60),
+    (0.05, 0.97, 0.3, 0.4, 30),
+    (0.9, 0.0, 1.5, 0.0, 3),
+    # U_t = Y_t + 1e-9 noise: 0.5 ln(1.25 / 1e-18) = 20.835 nats; the dense
+    # path's 1e-12 ridge caps it at 18.133.
+    (1.0, 0.9, 0.5, 1e-9, 50),
+])
+def test_mi_capacity_matches_a_40_digit_dense_evaluation(alpha, eta, sigma, delta, n):
+    # 0.5 ln(u / residual) carries half the relative errors of u and of the
+    # residual; the residual's held variance cancels by at most a factor 10
+    # at these points, so 64 ulps of the value bound the float error.
+    mi = it.mi_capacity(alpha, eta, sigma, delta, n)
+    assert abs(mi - _mp_mi_capacity(alpha, eta, sigma, delta, n)) <= 64 * _EPS * max(mi, 1.0)
+
+
+def test_mi_capacity_is_infinite_only_where_the_window_fixes_the_state():
+    assert it.mi_capacity(1.0, 0.9, 0.5, 0.0, 5) == math.inf
+    # Without noise the log of the residual is taken term by term: equal to
+    # the sum form where a_c^200 = 1e-200 does not underflow, and finite
+    # where a_c^400 = 1e-400 does (s_n has settled, so 100 more lags add
+    # -100 ln a_c).
+    at_100 = it.mi_capacity(0.9, 0.9, 0.5, 0.0, 100)
+    assert at_100 == pytest.approx(it.mi_capacity(0.9, 0.9, 0.5, 1e-150, 100), rel=4 * _EPS)
+    assert it.mi_capacity(0.9, 0.9, 0.5, 0.0, 200) - at_100 == pytest.approx(100 * math.log(10.0),
+                                                                             rel=1e-12)
+    with pytest.raises(ValueError, match="at least one observation"):
+        it.mi_capacity(0.5, 0.9, 0.5, 0.1, 0)
+
+
 # -- posterior predictions and optimal stepsize ---------------------------------
 
 def test_posterior_pred_limits():
@@ -210,6 +319,43 @@ def test_posterior_pred_matches_regression():
     resid = ys[1:] - slope_hat * us[:-1]
     assert abs(slope_hat - slope) < 0.01
     assert abs((resid**2).mean() - var) < 3.5 * batch_stderr(resid**2)
+
+
+def _mp_posterior_pred_params(alpha, eta, sigma, delta):
+    """(E[U_t Y_{t+1}] / Var U, Var Y - E[U_t Y_{t+1}]^2 / Var U) at 40 digits
+    on :func:`_mp_lyapunov`'s moments, with E[U_t Y_{t+1}] = eta E[U theta]."""
+    with mpmath.workdps(40):
+        tt, tu, uu = _mp_lyapunov(alpha, eta, sigma, delta)
+        fwd = mpmath.mpf(eta) * tu
+        return float(fwd / uu), float(tt + mpmath.mpf(sigma) ** 2 - fwd * fwd / uu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(1e-6, 1.0), eta=st.floats(0.0, 0.999), sigma=st.floats(0.0, 2.0),
+       delta=st.floats(0.0, 1.0))
+@example(alpha=1e-6, eta=0.999, sigma=0.5, delta=0.3)
+@example(alpha=1.0, eta=0.0, sigma=0.0, delta=0.0)
+@example(alpha=1.0, eta=0.9, sigma=0.0, delta=0.0)
+@example(alpha=1e-6, eta=0.0, sigma=2.0, delta=1.0)
+def test_posterior_pred_params_match_the_expanded_form_and_40_digits(alpha, eta, sigma, delta):
+    # Both float forms round 1 - a_c^2 and A = 1 - a_c*eta from a_c = 1 - alpha,
+    # so their relative error is a few ulps times cond = 1/alpha + 1/A (at
+    # most 0.9 eps * cond over 3,000 random points); the variance's is
+    # relative to Var Y, which it may cancel against. A slope below the
+    # smallest normal float (eta = 5e-324) has only an absolute bound.
+    cond = 1.0 / alpha + 1.0 / (1.0 - (1.0 - alpha) * eta)
+    slope, var = it.posterior_pred_params(alpha, eta, sigma, delta)
+    for ref_slope, ref_var in (expanded_posterior_pred_params(alpha, eta, sigma, delta),
+                               _mp_posterior_pred_params(alpha, eta, sigma, delta)):
+        assert abs(slope - ref_slope) <= 4 * _EPS * cond * abs(ref_slope) + _TINY
+        assert abs(var - ref_var) <= 4 * _EPS * cond * (1.0 + sigma * sigma)
+
+
+def test_posterior_pred_params_reject_points_outside_the_steady_state():
+    for args in ((0.5, 1.0, 0.5, 0.1), (0.5, -0.1, 0.5, 0.1), (0.5, 0.9, -0.5, 0.1),
+                 (0.5, 0.9, 0.5, -0.1), (0.0, 0.9, 0.5, 0.1)):
+        with pytest.raises(ValueError):
+            it.posterior_pred_params(*args)
 
 
 def test_optimal_alpha_value_and_limits():
@@ -332,18 +478,12 @@ def test_total_stability_error_grid_contract():
 
 def _mp_dense_total(alpha, eta, sigma, delta, future):
     """Forgetting + implasticity of the dense joint over (U_{t-1}, U_t, Y_t,
-    Y_{t+1:t+K}) at 40 digits. The (theta, U) moments come from a 40-digit
-    Lyapunov solve, so no float64 value of ``infotheory`` enters."""
+    Y_{t+1:t+K}) at 40 digits, on :func:`_mp_lyapunov`'s moments."""
     mp = mpmath.mp
     with mpmath.workdps(40):
         a, e = mp.mpf(alpha), mp.mpf(eta)
-        s2, d2, q = mp.mpf(sigma) ** 2, mp.mpf(delta) ** 2, 1 - mp.mpf(eta) ** 2
-        F = mp.matrix([[e, 0], [a * e, 1 - a]])
-        noise = [q, a * q, a * q, a * a * (q + s2) + d2]
-        kron = mp.matrix(4, 4)
-        for i, j, k, l in itertools.product(range(2), repeat=4):
-            kron[2 * i + k, 2 * j + l] = (1 if (i, k) == (j, l) else 0) - F[i, j] * F[k, l]
-        tt, tu, _, uu = mp.lu_solve(kron, mp.matrix(noise))
+        s2 = mp.mpf(sigma) ** 2
+        tt, tu, uu = _mp_lyapunov(alpha, eta, sigma, delta)
         n = future + 3
         cov = mp.matrix(n, n)
         cov[0, 0] = cov[1, 1] = uu
@@ -408,6 +548,16 @@ def test_stability_errors_scalar_call_returns_floats():
     assert forgetting.shape == implasticity.shape == (1,)
 
 
+def _refuse_linear_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("linear algebra ran")
+
+    for name in dir(np.linalg):
+        if not name.startswith("_") and callable(getattr(np.linalg, name)) \
+                and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+
 @pytest.mark.parametrize("engine", ["stability_errors", "total_stability_error"])
 @pytest.mark.parametrize("alphas, sigma, delta", [
     ([0.3, 0.6, 1.2], 0.5, 0.1),
@@ -417,13 +567,20 @@ def test_stability_errors_scalar_call_returns_floats():
 ])
 def test_stability_errors_bad_grid_point_raises_before_any_lapack_call(monkeypatch, alphas,
                                                                         sigma, delta, engine):
-    def refuse(*args, **kwargs):
-        raise AssertionError("linear algebra ran before validation")
-
-    for name in ("cholesky", "solve", "eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, refuse)
+    _refuse_linear_algebra(monkeypatch)
     with pytest.raises(ValueError):
         getattr(it, engine)(np.array(alphas), 0.9, sigma, np.array(delta))
+
+
+def test_reduced_engines_make_no_linear_algebra_call(monkeypatch):
+    expected = (it.total_stability_error(np.array([0.3, 1.0]), 0.9, 0.5, np.array([0.1, 0.0])),
+                it.mi_capacity(0.3, 0.9, 0.5, 0.1, 400))
+    _refuse_linear_algebra(monkeypatch)
+    with pytest.raises(AssertionError, match="linear algebra ran"):
+        np.linalg.solve(np.eye(2), np.ones(2))
+    total = it.total_stability_error(np.array([0.3, 1.0]), 0.9, 0.5, np.array([0.1, 0.0]))
+    assert np.array_equal(total, expected[0]) and np.all(np.isfinite(total))
+    assert it.mi_capacity(0.3, 0.9, 0.5, 0.1, 400) == expected[1]
 
 
 def test_stability_errors_empty_grid_gives_empty_arrays():

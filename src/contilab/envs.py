@@ -63,8 +63,11 @@ class Ar1ScalarEnv:
     def __init__(self, eta: float, zeta: float, sigma: float, mu0: float = 0.0, sigma0: float = 1.0):
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {eta}")
-        if zeta < 0.0 or sigma < 0.0 or sigma0 < 0.0:
-            raise ValueError("noise scales must be nonnegative")
+        if not (0.0 <= zeta < math.inf and 0.0 <= sigma < math.inf and 0.0 <= sigma0 < math.inf):
+            raise ValueError(f"noise scales must be finite and nonnegative, got zeta={zeta}, "
+                             f"sigma={sigma}, sigma0={sigma0}")
+        if not math.isfinite(mu0):
+            raise ValueError(f"mu0 must be finite, got {mu0}")
         self.eta = eta
         self.zeta = zeta
         self.sigma = sigma

@@ -1,17 +1,20 @@
 """Closed-form Gaussian analysis of a quantized tracking filter on an AR(1)
 process: steady-state second moments, capacity-matched quantization noise,
-(conditional) mutual information via log-determinants, the forgetting and
+the mutual information the agent state holds, the forgetting and
 implasticity decomposition of prediction error, optimal stepsizes, and the
 regret bound of the logit prediction stream.
 
-The steady-state quantities (:func:`mi_capacity`, :func:`posterior_pred_params`
-and :func:`total_stability_error`, whose argmins are fig8's) are closed forms in
-the :class:`LmsSteadyCovariance` moments and the information about theta_t in
-K future observations from a scalar backward filter: no linear algebra runs.
-The dense block engine, :func:`gaussian_cond_mi` on a joint covariance, serves
-the exact :func:`lag_decomposition` and :func:`stability_errors`, which builds
-its blocks around one shared future block, equal bit for bit to the dense
-one-point evaluation; fig7's 12-digit CSV bytes are pinned to that arithmetic.
+Information quantities are ratios of scalar predictive variances from the
+:class:`LmsSteadyCovariance` moments and scalar Kalman filtering (Kalman
+1960): the steady-state :func:`mi_capacity`, :func:`posterior_pred_params`
+and :func:`total_stability_error` (whose argmins are fig8's) take the
+information about theta_t in K future observations from a backward filter,
+and the finite-horizon :func:`lag_decomposition` runs a forward filter from
+heads of at most 2x2. None of them runs linear algebra. The dense block
+engine (Schur complements and log-determinants of a joint covariance)
+serves only :func:`stability_errors`, which builds its blocks around one
+shared future block, equal bit for bit to the dense one-point evaluation;
+fig7's 12-digit CSV bytes are pinned to that arithmetic.
 
 Model conventions (standardized throughout this module): the latent follows
 theta' = eta*theta + N(0, 1 - eta^2) with theta_0 ~ N(0, 1), observations are
@@ -31,7 +34,6 @@ from .errors import NumericError
 
 _EIG_NEG_TOL = 1e-10
 _RIDGE_REL = 1e-12
-_MERGE_TOL = 1e-9  # |eta - alpha_c| below this uses the limit branch
 
 
 def _logdet_psd(mat: np.ndarray) -> float:
@@ -97,47 +99,27 @@ def _cond_mi_blocks(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray,
     return 0.5 * (_logdet_psd(given(d)) - _logdet_psd(given(z + d)))
 
 
-def gaussian_cond_mi(cov: np.ndarray, x, z, d=()) -> float:
-    """Conditional mutual information I(X; Z | D) of a zero-mean Gaussian.
-
-    ``cov`` is a joint covariance matrix and x, z, d are disjoint index sets;
-    empty d gives the unconditional MI. The value is
-    0.5 * ln(det S_xd * det S_zd / (det S_xzd * det S_d)).
-    """
-    x, z, d = list(x), list(z), list(d)
-    if set(x) & set(z) or set(x) & set(d) or set(z) & set(d):
-        raise ValueError("index sets must be disjoint")
-    w = z + d
-    return _cond_mi_blocks(cov[np.ix_(x, x)], cov[np.ix_(x, w)], cov[np.ix_(w, w)],
-                           list(range(len(z))), list(range(len(z), len(w))))
-
-
-def _geom_ratio(eta: float, alpha_c: float, i: int | np.ndarray):
-    """(eta^i - alpha_c^i) / (eta - alpha_c), with the i*eta^(i-1) limit branch."""
-    i = np.asarray(i, dtype=float)
-    if abs(eta - alpha_c) < _MERGE_TOL:
-        out = np.where(i == 0.0, 0.0, i * np.power(np.maximum(eta, 1e-300), np.maximum(i - 1.0, 0.0)))
-    else:
-        out = (np.power(eta, i) - np.power(alpha_c, i)) / (eta - alpha_c)
-    return out if out.ndim else float(out)
+def _check_point(alpha: float, eta: float, sigma: float, delta: float) -> None:
+    """Raise ValueError unless alpha is in (0, 1], eta in [0, 1), and sigma and
+    delta are finite and nonnegative: the range where U has a stationary law
+    (alpha = 0 leaves it none)."""
+    if not 0.0 <= eta < 1.0:
+        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if not (0.0 <= sigma < math.inf and 0.0 <= delta < math.inf):
+        raise ValueError(f"noise scales must be nonnegative and finite, got sigma={sigma}, "
+                         f"delta={delta}")
 
 
 class LmsSteadyCovariance:
-    """Steady-state second moments of the agent state U and observations Y.
-
-    Valid for eta in [0, 1), alpha in (0, 1] (alpha = 0 leaves U with no
-    stationary distribution), sigma >= 0, delta >= 0. Provides the individual
-    moments and builders for joint covariance blocks used by the information
-    quantities below.
+    """Steady-state second moments of the agent state U and observations Y,
+    valid on :func:`_check_point`'s range, and the observation block of the
+    dense joint that :func:`stability_errors` conditions on.
     """
 
     def __init__(self, eta: float, sigma: float, alpha: float, delta: float):
-        if not 0.0 <= eta < 1.0:
-            raise ValueError(f"eta must lie in [0, 1), got {eta}")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-        if sigma < 0.0 or delta < 0.0:
-            raise ValueError("noise scales must be nonnegative")
+        _check_point(alpha, eta, sigma, delta)
         self.eta = eta
         self.sigma = sigma
         self.alpha = alpha
@@ -151,9 +133,6 @@ class LmsSteadyCovariance:
     def y_var(self) -> float:
         return 1.0 + self.sigma**2
 
-    def y_autocov(self, k) -> float:
-        return self.eta ** np.asarray(k, dtype=float) if np.ndim(k) else self.eta ** k
-
     def u_var(self) -> float:
         a, ac = self.alpha, self.alpha_c
         base = a * (self.sigma**2 * self._A + self._B) / (self._A * (1.0 + ac))
@@ -164,14 +143,9 @@ class LmsSteadyCovariance:
         base = a * (ac * self.sigma**2 * self._A + ac + self.eta) / (self._A * (1.0 + ac))
         return base + ac * self.delta**2 / (1.0 - ac**2)
 
-    def u_y_back(self, k):
-        """E[U_{t+k} Y_t] for k >= 0."""
-        a, ac, eta = self.alpha, self.alpha_c, self.eta
-        k = np.asarray(k, dtype=float)
-        val = a * self.sigma**2 * np.power(ac, k) + (a / self._A) * (
-            _geom_ratio(eta, ac, k + 1.0) - eta**2 * ac * _geom_ratio(eta, ac, k)
-        )
-        return val if val.ndim else float(val)
+    def u_y(self) -> float:
+        """E[U_t Y_t]."""
+        return self.alpha * self.sigma**2 + self.alpha / self._A
 
     def u_theta(self) -> float:
         """E[U_t theta_t]."""
@@ -328,9 +302,9 @@ def stability_errors(alpha, eta: float, sigma: float, delta, future: int | None 
     shares its future block across the grid, so the (K+1)^2 Y block is built
     once per call; per point only the 3 x 3 head over (U_{t-1}, U_t, Y_t) and
     its cross block with the future depend on (alpha, delta). Both errors go
-    through the block function that :func:`gaussian_cond_mi` uses, so every
-    value equals the one-point dense evaluation (``gaussian_cond_mi`` on the
-    full joint) bit for bit.
+    through one block function, so every value equals the one-point dense
+    evaluation (conditional MI of the full joint through the same function)
+    bit for bit.
     """
     scalar, covs, ks = _grid(alpha, eta, sigma, delta, future)
     forgetting, implasticity = np.empty(len(covs)), np.empty(len(covs))
@@ -339,7 +313,7 @@ def stability_errors(alpha, eta: float, sigma: float, delta, future: int | None 
     y_block = covs[0]._y_block(np.concatenate(([0.0], ks)))  # Y_t, Y_{t+1..t+K}
     S_xx = y_block[1:, 1:]
     for i, sc in enumerate(covs):
-        uv, ac1, fwd1, back0 = sc.u_var(), sc.u_autocov1(), sc.u_y_fwd(1), sc.u_y_back(0)
+        uv, ac1, fwd1, back0 = sc.u_var(), sc.u_autocov1(), sc.u_y_fwd(1), sc.u_y()
         head = np.array(((uv, ac1, fwd1), (ac1, uv, back0), (fwd1, back0, y_block[0, 0])))
         cross = np.column_stack((sc.u_y_fwd(ks + 1.0), sc.u_y_fwd(ks), y_block[0, 1:]))
         forgetting[i] = _cond_mi_blocks(S_xx, cross, head, [0], [1, 2])
@@ -398,64 +372,53 @@ class LagDecomposition:
 def lag_decomposition(alpha: float, eta: float, sigma: float, delta: float, t: int) -> LagDecomposition:
     """Exact finite-horizon decomposition of absent information into lag terms.
 
-    Builds the joint Gaussian over (U_0..U_t, Y_1..Y_{t+1}) by unrolling the
-    linear recursions from theta_0 ~ N(0,1), U_0 ~ N(0,1), and evaluates for
-    each lag k the forgetting term I(Y_{t+1}; U_{t-k-1} | U_{t-k}, Y_{t-k:t})
-    and implasticity term I(Y_{t+1}; Y_{t-k} | U_{t-k}, Y_{t-k+1:t}).
+    From theta_0, U_0 ~ N(0, 1), lag k = t - j has the forgetting term
+    I(Y_{t+1}; U_{j-1} | U_j, Y_{j:t}) and the implasticity term
+    I(Y_{t+1}; Y_j | U_j, Y_{j+1:t}), both 0 at j = 0. Given a head H of
+    variables up to step j, Y_{j+1:t+1} depends on H only through theta_j, so
+    each term is 0.5 ln of a ratio of two predictive variances
+    Var(Y_{t+1} | H, Y_{j+1:t}): a scalar Kalman pass (Kalman 1960) over
+    Y_{j+1:t} from Var(theta_j | H), which comes from a head of at most 2x2:
+    - H = U_j: 1 - c_j^2 / u_j, with c_j = E[U_j theta_j] and u_j = E[U_j^2];
+    - H = (U_j, Y_j): given Y_j, U_j carries only R_j = (1 - alpha) U_{j-1} +
+      delta Q_j, which is exactly 0 at alpha = 1, delta = 0;
+    - H = (U_{j-1}, U_j, Y_j): given (U_{j-1}, Y_j), U_j adds only noise.
+    The absent information I(Y_{t+1}; Y_{1:t} | U_t) needs beyond the first
+    head only Var(Y_{t+1} | Y_{1:t}), since U_0 is independent of theta.
+    O(t^2) scalar operations; no matrix is built.
     """
+    _check_point(alpha, eta, sigma, delta)
     if t < 0:
         raise ValueError(f"horizon must be nonnegative, got {t}")
-    if t > 12:
-        raise ValueError(f"exact decomposition supported for t <= 12, got {t}")
-    zeta = math.sqrt(max(0.0, 1.0 - eta * eta))
-    ac = 1.0 - alpha
-    n_steps = t + 1
-    # Source order: theta0, u0, V_1..V_{t+1}, W_1..W_{t+1}, Q_1..Q_t.
-    n_src = 2 + n_steps + n_steps + t
-    v_at = lambda j: 2 + (j - 1)
-    w_at = lambda j: 2 + n_steps + (j - 1)
-    q_at = lambda j: 2 + 2 * n_steps + (j - 1)
+    ac, s2, zeta2 = 1.0 - alpha, sigma * sigma, 1.0 - eta * eta
+    c, u = [0.0], [1.0]  # c_j, u_j; E[U_{j-1} theta_j] = E[U_{j-1} Y_j] = eta c_{j-1}
+    for _ in range(t):
+        h = eta * c[-1]
+        u.append(ac * ac * u[-1] + 2.0 * alpha * ac * h + alpha * alpha * (1.0 + s2)
+                 + delta * delta)
+        c.append(ac * h + alpha)
 
-    theta = np.zeros(n_src)
-    theta[0] = 1.0
-    u_rows = np.zeros((t + 1, n_src))
-    u_rows[0, 1] = 1.0
-    y_rows = np.zeros((n_steps, n_src))
-    for j in range(1, n_steps + 1):
-        theta = eta * theta
-        theta[v_at(j)] += zeta
-        y = theta.copy()
-        y[w_at(j)] += sigma
-        y_rows[j - 1] = y
-        if j <= t:
-            u = ac * u_rows[j - 1] + alpha * y
-            u[q_at(j)] += delta
-            u_rows[j] = u
+    def given_y(var, cov):
+        """Var(theta_j | X, Y_j) for Var X = var and E[X theta_j] = E[X Y_j] = cov."""
+        return s2 * (var - cov * cov) / (var * (1.0 + s2) - cov * cov)
 
-    # Coordinates: U_0..U_t at 0..t, Y_1..Y_{t+1} at t+1..2t+1.
-    R = np.vstack([u_rows, y_rows])
-    cov = R @ R.T
-    u_idx = lambda j: j
-    y_idx = lambda j: t + j  # Y_j at t + j
+    def ahead(prior, j):
+        """Var(Y_{t+1} | H, Y_{j+1:t}) for Var(theta_j | H) = prior."""
+        p = prior
+        for _ in range(t - j):
+            p = eta * eta * p + zeta2
+            p = p * s2 / (p + s2)
+        return eta * eta * p + zeta2 + s2
 
-    target = [y_idx(t + 1)]
-    terms: list[tuple[float, float]] = []
-    for k in range(t + 1):
-        j = t - k
-        if j >= 1:
-            d_forget = [u_idx(j)] + [y_idx(m) for m in range(j, t + 1)]
-            forget = gaussian_cond_mi(cov, target, [u_idx(j - 1)], d_forget)
-            d_impl = [u_idx(j)] + [y_idx(m) for m in range(j + 1, t + 1)]
-            impl = gaussian_cond_mi(cov, target, [y_idx(j)], d_impl)
-        else:
-            forget = 0.0  # U_{-1} and Y_0 are empty at the base lag
-            impl = 0.0
-        terms.append((forget, impl))
-
-    if t >= 1:
-        absent = gaussian_cond_mi(cov, target, [y_idx(m) for m in range(1, t + 1)], [u_idx(t)])
-    else:
-        absent = 0.0
+    terms = []
+    for j in range(t, 0, -1):
+        h, r = eta * c[j - 1], ac * ac * u[j - 1] + delta * delta  # r = Var R_j
+        state = ahead(1.0 - c[j] * c[j] / u[j], j)
+        both = ahead(given_y(r, ac * h) if r > 0.0 else s2 / (1.0 + s2), j)  # r = 0: R_j = 0
+        prev = ahead(given_y(u[j - 1], h), j)
+        terms.append((0.5 * math.log(both / prev), 0.5 * math.log(state / both)))
+    terms.append((0.0, 0.0))  # U_{-1} and Y_0 are empty at the base lag
+    absent = 0.5 * math.log(ahead(1.0 - c[t] * c[t] / u[t], t) / ahead(1.0, 0))
     return LagDecomposition(terms=terms, absent_info=absent)
 
 

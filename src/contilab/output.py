@@ -64,9 +64,10 @@ _COLORS = ["#1f6fb2", "#d1495b", "#3a7d44", "#8d5a97", "#c97b2d", "#4f6d7a", "#9
 
 
 def _widen(lo: float, hi: float) -> tuple[float, float]:
-    """``(lo, hi)``; an empty range becomes (lo, lo + 1), or (lo, lo / 2)
-    sorted where 1 is below lo's resolution: a positive, finite width."""
-    if hi <= lo:
+    """``(lo, hi)``; a range whose quarter width is not a normal float (an
+    empty one included) becomes (lo, lo + 1), or (lo, lo / 2) sorted where 1
+    is below lo's resolution: a width whose tick step is a positive float."""
+    if not (hi / 2 - lo / 2) / 2 >= sys.float_info.min:
         lo, hi = (lo, lo + 1.0) if lo + 1.0 > lo else sorted((lo, 0.5 * lo))
     return lo, hi
 

@@ -1,15 +1,24 @@
-"""Shared independent oracles for the test suite: a direct simulation of the
-quantized tracker on the standardized AR(1) process, batch-mean standard
-errors that respect autocorrelation, the one-at-a-time evaluations that
-the stacked engines must reproduce bit for bit (the goal-reward rescale of
-one MDP, the Dirichlet rows of a goal MDP drawn row by row, and the stability
-errors of one stepsize on its dense joint), the dense joint of the state and
-its recent observations and the hand-expanded steady-state prediction law
-(references for the reduced closed forms), the goal-MDP tools only tests
-use (a tabular MDP, value iteration, goal MDPs, Bellman backups, greedy
-stationary distributions, and the value-iteration goal-reward scale), the
-next-step information missing from the state on a long past window, the
-exact mean of a reward sequence, and the entropy regret bound."""
+"""Shared independent oracles for the test suite.
+
+- Simulation: a direct simulation of the quantized tracker on the
+  standardized AR(1) process, and batch-mean standard errors that respect
+  autocorrelation.
+- One-at-a-time evaluations that the stacked engines must reproduce bit for
+  bit: the goal-reward rescale of one MDP, the Dirichlet rows of a goal MDP
+  drawn row by row, and the stability errors of one stepsize on its dense
+  joint.
+- The dense Gaussian references for the scalar filters of ``infotheory``:
+  conditional MI on a joint covariance (through the block function that
+  ``stability_errors`` uses), the general-lag moments E[U_{t+k} Y_t] and
+  E[Y_t Y_{t+k}] with their merged-roots branch, the dense joint of the
+  state and its recent observations, the unrolled finite-horizon joint and
+  its lag decomposition, the next-step information missing from the state
+  on a long past window, and the hand-expanded steady-state prediction law.
+- The goal-MDP tools only tests use: a tabular MDP, value iteration, goal
+  MDPs, Bellman backups, greedy stationary distributions, and the
+  value-iteration goal-reward scale.
+- The exact mean of a reward sequence, and the entropy regret bound.
+"""
 
 import math
 from dataclasses import dataclass
@@ -18,7 +27,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from contilab import mdp_tools
-from contilab.infotheory import LmsSteadyCovariance, default_future_horizon, gaussian_cond_mi
+from contilab.infotheory import (LagDecomposition, LmsSteadyCovariance, _cond_mi_blocks,
+                                 default_future_horizon)
 from contilab.mdp_tools import goal_reward
 from contilab.rng import RngStream
 
@@ -187,6 +197,50 @@ def redraw_rows(gen, P, flats):
         P[s, a] = g / total
 
 
+def gaussian_cond_mi(cov, x, z, d=()):
+    """Conditional mutual information I(X; Z | D) of a zero-mean Gaussian.
+
+    ``cov`` is a joint covariance matrix and x, z, d are disjoint index sets;
+    empty d gives the unconditional MI. The value is
+    0.5 * ln(det S_xd * det S_zd / (det S_xzd * det S_d)), evaluated by the
+    block function of ``infotheory.stability_errors``.
+    """
+    x, z, d = list(x), list(z), list(d)
+    if set(x) & set(z) or set(x) & set(d) or set(z) & set(d):
+        raise ValueError("index sets must be disjoint")
+    w = z + d
+    return _cond_mi_blocks(cov[np.ix_(x, x)], cov[np.ix_(x, w)], cov[np.ix_(w, w)],
+                           list(range(len(z))), list(range(len(z), len(w))))
+
+
+_MERGE_TOL = 1e-9  # |eta - alpha_c| below this uses the limit branch
+
+
+def _geom_ratio(eta, alpha_c, i):
+    """(eta^i - alpha_c^i) / (eta - alpha_c), with the i*eta^(i-1) limit branch."""
+    i = np.asarray(i, dtype=float)
+    if abs(eta - alpha_c) < _MERGE_TOL:
+        out = np.where(i == 0.0, 0.0, i * np.power(np.maximum(eta, 1e-300), np.maximum(i - 1.0, 0.0)))
+    else:
+        out = (np.power(eta, i) - np.power(alpha_c, i)) / (eta - alpha_c)
+    return out if out.ndim else float(out)
+
+
+def y_autocov(self: LmsSteadyCovariance, k):
+    """E[Y_t Y_{t+k}] for k >= 1."""
+    return self.eta ** np.asarray(k, dtype=float) if np.ndim(k) else self.eta ** k
+
+
+def u_y_back(self: LmsSteadyCovariance, k):
+    """E[U_{t+k} Y_t] for k >= 0; at k = 0 equal bit for bit to ``u_y()``."""
+    a, ac, eta = self.alpha, self.alpha_c, self.eta
+    k = np.asarray(k, dtype=float)
+    val = a * self.sigma**2 * np.power(ac, k) + (a / self._A) * (
+        _geom_ratio(eta, ac, k + 1.0) - eta**2 * ac * _geom_ratio(eta, ac, k)
+    )
+    return val if val.ndim else float(val)
+
+
 def stability_joint(self: LmsSteadyCovariance, future: int) -> np.ndarray:
     """Joint over (U_{t-1}, U_t, Y_t, Y_{t+1}, ..., Y_{t+future})."""
     if future < 1:
@@ -198,7 +252,7 @@ def stability_joint(self: LmsSteadyCovariance, future: int) -> np.ndarray:
     cov[0, 1] = cov[1, 0] = self.u_autocov1()
     cov[1, 1] = self.u_var()
     cov[0, 2] = cov[2, 0] = self.u_y_fwd(1)          # E[U_{t-1} Y_t]
-    cov[1, 2] = cov[2, 1] = self.u_y_back(0)         # E[U_t Y_t]
+    cov[1, 2] = cov[2, 1] = u_y_back(self, 0)        # E[U_t Y_t]
     cov[0, 3:] = cov[3:, 0] = self.u_y_fwd(ks + 1.0)  # E[U_{t-1} Y_{t+k}]
     cov[1, 3:] = cov[3:, 1] = self.u_y_fwd(ks)       # E[U_t Y_{t+k}]
     yk = np.concatenate(([0.0], ks))
@@ -212,7 +266,7 @@ def capacity_joint(self: LmsSteadyCovariance, n: int) -> np.ndarray:
         raise ValueError("need at least one observation coordinate")
     cov = np.empty((n + 1, n + 1))
     cov[0, 0] = self.u_var()
-    back = self.u_y_back(np.arange(n - 1, -1, -1, dtype=float))
+    back = u_y_back(self, np.arange(n - 1, -1, -1, dtype=float))
     cov[0, 1:] = back
     cov[1:, 0] = back
     cov[1:, 1:] = self._y_block(np.arange(n))
@@ -262,6 +316,50 @@ def informational_error(alpha, eta, sigma, delta, past):
     cov[1 : past + 1, past + 1] = cov[past + 1, 1 : past + 1] = np.power(eta, fwd_lag)
     cov[past + 1, past + 1] = sc.y_var()
     return gaussian_cond_mi(cov, [past + 1], list(range(1, past + 1)), [0])
+
+
+def lag_joint(alpha, eta, sigma, delta, t):
+    """Joint covariance over (U_0..U_t, Y_1..Y_{t+1}), in that order, by
+    unrolling the recursions from theta_0 ~ N(0,1), U_0 ~ N(0,1)."""
+    zeta = math.sqrt(max(0.0, 1.0 - eta * eta))
+    ac = 1.0 - alpha
+    n_steps = t + 1
+    # Source order: theta0, u0, V_1..V_{t+1}, W_1..W_{t+1}, Q_1..Q_t.
+    n_src = 2 + n_steps + n_steps + t
+    theta = np.zeros(n_src)
+    theta[0] = 1.0
+    u_rows = np.zeros((t + 1, n_src))
+    u_rows[0, 1] = 1.0
+    y_rows = np.zeros((n_steps, n_src))
+    for j in range(1, n_steps + 1):
+        theta = eta * theta
+        theta[2 + (j - 1)] += zeta
+        y = theta.copy()
+        y[2 + n_steps + (j - 1)] += sigma
+        y_rows[j - 1] = y
+        if j <= t:
+            u = ac * u_rows[j - 1] + alpha * y
+            u[2 + 2 * n_steps + (j - 1)] += delta
+            u_rows[j] = u
+    R = np.vstack([u_rows, y_rows])
+    return R @ R.T
+
+
+def lag_decomposition(alpha, eta, sigma, delta, t):
+    """``infotheory.lag_decomposition`` by conditional MI on the dense joint of
+    :func:`lag_joint`: for each lag k, with j = t - k, the forgetting term
+    I(Y_{t+1}; U_{j-1} | U_j, Y_{j:t}) and the implasticity term
+    I(Y_{t+1}; Y_j | U_j, Y_{j+1:t}), and I(Y_{t+1}; Y_{1:t} | U_t)."""
+    cov = lag_joint(alpha, eta, sigma, delta, t)
+    target = [2 * t + 1]  # U_j at j, Y_j at t + j
+    terms = []
+    for j in range(t, 0, -1):
+        ys = [t + m for m in range(j + 1, t + 1)]
+        terms.append((gaussian_cond_mi(cov, target, [j - 1], [j, t + j] + ys),
+                      gaussian_cond_mi(cov, target, [t + j], [j] + ys)))
+    terms.append((0.0, 0.0))  # U_{-1} and Y_0 are empty at the base lag
+    absent = gaussian_cond_mi(cov, target, range(t + 1, 2 * t + 1), [t]) if t >= 1 else 0.0
+    return LagDecomposition(terms=terms, absent_info=absent)
 
 
 def average_reward(rewards) -> float:

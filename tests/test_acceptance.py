@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import batch_stderr, simulate_tracker
+from _oracles import batch_stderr, simulate_tracker, u_y_back, y_autocov
 
 from contilab import infotheory as it
 from contilab.agents import IdbdAgent
@@ -275,12 +275,12 @@ def test_criterion_10_closed_forms_match_simulation():
         sc = it.LmsSteadyCovariance(eta, sigma, alpha, delta)
         checks = [
             (ys * ys, sc.y_var()),
-            (ys[:-1] * ys[1:], sc.y_autocov(1)),
-            (ys[:-3] * ys[3:], sc.y_autocov(3)),
+            (ys[:-1] * ys[1:], y_autocov(sc, 1)),
+            (ys[:-3] * ys[3:], y_autocov(sc, 3)),
             (us * us, sc.u_var()),
             (us[:-1] * us[1:], sc.u_autocov1()),
-            (us * ys, sc.u_y_back(0)),
-            (us[2:] * ys[:-2], sc.u_y_back(2)),
+            (us * ys, sc.u_y()),
+            (us[2:] * ys[:-2], u_y_back(sc, 2)),
             (us[:-1] * ys[1:], sc.u_y_fwd(1)),
         ]
         for prod, predicted in checks:

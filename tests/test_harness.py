@@ -214,6 +214,16 @@ def test_cli_bad_bandit_drift_or_noise_exits_2_without_csv(tmp_path, capsys, ove
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("override", ["--env.sigma=nan", "--env.zeta=inf", "--env.sigma0=nan",
+                                      "--env.mu0=inf"])
+def test_cli_non_finite_tracking_env_exits_2_without_csv(tmp_path, capsys, override):
+    out = tmp_path / "bad"
+    assert main(["run", "fig2_lms_sweep", "--trials=2", "--horizon=10", "--alphas=[0.2]", override,
+                 "--out", str(out)]) == 2
+    assert "bad parameters for env 'ar1'" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["fig9_idbd", "--capacity=-1"], "capacity must be positive"),
     (["fig9_idbd", "--eta=1.5"], "eta must lie in (0, 1)"),
@@ -363,17 +373,22 @@ def test_plot_of_a_constant_series_has_finite_ticks(tmp_path, value):
     assert labels and all(math.isfinite(float(v)) for v in labels)
 
 
-def test_plot_of_values_spanning_more_than_the_largest_float_has_finite_coordinates(tmp_path):
+@pytest.mark.parametrize("ys, ticks", [
     # 1e308 - (-1e308) overflows; widths, tick steps and pixel maps are
     # taken on halved values.
-    svg = write_line_plot(tmp_path / "plot.svg", "t", "x", "y",
-                          [("a", [0, 1], [-1e308, 1e308])]).read_text()
+    ([-1e308, 1e308], ["-1e+308", "0", "1e+308"]),
+    # A quarter width that is 0 or subnormal has no tick step; such a range
+    # is widened like an empty one.
+    ([0, 5e-324], ["0", "0.5", "1"]),
+    ([0, 2e-323], ["0", "0.5", "1"]),
+])
+def test_plot_of_extreme_spans_has_finite_coordinates(tmp_path, ys, ticks):
+    svg = write_line_plot(tmp_path / "plot.svg", "t", "x", "y", [("a", [0, 1], ys)]).read_text()
     coords = re.findall(r' (?:x|y|x1|x2|y1|y2)="([^"]*)"', svg)
     coords += [v for pts in re.findall(r'points="([^"]*)"', svg) for p in pts.split()
                for v in p.split(",")]
     assert len(coords) > 20 and all(math.isfinite(float(v)) for v in coords)
-    labels = re.findall(r'text-anchor="end">([^<]*)<', svg)
-    assert labels == ["-1e+308", "0", "1e+308"]
+    assert re.findall(r'text-anchor="end">([^<]*)<', svg) == ticks
 
 
 @pytest.mark.parametrize("argv", [

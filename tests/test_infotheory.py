@@ -4,8 +4,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from _oracles import (batch_stderr, capacity_joint, informational_error, regret_bound_entropy,
-                      simulate_tracker, stability_joint)
+from _oracles import (batch_stderr, capacity_joint, gaussian_cond_mi, informational_error,
+                      lag_joint, regret_bound_entropy, simulate_tracker, stability_joint, u_y_back,
+                      y_autocov)
+from _oracles import lag_decomposition as dense_lag_decomposition
 from _oracles import posterior_pred_params as expanded_posterior_pred_params
 from _oracles import stability_errors as dense_stability_errors
 from hypothesis import assume, example, given, settings
@@ -41,7 +43,7 @@ def _mp_lyapunov(alpha, eta, sigma, delta):
 
 def test_observation_autocovariance_closed_form():
     sc = it.LmsSteadyCovariance(0.9, 1.0, 0.5, 0.1)
-    assert sc.y_autocov(3) == pytest.approx(0.729, abs=1e-15)
+    assert y_autocov(sc, 3) == pytest.approx(0.729, abs=1e-15)
     assert sc.y_var() == pytest.approx(2.0)
 
 
@@ -50,7 +52,7 @@ def test_state_observation_cross_moment_hand_value():
     # E[U_t Y_{t+2}] = alpha * eta^2 / (1 - (1-alpha)*eta)
     assert sc.u_y_fwd(2) == pytest.approx(0.5 * 0.64 / 0.6, rel=1e-12)
     # E[U_t Y_t] = alpha*sigma^2 + alpha / (1 - (1-alpha)*eta)
-    assert sc.u_y_back(0) == pytest.approx(0.5 * 1.0 + 0.5 / 0.6, rel=1e-12)
+    assert sc.u_y() == pytest.approx(0.5 * 1.0 + 0.5 / 0.6, rel=1e-12)
 
 
 def test_steady_cov_rejects_zero_stepsize():
@@ -71,7 +73,7 @@ def test_merged_roots_branch_continuous():
     # eta == 1 - alpha hits the removable singularity
     sc_at = it.LmsSteadyCovariance(eta=0.6, sigma=0.5, alpha=0.4, delta=0.1)
     sc_near = it.LmsSteadyCovariance(eta=0.6 + 1e-7, sigma=0.5, alpha=0.4, delta=0.1)
-    assert sc_at.u_y_back(3) == pytest.approx(sc_near.u_y_back(3), rel=1e-5)
+    assert u_y_back(sc_at, 3) == pytest.approx(u_y_back(sc_near, 3), rel=1e-5)
     assert sc_at.u_var() == pytest.approx(sc_near.u_var(), rel=1e-5)
 
 
@@ -104,10 +106,10 @@ def test_closed_form_moments_match_simulation():
     sc = it.LmsSteadyCovariance(eta, sigma, alpha, delta)
     checks = [
         (ys * ys, sc.y_var()),
-        (ys[:-2] * ys[2:], sc.y_autocov(2)),
+        (ys[:-2] * ys[2:], y_autocov(sc, 2)),
         (us * us, sc.u_var()),
         (us[:-1] * us[1:], sc.u_autocov1()),
-        (us[1:] * ys[:-1], sc.u_y_back(1)),
+        (us[1:] * ys[:-1], u_y_back(sc, 1)),
         (us[:-1] * ys[1:], sc.u_y_fwd(1)),
     ]
     for prod, predicted in checks:
@@ -118,16 +120,16 @@ def test_closed_form_moments_match_simulation():
 
 def test_independent_coordinates_zero_mi():
     cov = np.diag([1.0, 2.0, 3.0])
-    assert abs(it.gaussian_cond_mi(cov, [0], [1])) < 1e-12
-    assert abs(it.gaussian_cond_mi(cov, [0], [2], [1])) < 1e-12
+    assert abs(gaussian_cond_mi(cov, [0], [1])) < 1e-12
+    assert abs(gaussian_cond_mi(cov, [0], [2], [1])) < 1e-12
 
 
 def test_chain_rule_identity_random_psd():
     gen = RngStream(2).generator()
     for _ in range(20):
         cov = random_psd(gen, 6)
-        lhs = it.gaussian_cond_mi(cov, [0, 1], [2, 3, 4, 5])
-        rhs = it.gaussian_cond_mi(cov, [0, 1], [4, 5]) + it.gaussian_cond_mi(cov, [0, 1], [2, 3], [4, 5])
+        lhs = gaussian_cond_mi(cov, [0, 1], [2, 3, 4, 5])
+        rhs = gaussian_cond_mi(cov, [0, 1], [4, 5]) + gaussian_cond_mi(cov, [0, 1], [2, 3], [4, 5])
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -135,8 +137,8 @@ def test_mi_symmetry_and_nonnegativity():
     gen = RngStream(3).generator()
     for _ in range(20):
         cov = random_psd(gen, 5)
-        a = it.gaussian_cond_mi(cov, [0, 1], [2, 3], [4])
-        b = it.gaussian_cond_mi(cov, [2, 3], [0, 1], [4])
+        a = gaussian_cond_mi(cov, [0, 1], [2, 3], [4])
+        b = gaussian_cond_mi(cov, [2, 3], [0, 1], [4])
         assert a == pytest.approx(b, abs=1e-10)
         assert a > -1e-10
 
@@ -144,7 +146,7 @@ def test_mi_symmetry_and_nonnegativity():
 def test_indefinite_covariance_reports_eigenvalue():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
     with pytest.raises(NumericError, match="eigenvalue"):
-        it.gaussian_cond_mi(bad, [0], [1])
+        gaussian_cond_mi(bad, [0], [1])
 
 
 def chain_mi(i_xy: float, i_zy: float) -> float:
@@ -160,7 +162,7 @@ def chain_mi(i_xy: float, i_zy: float) -> float:
 def test_markov_chain_mi_against_explicit_covariance():
     # X = Y + X', Z = Y + Z' with unit variances: I(X;Y) = I(Z;Y) = ln(2)/2
     cov = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
-    direct = it.gaussian_cond_mi(cov, [0], [2])
+    direct = gaussian_cond_mi(cov, [0], [2])
     assert direct == pytest.approx(0.5 * math.log(4.0 / 3.0), abs=1e-12)
     assert chain_mi(0.5 * math.log(2.0), 0.5 * math.log(2.0)) == pytest.approx(direct, abs=1e-12)
     assert direct == pytest.approx(0.1438410362, abs=1e-9)
@@ -202,6 +204,70 @@ def test_delta_star_grad_matches_finite_differences():
                 fd = (it.delta_star(alpha + h, eta, sigma, cap)
                       - it.delta_star(alpha - h, eta, sigma, cap)) / (2 * h)
                 assert grad == pytest.approx(fd, rel=1e-6)
+
+
+def _mp_delta_star(alpha, eta, sigma, capacity):
+    """delta_star's closed form in mpmath numbers at the working precision;
+    alpha may be complex, for the complex-step derivative."""
+    a, e, s2 = alpha, mpmath.mpf(eta), mpmath.mpf(sigma) ** 2
+    A, B = 1 - (1 - a) * e, 1 + (1 - a) * e
+    damp = mpmath.exp(-2 * mpmath.mpf(capacity))
+    return a * a * (s2 * A + B) / A * damp / (1 - damp)
+
+
+# alpha down to 1e-150 keeps alpha^2 normal; capacity from 1e-12, where
+# 1 - exp(-2C) keeps 4 digits, to 354, where exp(-2C) is still normal.
+# Results below the smallest normal float have only an absolute bound.
+_CAPACITY_POINT = dict(alpha=st.floats(1e-150, 1.0), eta=st.floats(0.0, 1.0, exclude_max=True),
+                       sigma=st.floats(0.0, 1e100), capacity=st.floats(1e-12, 354.0))
+
+
+def _capacity_conds(alpha, eta, capacity):
+    """(1/A, 1/(1 - exp(-2C))): A = 1 - (1-alpha)*eta rounds from a_c*eta, and
+    1 - exp(-2C) cancels as C -> 0."""
+    return 1.0 / (1.0 - (1.0 - alpha) * eta), 1.0 / -math.expm1(-2.0 * capacity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_CAPACITY_POINT)
+@example(alpha=1.0, eta=0.0, sigma=0.0, capacity=1e-12)
+@example(alpha=1e-150, eta=0.9999999999999999, sigma=1e100, capacity=354.0)
+@example(alpha=1e-6, eta=0.9999999999999999, sigma=0.5, capacity=2.0)
+@example(alpha=0.35, eta=0.9, sigma=0.5, capacity=0.0015)
+def test_delta_star_matches_40_digits(alpha, eta, sigma, capacity):
+    # at most 0.64 eps * cond over 20,000 random points
+    cond_a, cond_c = _capacity_conds(alpha, eta, capacity)
+    with mpmath.workdps(40):
+        ref = float(_mp_delta_star(mpmath.mpf(alpha), eta, sigma, capacity))
+    value = it.delta_star(alpha, eta, sigma, capacity)
+    assert abs(value - ref) <= 4 * _EPS * (1.0 + cond_a + cond_c) * ref + _TINY
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_CAPACITY_POINT)
+@example(alpha=1.0, eta=0.9999999999999999, sigma=0.0, capacity=1e-12)
+@example(alpha=1e-150, eta=0.9999999999999999, sigma=1e100, capacity=354.0)
+@example(alpha=1e-6, eta=0.9999999999999999, sigma=0.0, capacity=2.0)
+@example(alpha=1e-150, eta=0.0, sigma=196420484.0, capacity=185.0)
+def test_delta_star_sq_grad_matches_a_40_digit_complex_step(alpha, eta, sigma, capacity):
+    # Reference: Im f(alpha + ih) / h at h = 1e-20 alpha, which is exact to
+    # 40 digits and shares nothing with the closed form. The float form
+    # 2 kappa alpha (sigma^2 + B/A - eta alpha / A^2) cancels in its bracket
+    # (by up to (sigma^2 + B/A + eta alpha/A^2) / bracket), each term rounded
+    # with A's 1/A; at most 0.55 eps * cond over 3,000 random points. The
+    # product 2 kappa alpha comes first and may be subnormal (alpha = 1e-150,
+    # C = 185), off by up to half the smallest subnormal per unit of bracket.
+    cond_a, cond_c = _capacity_conds(alpha, eta, capacity)
+    A = 1.0 - (1.0 - alpha) * eta
+    B, ratio = 2.0 - A, eta * alpha / (A * A)
+    bracket = sigma * sigma + B / A - ratio
+    cancel = (sigma * sigma + B / A + ratio) / bracket
+    with mpmath.workdps(40):
+        h = mpmath.mpf(alpha) * mpmath.mpf(10) ** -20
+        ref = float(mpmath.im(_mp_delta_star(mpmath.mpc(alpha, h), eta, sigma, capacity)) / h)
+    value = it.delta_star_sq_grad(alpha, eta, sigma, capacity)
+    tol = 4 * _EPS * (1.0 + cond_c + cancel * cond_a) * ref + _TINY * (1.0 + _EPS * bracket)
+    assert abs(value - ref) <= tol
 
 
 def test_mi_capacity_monotone_in_history_and_noise():
@@ -248,7 +314,7 @@ def test_mi_capacity_equals_the_dense_joint_where_it_is_well_conditioned(alpha, 
     joint = capacity_joint(it.LmsSteadyCovariance(eta, sigma, alpha, delta), n)
     cond, gap = np.linalg.cond(joint), abs(eta - (1.0 - alpha))
     assume(cond < 1e8 and gap > 1e-6)
-    dense = it.gaussian_cond_mi(joint, [0], range(1, n + 1))
+    dense = gaussian_cond_mi(joint, [0], range(1, n + 1))
     tol = 4 * _EPS * cond * (n + 1 + 1 / gap)
     assert abs(it.mi_capacity(alpha, eta, sigma, delta, n) - dense) <= tol
 
@@ -463,7 +529,7 @@ def test_reduced_total_is_within_1e_11_of_the_dense_oracle(points, eta, sigma, f
     total = it.total_stability_error(alphas, eta, sigma, deltas, future)
     for k, (a, d) in enumerate(zip(alphas, point_deltas)):
         sc = it.LmsSteadyCovariance(eta, sigma, a, d)
-        cond = np.linalg.cond([[sc.u_var(), sc.u_y_back(0)], [sc.u_y_back(0), sc.y_var()]])
+        cond = np.linalg.cond([[sc.u_var(), sc.u_y()], [sc.u_y(), sc.y_var()]])
         dense = sum(dense_stability_errors(a, eta, sigma, d, future))
         assert abs(total[k] - dense) <= 1e-11 + 1e-16 * cond
 
@@ -536,7 +602,7 @@ def test_head_moments_match_a_lyapunov_solve(alpha, eta, sigma, delta):
     # E[U_t U_{t-1}] = (1-alpha) Var(U) + alpha E[Y_t U_{t-1}], E[Y_t U_{t-1}] = eta * S_thetaU
     assert sc.u_autocov1() == pytest.approx((1.0 - alpha) * S[1, 1] + alpha * eta * S[0, 1],
                                             rel=1e-12)
-    assert sc.u_y_back(0) == pytest.approx(S[0, 1] + alpha * sigma**2, rel=1e-12)
+    assert sc.u_y() == pytest.approx(S[0, 1] + alpha * sigma**2, rel=1e-12)
 
 
 def test_stability_errors_scalar_call_returns_floats():
@@ -572,15 +638,50 @@ def test_stability_errors_bad_grid_point_raises_before_any_lapack_call(monkeypat
         getattr(it, engine)(np.array(alphas), 0.9, sigma, np.array(delta))
 
 
+# Arguments of every public callable of infotheory but stability_errors, whose
+# fig7 bytes are pinned to the dense block engine; "Class.method" holds the
+# arguments of a public method, called on the instance.
+_PUBLIC_CALLS = {
+    "LmsSteadyCovariance": (0.9, 0.5, 0.3, 0.1),
+    "LmsSteadyCovariance.u_y_fwd": (2,),
+    "LagDecomposition": ([(0.1, 0.2), (0.0, 0.0)], 0.3),
+    "default_future_horizon": (0.9,),
+    "delta_star": (0.3, 0.9, 0.5, 2.0),
+    "delta_star_sq_grad": (0.3, 0.9, 0.5, 2.0),
+    "mi_capacity": (0.3, 0.9, 0.5, 0.1, 400),
+    "posterior_pred_params": (0.3, 0.9, 0.5, 0.1),
+    "optimal_alpha": (0.9, 0.5),
+    "total_stability_error": (np.array([0.3, 1.0]), 0.9, 0.5, np.array([0.1, 0.0])),
+    "lag_decomposition": (1.0, 0.9, 0.5, 0.0, 40),
+    "regret_bound_logit": (100,),
+}
+
+
+def _public_results():
+    """{name: value} of each public callable of infotheory, and of each
+    public method of its classes, on :data:`_PUBLIC_CALLS`' arguments."""
+    out = {}
+    for name, obj in vars(it).items():
+        if name.startswith("_") or not callable(obj) or obj.__module__ != it.__name__ \
+                or name == "stability_errors":
+            continue
+        value = obj(*_PUBLIC_CALLS[name])
+        if not isinstance(obj, type):
+            out[name] = value
+            continue
+        for meth in (m for m in vars(obj) if not m.startswith("_")):  # instances compare by these
+            out[f"{name}.{meth}"] = getattr(value, meth)(*_PUBLIC_CALLS.get(f"{name}.{meth}", ()))
+    return out
+
+
 def test_reduced_engines_make_no_linear_algebra_call(monkeypatch):
-    expected = (it.total_stability_error(np.array([0.3, 1.0]), 0.9, 0.5, np.array([0.1, 0.0])),
-                it.mi_capacity(0.3, 0.9, 0.5, 0.1, 400))
+    expected = _public_results()
+    assert {n.split(".")[0] for n in expected} == {n.split(".")[0] for n in _PUBLIC_CALLS}
     _refuse_linear_algebra(monkeypatch)
     with pytest.raises(AssertionError, match="linear algebra ran"):
         np.linalg.solve(np.eye(2), np.ones(2))
-    total = it.total_stability_error(np.array([0.3, 1.0]), 0.9, 0.5, np.array([0.1, 0.0]))
-    assert np.array_equal(total, expected[0]) and np.all(np.isfinite(total))
-    assert it.mi_capacity(0.3, 0.9, 0.5, 0.1, 400) == expected[1]
+    np.testing.assert_equal(_public_results(), expected)
+    assert np.all(np.isfinite(expected["total_stability_error"]))
 
 
 def test_stability_errors_empty_grid_gives_empty_arrays():
@@ -650,7 +751,7 @@ def test_data_processing_bound_on_state_information():
             delta = math.sqrt(it.delta_star(alpha, 0.9, 0.5, cap))
             sc = it.LmsSteadyCovariance(0.9, 0.5, alpha, delta)
             cov = np.array([[sc.u_var(), sc.u_y_fwd(1)], [sc.u_y_fwd(1), sc.y_var()]])
-            i_next = it.gaussian_cond_mi(cov, [0], [1])
+            i_next = gaussian_cond_mi(cov, [0], [1])
             i_hist = it.mi_capacity(alpha, 0.9, 0.5, delta, 300)
             assert i_next <= i_hist + 1e-10
 
@@ -675,8 +776,116 @@ def test_lag_decomposition_base_cases():
     # single nontrivial lag: implasticity_0 carries all absent information
     assert d1.terms[0][1] == pytest.approx(d1.absent_info, abs=1e-12)
     assert d1.terms[0][0] == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        it.lag_decomposition(0.5, 0.9, 0.5, 0.1, t=13)
+    for t in (13, 200):  # no horizon cap: the filter builds no joint
+        d = it.lag_decomposition(0.5, 0.9, 0.5, 0.1, t)
+        assert len(d.terms) == t + 1 and abs(d.total() - d.absent_info) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha, eta, sigma, delta", [
+    (0.5, 1.5, 0.5, 0.1), (0.5, 1.0, 0.5, 0.1), (0.5, -0.1, 0.5, 0.1), (0.5, math.nan, 0.5, 0.1),
+    (1.5, 0.9, 0.5, 0.1), (0.0, 0.9, 0.5, 0.1), (math.nan, 0.9, 0.5, 0.1),
+    (0.5, 0.9, math.nan, 0.1), (0.5, 0.9, math.inf, 0.1), (0.5, 0.9, -0.5, 0.1),
+    (0.5, 0.9, 0.5, math.nan), (0.5, 0.9, 0.5, math.inf), (0.5, 0.9, 0.5, -0.1),
+])
+def test_lag_decomposition_rejects_points_outside_the_steady_state_range(alpha, eta, sigma, delta):
+    with pytest.raises(ValueError, match="must lie in|nonnegative and finite"):
+        it.lag_decomposition(alpha, eta, sigma, delta, 4)
+
+
+def _filter_cond(eta, sigma):
+    """Var Y over the smallest predictive variance zeta^2 + sigma^2: the factor
+    by which the filter's unit-scale head variances reach the log-ratios."""
+    return (1.0 + sigma * sigma) / (1.0 - eta * eta + sigma * sigma)
+
+
+def _max_gap(d, ref_terms, ref_absent):
+    return max([abs(x - y) for p, q in zip(d.terms, ref_terms) for x, y in zip(p, q)]
+               + [abs(d.absent_info - ref_absent)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.one_of(st.just(1.0), st.floats(0.01, 1.0)), eta=st.floats(0.0, 0.99),
+       sigma=st.floats(0.05, 2.0), delta=st.floats(0.01, 1.0), t=st.integers(1, 12))
+@example(alpha=1.0, eta=0.99, sigma=0.05, delta=0.01, t=12)
+@example(alpha=0.01, eta=0.0, sigma=2.0, delta=1.0, t=12)
+def test_filtered_lag_decomposition_equals_the_dense_oracle(alpha, eta, sigma, delta, t):
+    # The dense engine's Schur complements lose digits in proportion to the
+    # joint's condition number (at most 0.22 eps * cond over 3,000 random
+    # points); the filter stays within 0.7 eps * _filter_cond of 40 digits.
+    # delta = 0 makes the joint singular, so the 40-digit test below pins it.
+    dense = dense_lag_decomposition(alpha, eta, sigma, delta, t)
+    cond = np.linalg.cond(lag_joint(alpha, eta, sigma, delta, t))
+    d = it.lag_decomposition(alpha, eta, sigma, delta, t)
+    tol = 2 * _EPS * (cond + _filter_cond(eta, sigma))
+    assert _max_gap(d, dense.terms, dense.absent_info) <= tol
+
+
+def _mp_lag_decomposition(alpha, eta, sigma, delta, t):
+    """(terms, absent information) at 40 digits. Each variable is its row of
+    coefficients on the independent unit sources (theta_0, U_0, V_j, W_j,
+    Q_j); Var(Y_{t+1} | S) is the squared distance of Y_{t+1}'s row from
+    the span of S's rows by Gram-Schmidt, and a row within 1e-30 of the span
+    already built (U_j = Y_j at alpha = 1, delta = 0) adds nothing."""
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        a, e, s, d = (mp.mpf(v) for v in (alpha, eta, sigma, delta))
+        n = 2 + 2 * (t + 1) + t
+
+        def source(i):
+            row = [mp.zero] * n
+            row[i] = mp.one
+            return row
+
+        theta, us, ys = source(0), [source(1)], []
+        for j in range(1, t + 2):
+            theta = [e * x for x in theta]
+            theta[1 + j] += mp.sqrt(1 - e * e)
+            ys.append(list(theta))
+            ys[-1][t + 2 + j] += s
+            if j <= t:
+                us.append([(1 - a) * p + a * q for p, q in zip(us[-1], ys[-1])])
+                us[-1][2 * t + 3 + j] += d
+
+        def residual(row, basis):
+            for b in basis:
+                c = mp.fdot(row, b)
+                row = [x - c * y for x, y in zip(row, b)]
+            return row
+
+        def var_given(rows):
+            basis = []
+            for row in rows:
+                row = residual(row, basis)
+                norm = mp.sqrt(mp.fdot(row, row))
+                if norm > mp.mpf(10) ** -30:
+                    basis.append([x / norm for x in row])
+            res = residual(ys[t], basis)
+            return mp.fdot(res, res)
+
+        def mi(z, given):
+            return float(mp.log(var_given(given) / var_given(given + z)) / 2)
+
+        terms = []
+        for j in range(t, 0, -1):
+            later = ys[j:t]  # Y_{j+1:t}
+            terms.append((mi([us[j - 1]], [us[j], ys[j - 1]] + later),
+                          mi([ys[j - 1]], [us[j]] + later)))
+        terms.append((0.0, 0.0))
+        return terms, mi(ys[:t], [us[t]])
+
+
+@pytest.mark.parametrize("alpha, eta, sigma, delta, t", [
+    (1.0, 0.9, 0.5, 0.0, 8),  # U_j = Y_j: R_j is exactly 0
+    (1.0, 0.99, 0.05, 0.0, 6),
+    (1.0, 0.9, 0.0, 0.0, 4),  # U_j = Y_j = theta_j: nothing is absent
+    # (U_j, Y_j) nearly collinear: the dense oracle is 8.6e-13 off here
+    (0.997950292, 0.814406616, 0.788005643, 0.0, 6),
+    (0.3, 0.9, 0.0, 0.2, 4),
+])
+def test_lag_decomposition_matches_a_40_digit_evaluation(alpha, eta, sigma, delta, t):
+    terms, absent = _mp_lag_decomposition(alpha, eta, sigma, delta, t)
+    d = it.lag_decomposition(alpha, eta, sigma, delta, t)
+    assert _max_gap(d, terms, absent) <= 4 * _EPS * _filter_cond(eta, sigma)
 
 
 # -- regret bounds ----------------------------------------------------------------
@@ -694,6 +903,19 @@ def test_regret_bound_logit_values():
     assert it.regret_bound_logit(100) == pytest.approx((math.log(201) + 1) / 200, abs=1e-15)
     assert it.regret_bound_logit(100) == pytest.approx(0.0315165245, abs=1e-9)
     assert it.regret_bound_logit(1) == pytest.approx(1.0493061443, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**1022))
+@example(1)
+@example(2**53 + 1)  # 1 + 2T rounds
+@example(2**1022)  # 2T = 2^1023; 2^1023 overflows 2T to inf
+def test_regret_bound_logit_matches_40_digits(horizon):
+    # ln(1 + 2T) + 1 > 2 adds no cancellation: cond 1 (at most 1.1 ulps seen)
+    with mpmath.workdps(40):
+        two_t = 2 * mpmath.mpf(horizon)
+        ref = float((mpmath.log(1 + two_t) + 1) / two_t)
+    assert abs(it.regret_bound_logit(horizon) - ref) <= 4 * _EPS * ref
 
 
 def nats_to_bits(x: float) -> float:

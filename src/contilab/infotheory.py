@@ -12,9 +12,10 @@ information about theta_t in K future observations from a backward filter,
 and the finite-horizon :func:`lag_decomposition` runs a forward filter from
 heads of at most 2x2. None of them runs linear algebra. The dense block
 engine (Schur complements and log-determinants of a joint covariance)
-serves only :func:`stability_errors`, which builds its blocks around one
-shared future block, equal bit for bit to the dense one-point evaluation;
-fig7's 12-digit CSV bytes are pinned to that arithmetic.
+serves only :func:`stability_errors`: a Toeplitz view of 2K+1 floats as the
+future block and one K x K Schur result per conditioning besides Cholesky's
+copies, equal bit for bit to the dense one-point evaluation; fig7's 12-digit
+CSV bytes are pinned to that arithmetic.
 
 Model conventions (standardized throughout this module): the latent follows
 theta' = eta*theta + N(0, 1 - eta^2) with theta_0 ~ N(0, 1), observations are
@@ -29,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError
 
@@ -67,12 +69,14 @@ def _schur_complement(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray) -> n
     Uses a pseudo-inverse when the conditioning block is singular, which is
     the correct minimum-mean-square-error residual for degenerate Gaussians
     (e.g. a noiseless agent state exactly determined by its conditioners).
+    ``S_xx`` is only read (a read-only view will do); the product is turned
+    into the residual in place and symmetrized into the one returned array.
     """
     out = None
     try:  # a block Cholesky accepts can still be singular to the LU solve
         piv = np.diag(np.linalg.cholesky(S_ww))
         if piv.min() > 1e-7 * max(piv.max(), 1e-150):
-            out = S_xx - S_xw @ np.linalg.solve(S_ww, S_xw.T)
+            out = S_xw @ np.linalg.solve(S_ww, S_xw.T)
     except np.linalg.LinAlgError:
         pass
     if out is None:
@@ -82,8 +86,10 @@ def _schur_complement(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray) -> n
             raise NumericError(f"covariance block is indefinite: eigenvalue {eigs[0]:.6e}")
         keep = eigs > _RIDGE_REL * scale
         basis = S_xw @ vecs[:, keep]
-        out = S_xx - (basis / eigs[keep]) @ basis.T
-    return (out + out.T) / 2.0
+        out = (basis / eigs[keep]) @ basis.T
+    np.subtract(S_xx, out, out=out)
+    sym = np.add(out, out.T)
+    return np.divide(sym, 2.0, out=sym)
 
 
 def _cond_mi_blocks(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray,
@@ -114,9 +120,7 @@ def _check_point(alpha: float, eta: float, sigma: float, delta: float) -> None:
 
 class LmsSteadyCovariance:
     """Steady-state second moments of the agent state U and observations Y,
-    valid on :func:`_check_point`'s range, and the observation block of the
-    dense joint that :func:`stability_errors` conditions on.
-    """
+    valid on :func:`_check_point`'s range."""
 
     def __init__(self, eta: float, sigma: float, alpha: float, delta: float):
         _check_point(alpha, eta, sigma, delta)
@@ -156,14 +160,6 @@ class LmsSteadyCovariance:
         k = np.asarray(k, dtype=float)
         val = self.alpha * np.power(self.eta, k) / self._A
         return val if val.ndim else float(val)
-
-    # -- joint covariance builders -------------------------------------------
-
-    def _y_block(self, ks: np.ndarray) -> np.ndarray:
-        lag = np.abs(ks[:, None] - ks[None, :]).astype(float)
-        block = np.power(self.eta, lag)
-        np.fill_diagonal(block, self.y_var())
-        return block
 
 
 # -- capacity noise ----------------------------------------------------------
@@ -299,23 +295,25 @@ def stability_errors(alpha, eta: float, sigma: float, delta, future: int | None 
     broadcastable 1-D grids for one (eta, sigma, K), which give a pair of
     arrays (empty for an empty grid). Every grid point is validated before
     any linear algebra runs. The joint over (U_{t-1}, U_t, Y_t, Y_{t+1:t+K})
-    shares its future block across the grid, so the (K+1)^2 Y block is built
-    once per call; per point only the 3 x 3 head over (U_{t-1}, U_t, Y_t) and
-    its cross block with the future depend on (alpha, delta). Both errors go
-    through one block function, so every value equals the one-point dense
-    evaluation (conditional MI of the full joint through the same function)
-    bit for bit.
+    shares its future block across the grid, a read-only Toeplitz view of the
+    2K+1 floats E[Y_t Y_{t+|k|}]; per point only the 3 x 3 head over
+    (U_{t-1}, U_t, Y_t) and its cross block with the future depend on (alpha,
+    delta), and each conditioning holds one K x K Schur result besides
+    Cholesky's copies. Both errors go through one block function, so every
+    value equals the one-point dense evaluation bit for bit.
     """
     scalar, covs, ks = _grid(alpha, eta, sigma, delta, future)
     forgetting, implasticity = np.empty(len(covs)), np.empty(len(covs))
     if not covs:
         return forgetting, implasticity
-    y_block = covs[0]._y_block(np.concatenate(([0.0], ks)))  # Y_t, Y_{t+1..t+K}
-    S_xx = y_block[1:, 1:]
+    K = len(ks)
+    row = np.power(eta, np.arange(K + 1.0))  # E[Y_t Y_{t+k}], k = 0..K
+    row[0] = covs[0].y_var()
+    S_xx = sliding_window_view(np.concatenate((row[:0:-1], row)), K)[K:0:-1]  # Toeplitz view
     for i, sc in enumerate(covs):
         uv, ac1, fwd1, back0 = sc.u_var(), sc.u_autocov1(), sc.u_y_fwd(1), sc.u_y()
-        head = np.array(((uv, ac1, fwd1), (ac1, uv, back0), (fwd1, back0, y_block[0, 0])))
-        cross = np.column_stack((sc.u_y_fwd(ks + 1.0), sc.u_y_fwd(ks), y_block[0, 1:]))
+        head = np.array(((uv, ac1, fwd1), (ac1, uv, back0), (fwd1, back0, row[0])))
+        cross = np.column_stack((sc.u_y_fwd(ks + 1.0), sc.u_y_fwd(ks), row[1:]))
         forgetting[i] = _cond_mi_blocks(S_xx, cross, head, [0], [1, 2])
         implasticity[i] = _cond_mi_blocks(S_xx, cross, head, [2], [1])
     if scalar:
@@ -426,7 +424,7 @@ def lag_decomposition(alpha: float, eta: float, sigma: float, delta: float, t: i
 
 def regret_bound_logit(horizon: int) -> float:
     """Optimized rate-distortion regret bound (ln(1 + 2T) + 1) / (2T) for the
-    standard-normal logit stream."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    standard-normal logit stream; ValueError where 2T is not a finite float."""
+    if not 1 <= horizon < 2**1023 or math.isinf(2.0 * horizon):  # 2^1023 - 1 rounds up
+        raise ValueError(f"horizon must be >= 1 with 2T a finite float, got {horizon}")
     return (math.log(1.0 + 2.0 * horizon) + 1.0) / (2.0 * horizon)

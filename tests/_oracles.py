@@ -10,10 +10,11 @@
 - The dense Gaussian references for the scalar filters of ``infotheory``:
   conditional MI on a joint covariance (through the block function that
   ``stability_errors`` uses), the general-lag moments E[U_{t+k} Y_t] and
-  E[Y_t Y_{t+k}] with their merged-roots branch, the dense joint of the
-  state and its recent observations, the unrolled finite-horizon joint and
-  its lag decomposition, the next-step information missing from the state
-  on a long past window, and the hand-expanded steady-state prediction law.
+  E[Y_t Y_{t+k}] with their merged-roots branch, the dense observation
+  block, the dense joint of the state and its recent observations, the
+  unrolled finite-horizon joint and its lag decomposition, the next-step
+  information missing from the state on a long past window, and the
+  hand-expanded steady-state prediction law.
 - The goal-MDP tools only tests use: a tabular MDP, value iteration, goal
   MDPs, Bellman backups, greedy stationary distributions, and the
   value-iteration goal-reward scale.
@@ -241,6 +242,15 @@ def u_y_back(self: LmsSteadyCovariance, k):
     return val if val.ndim else float(val)
 
 
+def y_block(self: LmsSteadyCovariance, ks: np.ndarray) -> np.ndarray:
+    """Dense covariance of (Y_{t+k} for k in ``ks``): eta^|k - k'| off the
+    diagonal, Var(Y) on it."""
+    lag = np.abs(ks[:, None] - ks[None, :]).astype(float)
+    block = np.power(self.eta, lag)
+    np.fill_diagonal(block, self.y_var())
+    return block
+
+
 def stability_joint(self: LmsSteadyCovariance, future: int) -> np.ndarray:
     """Joint over (U_{t-1}, U_t, Y_t, Y_{t+1}, ..., Y_{t+future})."""
     if future < 1:
@@ -256,7 +266,7 @@ def stability_joint(self: LmsSteadyCovariance, future: int) -> np.ndarray:
     cov[0, 3:] = cov[3:, 0] = self.u_y_fwd(ks + 1.0)  # E[U_{t-1} Y_{t+k}]
     cov[1, 3:] = cov[3:, 1] = self.u_y_fwd(ks)       # E[U_t Y_{t+k}]
     yk = np.concatenate(([0.0], ks))
-    cov[2:, 2:] = self._y_block(yk)
+    cov[2:, 2:] = y_block(self, yk)
     return cov
 
 
@@ -269,7 +279,7 @@ def capacity_joint(self: LmsSteadyCovariance, n: int) -> np.ndarray:
     back = u_y_back(self, np.arange(n - 1, -1, -1, dtype=float))
     cov[0, 1:] = back
     cov[1:, 0] = back
-    cov[1:, 1:] = self._y_block(np.arange(n))
+    cov[1:, 1:] = y_block(self, np.arange(n))
     return cov
 
 

@@ -6,6 +6,8 @@ trial counts with fixed seeds, so outcomes are deterministic.
 
 import math
 import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -150,16 +152,19 @@ def test_criterion_06_capacity_aware_stepsize_adaptation():
     eta, sigma, cap, zeta_meta, trials, horizon = 0.95, 0.5, 0.5, 0.01, 20, 200_000
     star = it.optimal_alpha(eta, sigma)
     delta_at_star = math.sqrt(it.delta_star(star, eta, sigma, cap))
-    finals = {}
+    finals, runs = {}, {}
     for mode, kw in (("capacity", dict(mode="capacity", eta=eta, sigma=sigma, capacity=cap)),
                      ("standard", dict(mode="standard", delta=delta_at_star))):
         envs = [Ar1ScalarEnv(eta=eta, zeta=math.sqrt(1 - eta * eta), sigma=sigma)
                 for _ in range(trials)]
         agents = [IdbdAgent(zeta_meta=zeta_meta, alpha0=0.1, **kw) for _ in range(trials)]
         streams = [RngStream(20_240_902).child("idbd", mode, trial) for trial in range(trials)]
-        summaries = run_idbd_trials(envs, agents, horizon, streams)
-        assert None not in summaries  # no trial diverged
-        finals[mode] = float(np.mean([s.metrics["final_alpha"] for s in summaries]))
+        runs[mode] = (envs, agents, horizon, streams)
+    with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:  # a mode each
+        for mode, summaries in zip(runs, pool.map(run_idbd_trials, *zip(*runs.values()),
+                                                  timeout=120.0)):
+            assert None not in summaries  # no trial diverged
+            finals[mode] = float(np.mean([s.metrics["final_alpha"] for s in summaries]))
     elapsed = time.time() - t0
     assert abs(finals["capacity"] - star) < 0.05
     assert abs(finals["standard"] - star) > 0.02

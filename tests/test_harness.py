@@ -1,5 +1,6 @@
 import inspect
 import math
+import os
 import re
 import subprocess
 import sys
@@ -482,12 +483,28 @@ def test_analytic_rows_equal_the_per_point_oracle(monkeypatch, name, overrides, 
 @pytest.mark.parametrize("size, alpha_step", [("full", "0.02"), ("smoke", "0.1")])
 def test_fig8_bytes_equal_the_benchmark_reference(tmp_path, size, alpha_step):
     # The benchmark's analytic workload runs fig8 at these sizes and checks
-    # its bytes against these files. fig7 is left out: its bytes follow the
-    # OpenBLAS thread count.
+    # its bytes against these files.
     reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / size / "analytic"
     run_experiment("fig8_optimal_alpha", {"alpha_step": alpha_step}, tmp_path, plot=False)
     assert (tmp_path / "results.csv").read_bytes() == \
         (reference / "fig8_optimal_alpha.csv").read_bytes()
+
+
+def test_fig7_bytes_equal_the_benchmark_reference(tmp_path):
+    # fig7's bytes follow the OpenBLAS thread count, which is read when numpy
+    # loads, so the run gets a fresh interpreter with the count the benchmark
+    # runs at on a 2-core machine.
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv.pop(1)); from contilab.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(root / "src"), "run", "fig7_errors_vs_alpha",
+         "--grid_points=3", "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "2"},
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    reference = root / "bench" / "reference" / "smoke" / "analytic" / "fig7_errors_vs_alpha.csv"
+    assert (tmp_path / "results.csv").read_bytes() == reference.read_bytes()
 
 
 def test_fig8_argmins_minimize_the_dense_total_error():

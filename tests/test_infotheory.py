@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from _oracles import (batch_stderr, capacity_joint, gaussian_cond_mi, informational_error,
                       lag_joint, regret_bound_entropy, simulate_tracker, stability_joint, u_y_back,
-                      y_autocov)
+                      y_autocov, y_block)
 from _oracles import lag_decomposition as dense_lag_decomposition
 from _oracles import posterior_pred_params as expanded_posterior_pred_params
 from _oracles import stability_errors as dense_stability_errors
@@ -291,7 +292,7 @@ def test_future_information_equals_the_k_by_k_solve(eta, sigma, K):
     # within a few ulps (1.6 eps * cond at most over 300 random points).
     ks = np.arange(1, K + 1, dtype=float)
     b = eta**ks
-    cov_e = it.LmsSteadyCovariance(eta, sigma, 0.5, 0.0)._y_block(ks) - np.outer(b, b)
+    cov_e = y_block(it.LmsSteadyCovariance(eta, sigma, 0.5, 0.0), ks) - np.outer(b, b)
     solved = float(b @ np.linalg.solve(cov_e, b))
     s = it._future_information(eta, sigma, K)
     assert abs(s - solved) <= 8 * _EPS * np.linalg.cond(cov_e) * solved
@@ -709,9 +710,9 @@ def test_informational_error_two_evaluation_routes_agree():
     sc = it.LmsSteadyCovariance(eta, sigma, alpha, delta)
     var_given_state = it.posterior_pred_params(alpha, eta, sigma, delta)[1]
     lags = np.arange(past, 0, -1, dtype=float)
-    y_block = sc._y_block(np.arange(past))
+    past_block = y_block(sc, np.arange(past))
     cross = np.power(eta, lags)
-    var_given_past = sc.y_var() - cross @ np.linalg.solve(y_block, cross)
+    var_given_past = sc.y_var() - cross @ np.linalg.solve(past_block, cross)
     route2 = 0.5 * math.log(var_given_state / var_given_past)
     assert route1 == pytest.approx(route2, abs=1e-9)
 
@@ -727,9 +728,9 @@ def test_prediction_error_decomposes_into_info_and_inference_terms():
     bad_slope, bad_var = slope * 1.4, var_u * 1.3
 
     lags = np.arange(past, 0, -1, dtype=float)
-    y_block = sc._y_block(np.arange(past))
+    past_block = y_block(sc, np.arange(past))
     cross = np.power(eta, lags)
-    var_h = sc.y_var() - cross @ np.linalg.solve(y_block, cross)
+    var_h = sc.y_var() - cross @ np.linalg.solve(past_block, cross)
 
     # E[(Y - c U)^2] from second moments
     mse_bad = sc.y_var() - 2 * bad_slope * sc.u_y_fwd(1) + bad_slope**2 * u2
@@ -899,17 +900,43 @@ def test_regret_bound_entropy_values():
         regret_bound_entropy(1.0, 0)
 
 
+def test_stability_errors_hold_one_schur_result_at_a_time():
+    # K = 512: the future block is a Toeplitz view of 2K+1 floats, and each
+    # conditioning holds one K x K Schur result besides Cholesky's output
+    # (numpy's internal Cholesky buffer is not traced).
+    K = it.default_future_horizon(0.99)
+    assert K == 512
+    tracemalloc.start()
+    try:
+        it.stability_errors([0.3, 0.6], 0.99, 0.5, [0.1, 0.2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * K * K * 8
+
+
 def test_regret_bound_logit_values():
     assert it.regret_bound_logit(100) == pytest.approx((math.log(201) + 1) / 200, abs=1e-15)
     assert it.regret_bound_logit(100) == pytest.approx(0.0315165245, abs=1e-9)
     assert it.regret_bound_logit(1) == pytest.approx(1.0493061443, abs=1e-9)
+    # logit_regret's default horizons keep their bits
+    assert it.regret_bound_logit(10) == float.fromhex("0x1.9e28ba9f2f226p-3")
+    assert it.regret_bound_logit(100) == float.fromhex("0x1.022ef145e48ecp-5")
+
+
+@pytest.mark.parametrize("horizon", [2**1023 - 1, 2**1023, 2**1024 - 1, 2**1024, 10**400,
+                                     math.inf, math.nan])
+def test_regret_bound_logit_rejects_horizons_beyond_the_float_range(horizon):
+    with pytest.raises(ValueError, match="finite float"):
+        it.regret_bound_logit(horizon)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 2**1022))
+@given(st.integers(1, 2**1023 - 2**970))
 @example(1)
 @example(2**53 + 1)  # 1 + 2T rounds
 @example(2**1022)  # 2T = 2^1023; 2^1023 overflows 2T to inf
+@example(2**1023 - 2**970)  # the largest float T with 2T finite
 def test_regret_bound_logit_matches_40_digits(horizon):
     # ln(1 + 2T) + 1 > 2 adds no cancellation: cond 1 (at most 1.1 ulps seen)
     with mpmath.workdps(40):

@@ -198,6 +198,8 @@ def _run_fig2(params, workers):
     {"sigma": 0.5, "capacity": 2.0, "etas": [0.9, 0.95, 0.99], "grid_points": 50, "seed": 0},
 )
 def _run_fig7(params, workers):
+    if params["grid_points"] < 0:
+        raise ConfigurationError(f"grid_points must be nonnegative, got {params['grid_points']}")
     alphas = np.linspace(0.02, 0.98, params["grid_points"])
     rows = []
     series = []
@@ -513,7 +515,10 @@ def _run_coinswap(params, workers):
     rows = []
     sim_cells = []
     for q2, env in zip(params["q2s"], envs):
-        plan = belief_value_iteration(p1, q2, params["gamma"], params["grid_size"])
+        try:  # a bad gamma or grid_size fails before any value iteration
+            plan = belief_value_iteration(p1, q2, params["gamma"], params["grid_size"])
+        except ValueError as exc:
+            raise ConfigurationError(f"bad parameters for belief_value_iteration: {exc}") from exc
         stride = max(1, params["policy_stride"])
         for i in range(0, len(plan.beliefs), stride):
             coords = {"q2": q2, "belief": round(float(plan.beliefs[i]), 10)}

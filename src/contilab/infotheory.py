@@ -13,9 +13,13 @@ and the finite-horizon :func:`lag_decomposition` runs a forward filter from
 heads of at most 2x2. None of them runs linear algebra. The dense block
 engine (Schur complements and log-determinants of a joint covariance)
 serves only :func:`stability_errors`: a Toeplitz view of 2K+1 floats as the
-future block and one K x K Schur result per conditioning besides Cholesky's
-copies, equal bit for bit to the dense one-point evaluation; fig7's 12-digit
-CSV bytes are pinned to that arithmetic.
+future block and one K x K Schur result per conditioning, equal bit for bit
+to the dense one-point evaluation; fig7's 12-digit CSV bytes are pinned to
+that arithmetic. Each Schur result gets a column-major Cholesky factor from
+numpy's gufunc behind ``np.linalg.cholesky``: LAPACK works by columns, so
+then the copies into and out of ``potrf`` run along contiguous memory
+instead of striding across rows, with the same factor bits
+(:func:`_logdet_psd`).
 
 Model conventions (standardized throughout this module): the latent follows
 theta' = eta*theta + N(0, 1 - eta^2) with theta_0 ~ N(0, 1), observations are
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.linalg import _umath_linalg
 
 from .errors import NumericError
 
@@ -44,14 +49,26 @@ def _logdet_psd(mat: np.ndarray) -> float:
     Cholesky fast path; near-singular or slightly indefinite inputs fall back
     to an eigendecomposition with a relative ridge of 1e-12 * trace/n, and an
     eigenvalue below -1e-10 * trace/n raises NumericError.
+
+    The factor comes from numpy's Cholesky gufunc, the kernel behind
+    ``np.linalg.cholesky``, which copies its operand into a column-major
+    buffer for LAPACK's ``potrf`` and copies the factor out. Given ``mat.T``
+    (the same matrix, as ``mat`` is symmetric) and a column-major output,
+    both copies read and write contiguous rows of memory; the wrapper's
+    row-major operand and result make them stride by a whole row per element
+    (a page at K = 512), which cost more than ``potrf`` itself there.
+    ``potrf`` sees the same operands, so the factor is the wrapper's bit for
+    bit. A failed factorization sets the invalid flag (and fills the factor
+    with NaN), which is the failure the wrapper turns into LinAlgError.
     """
     n = mat.shape[0]
     if n == 0:
         return 0.0
     try:
-        chol = np.linalg.cholesky(mat)
+        with np.errstate(invalid="raise"):
+            chol = _umath_linalg.cholesky_lo(mat.T, signature="d->d", out=np.empty((n, n)).T)
         return 2.0 * float(np.sum(np.log(np.diag(chol))))
-    except np.linalg.LinAlgError:
+    except FloatingPointError:
         pass
     w = np.linalg.eigvalsh(mat)
     scale = max(float(np.trace(mat)) / n, 1e-300)
@@ -298,9 +315,10 @@ def stability_errors(alpha, eta: float, sigma: float, delta, future: int | None 
     shares its future block across the grid, a read-only Toeplitz view of the
     2K+1 floats E[Y_t Y_{t+|k|}]; per point only the 3 x 3 head over
     (U_{t-1}, U_t, Y_t) and its cross block with the future depend on (alpha,
-    delta), and each conditioning holds one K x K Schur result besides
-    Cholesky's copies. Both errors go through one block function, so every
-    value equals the one-point dense evaluation bit for bit.
+    delta), and each conditioning holds one K x K Schur result, which
+    :func:`_logdet_psd` factors into a column-major Cholesky factor. Both
+    errors go through one block function, so every value equals the
+    one-point dense evaluation bit for bit.
     """
     scalar, covs, ks = _grid(alpha, eta, sigma, delta, future)
     forgetting, implasticity = np.empty(len(covs)), np.empty(len(covs))

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from contilab import mdp_tools
 from contilab.infotheory import (LagDecomposition, LmsSteadyCovariance, _cond_mi_blocks,
@@ -40,6 +39,8 @@ def simulate_tracker(alpha, eta, sigma, delta, n, seed, burn=20_000):
     alpha*y_i + delta*q_i. Both recursions run as first-order IIR filters:
     theta's adds are the recursion's, and u's filter adds alpha*y_i + delta*q_i
     before (1 - alpha)*u_{i-1}."""
+    from scipy.signal import lfilter  # about 1.5 s to import; only this oracle needs it
+
     gen = RngStream(seed).child("oracle").generator()
     zeta = math.sqrt(max(0.0, 1.0 - eta * eta))
     total = burn + n

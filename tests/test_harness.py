@@ -238,6 +238,9 @@ def test_cli_non_finite_tracking_env_exits_2_without_csv(tmp_path, capsys, overr
     # sigma**2 underflows to zero, and to a subnormal whose inverse overflows.
     (["fig8_optimal_alpha", "--sigma=1e-200"], "bad parameters for optimal_alpha"),
     (["fig8_optimal_alpha", "--sigma=1e-160"], "bad parameters for optimal_alpha: non-finite result"),
+    (["fig7_errors_vs_alpha", "--grid_points=-1"], "grid_points must be nonnegative, got -1"),
+    (["coinswap_belief", "--grid_size=1"], "belief grid needs at least 2 points, got 1"),
+    (["coinswap_belief", "--gamma=1.0"], "discount must lie in (0, 1), got 1.0"),
 ])
 def test_cli_invalid_closed_form_parameter_exits_2_without_csv(tmp_path, capsys, argv, message):
     out = tmp_path / "bad"

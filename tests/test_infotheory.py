@@ -1,6 +1,11 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -623,6 +628,8 @@ def _refuse_linear_algebra(monkeypatch):
         if not name.startswith("_") and callable(getattr(np.linalg, name)) \
                 and not isinstance(getattr(np.linalg, name), type):
             monkeypatch.setattr(np.linalg, name, refuse)
+    # the K x K factorization calls numpy's Cholesky gufunc directly
+    monkeypatch.setattr(np.linalg._umath_linalg, "cholesky_lo", refuse)
 
 
 @pytest.mark.parametrize("engine", ["stability_errors", "total_stability_error"])
@@ -681,6 +688,8 @@ def test_reduced_engines_make_no_linear_algebra_call(monkeypatch):
     _refuse_linear_algebra(monkeypatch)
     with pytest.raises(AssertionError, match="linear algebra ran"):
         np.linalg.solve(np.eye(2), np.ones(2))
+    with pytest.raises(AssertionError, match="linear algebra ran"):
+        it._logdet_psd(np.eye(2))
     np.testing.assert_equal(_public_results(), expected)
     assert np.all(np.isfinite(expected["total_stability_error"]))
 
@@ -913,6 +922,62 @@ def test_stability_errors_hold_one_schur_result_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * K * K * 8
+
+
+# Run in a fresh interpreter: records the matrices fig7's stability_errors
+# factors at its three horizons (K = 132, 270, 512), adds random SPD ones, and
+# prints the shapes seen and the indices where _logdet_psd is not bit-equal to
+# the log-diagonal of np.linalg.cholesky's factor (or the input not symmetric).
+_LOGDET_BITS = """
+import json, math, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from contilab import infotheory as it
+
+logdet, mats = it._logdet_psd, []
+it._logdet_psd = lambda mat: mats.append(np.array(mat)) or logdet(mat)
+for eta in (0.9, 0.95, 0.99):
+    alphas = np.array([0.02, 0.5, 0.98])
+    deltas = np.array([math.sqrt(it.delta_star(a, eta, 0.5, 2.0)) for a in alphas])
+    it.stability_errors(alphas, eta, 0.5, deltas)
+rng = np.random.default_rng(20_230_710)
+for n in (1, 2, 3, 17, 64, 200, 512):
+    a = rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0, n)
+    m = a @ a.T + 1e-3 * np.eye(n)
+    mats.append((m + m.T) / 2)
+mats.append(1.0 / (np.arange(8.0)[:, None] + np.arange(8.0) + 1.0))  # Hilbert, cond 1e10
+bad = [i for i, m in enumerate(mats) if not np.array_equal(m, m.T)
+       or logdet(m) != 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(m)))))]
+print(json.dumps([len(mats), sorted({m.shape[0] for m in mats}), bad]))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_logdet_psd_equals_the_public_cholesky_bit_for_bit(threads):
+    # _logdet_psd factors the transposed input into a column-major factor
+    # through numpy's gufunc; potrf sees the wrapper's operands, so the bits
+    # must be the wrapper's at each OpenBLAS thread count (read when numpy
+    # loads, hence a fresh interpreter per count).
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", _LOGDET_BITS, str(src)], capture_output=True,
+                          text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [44, [1, 2, 3, 8, 17, 64, 132, 200, 270, 512], []]
+
+
+def test_logdet_psd_of_a_rank_deficient_input_takes_the_ridge_path(monkeypatch):
+    mat = np.ones((3, 3))  # rank 1: potrf meets an exactly zero pivot
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(mat)
+    w = np.linalg.eigvalsh(mat)
+    ridge = 1e-12 * float(np.trace(mat)) / 3
+    expected = float(np.sum(np.log(w + (ridge - w[0]))))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    assert it._logdet_psd(mat) == expected
+    assert len(calls) == 1
 
 
 def test_regret_bound_logit_values():

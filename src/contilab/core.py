@@ -60,8 +60,13 @@ def series_steps(T: int) -> list[int]:
     return [*range(stride, T, stride), T]
 
 
-def _spaces_compatible(a, b) -> bool:
-    return a is None or b is None or a == b
+def check_spaces(env, agent) -> None:
+    """Raise ``ConfigurationError`` unless ``env`` and ``agent`` agree on their
+    action and observation spaces; a side without a space agrees with any."""
+    for name in ("action", "observation"):
+        e, a = getattr(env, f"{name}_space", None), getattr(agent, f"{name}_space", None)
+        if e is not None and a is not None and e != a:
+            raise ConfigurationError(f"{name} spaces differ: env={e!r} agent={a!r}")
 
 
 def run_trajectory(
@@ -85,16 +90,7 @@ def run_trajectory(
     """
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
-    if not _spaces_compatible(getattr(env, "action_space", None), getattr(agent, "action_space", None)):
-        raise ConfigurationError(
-            f"action spaces differ: env={env.action_space!r} agent={agent.action_space!r}"
-        )
-    if not _spaces_compatible(
-        getattr(env, "observation_space", None), getattr(agent, "observation_space", None)
-    ):
-        raise ConfigurationError(
-            f"observation spaces differ: env={env.observation_space!r} agent={agent.observation_space!r}"
-        )
+    check_spaces(env, agent)
 
     env.reset(rng.child("env-noise"))
     agent.reset(rng.child("agent-noise"))
@@ -358,30 +354,17 @@ def _idbd_trial(env, agent, T: int, stream: RngStream, record_series: bool):
 def run_goal_lockstep(envs, agents, T: int, streams) -> list:
     """``run_trajectory(envs[j], agents[j], T, streams[j], record_series=False)``
     for every j of ``GoalMdpEnv`` x ``OptimisticQAgent``, advanced together.
+    Every trial must share (n_states, n_actions): sweep's planner pools goal
+    trials by their spaces, which are exactly that shape.
 
     Entry j is the trial's summary, the ``DegenerateMdpError`` its scalar run
     raises (at reset or at a mid-horizon rescale), or None where trial j must
     go to ``run_trajectory``: its total, Q table or offset is not finite.
-    Trials are advanced together per (n_states, n_actions). Each
-    ``DRAW_BLOCK``-step chunk is planned before it is stepped: every trial's
-    row events and new rows come from one ``envs._row_events`` call, the
-    helper ``GoalMdpEnv`` plans with, and the goal-reward rescales run
+    Each ``DRAW_BLOCK``-step chunk is planned before it is stepped: every
+    trial's row events and new rows come from one ``envs._row_events`` call,
+    the helper ``GoalMdpEnv`` plans with, and the goal-reward rescales run
     together, one ``mdp_tools.goal_reward_scales`` call per planning round.
     """
-    out: list = [None] * len(envs)
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for j, env in enumerate(envs):
-        shapes.setdefault((env.n_states, env.n_actions), []).append(j)
-    for idx in shapes.values():
-        results = _goal_lockstep([envs[j] for j in idx], [agents[j] for j in idx], T,
-                                 [streams[j] for j in idx])
-        for j, result in zip(idx, results):
-            out[j] = result
-    return out
-
-
-def _goal_lockstep(envs, agents, T: int, streams) -> list:
-    """:func:`run_goal_lockstep` for trials that share (n_states, n_actions)."""
     from .envs import _GOAL_STATE, _TARGET_REWARD, _dirichlet_rows, _initial_state, _row_events
 
     B = DRAW_BLOCK

@@ -26,7 +26,8 @@ from .envs import build_env
 from .errors import ConfigurationError
 from .mdp_tools import belief_value_iteration
 from .output import write_config_resolved, write_line_plot, write_results_csv
-from .sweep import ExperimentConfig, SweepRow, cell_rows, monte_carlo_sweep, run_trials
+from .sweep import (ExperimentConfig, SweepRow, cell_rows, monte_carlo_sweep, resolve_workers,
+                    run_trials)
 
 
 @dataclass
@@ -107,6 +108,7 @@ def run_experiment(name: str, overrides: dict | None = None, out_dir=None, *,
     (and plot.svg with ``plot=True``) under ``out_dir``; returns the paths."""
     exp = _get(name)
     params = resolve_params(name, overrides)
+    workers = resolve_workers(workers)  # a bad count fails here, analytic runs included
     if dry_run:
         return []
     result = exp.runner(params, workers)
@@ -506,6 +508,9 @@ def _run_bitflip(params, workers):
      "horizon": 20_000, "trials": 8, "seed": 20_240_910, "policy_stride": 20},
 )
 def _run_coinswap(params, workers):
+    for key in ("trials", "horizon", "policy_stride"):  # before any planning
+        if params[key] < 1:
+            raise ConfigurationError(f"{key} must be >= 1, got {params[key]}")
     p1 = params["p1"]
     envs = [{"kind": "coin_swap", "arms": [{"prior": ["fixed", p1], "swap_prob": 0.0},
                                            {"prior": ["dyadic", 0.5], "swap_prob": q2}]}
@@ -519,8 +524,7 @@ def _run_coinswap(params, workers):
             plan = belief_value_iteration(p1, q2, params["gamma"], params["grid_size"])
         except ValueError as exc:
             raise ConfigurationError(f"bad parameters for belief_value_iteration: {exc}") from exc
-        stride = max(1, params["policy_stride"])
-        for i in range(0, len(plan.beliefs), stride):
+        for i in range(0, len(plan.beliefs), params["policy_stride"]):
             coords = {"q2": q2, "belief": round(float(plan.beliefs[i]), 10)}
             rows.append(_analytic_row(coords, "policy_action", int(plan.actions[i])))
             rows.append(_analytic_row(coords, "value", float(plan.values[i])))

@@ -21,26 +21,30 @@ kind) pair with a trial kernel:
     ("goal_mdp", "optimistic_q")    -> core.run_goal_lockstep   no series
     ("ar1", "idbd")                 -> core.run_idbd_trials     with series
 
-:func:`_plan` pools the trials of all cells per (pair, horizon). A pool goes
-to its pair's kernel when the pair has a record, the kernel records series or
-the call records none, and its payloads reach the record's ``min_trials``
-(the break-even); it is then split round robin into
+:func:`_plan` is the one place that routes trials. It builds each cell's env
+and agent once, so a bad spec or mismatched spaces raises
+``ConfigurationError`` before any trial runs, and pools the trials of all
+cells per (pair, horizon, env observation space, env action space): every
+goal-MDP pool has one (n_states, n_actions) shape. A pool goes to its pair's
+kernel when the pair has a record, the kernel records series or the call
+records none, and its payloads reach the record's ``min_trials`` (the
+break-even); it is then split round robin into
 ``max(workers, ceil(n / 256))`` payloads, so each holds a share of every cell
 and of its cost. Every other pool runs on ``run_trajectory`` and keeps
 4 * workers payloads of contiguous trials per cell: on 2 cores the kernel
 split made bitflip_demo slower (median 1.51 -> 1.55 s over 10 runs).
 
-:func:`_run_batch` is the one worker entry point, and it alone owns the
-contract around a kernel. It hands the kernel only the trials whose built
-env and agent are exactly the record's classes with equal spaces (a subclass
-or wrapper could change the arithmetic the kernel reproduces), and puts the
-results back in trial order. Every other trial, and every None a kernel
-returns (a non-finite value), runs on ``run_trajectory``, so failures carry
-the scalar path's exact error text; a trial not built for a kernel is built
-right before it runs (holding a payload's built trials cost 7-15% on fig13,
-fig14 and bitflip_demo). Kernels
-read each trial's draws in DrawBuffer's layout (``rng.reset_blocks``); their
-summaries and modelled failures equal ``run_trajectory``'s.
+:func:`_run_batch` is the one worker entry point. It hands the kernel only
+the trials whose built env and agent are exactly the record's classes (a
+subclass, or a wrapper a build hook puts around a single trial, could change
+the arithmetic the kernel reproduces), and puts the results back in trial
+order. Every other trial, and every None a kernel returns (a non-finite
+value), runs on ``run_trajectory``, so failures carry the scalar path's
+exact error text; a trial not built for a kernel is built right before it
+runs (holding a payload's built trials cost 7-15% on fig13, fig14 and
+bitflip_demo). Kernels read each trial's draws in DrawBuffer's layout
+(``rng.reset_blocks``); their summaries and modelled failures equal
+``run_trajectory``'s.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ from typing import Callable
 import numpy as np
 
 from .agents import IdbdAgent, LmsAgent, OptimisticQAgent, build_agent
-from .core import (TrajectorySummary, run_goal_lockstep, run_idbd_trials, run_lockstep,
-                   run_trajectory, series_steps)
+from .core import (TrajectorySummary, check_spaces, run_goal_lockstep, run_idbd_trials,
+                   run_lockstep, run_trajectory, series_steps)
 from .envs import Ar1ScalarEnv, GoalMdpEnv, build_env
 from .errors import ConfigurationError, DegenerateMdpError, NumericError
 from .rng import RngStream
@@ -83,9 +87,7 @@ class Kernel:
     series: bool
 
     def takes(self, env, agent) -> bool:
-        return (type(env) is self.env_cls and type(agent) is self.agent_cls
-                and env.action_space == agent.action_space
-                and env.observation_space == agent.observation_space)
+        return type(env) is self.env_cls and type(agent) is self.agent_cls
 
 
 _KERNELS = {
@@ -167,15 +169,21 @@ class SweepTable:
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: explicit request, else cpu count, capped by CONTILAB_THREADS."""
-    workers = requested if requested else (os.cpu_count() or 1)
+    """Worker count: ``requested``, else (None) the cpu count, capped by
+    CONTILAB_THREADS; a request or a cap below 1 is a ``ConfigurationError``."""
+    if requested is not None and requested < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {requested}")
+    workers = requested or os.cpu_count() or 1
     cap = os.environ.get("CONTILAB_THREADS")
     if cap:
         try:
-            workers = min(workers, max(1, int(cap)))
+            cap = int(cap)
         except ValueError:
             raise ConfigurationError(f"CONTILAB_THREADS must be an integer, got {cap!r}") from None
-    return max(1, workers)
+        if cap < 1:
+            raise ConfigurationError(f"CONTILAB_THREADS must be >= 1, got {cap}")
+        workers = min(workers, cap)
+    return workers
 
 
 def _trial_stream(base_seed: int, cell_key: str, trial: int) -> RngStream:
@@ -219,14 +227,19 @@ def _run_batch(payload):
 
 
 def _plan(cells, workers: int, record_series: bool):
-    """Payloads of one run_trials call, each with the cell of every result it returns."""
+    """Payloads of one run_trials call, each with the cell of every result it
+    returns. Builds each cell's env and agent once: a bad spec or mismatched
+    spaces raises ``ConfigurationError`` here, before any payload runs."""
     keys = [cfg.canonical_key() for cfg in cells]
-    pools: dict[tuple, list[int]] = {}  # (pair, horizon) -> cells, in order
+    pools: dict[tuple, list[int]] = {}  # (pair, horizon, spaces) -> cells, in order
     for c, cfg in enumerate(cells):
+        env, agent = build_env(cfg.env), build_agent(cfg.agent)
+        check_spaces(env, agent)
         pair = (cfg.env.get("kind"), cfg.agent.get("kind"))
-        pools.setdefault((pair, cfg.horizon), []).append(c)
+        spaces = (getattr(env, "observation_space", None), getattr(env, "action_space", None))
+        pools.setdefault((pair, cfg.horizon, spaces), []).append(c)
     payloads, owners = [], []
-    for (pair, horizon), members in pools.items():
+    for (pair, horizon, _), members in pools.items():
         kernel = _KERNELS.get(pair)
         pooled = [(c, i) for c in members for i in range(cells[c].trials)]
         k = min(len(pooled), max(workers, -(-len(pooled) // _LOCKSTEP_TRIALS)))

@@ -186,6 +186,11 @@ def test_cli_run_with_overrides(tmp_path, capsys):
 def test_cli_error_codes(tmp_path, capsys):
     assert main(["run", "no_such_experiment", "--out", str(tmp_path)]) == 2
     assert main(["run", "logit_regret", "--bogus_key=3", "--out", str(tmp_path)]) == 2
+    for workers in ("0", "-2"):  # also where no trial would run
+        for argv in (["fig8_optimal_alpha"], ["fig8_optimal_alpha", "--dry-run"]):
+            assert main(["run", *argv, "--workers", workers, "--out", str(tmp_path)]) == 2
+    assert "workers must be >= 1, got -2" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
     with pytest.raises(SystemExit):
         main(["run", "logit_regret", "positional_junk"])
 
@@ -266,6 +271,24 @@ def test_cli_bad_prior_exits_2_without_csv(tmp_path, capsys, monkeypatch, argv, 
     monkeypatch.setattr(experiments, "belief_value_iteration", plan)
     out = tmp_path / "bad"
     assert main(["run", *argv, "--trials=2", "--horizon=10", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--policy_stride=0"], "policy_stride must be >= 1, got 0"),
+    (["--policy_stride=-3"], "policy_stride must be >= 1, got -3"),
+    (["--trials=0"], "trials must be >= 1, got 0"),
+    (["--horizon=0"], "horizon must be >= 1, got 0"),
+])
+def test_cli_coinswap_bad_count_exits_2_before_planning(tmp_path, capsys, monkeypatch, argv,
+                                                        message):
+    def plan(*args):
+        raise AssertionError("a bad config reached the planner")
+
+    monkeypatch.setattr(experiments, "belief_value_iteration", plan)
+    out = tmp_path / "bad"
+    assert main(["run", "coinswap_belief", *argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not (out / "results.csv").exists()
 

@@ -189,7 +189,12 @@ def test_resolve_workers_env_cap(monkeypatch):
     assert resolve_workers(8) == 1
     monkeypatch.delenv("CONTILAB_THREADS")
     assert resolve_workers(3) == 3
-    for cap in ("abc", "1.5"):
+    with mock.patch("os.cpu_count", return_value=5):
+        assert resolve_workers(None) == resolve_workers() == 5
+    for requested in (0, -2):
+        with pytest.raises(ConfigurationError, match=f"workers must be >= 1, got {requested}"):
+            resolve_workers(requested)
+    for cap in ("abc", "1.5", "0", "-1"):
         monkeypatch.setenv("CONTILAB_THREADS", cap)
         with pytest.raises(ConfigurationError, match="CONTILAB_THREADS"):
             resolve_workers(2)
@@ -503,28 +508,55 @@ class _Delegate:
 
 @pytest.mark.parametrize("pair", _PARITY, ids="-".join)
 def test_kernel_skips_wrapped_builds(monkeypatch, pair):
-    # Trials 1 and 3 get wrapped builds and run on run_trajectory, the others
-    # on the kernel; all come back in trial order.
+    # Build 0 is the planner's one build of the cell; builds 1-5 are trials
+    # 0-4's. Even builds are wrapped, so trials 1 and 3 run on
+    # run_trajectory, the others on the kernel; all come back in trial order.
     cfg, series = _PARITY[pair].cell(trials=5), sweep._KERNELS[pair].series
     expected = _scalar_outcomes(cfg, series)
+    counters = []
 
     def every_other(build):
         built = itertools.count()
-        return lambda spec: _Delegate(build(spec)) if next(built) % 2 else build(spec)
+        counters.append(built)
+        return lambda spec: build(spec) if next(built) % 2 else _Delegate(build(spec))
+
+    def kernel_of(run):
+        def kernel(envs, agents, *args, **kwargs):
+            assert not any(isinstance(x, _Delegate) for x in envs + agents)
+            return run(envs, agents, *args, **kwargs)
+        return kernel
 
     monkeypatch.setattr(sweep, "build_env", every_other(build_env))
     monkeypatch.setattr(sweep, "build_agent", every_other(build_agent))
-    with _on_kernels(), _scalar_calls() as calls:
+    with _on_kernels(kernel_of), _scalar_calls() as calls:
         assert _outcomes(run_trials([cfg], workers=1, record_series=series)[0]) == expected
-    assert len(calls) == 2 and all(isinstance(env, _Delegate) for env, *_ in calls)
+    assert [next(built) for built in counters] == [1 + cfg.trials] * 2
+    assert [stream for *_, stream in calls] == [
+        RngStream(cfg.seed).child("trial", cfg.canonical_key(), i) for i in (1, 3)]
+    assert all(isinstance(env, _Delegate) and isinstance(agent, _Delegate)
+               for env, agent, *_ in calls)
 
 
-def test_kernel_skips_mismatched_spaces():
+def _mismatched_spaces():
     cfg = _goal_config()
     cfg.agent["n_actions"] = 3
-    with (_on_kernels(lambda run: _refuse),
-          pytest.raises(ConfigurationError, match="action spaces differ")):
-        run_trials([cfg], workers=1)
+    return cfg
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bad, message", [
+    (_mismatched_spaces(), r"action spaces differ: env=\('discrete', 2\) agent=\('discrete', 3\)"),
+    (_goal_config(n_actions=0), "bad parameters for env 'goal_mdp'"),
+], ids=["spaces", "spec"])
+def test_a_bad_last_cell_fails_before_any_trial_runs(workers, bad, message):
+    # The planner builds every cell before any payload runs: with cells of
+    # every kernel and of the scalar path ahead of it, the bad last cell
+    # raises with no kernel call, no run_trajectory call and no pool.
+    cells = [entry.cell(trials=8) for entry in _PARITY.values()] + [_coin_config(), bad]
+    with (_on_kernels(lambda run: _refuse), mock.patch.object(sweep, "run_trajectory", _refuse),
+          mock.patch.object(sweep, "ProcessPoolExecutor", _refuse),
+          pytest.raises(ConfigurationError, match=message)):
+        run_trials(cells, workers=workers)
 
 
 @pytest.mark.parametrize("pair, cfg, message", [
@@ -608,7 +640,8 @@ def test_series_cells_reach_only_kernels_that_record_series():
 @pytest.mark.parametrize("record_series", [False, True])
 def test_plan_splits_kernel_and_scalar_pools_by_their_own_rules(record_series):
     # A kernel pool of n trials makes max(workers, ceil(n / 256)) round-robin
-    # payloads; every other pool makes 4 * workers payloads per cell.
+    # payloads; every other pool makes 4 * workers payloads per cell. Cells
+    # pool by (pair, horizon, env spaces), so each group below is one pool.
     workers = 2
     goal_min = sweep._KERNELS[("goal_mdp", "optimistic_q")].min_trials
     lms = [_ar1_config(alpha=a, trials=300, horizon=50) for a in (0.2, 0.6)]
@@ -617,6 +650,10 @@ def test_plan_splits_kernel_and_scalar_pools_by_their_own_rules(record_series):
         ([_idbd_config(mode=m, trials=400, horizon=40) for m in ("capacity", "standard")],
          ("ar1", "idbd"), 4),
         ([_goal_config(trials=2 * goal_min - 1)], None, 8),  # payloads below the break-even
+        # goal cells of two more shapes: one pool per (n_states, n_actions)
+        *[([_goal_config(n_states=n_states, n_actions=n_actions, trials=40)],
+           *((None, 8) if record_series else (("goal_mdp", "optimistic_q"), 2)))
+          for n_states, n_actions in ((3, 2), (5, 3))],
         ([_coin_config(trials=16)], None, 8),  # no kernel
         ([_coin_config(trials=8, horizon=80), _coin_config(trials=16, horizon=80, seed=3)],
          None, 16),

@@ -53,6 +53,16 @@ def _draw_bias(prior, buf):
     return buf.uniform()  # "uniform"
 
 
+def prior_mean(prior) -> float:
+    """Mean of the bias ``_draw_bias`` draws from a checked prior."""
+    kind = prior[0]
+    if kind == "beta":
+        return prior[1] / (prior[1] + prior[2])
+    if kind in ("fixed", "dyadic"):  # dyadic: P(bias = 1)
+        return float(prior[1])
+    return 0.5  # "uniform"
+
+
 class Ar1ScalarEnv:
     """Noisy scalar AR(1) latent: theta <- eta*theta + N(0, zeta^2),
     observation = theta + N(0, sigma^2), reward = -(obs - action)^2."""

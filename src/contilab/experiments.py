@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import infotheory as it
-from .envs import build_env
+from .envs import build_env, prior_mean
 from .errors import ConfigurationError
 from .mdp_tools import belief_value_iteration
 from .output import write_config_resolved, write_line_plot, write_results_csv
@@ -86,6 +86,12 @@ def _coerce(key: str, default, raw):
             raise ConfigurationError(f"override {key!r} must be a JSON list, got {raw!r}") from exc
         if not isinstance(value, list):
             raise ConfigurationError(f"override {key!r} must be a JSON list, got {raw!r}")
+        kinds = {type(v) for v in default}
+        if kinds <= {int, float}:  # numbers, kept as parsed: an int is part of a cell key
+            allowed, name = ({int}, "ints") if kinds == {int} else ({int, float}, "numbers")
+            if any(type(v) not in allowed for v in value):  # bool, str, null, list
+                raise ConfigurationError(
+                    f"override {key!r} must be a JSON list of {name}, got {raw!r}")
         return value
     return raw
 
@@ -464,18 +470,6 @@ def _run_logit_regret(params, workers):
 # one-bit prediction of a flipping stream
 # --------------------------------------------------------------------------
 
-def _prior_mean(prior) -> float:
-    build_env({"kind": "bit_flip", "prior": prior})  # a bad prior fails here, not below
-    kind = prior[0]
-    if kind == "beta":
-        return prior[1] / (prior[1] + prior[2])
-    if kind == "fixed":
-        return float(prior[1])
-    if kind == "uniform":
-        return 0.5
-    raise ConfigurationError(f"unknown prior {prior!r}")
-
-
 @_register(
     "bitflip_demo",
     "reward of the one-bit flip predictor vs its analytic accuracy",
@@ -485,7 +479,8 @@ def _prior_mean(prior) -> float:
 def _run_bitflip(params, workers):
     cells, theory = [], []
     for prior in params["priors"]:
-        mean_p = _prior_mean(prior)
+        build_env({"kind": "bit_flip", "prior": prior})  # a bad prior fails here, not below
+        mean_p = prior_mean(prior)
         coords = {"prior": "-".join(str(p) for p in prior)}
         cells.append(ExperimentConfig(
             env={"kind": "bit_flip", "prior": list(prior)},

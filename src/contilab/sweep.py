@@ -14,34 +14,35 @@ results into its :class:`SweepRow` rows. :func:`monte_carlo_sweep` is
 ``run_trials`` then ``cell_rows`` with every metric the agents report;
 runners that plot series (fig9, fig13) call the two themselves.
 
-Kernels: ``_KERNELS`` holds one :class:`Kernel` record per (env kind, agent
-kind) pair with a trial kernel:
+Kernels: ``_KERNELS`` holds one :class:`Kernel` record per exact (env
+class, agent class) pair whose arithmetic a trial kernel reproduces:
 
-    ("ar1", "lms")                  -> core.run_lockstep        no series
-    ("goal_mdp", "optimistic_q")    -> core.run_goal_lockstep   no series
-    ("ar1", "idbd")                 -> core.run_idbd_trials     with series
+    (Ar1ScalarEnv, LmsAgent)          -> core.run_lockstep        no series
+    (GoalMdpEnv, OptimisticQAgent)    -> core.run_goal_lockstep   no series
+    (Ar1ScalarEnv, IdbdAgent)         -> core.run_idbd_trials     with series
 
-:func:`_plan` is the one place that routes trials. It builds each cell's env
-and agent once, so a bad spec or mismatched spaces raises
-``ConfigurationError`` before any trial runs, and pools the trials of all
-cells per (pair, horizon, env observation space, env action space): every
-goal-MDP pool has one (n_states, n_actions) shape. A pool goes to its pair's
-kernel when the pair has a record, the kernel records series or the call
-records none, and its payloads reach the record's ``min_trials`` (the
+:func:`_plan` makes the one routing decision. It builds each cell's env and
+agent once, so a bad spec or mismatched spaces raises ``ConfigurationError``
+before any trial runs, and pools the trials of all cells per (env class,
+agent class, horizon, env observation space, env action space): every
+goal-MDP pool has one (n_states, n_actions) shape. A pool goes to its
+classes' kernel when they have a record, the kernel records series or the
+call records none, and its payloads reach the record's ``min_trials`` (the
 break-even); it is then split round robin into
 ``max(workers, ceil(n / 256))`` payloads, so each holds a share of every cell
-and of its cost. Every other pool runs on ``run_trajectory`` and keeps
-4 * workers payloads of contiguous trials per cell: on 2 cores the kernel
-split made bitflip_demo slower (median 1.51 -> 1.55 s over 10 runs).
+and of its cost. A subclass, or a build a hook wraps (the benchmark's
+per-layer proxies), could change the arithmetic a kernel reproduces and has
+no record, so its whole cell runs on ``run_trajectory``. Every pool that
+runs there keeps 4 * workers payloads of contiguous trials per cell: on
+2 cores the kernel split made bitflip_demo slower (median 1.51 -> 1.55 s
+over 10 runs).
 
-:func:`_run_batch` is the one worker entry point. It hands the kernel only
-the trials whose built env and agent are exactly the record's classes (a
-subclass, or a wrapper a build hook puts around a single trial, could change
-the arithmetic the kernel reproduces), and puts the results back in trial
-order. Every other trial, and every None a kernel returns (a non-finite
-value), runs on ``run_trajectory``, so failures carry the scalar path's
-exact error text; a trial not built for a kernel is built right before it
-runs (holding a payload's built trials cost 7-15% on fig13, fig14 and
+:func:`_run_batch` is the one worker entry point. It runs every trial of a
+kernel payload on the kernel and puts the results back in trial order. Every
+None a kernel returns (a non-finite value), and every trial of a scalar
+payload, runs on ``run_trajectory``, so failures carry the scalar path's
+exact error text; each such trial is built afresh right before it runs
+(holding a payload's built trials cost 7-15% on fig13, fig14 and
 bitflip_demo). Kernels read each trial's draws in DrawBuffer's layout
 (``rng.reset_blocks``); their summaries and modelled failures equal
 ``run_trajectory``'s.
@@ -71,7 +72,7 @@ _LOCKSTEP_TRIALS = 256  # most trials one lockstep payload advances together
 
 @dataclass(frozen=True)
 class Kernel:
-    """A trial kernel and the trials it may run.
+    """A trial kernel of one (env class, agent class) pair.
 
     ``run(envs, agents, T, streams)`` returns per trial its summary, its
     modelled failure, or None (run it on ``run_trajectory``); with ``series``
@@ -80,22 +81,16 @@ class Kernel:
     fixed cost per step (one numpy call per operation) dominates.
     """
 
-    env_cls: type
-    agent_cls: type
     run: Callable
     min_trials: int
     series: bool
 
-    def takes(self, env, agent) -> bool:
-        return type(env) is self.env_cls and type(agent) is self.agent_cls
-
 
 _KERNELS = {
-    ("ar1", "lms"): Kernel(Ar1ScalarEnv, LmsAgent, run_lockstep, 5, False),
-    ("goal_mdp", "optimistic_q"): Kernel(GoalMdpEnv, OptimisticQAgent, run_goal_lockstep, 8,
-                                         False),
+    (Ar1ScalarEnv, LmsAgent): Kernel(run_lockstep, 5, False),
+    (GoalMdpEnv, OptimisticQAgent): Kernel(run_goal_lockstep, 8, False),
     # a per-trial loop: no fixed cost to amortize
-    ("ar1", "idbd"): Kernel(Ar1ScalarEnv, IdbdAgent, run_idbd_trials, 1, True),
+    (Ar1ScalarEnv, IdbdAgent): Kernel(run_idbd_trials, 1, True),
 }
 
 
@@ -114,10 +109,11 @@ class ExperimentConfig:
     coords: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
+        for name, value in (("horizon", self.horizon), ("trials", self.trials)):
+            if type(value) is not int:  # not bool, float or a numpy scalar
+                raise ConfigurationError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
     def canonical_key(self) -> str:
         """Content hash input: stable JSON of everything that defines a cell."""
@@ -196,29 +192,23 @@ def _failed(i: int, exc: Exception) -> TrialResult:
 
 def _run_batch(payload):
     """Worker entry point: run one payload's trials, given as (env spec, agent
-    spec, cell key, seed, trial index), on ``pair``'s kernel or, with None,
-    on ``run_trajectory``."""
+    spec, cell key, seed, trial index), on the kernel of ``pair`` or, with
+    None, on ``run_trajectory``."""
     pair, horizon, trials, record_series = payload
-    built, summaries = [None] * len(trials), [None] * len(trials)
+    summaries = [None] * len(trials)
     if pair is not None:
-        kernel = _KERNELS[pair]
         built = [(build_env(env), build_agent(agent), _trial_stream(seed, key, i))
                  for env, agent, key, seed, i in trials]
-        idx = [j for j, (env, agent, _) in enumerate(built) if kernel.takes(env, agent)]
-        if idx:
-            envs, agents, streams = (list(x) for x in zip(*(built[j] for j in idx)))
-            got = (kernel.run(envs, agents, horizon, streams, record_series=True)
-                   if record_series else kernel.run(envs, agents, horizon, streams))
-            for j, summary in zip(idx, got):
-                summaries[j] = summary
+        envs, agents, streams = (list(x) for x in zip(*built))
+        run = _KERNELS[pair].run
+        summaries = (run(envs, agents, horizon, streams, record_series=True)
+                     if record_series else run(envs, agents, horizon, streams))
     results = []
-    for (env_spec, agent_spec, key, seed, i), trial, summary in zip(trials, built, summaries):
+    for (env, agent, key, seed, i), summary in zip(trials, summaries):
         if summary is None:
-            try:  # a trial not built yet is built right before it runs
-                env, agent, stream = trial or (build_env(env_spec), build_agent(agent_spec),
-                                               _trial_stream(seed, key, i))
-                summary = run_trajectory(env, agent, horizon, stream,
-                                         record_series=record_series)
+            try:
+                summary = run_trajectory(build_env(env), build_agent(agent), horizon,
+                                         _trial_stream(seed, key, i), record_series=record_series)
             except (NumericError, DegenerateMdpError) as exc:
                 summary = exc
         results.append(_failed(i, summary) if isinstance(summary, Exception)
@@ -231,11 +221,11 @@ def _plan(cells, workers: int, record_series: bool):
     returns. Builds each cell's env and agent once: a bad spec or mismatched
     spaces raises ``ConfigurationError`` here, before any payload runs."""
     keys = [cfg.canonical_key() for cfg in cells]
-    pools: dict[tuple, list[int]] = {}  # (pair, horizon, spaces) -> cells, in order
+    pools: dict[tuple, list[int]] = {}  # (classes, horizon, spaces) -> cells, in order
     for c, cfg in enumerate(cells):
         env, agent = build_env(cfg.env), build_agent(cfg.agent)
         check_spaces(env, agent)
-        pair = (cfg.env.get("kind"), cfg.agent.get("kind"))
+        pair = (type(env), type(agent))
         spaces = (getattr(env, "observation_space", None), getattr(env, "action_space", None))
         pools.setdefault((pair, cfg.horizon, spaces), []).append(c)
     payloads, owners = [], []

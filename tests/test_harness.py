@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,9 @@ from _oracles import stability_errors as dense_stability_errors
 
 from contilab import experiments, sweep
 from contilab import infotheory as it
-from contilab.agents import _AGENT_KINDS
+from contilab.agents import _AGENT_KINDS, IdbdAgent, LmsAgent, OptimisticQAgent
 from contilab.cli import main
-from contilab.envs import _ENV_KINDS
+from contilab.envs import _ENV_KINDS, Ar1ScalarEnv, GoalMdpEnv
 from contilab.errors import ConfigurationError
 from contilab.experiments import list_experiments, resolve_params, run_experiment
 from contilab.output import write_line_plot
@@ -73,6 +74,46 @@ def test_every_env_and_agent_setting_is_set_by_some_experiment(monkeypatch):
             assert specs, f"no experiment builds {side} kind {kind!r}"
             unset = set(inspect.signature(cls.__init__).parameters) - {"self"} - set().union(*specs)
             assert not unset, f"no experiment sets {sorted(unset)} of {side} kind {kind!r}"
+
+
+# Each simulated experiment's payloads at its defaults with 2 workers, as
+# {(kernel or "scalar", trials in the payload): payloads}. Byte checks cannot
+# see a pool that drops to the scalar path; this table can.
+_ROUTE = {(Ar1ScalarEnv, LmsAgent): "lms", (Ar1ScalarEnv, IdbdAgent): "idbd",
+          (GoalMdpEnv, OptimisticQAgent): "goal", None: "scalar"}
+_ROUTES = {
+    "fig2_lms_sweep": ({}, {("lms", 254): 5, ("lms", 253): 10}),
+    "fig9_idbd": ({}, {("idbd", 20): 2}),
+    "fig13_ps_vs_ts_time": ({}, {("scalar", 250): 16}),
+    "fig14_ps_vs_ts_eta": ({}, {("scalar", 250): 80}),
+    "fig15_mdp_alpha": ({}, {("goal", 126): 2}),
+    "fig16_mdp_boost": ({}, {("goal", 126): 2}),
+    "logit_regret": ({}, {("scalar", 250): 16}),
+    "bitflip_demo": ({}, {("scalar", 125): 24}),
+    "coinswap_belief": ({"grid_size": "11"}, {("scalar", 1): 32}),
+}
+
+
+class _Planned(Exception):
+    """Raised with the payloads of the first run_trials call, before any runs."""
+
+
+@pytest.mark.parametrize("name", _ROUTES)
+def test_default_runs_route_their_cells_as_pinned(tmp_path, monkeypatch, name):
+    assert sorted([*_ROUTES, "fig7_errors_vs_alpha", "fig8_optimal_alpha"]) == sorted(
+        list_experiments())
+    plan = sweep._plan
+
+    def stop(cells, workers, record_series):
+        raise _Planned(plan(cells, workers, record_series)[0])
+
+    monkeypatch.delenv("CONTILAB_THREADS", raising=False)
+    monkeypatch.setattr(sweep, "_plan", stop)
+    overrides, routes = _ROUTES[name]
+    with pytest.raises(_Planned) as planned:
+        run_experiment(name, overrides, tmp_path, workers=2)
+    assert Counter((_ROUTE[pair], len(trials))
+                   for pair, _, trials, _ in planned.value.args[0]) == routes
 
 
 def test_registry_names_and_uniqueness():
@@ -293,6 +334,15 @@ def test_cli_coinswap_bad_count_exits_2_before_planning(tmp_path, capsys, monkey
     assert not (out / "results.csv").exists()
 
 
+def test_cli_bitflip_dyadic_prior_predicts_the_likelier_bit(tmp_path):
+    # A dyadic prior's bias is 1 with probability q, so its mean is q.
+    out = tmp_path / "dyadic"
+    assert main(["run", "bitflip_demo", '--priors=[["dyadic", 0.25]]', "--trials=4",
+                 "--horizon=50", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[4:]]
+    assert ["dyadic-0.25", "theory_accuracy", "0.75", "0", "0", "0", ""] in rows
+
+
 @pytest.mark.parametrize("alpha_step", ["0", "-0.1", "1", "1.5", "nan"])
 def test_cli_fig8_alpha_step_outside_unit_interval_exits_2(tmp_path, capsys, alpha_step):
     out = tmp_path / "bad"
@@ -329,6 +379,12 @@ def test_unparsable_numeric_override_is_a_configuration_error(name, key):
     (["fig7_errors_vs_alpha", "--grid_points=2.5"], "override 'grid_points' must be int"),
     (["fig2_lms_sweep", "--env.eta=abc"], "override 'env.eta' must be float"),
     (["fig2_lms_sweep", "--horizon=1e3"], "override 'horizon' must be int"),
+    (["fig8_optimal_alpha", '--deltas=["x"]'], "override 'deltas' must be a JSON list of numbers"),
+    (["fig7_errors_vs_alpha", "--etas=[null]"], "override 'etas' must be a JSON list of numbers"),
+    (["fig14_ps_vs_ts_eta", '--etas=["a"]'], "override 'etas' must be a JSON list of numbers"),
+    (["fig2_lms_sweep", "--alphas=[true]"], "override 'alphas' must be a JSON list of numbers"),
+    (["logit_regret", "--horizons=[10.5]"], "override 'horizons' must be a JSON list of ints"),
+    (["logit_regret", "--horizons=[true]"], "override 'horizons' must be a JSON list of ints"),
 ])
 def test_cli_unparsable_numeric_override_exits_2(tmp_path, capsys, argv, message, dry_run):
     out = tmp_path / "bad"

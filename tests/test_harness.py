@@ -393,6 +393,32 @@ def test_cli_unparsable_numeric_override_exits_2(tmp_path, capsys, argv, message
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("name, overrides, message", [
+    ("fig2_lms_sweep", {"alphas": [True], "trials": 2, "horizon": 10},
+     "override 'alphas' must be a JSON list of numbers"),
+    ("fig7_errors_vs_alpha", {"grid_points": 20.0}, "override 'grid_points' must be int"),
+    ("fig7_errors_vs_alpha", {"grid_points": np.int64(20)}, "override 'grid_points' must be int"),
+    ("fig2_lms_sweep", {"env.eta": True}, "override 'env.eta' must be float"),
+    ("logit_regret", {"horizons": [10.5]}, "override 'horizons' must be a JSON list of ints"),
+], ids=["alphas-bool", "grid_points-float", "grid_points-numpy", "env.eta-bool", "horizons-float"])
+def test_library_override_of_a_wrong_type_is_a_configuration_error(tmp_path, name, overrides,
+                                                                    message):
+    out = tmp_path / "bad"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        run_experiment(name, overrides, out)
+    assert not (out / "results.csv").exists()
+
+
+def test_library_overrides_are_kept_as_given():
+    # The benchmark passes these; an int for a float default stays an int.
+    for name, overrides in (("fig2_lms_sweep", {"trials": 4, "horizon": 40_000, "seed": 7}),
+                            ("fig7_errors_vs_alpha", {"grid_points": 20}),
+                            ("fig8_optimal_alpha", {"alpha_step": 0.02, "sigma": 1,
+                                                    "deltas": [0, 0.2]})):
+        params = resolve_params(name, overrides)
+        assert all(params[key] is value for key, value in overrides.items())
+
+
 @pytest.mark.parametrize("argv, metric, cells", [
     (["fig13_ps_vs_ts_time", "--trials=4", "--sigma=1e308"], "cum_avg_reward", 2),
     (["fig14_ps_vs_ts_eta", "--trials=4", "--sigma=1e308"], "average_reward", 10),

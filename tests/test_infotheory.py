@@ -910,8 +910,9 @@ def test_regret_bound_entropy_values():
 
 
 def test_stability_errors_hold_one_schur_result_at_a_time():
-    # K = 512: the future block is a Toeplitz view of 2K+1 floats, and each
-    # conditioning holds one K x K Schur result besides Cholesky's output
+    # K = 512: the future block is a Toeplitz view of 2K+1 floats, and every
+    # conditioning reuses the call's two K x K workspaces, one for the Schur
+    # product and the Cholesky factor, one for the symmetrized Schur result
     # (numpy's internal Cholesky buffer is not traced).
     K = it.default_future_horizon(0.99)
     assert K == 512
@@ -935,7 +936,7 @@ import numpy as np
 from contilab import infotheory as it
 
 logdet, mats = it._logdet_psd, []
-it._logdet_psd = lambda mat: mats.append(np.array(mat)) or logdet(mat)
+it._logdet_psd = lambda mat, *work: mats.append(np.array(mat)) or logdet(mat, *work)
 for eta in (0.9, 0.95, 0.99):
     alphas = np.array([0.02, 0.5, 0.98])
     deltas = np.array([math.sqrt(it.delta_star(a, eta, 0.5, 2.0)) for a in alphas])
@@ -978,6 +979,37 @@ def test_logdet_psd_of_a_rank_deficient_input_takes_the_ridge_path(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
     assert it._logdet_psd(mat) == expected
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("alpha, delta, eigh_calls", [
+    (0.3, 0.1, 0),  # the head's Cholesky accepts: the LU solve
+    (1.0, 0.0, 1),  # U_t = Y_t: the head is singular, the pseudo-inverse
+])
+def test_schur_complement_in_workspaces_equals_the_fresh_arrays(monkeypatch, alpha, delta,
+                                                                  eigh_calls):
+    # stability_errors reuses two K x K workspaces for every conditioning; a
+    # fresh 2 MiB array per call at K = 512 costs a page fault per 4 KiB.
+    cov = stability_joint(it.LmsSteadyCovariance(0.9, 0.5, alpha, delta), 40)
+    blocks = cov[3:, 3:], cov[3:, :3], cov[:3, :3]
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+    fresh = it._schur_complement(*blocks)
+    work = np.full((40, 40), np.nan), np.full((40, 40), np.nan)
+    got = it._schur_complement(*blocks, work)
+    assert len(calls) == 2 * eigh_calls
+    assert np.array_equal(got, fresh)
+    assert np.shares_memory(got, work[1])
+    assert np.array_equal((work[0] + work[0].T) / 2, got)  # the residual went in place
+    assert it._logdet_psd(got, work[0]) == it._logdet_psd(fresh)
+    assert np.array_equal(work[0].T, np.linalg.cholesky(fresh))  # and then the factor
+
+
+def test_logdet_psd_in_a_workspace_takes_the_same_ridge_path(monkeypatch):
+    mat = np.ones((3, 3))  # rank 1: potrf fails, and fills the workspace with NaN
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    assert it._logdet_psd(mat, np.empty((3, 3))) == it._logdet_psd(mat)
+    assert len(calls) == 2
 
 
 def test_regret_bound_logit_values():

@@ -24,7 +24,7 @@ import numpy as np
 from . import infotheory as it
 from .envs import build_env, prior_mean
 from .errors import ConfigurationError
-from .mdp_tools import belief_value_iteration
+from .mdp_tools import belief_policy_iteration
 from .output import write_config_resolved, write_line_plot, write_results_csv
 from .sweep import (ExperimentConfig, SweepRow, cell_rows, monte_carlo_sweep, resolve_workers,
                     run_trials)
@@ -532,10 +532,10 @@ def _run_coinswap(params, workers):
     rows = []
     sim_cells = []
     for q2, env in zip(params["q2s"], envs):
-        try:  # a bad gamma or grid_size fails before any value iteration
-            plan = belief_value_iteration(p1, q2, params["gamma"], params["grid_size"])
+        try:  # a bad gamma or grid_size fails before any policy iteration
+            plan = belief_policy_iteration(p1, q2, params["gamma"], params["grid_size"])
         except ValueError as exc:
-            raise ConfigurationError(f"bad parameters for belief_value_iteration: {exc}") from exc
+            raise ConfigurationError(f"bad parameters for belief_policy_iteration: {exc}") from exc
         for i in range(0, len(plan.beliefs), params["policy_stride"]):
             coords = {"q2": q2, "belief": round(float(plan.beliefs[i]), 10)}
             rows.append(_analytic_row(coords, "policy_action", int(plan.actions[i])))

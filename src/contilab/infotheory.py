@@ -339,7 +339,7 @@ def stability_errors(alpha, eta: float, sigma: float, delta, future: int | None 
     (U_{t-1}, U_t, Y_t) and its cross block with the future depend on (alpha,
     delta), and each conditioning holds one K x K Schur result, which
     :func:`_logdet_psd` factors into a column-major Cholesky factor. Both
-    live in two K x K workspaces allocated once per call, not per
+    live in two K x K workspaces, one allocation per call, not per
     conditioning: a fresh array of 2 MiB at K = 512 is paged in on every
     use, and so were about 79,500 minor page faults per 20-point fig7 run.
     Both errors go through one block function, so every value equals the
@@ -353,7 +353,8 @@ def stability_errors(alpha, eta: float, sigma: float, delta, future: int | None 
     row = np.power(eta, np.arange(K + 1.0))  # E[Y_t Y_{t+k}], k = 0..K
     row[0] = covs[0].y_var()
     S_xx = sliding_window_view(np.concatenate((row[:0:-1], row)), K)[K:0:-1]  # Toeplitz view
-    work = np.empty((K, K)), np.empty((K, K))
+    # One allocation, not two: a second could come from the heap and stay resident later on.
+    work = tuple(np.empty((2, K, K)))
     for i, sc in enumerate(covs):
         uv, ac1, fwd1, back0 = sc.u_var(), sc.u_autocov1(), sc.u_y_fwd(1), sc.u_y()
         head = np.array(((uv, ac1, fwd1), (ac1, uv, back0), (fwd1, back0, row[0])))

@@ -7,19 +7,19 @@ policy iteration plus a stacked Cesaro occupancy over N MDPs at once.
 goal-MDP lockstep kernel calls the engine once per planning round over all
 the trials it advances. :func:`goal_reward` holds the one degeneracy check.
 
-Policy iteration keeps a state's action unless the greedy action is strictly
-better: it moves only when its action value beats the current one by more
-than ``_PI_MARGIN`` relative (Puterman 1994, section 6.4). Each round that
-moves a state then raises the policy's value, so no policy repeats and the
-loop ends on one of finitely many policies. Without the margin, rounding
-noise in the evaluation can make near-tied actions (equal rows, rows one ulp
-apart) trade places forever: switching to the plain argmax cycles with
-period 2 to 5 on such MDPs."""
+Both planners, :func:`goal_reward_scales` and :func:`belief_policy_iteration`,
+share one policy-iteration contract (Howard 1960; Puterman 1994, section 6.4).
+Each round evaluates the policy exactly; a state then moves to its greedy
+action a' only if Q(s, a') - Q(s, pi(s)) > ``_PI_MARGIN`` * (1 + |Q(s, pi(s))|).
+Each round that moves a state raises the policy's value, so the loop, bounded
+by ``_PI_ROUNDS``, ends on one of finitely many policies. Without the margin,
+rounding noise can make near-tied actions (equal rows, rows one ulp apart)
+trade places forever: the plain argmax cycles with period 2 to 5 on such MDPs."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,14 +53,11 @@ def goal_reward_scales(P: np.ndarray, goal_states, gammas,
     the greedy policy of ``q0[k]`` (or of the one-step reward). Each round
     makes one stacked ``np.linalg.solve`` and one stacked ``matmul`` over the
     MDPs still moving, so every slice equals the same computation run on that
-    MDP alone. A state moves to its greedy action a' only if
-    Q(s, a') - Q(s, pi(s)) > ``_PI_MARGIN`` * (1 + |Q(s, pi(s))|); an MDP
-    leaves the stack with that round's Q when no state moves. The strict
-    gain makes every round raise the policy's value, so the loop terminates
-    (see the module docstring). An MDP still moving after ``_PI_ROUNDS``
-    rounds gets goal mass NaN, which :func:`goal_reward` reports. The goal
-    mass is the goal state's Cesaro occupancy under the greedy policy of Q*;
-    :func:`goal_reward` turns it into the reward scale.
+    MDP alone. States move by the module docstring's rule; an MDP leaves the
+    stack with that round's Q when no state moves. An MDP still moving after
+    ``_PI_ROUNDS`` rounds gets goal mass NaN, which :func:`goal_reward`
+    reports. The goal mass is the goal state's Cesaro occupancy under the
+    greedy policy of Q*; :func:`goal_reward` turns it into the reward scale.
     """
     P = np.asarray(P, dtype=float)
     n, S, A = P.shape[:3]
@@ -133,64 +130,65 @@ class BeliefPlan:
     actions: np.ndarray
     values: np.ndarray
     q2: float
-    p1: float
-    gamma: float
-
-    reachable_lo: float = field(init=False)
-    reachable_hi: float = field(init=False)
-
-    def __post_init__(self):
-        # Decision-time beliefs contract toward 0.5 by factor (1 - q2) per step,
-        # so play starting at 0.5 stays inside [T(0), T(1)].
-        self.reachable_lo = (1.0 - self.q2) * 0.0 + self.q2 * 0.5
-        self.reachable_hi = (1.0 - self.q2) * 1.0 + self.q2 * 0.5
 
     def action_at(self, belief: float) -> int:
         i = int(round(belief * (len(self.beliefs) - 1)))
         return int(self.actions[min(max(i, 0), len(self.beliefs) - 1)])
 
     def reachable_actions(self) -> np.ndarray:
-        mask = (self.beliefs >= self.reachable_lo - 1e-12) & (self.beliefs <= self.reachable_hi + 1e-12)
+        # Decision-time beliefs contract toward 0.5 by factor (1 - q2) per step,
+        # so play starting at 0.5 stays inside [T(0), T(1)].
+        lo, hi = self.q2 * 0.5, (1.0 - self.q2) + self.q2 * 0.5
+        mask = (self.beliefs >= lo - 1e-12) & (self.beliefs <= hi + 1e-12)
         return self.actions[mask]
 
 
-def belief_value_iteration(p1: float, q2: float, gamma: float,
-                           grid_size: int = 2001) -> BeliefPlan:
-    """1e-9-optimal policy over the belief that the replaceable coin has bias 1.
+def belief_policy_iteration(p1: float, q2: float, gamma: float,
+                            grid_size: int = 2001) -> BeliefPlan:
+    """Optimal policy over the belief that the replaceable coin has bias 1.
 
     Belief dynamics follow the replacement filter: after any step the
     decision-time belief moves to T(b) = (1 - q2) * b + q2 / 2; tossing the
     replaceable coin reveals its current bias, so heads leads to T(1) and
     tails to T(0). Transitions are projected to the nearest grid point.
+
+    Policy iteration starts from the known coin everywhere, so ties keep the
+    known coin. A known state's value is p1 / (1 - gamma) where stay, the
+    projection of T(b), is the state itself, and p1 + gamma * V(stay)
+    otherwise; then stay is a fixed point or nearer the grid centre, so
+    taking states nearest the centre first reaches stay before the state.
+    Each value is then affine in the anchors V(T(1)) and V(T(0)), which one
+    2x2 solve gives.
     """
     if grid_size < 2:
         raise ValueError(f"belief grid needs at least 2 points, got {grid_size}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"discount must lie in (0, 1), got {gamma}")
+    if not (0.0 <= p1 <= 1.0 and 0.0 <= q2 <= 1.0):
+        raise ValueError(f"p1 and q2 must lie in [0, 1], got p1={p1}, q2={q2}")
     beliefs = np.linspace(0.0, 1.0, grid_size)
-
-    def project(b: np.ndarray | float) -> np.ndarray:
-        return np.clip(np.rint(np.asarray(b) * (grid_size - 1)).astype(int), 0, grid_size - 1)
-
-    idx_stay = project((1.0 - q2) * beliefs + q2 * 0.5)
-    i_heads = int(project((1.0 - q2) * 1.0 + q2 * 0.5))
-    i_tails = int(project(q2 * 0.5))
-
-    V = np.zeros(grid_size)
-    stop = 1e-9 * (1.0 - gamma) / (2.0 * gamma)
-    for _ in range(2_000_000):
+    stay_beliefs = (1.0 - q2) * beliefs + q2 * 0.5
+    idx_stay = np.clip(np.rint(stay_beliefs * (grid_size - 1)).astype(int), 0, grid_size - 1)
+    anchors = idx_stay[[-1, 0]].tolist()  # T(1) and T(0): beliefs[-1] is 1 and beliefs[0] is 0
+    fixed = idx_stay == np.arange(grid_size)
+    order = np.argsort(np.abs(2 * np.arange(grid_size) - (grid_size - 1)), kind="stable")
+    steps = [(i, s) for i, s in zip(order.tolist(), idx_stay[order].tolist()) if s != i]
+    # Row i holds (c, d, e) of V[i] = c + d * V(T(1)) + e * V(T(0)).
+    swap_rows = np.stack([beliefs, gamma * beliefs, gamma * (1.0 - beliefs)], axis=1)
+    swap = np.zeros(grid_size, dtype=bool)
+    for _ in range(_PI_ROUNDS):
+        rows = np.where((fixed & ~swap)[:, None], [p1 / (1 - gamma), 0, 0], swap_rows).tolist()
+        for i, s in steps:
+            if not swap[i]:
+                rows[i] = [p1 + gamma * rows[s][0], gamma * rows[s][1], gamma * rows[s][2]]
+        rows = np.array(rows)
+        v_anchor = np.linalg.solve(np.eye(2) - rows[anchors, 1:], rows[anchors, 0])
+        V = rows[:, 0] + rows[:, 1:] @ v_anchor
         q_known = p1 + gamma * V[idx_stay]
-        q_swap = beliefs + gamma * (beliefs * V[i_heads] + (1.0 - beliefs) * V[i_tails])
-        V_next = np.maximum(q_known, q_swap)
-        if np.max(np.abs(V_next - V)) < stop:
-            V = V_next
+        q_swap = beliefs + gamma * (beliefs * V[anchors[0]] + (1.0 - beliefs) * V[anchors[1]])
+        q_pi = np.where(swap, q_swap, q_known)
+        move = np.maximum(q_known, q_swap) - q_pi > _PI_MARGIN * (1.0 + np.abs(q_pi))
+        if not move.any():
             break
-        V = V_next
-    else:
-        raise RuntimeError("belief value iteration did not converge")
-
-    q_known = p1 + gamma * V[idx_stay]
-    q_swap = beliefs + gamma * (beliefs * V[i_heads] + (1.0 - beliefs) * V[i_tails])
-    # Ties (e.g. p1 = 1 at belief 1) resolve to the known coin.
-    actions = (q_swap > q_known).astype(int)
-    return BeliefPlan(beliefs=beliefs, actions=actions, values=V, q2=q2, p1=p1, gamma=gamma)
+        swap ^= move
+    return BeliefPlan(beliefs=beliefs, actions=swap.astype(int), values=V, q2=q2)

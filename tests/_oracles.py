@@ -18,6 +18,8 @@
 - The goal-MDP tools only tests use: a tabular MDP, value iteration, goal
   MDPs, Bellman backups, greedy stationary distributions, and the
   value-iteration goal-reward scale.
+- The belief grid of the two-coin planner, its action values, and value
+  iteration on it.
 - The exact mean of a reward sequence, and the entropy regret bound.
 """
 
@@ -181,6 +183,48 @@ def goal_mass_and_q(P, goal_state, gamma, q0=None, rounds=200):
     occ = np.linalg.solve(eye - (1.0 - 1e-9) * P_pi.T, np.full(S, 1.0 / S))
     occ = np.maximum(occ, 0.0)
     return (occ / occ.sum())[goal_state], Q
+
+
+def belief_grid(q2, grid_size):
+    """The belief grid of ``mdp_tools.belief_policy_iteration`` and its
+    projected moves: (beliefs, idx_stay, i_heads, i_tails), where after any
+    step belief b moves to T(b) = (1 - q2) * b + q2 / 2, and tossing the
+    replaceable coin moves it to T(1) on heads and T(0) on tails."""
+    beliefs = np.linspace(0.0, 1.0, grid_size)
+
+    def project(b):
+        return np.clip(np.rint(np.asarray(b) * (grid_size - 1)).astype(int), 0, grid_size - 1)
+
+    return (beliefs, project((1.0 - q2) * beliefs + q2 * 0.5),
+            int(project((1.0 - q2) * 1.0 + q2 * 0.5)), int(project(q2 * 0.5)))
+
+
+def belief_q(p1, gamma, grid, V):
+    """(q_known, q_swap): the two action values under values V on ``grid``,
+    a :func:`belief_grid`."""
+    beliefs, idx_stay, i_heads, i_tails = grid
+    q_known = p1 + gamma * V[idx_stay]
+    q_swap = beliefs + gamma * (beliefs * V[i_heads] + (1.0 - beliefs) * V[i_tails])
+    return q_known, q_swap
+
+
+def belief_value_iteration(p1, q2, gamma, grid_size):
+    """Value iteration on the belief grid, the two-coin planner's solver before
+    policy iteration: the reference its values and actions are checked
+    against. It sweeps until the largest change is below
+    1e-9 * (1 - gamma) / (2 * gamma), so its values lie within 5e-10 of the
+    fixed point. Returns (values, q_known, q_swap), the action values
+    recomputed from the final values."""
+    grid = belief_grid(q2, grid_size)
+    V = np.zeros(grid_size)
+    stop = 1e-9 * (1.0 - gamma) / (2.0 * gamma)
+    for _ in range(2_000_000):
+        V_next = np.maximum(*belief_q(p1, gamma, grid, V))
+        gap = np.max(np.abs(V_next - V))
+        V = V_next
+        if gap < stop:
+            return (V, *belief_q(p1, gamma, grid, V))
+    raise RuntimeError("belief value iteration did not converge")
 
 
 def redraw_rows(gen, P, flats):

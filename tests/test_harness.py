@@ -309,7 +309,7 @@ def test_cli_bad_prior_exits_2_without_csv(tmp_path, capsys, monkeypatch, argv, 
     def plan(*args):
         raise AssertionError("a bad config reached the planner")
 
-    monkeypatch.setattr(experiments, "belief_value_iteration", plan)
+    monkeypatch.setattr(experiments, "belief_policy_iteration", plan)
     out = tmp_path / "bad"
     assert main(["run", *argv, "--trials=2", "--horizon=10", "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -327,7 +327,7 @@ def test_cli_coinswap_bad_count_exits_2_before_planning(tmp_path, capsys, monkey
     def plan(*args):
         raise AssertionError("a bad config reached the planner")
 
-    monkeypatch.setattr(experiments, "belief_value_iteration", plan)
+    monkeypatch.setattr(experiments, "belief_policy_iteration", plan)
     out = tmp_path / "bad"
     assert main(["run", "coinswap_belief", *argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err

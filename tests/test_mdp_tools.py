@@ -1,9 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from _oracles import (
     TabularMdp,
+    belief_grid,
+    belief_q,
+    belief_value_iteration,
     bellman_backup,
     goal_mass_and_q,
     goal_mdp,
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 from contilab import mdp_tools
 from contilab.errors import DegenerateMdpError
 from contilab.mdp_tools import (
-    belief_value_iteration,
+    belief_policy_iteration,
     goal_reward,
     goal_reward_scale,
     goal_reward_scales,
@@ -313,13 +317,13 @@ def test_goal_reward_degenerate_text():
 
 
 def test_belief_plan_fast_replacement_prefers_known_coin():
-    plan = belief_value_iteration(p1=0.8, q2=0.999, gamma=0.999, grid_size=2001)
+    plan = belief_policy_iteration(p1=0.8, q2=0.999, gamma=0.999, grid_size=2001)
     assert np.all(plan.reachable_actions() == 0)
     assert plan.action_at(0.5) == 0
 
 
 def test_belief_plan_slow_replacement_explores():
-    plan = belief_value_iteration(p1=0.8, q2=0.001, gamma=0.999, grid_size=2001)
+    plan = belief_policy_iteration(p1=0.8, q2=0.001, gamma=0.999, grid_size=2001)
     assert plan.actions.max() == 1
     # play from the uninformed belief eventually reaches the explore region
     assert np.any(plan.reachable_actions() == 1)
@@ -327,12 +331,94 @@ def test_belief_plan_slow_replacement_explores():
 
 def test_belief_plan_dominant_known_coin():
     for q2 in (0.001, 0.5, 0.999):
-        plan = belief_value_iteration(p1=1.0, q2=q2, gamma=0.99, grid_size=501)
+        plan = belief_policy_iteration(p1=1.0, q2=q2, gamma=0.99, grid_size=501)
         assert np.all(plan.actions == 0)
 
 
 def test_belief_plan_validation():
     with pytest.raises(ValueError):
-        belief_value_iteration(0.8, 0.5, 0.99, grid_size=1)
+        belief_policy_iteration(0.8, 0.5, 0.99, grid_size=1)
     with pytest.raises(ValueError):
-        belief_value_iteration(0.8, 0.5, 1.0)
+        belief_policy_iteration(0.8, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("p1, q2", [(0.8, 2.5), (0.8, -0.001), (1.5, 0.5), (-0.2, 0.5),
+                                    (math.nan, 0.5), (0.8, math.nan)])
+def test_belief_plan_rejects_probabilities_outside_unit_interval(p1, q2):
+    # Evaluating states nearest the grid centre first needs q2 <= 1.
+    with pytest.raises(ValueError, match=r"^p1 and q2 must lie in \[0, 1\]"):
+        belief_policy_iteration(p1, q2, 0.9, 11)
+
+
+def test_belief_plan_exact_tie_keeps_known_coin():
+    # At belief p1 both coins are worth the same; value iteration's rounding
+    # left q_swap 1.1e-13 above q_known there and took the swap.
+    plan = belief_policy_iteration(p1=0.8, q2=0.3, gamma=0.999, grid_size=11)
+    q_known, q_swap = belief_q(0.8, 0.999, belief_grid(0.3, 11), plan.values)
+    assert q_known[8] == q_swap[8]
+    assert plan.action_at(0.8) == 0
+
+
+_belief_cases = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                          st.sampled_from([0.5, 0.9, 0.99]), st.integers(2, 60))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_belief_cases)
+@example((0.8, 0.3, 0.999, 11))  # the exact tie above
+@example((0.8, 1.0, 0.9, 12))
+@example((1.0, 0.0, 0.9, 2))
+def test_belief_plan_is_greedy_on_its_values_with_ties_to_known_coin(case):
+    p1, q2, gamma, grid_size = case
+    plan = belief_policy_iteration(p1, q2, gamma, grid_size)
+    q_known, q_swap = belief_q(p1, gamma, belief_grid(q2, grid_size), plan.values)
+    swap = plan.actions == 1
+    assert np.all(q_swap[swap] > q_known[swap])
+    gain = q_swap - q_known
+    assert np.all(gain[~swap] <= mdp_tools._PI_MARGIN * (1.0 + np.abs(q_known[~swap])))
+    # the values are the policy's own: V = Q(b, pi(b)) up to rounding
+    assert plan.values == pytest.approx(np.where(swap, q_swap, q_known), rel=1e-14, abs=1e-14)
+
+
+def _policy_values_40_digits(p1, q2, gamma, actions):
+    """Values of the belief policy ``actions``: (I - gamma * P) V = r solved
+    densely in 40-digit arithmetic on the planner's projected grid."""
+    n = len(actions)
+    beliefs, idx_stay, i_heads, i_tails = belief_grid(q2, n)
+    with mpmath.workdps(40):
+        g = mpmath.mpf(gamma)
+        A, r = mpmath.eye(n), mpmath.matrix(n, 1)
+        for i in range(n):
+            b = mpmath.mpf(beliefs[i])
+            if actions[i]:
+                r[i] = b
+                A[i, i_heads] -= g * b
+                A[i, i_tails] -= g * (1 - b)
+            else:
+                r[i] = mpmath.mpf(p1)
+                A[i, idx_stay[i]] -= g
+        return [float(v) for v in mpmath.lu_solve(A, r)]
+
+
+@pytest.mark.parametrize("grid_size", [11, 12])
+@pytest.mark.parametrize("q2", [0.0, 0.3, 0.999, 1.0])
+def test_belief_plan_values_match_40_digit_evaluation(grid_size, q2):
+    plan = belief_policy_iteration(0.8, q2, 0.999, grid_size)
+    exact = _policy_values_40_digits(0.8, q2, 0.999, plan.actions)
+    assert plan.values == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_belief_cases)
+@example((0.8, 0.3, 0.999, 11))  # the exact tie above
+@example((0.8, 0.001, 0.99, 60))
+@example((0.8, 1.0, 0.5, 12))
+def test_belief_plan_agrees_with_value_iteration(case):
+    # Value iteration stops within 5e-10 of the fixed point, so it can pick
+    # either coin where its two action values are within 1e-9.
+    p1, q2, gamma, grid_size = case
+    plan = belief_policy_iteration(p1, q2, gamma, grid_size)
+    V, q_known, q_swap = belief_value_iteration(p1, q2, gamma, grid_size)
+    assert np.max(np.abs(plan.values - V)) < 1e-9
+    clear = np.abs(q_swap - q_known) > 1e-9
+    assert np.array_equal(plan.actions[clear], (q_swap > q_known)[clear])

@@ -6,7 +6,8 @@ Usage:
                       [--workers N] [--dry-run] [--KEY=VALUE ...]
 
 Free-form ``--key=value`` flags override experiment parameters by name
-(``contilab run fig2_lms_sweep --trials=50 --env.eta=0.8``).
+(``contilab run fig2_lms_sweep --trials=50 --env.eta=0.8``). ``--dry-run``
+checks the config and plans its cells without running any.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trials", type=int, default=None)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--workers", type=int, default=None)
-    run.add_argument("--dry-run", action="store_true", help="validate config without running")
+    run.add_argument("--dry-run", action="store_true", help="check config, plan cells, run none")
     return parser
 
 
@@ -52,7 +53,6 @@ def main(argv=None) -> int:
         if m is None:
             parser.error(f"unrecognized argument {token!r} (overrides look like --key=value)")
         overrides[m.group(1)] = m.group(2)
-    defaults = None
     try:
         defaults = experiment_defaults(args.name)
     except ConfigurationError as exc:
@@ -71,17 +71,13 @@ def main(argv=None) -> int:
             args.name, overrides, args.out,
             plot=args.plot, workers=args.workers, dry_run=args.dry_run,
         )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ContilabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigurationError) else 1
+    for path in paths:  # none on a dry run
+        print(path)
     if args.dry_run:
         print(f"{args.name}: config ok")
-    else:
-        for path in paths:
-            print(path)
     return 0
 
 

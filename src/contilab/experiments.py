@@ -1,6 +1,12 @@
 """Experiment registry: each entry reproduces one quantitative study as a
 seeded, deterministic CSV (plus an optional SVG).
 
+Each runner is a generator on the resolved parameters. It makes every check
+and builds every cell before its one yield of ``(cells, record_series)``;
+after it, it only aggregates what it is sent. :func:`run_experiment` alone
+runs trials, and a dry run plans the cells and runs none. fig7 and fig8
+yield no cells, before any stability error is evaluated.
+
 Trial counts default to desk scale; the larger published-scale counts are
 available through overrides (e.g. ``--trials``, ``--horizon``). Analytic
 experiments (fig7, fig8) emit closed-form values with no Monte Carlo, shown
@@ -14,10 +20,11 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -26,8 +33,8 @@ from .envs import build_env, prior_mean
 from .errors import ConfigurationError
 from .mdp_tools import belief_policy_iteration
 from .output import write_config_resolved, write_line_plot, write_results_csv
-from .sweep import (ExperimentConfig, SweepRow, cell_rows, monte_carlo_sweep, resolve_workers,
-                    run_trials)
+from .sweep import (ExperimentConfig, SweepRow, _plan, cell_rows, monte_carlo_sweep,
+                    resolve_workers, run_trials)
 
 
 @dataclass
@@ -41,7 +48,7 @@ class ExperimentDef:
     name: str
     summary: str
     defaults: dict
-    runner: Callable[[dict, int | None], ExperimentResult]
+    runner: Callable[[dict], Generator[tuple[Sequence, bool], object, ExperimentResult]]
 
 
 _REGISTRY: dict[str, ExperimentDef] = {}
@@ -128,13 +135,20 @@ def run_experiment(name: str, overrides: dict | None = None, out_dir=None, *,
                    plot: bool = False, workers: int | None = None,
                    dry_run: bool = False) -> list[Path]:
     """Run a registered experiment and write results.csv / config.resolved
-    (and plot.svg with ``plot=True``) under ``out_dir``; returns the paths."""
-    exp = _get(name)
+    (and plot.svg with ``plot=True``) under ``out_dir``; returns the paths.
+    A dry run checks the config and plans its cells, runs none, returns []."""
     params = resolve_params(name, overrides)
     workers = resolve_workers(workers)  # a bad count fails here, analytic runs included
+    runner = _get(name).runner(params)
+    cells, record_series = next(runner)
     if dry_run:
+        _plan(cells, workers, record_series)
         return []
-    result = exp.runner(params, workers)
+    try:  # both looked up at call time: the benchmark's tracer wraps them by name
+        runner.send(run_trials(cells, workers=workers, record_series=True) if record_series
+                    else monte_carlo_sweep(cells, workers=workers))
+    except StopIteration as done:
+        result = done.value
     out = Path(out_dir) if out_dir is not None else Path("runs") / name
     out.mkdir(parents=True, exist_ok=True)
     paths = [
@@ -150,14 +164,20 @@ def run_experiment(name: str, overrides: dict | None = None, out_dir=None, *,
     return paths
 
 
-def _closed_form(fn, *args):
-    """``fn(*args)`` for a closed form on user parameters: its ValueError,
-    OverflowError or ZeroDivisionError, or a non-finite value in its result,
-    is a bad config."""
+@contextmanager
+def _bad_parameters(name: str):
+    """A ValueError, OverflowError or ZeroDivisionError inside is a bad config of ``name``."""
     try:
-        out = fn(*args)
+        yield
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise ConfigurationError(f"bad parameters for {fn.__name__}: {exc}") from exc
+        raise ConfigurationError(f"bad parameters for {name}: {exc}") from exc
+
+
+def _closed_form(fn, *args):
+    """``fn(*args)`` under :func:`_bad_parameters`; a non-finite value in its
+    result is a bad config too."""
+    with _bad_parameters(fn.__name__):
+        out = fn(*args)
     if not np.isfinite(out).all():
         raise ConfigurationError(f"bad parameters for {fn.__name__}: non-finite result")
     return out
@@ -197,7 +217,7 @@ _ALPHA_GRID_19 = [round(0.05 * k, 2) for k in range(1, 20)]
         "horizon": 10_000, "trials": 200, "seed": 20_240_601,
     },
 )
-def _run_fig2(params, workers):
+def _run_fig2(params):
     env = {"kind": "ar1", "eta": params["env.eta"], "zeta": params["env.zeta"],
            "sigma": params["env.sigma"], "mu0": params["env.mu0"], "sigma0": params["env.sigma0"]}
     cells = [ExperimentConfig(env, {"kind": "lms", "alpha": alpha, "eta": params["agent.eta"],
@@ -205,8 +225,7 @@ def _run_fig2(params, workers):
                               horizon=params["horizon"], trials=params["trials"],
                               seed=params["seed"], coords={"agent.alpha": alpha})
              for alpha in params["alphas"]]
-    table = monte_carlo_sweep(cells, workers=workers)
-    rows = table.rows
+    rows = (yield cells, False).rows
     pts = sorted((r.coords["agent.alpha"], r.mean) for r in rows if r.metric == "average_reward")
     plot = ("average reward vs stepsize", "stepsize", "average reward",
             [("tracking filter", *_xy(pts))])
@@ -222,19 +241,23 @@ def _run_fig2(params, workers):
     "closed-form forgetting and implasticity errors vs stepsize at fixed capacity",
     {"sigma": 0.5, "capacity": 2.0, "etas": [0.9, 0.95, 0.99], "grid_points": 50, "seed": 0},
 )
-def _run_fig7(params, workers):
+def _run_fig7(params):
     if params["grid_points"] < 0:
         raise ConfigurationError(f"grid_points must be nonnegative, got {params['grid_points']}")
     alphas = np.linspace(0.02, 0.98, params["grid_points"])
-    rows = []
-    series = []
+    grids = []
     for eta in params["etas"]:
         # delta_star stays a per-alpha scalar call: its math.exp is not np.exp.
-        deltas = [math.sqrt(_closed_form(it.delta_star, alpha, eta, params["sigma"],
-                                         params["capacity"]))
-                  for alpha in alphas]
-        forg, impl = _closed_form(it.stability_errors, alphas, eta, params["sigma"],
-                                  np.array(deltas))
+        grids.append(np.array([math.sqrt(_closed_form(it.delta_star, alpha, eta, params["sigma"],
+                                                      params["capacity"]))
+                               for alpha in alphas]))
+        with _bad_parameters("stability_errors"):  # the engine's own check; no error evaluated
+            it._grid(alphas, eta, params["sigma"], grids[-1], None)
+    yield (), False
+    rows = []
+    series = []
+    for eta, deltas in zip(params["etas"], grids):
+        forg, impl = _closed_form(it.stability_errors, alphas, eta, params["sigma"], deltas)
         forg, impl = forg.tolist(), impl.tolist()
         for alpha, f, i in zip(alphas, forg, impl):
             coords = {"eta": eta, "alpha": round(float(alpha), 10)}
@@ -258,7 +281,7 @@ def _run_fig7(params, workers):
         "alpha_step": 0.01, "seed": 0,
     },
 )
-def _run_fig8(params, workers):
+def _run_fig8(params):
     sigma = params["sigma"]
     eta = params["eta"]
     step = params["alpha_step"]
@@ -276,10 +299,16 @@ def _run_fig8(params, workers):
         return float(alphas[int(np.argmin(total))])
 
     star = _closed_form(it.optimal_alpha, eta, sigma)
+    grids = [np.array([math.sqrt(_closed_form(it.delta_star, a, eta, sigma, cap))
+                       for a in alphas.tolist()])
+             for cap in params["capacities"]]
+    with _bad_parameters("total_stability_error"):  # the engine's own check; no error evaluated
+        for deltas in [*grids, *params["deltas"]]:
+            it._grid(alphas, eta, sigma, deltas, None)
+    yield (), False
     cap_pts = []
-    for cap in params["capacities"]:
-        best = argmin_alpha(np.array([math.sqrt(_closed_form(it.delta_star, a, eta, sigma, cap))
-                                      for a in alphas.tolist()]))
+    for cap, deltas in zip(params["capacities"], grids):
+        best = argmin_alpha(deltas)
         coords = {"panel": "capacity", "capacity": cap}
         rows.append(_analytic_row(coords, "alpha_argmin", best))
         rows.append(_analytic_row(coords, "alpha_star_closed_form", star))
@@ -308,7 +337,7 @@ def _run_fig8(params, workers):
         "horizon": 200_000, "trials": 20, "seed": 20_240_902,
     },
 )
-def _run_fig9(params, workers):
+def _run_fig9(params):
     eta, sigma, cap = params["eta"], params["sigma"], params["capacity"]
     star = _closed_form(it.optimal_alpha, eta, sigma)
     delta_at_star = math.sqrt(_closed_form(it.delta_star, star, eta, sigma, cap))
@@ -324,7 +353,7 @@ def _run_fig9(params, workers):
                               seed=params["seed"])
              for agent in variants.values()]
     rows = [_analytic_row({"variant": "reference"}, "alpha_star", star)]
-    for variant, results in zip(variants, run_trials(cells, workers=workers, record_series=True)):
+    for variant, results in zip(variants, (yield cells, True)):
         rows += cell_rows({"variant": variant}, results, ["final_alpha"], [("mean_alpha", "alpha")])
     series = _time_series(rows, "variant", "mean_alpha")
     series.append(("optimal", [0, params["horizon"]], [star, star]))
@@ -354,11 +383,11 @@ def _bandit_cells(etas, agents, sigma, horizon, trials, seed):
     "running reward and greedy-pull rate over time for the two bandit samplers",
     {"eta": 0.9, "sigma": 1.0, "horizon": 200, "trials": 2000, "seed": 20_240_913},
 )
-def _run_fig13(params, workers):
+def _run_fig13(params):
     cells = _bandit_cells([params["eta"]], ["ts", "ps"], params["sigma"], params["horizon"],
                           params["trials"], params["seed"])
     rows = []
-    for cfg, results in zip(cells, run_trials(cells, workers=workers, record_series=True)):
+    for cfg, results in zip(cells, (yield cells, True)):
         rows += cell_rows({"agent": cfg.coords["agent"]}, results, [],
                           [("cum_avg_reward", None), ("greedy_rate", "greedy_rate")])
     series = _time_series(rows, "agent", "cum_avg_reward", "{} reward")
@@ -371,10 +400,10 @@ def _run_fig13(params, workers):
     {"etas": [0.1, 0.3, 0.5, 0.7, 0.9], "sigma": 1.0, "horizon": 200, "trials": 2000,
      "seed": 20_240_914},
 )
-def _run_fig14(params, workers):
+def _run_fig14(params):
     cells = _bandit_cells(params["etas"], ["ts", "ps"], params["sigma"], params["horizon"],
                           params["trials"], params["seed"])
-    table = monte_carlo_sweep(cells, workers=workers)
+    table = yield cells, False
     series = []
     for kind in ("ts", "ps"):
         pts = sorted((r.coords["eta"], r.mean) for r in table.select("average_reward", agent=kind))
@@ -395,7 +424,7 @@ _MDP_DEFAULTS = {
 }
 
 
-def _mdp_sweep(params, workers):
+def _mdp_cells(params):
     cells = []
     for resample_eta in params["resample_etas"]:
         for alpha in params["alphas"]:
@@ -410,7 +439,7 @@ def _mdp_sweep(params, workers):
                     horizon=params["horizon"], trials=params["trials"], seed=params["seed"],
                     coords={"resample_eta": resample_eta, "alpha": alpha, "boost": boost},
                 ))
-    return monte_carlo_sweep(cells, workers=workers)
+    return cells
 
 
 def _mdp_best_rows(table, params, outer: str, inner: str):
@@ -429,9 +458,9 @@ def _mdp_best_rows(table, params, outer: str, inner: str):
     return rows
 
 
-def _run_mdp(outer: str, inner: str, label: str, params, workers):
+def _run_mdp(outer: str, inner: str, label: str, params):
     """Reward vs the ``outer`` axis (best over ``inner``), then every sweep cell."""
-    table = _mdp_sweep(params, workers)
+    table = yield _mdp_cells(params), False
     best = _mdp_best_rows(table, params, outer, inner)
     series = []
     for resample_eta in params["resample_etas"]:
@@ -468,10 +497,10 @@ def _logit_cells(params):
     "simulated regret of the exact logit predictor against its analytic bound",
     {"horizons": [10, 100], "episodes": 2000, "grid_size": 513, "seed": 20_240_908},
 )
-def _run_logit_regret(params, workers):
+def _run_logit_regret(params):
     rows = []
     pts_mc, pts_bound = [], []
-    for row in monte_carlo_sweep(_logit_cells(params), workers=workers).select("average_reward"):
+    for row in (yield _logit_cells(params), False).select("average_reward"):
         T = row.coords["horizon"]
         bound = it.regret_bound_logit(T)
         rows.append(replace(row, metric="mc_regret", mean=-row.mean))
@@ -493,7 +522,7 @@ def _run_logit_regret(params, workers):
     {"priors": [["beta", 2, 1], ["beta", 1, 3], ["fixed", 0.9]],
      "horizon": 1000, "trials": 1000, "seed": 20_240_909},
 )
-def _run_bitflip(params, workers):
+def _run_bitflip(params):
     cells, theory = [], []
     for prior in params["priors"]:
         build_env({"kind": "bit_flip", "prior": prior})  # a bad prior fails here, not below
@@ -506,7 +535,7 @@ def _run_bitflip(params, workers):
             coords=coords,
         ))
         theory.append(_analytic_row(coords, "theory_accuracy", max(mean_p, 1.0 - mean_p)))
-    return ExperimentResult(monte_carlo_sweep(cells, workers=workers).rows + theory)
+    return ExperimentResult((yield cells, False).rows + theory)
 
 
 # --------------------------------------------------------------------------
@@ -519,7 +548,7 @@ def _run_bitflip(params, workers):
     {"p1": 0.8, "q2s": [0.999, 0.001], "gamma": 0.999, "grid_size": 2001,
      "horizon": 20_000, "trials": 8, "seed": 20_240_910, "policy_stride": 20},
 )
-def _run_coinswap(params, workers):
+def _run_coinswap(params):
     for key in ("trials", "horizon", "policy_stride"):  # before any planning
         if params[key] < 1:
             raise ConfigurationError(f"{key} must be >= 1, got {params[key]}")
@@ -532,10 +561,8 @@ def _run_coinswap(params, workers):
     rows = []
     sim_cells = []
     for q2, env in zip(params["q2s"], envs):
-        try:  # a bad gamma or grid_size fails before any policy iteration
+        with _bad_parameters("belief_policy_iteration"):  # a bad gamma or grid_size fails
             plan = belief_policy_iteration(p1, q2, params["gamma"], params["grid_size"])
-        except ValueError as exc:
-            raise ConfigurationError(f"bad parameters for belief_policy_iteration: {exc}") from exc
         for i in range(0, len(plan.beliefs), params["policy_stride"]):
             coords = {"q2": q2, "belief": round(float(plan.beliefs[i]), 10)}
             rows.append(_analytic_row(coords, "policy_action", int(plan.actions[i])))
@@ -550,5 +577,4 @@ def _run_coinswap(params, workers):
                 horizon=params["horizon"], trials=params["trials"], seed=params["seed"],
                 coords={"q2": q2, "policy": label},
             ))
-    table = monte_carlo_sweep(sim_cells, workers=workers)
-    return ExperimentResult(rows + table.rows)
+    return ExperimentResult(rows + (yield sim_cells, False).rows)

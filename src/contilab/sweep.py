@@ -12,7 +12,7 @@ any other exception (a bad config, a bug) aborts the call.
 :func:`cell_rows` is the one aggregation step: it turns one cell's trial
 results into its :class:`SweepRow` rows. :func:`monte_carlo_sweep` is
 ``run_trials`` then ``cell_rows`` with every metric the agents report;
-runners that plot series (fig9, fig13) call the two themselves.
+runners that plot series (fig9, fig13) call ``cell_rows`` themselves.
 
 Kernels: ``_KERNELS`` holds one :class:`Kernel` record per exact (env
 class, agent class) pair whose arithmetic a trial kernel reproduces:
@@ -26,13 +26,12 @@ agent once, so a bad spec or mismatched spaces raises ``ConfigurationError``
 before any trial runs, and pools the trials of all cells per (env class,
 agent class, horizon, env observation space, env action space): every
 goal-MDP pool has one (n_states, n_actions) shape. A pool goes to its
-classes' kernel when they have a record, the kernel records series or the
-call records none, and its payloads reach the record's ``min_trials`` (the
-break-even); it is then split round robin into
-``max(workers, ceil(n / 256))`` payloads, so each holds a share of every cell
-and of its cost. A subclass, or a build a hook wraps (the benchmark's
-per-layer proxies), could change the arithmetic a kernel reproduces and has
-no record, so its whole cell runs on ``run_trajectory``. Every pool that
+classes' kernel when they have a record and the kernel records series or
+the call records none, whatever its size; it is then split round robin
+into ``max(workers, ceil(n / 256))`` payloads, so each holds a share of
+every cell and of its cost. A subclass, or a build a hook wraps (the
+benchmark's per-layer proxies), could change the arithmetic a kernel
+reproduces and has no record, so its whole cell runs on ``run_trajectory``. Every pool that
 runs there keeps 4 * workers payloads of contiguous trials per cell: on
 2 cores the kernel split made bitflip_demo slower (median 1.51 -> 1.55 s
 over 10 runs).
@@ -72,25 +71,19 @@ _LOCKSTEP_TRIALS = 256  # most trials one lockstep payload advances together
 
 @dataclass(frozen=True)
 class Kernel:
-    """A trial kernel of one (env class, agent class) pair.
-
-    ``run(envs, agents, T, streams)`` returns per trial its summary, its
-    modelled failure, or None (run it on ``run_trajectory``); with ``series``
-    it also takes ``record_series=True``. ``min_trials`` is the fewest trials
-    per payload at which it beats ``run_trajectory``: below it, the kernel's
-    fixed cost per step (one numpy call per operation) dominates.
-    """
+    """A trial kernel of one (env class, agent class) pair: ``run(envs,
+    agents, T, streams)`` returns per trial its summary, its modelled failure,
+    or None (run it on ``run_trajectory``); with ``series`` it also takes
+    ``record_series=True``."""
 
     run: Callable
-    min_trials: int
     series: bool
 
 
 _KERNELS = {
-    (Ar1ScalarEnv, LmsAgent): Kernel(run_lockstep, 5, False),
-    (GoalMdpEnv, OptimisticQAgent): Kernel(run_goal_lockstep, 8, False),
-    # a per-trial loop: no fixed cost to amortize
-    (Ar1ScalarEnv, IdbdAgent): Kernel(run_idbd_trials, 1, True),
+    (Ar1ScalarEnv, LmsAgent): Kernel(run_lockstep, False),
+    (GoalMdpEnv, OptimisticQAgent): Kernel(run_goal_lockstep, False),
+    (Ar1ScalarEnv, IdbdAgent): Kernel(run_idbd_trials, True),
 }
 
 
@@ -231,10 +224,7 @@ def _plan(cells, workers: int, record_series: bool):
     payloads, owners = [], []
     for (pair, horizon, _), members in pools.items():
         kernel = _KERNELS.get(pair)
-        pooled = [(c, i) for c in members for i in range(cells[c].trials)]
-        k = min(len(pooled), max(workers, -(-len(pooled) // _LOCKSTEP_TRIALS)))
-        if (kernel is None or (record_series and not kernel.series)
-                or len(pooled) // k < kernel.min_trials):
+        if kernel is None or (record_series and not kernel.series):
             pair, parts = None, []
             for c in members:  # contiguous trial ranges, 4 per worker
                 n = cells[c].trials
@@ -242,6 +232,8 @@ def _plan(cells, workers: int, record_series: bool):
                 parts += [[(c, i) for i in range(lo, min(lo + chunk, n))]
                           for lo in range(0, n, chunk)]
         else:  # round robin: every payload gets a share of every cell
+            pooled = [(c, i) for c in members for i in range(cells[c].trials)]
+            k = min(len(pooled), max(workers, -(-len(pooled) // _LOCKSTEP_TRIALS)))
             parts = [pooled[j::k] for j in range(k)]
         for part in parts:
             payloads.append((pair, horizon, [(cells[c].env, cells[c].agent, keys[c],
@@ -255,13 +247,13 @@ def run_trials(cells, *, workers: int | None = None,
                record_series: bool = False) -> list[list[TrialResult]]:
     """Run every trial of every cell; returns each cell's results in trial order.
 
-    The batches of all cells run serially with one worker (or one batch),
-    else in a single process pool. See the module docstring for the
+    The batches of all cells run serially with one worker (or at most one
+    batch), else in a single process pool. See the module docstring for the
     kernels.
     """
     w = resolve_workers(workers)
     payloads, owners = _plan(cells, w, record_series)
-    if w == 1 or len(payloads) == 1:
+    if w == 1 or len(payloads) <= 1:
         batches = map(_run_batch, payloads)
     else:
         with ProcessPoolExecutor(max_workers=w) as pool:

@@ -21,14 +21,17 @@
 - The belief grid of the two-coin planner, its action values, and value
   iteration on it.
 - The exact mean of a reward sequence, and the entropy regret bound.
+- A registered runner's result without files, its one yield answered as
+  ``run_experiment`` answers it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
-from contilab import mdp_tools
+from contilab import experiments, mdp_tools, sweep
 from contilab.infotheory import (LagDecomposition, LmsSteadyCovariance, _cond_mi_blocks,
                                  default_future_horizon)
 from contilab.mdp_tools import goal_reward
@@ -435,3 +438,16 @@ def regret_bound_entropy(target_entropy: float, horizon: int) -> float:
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     return target_entropy / horizon
+
+
+def runner_result(name, params, workers=None):
+    """The ExperimentResult of the registered runner ``name`` on resolved
+    ``params``, written nowhere: its one yield is answered as
+    ``run_experiment`` answers it, with ``monte_carlo_sweep`` of the cells or,
+    for a series request, their ``run_trials`` with series."""
+    runner = experiments._get(name).runner(params)
+    cells, record_series = next(runner)
+    with pytest.raises(StopIteration) as done:  # a runner yields once
+        runner.send(sweep.run_trials(cells, workers=workers, record_series=True) if record_series
+                    else sweep.monte_carlo_sweep(cells, workers=workers))
+    return done.value.value

@@ -12,7 +12,7 @@ from multiprocessing import get_context
 import numpy as np
 import pytest
 
-from _oracles import batch_stderr, simulate_tracker, u_y_back, y_autocov
+from _oracles import batch_stderr, runner_result, simulate_tracker, u_y_back, y_autocov
 
 from contilab import infotheory as it
 from contilab.agents import IdbdAgent
@@ -23,12 +23,11 @@ from contilab.experiments import (
     _bandit_cells,
     _mdp_best_rows,
     _logit_cells,
-    _mdp_sweep,
     experiment_defaults,
     list_experiments,
 )
 from contilab.rng import RngStream
-from contilab.sweep import ExperimentConfig, monte_carlo_sweep, run_trials
+from contilab.sweep import ExperimentConfig, SweepTable, monte_carlo_sweep, run_trials
 
 
 def _report(num, text):
@@ -225,7 +224,7 @@ def test_criterion_08_drifting_mdp_hyperparameter_sweep():
     """
     t0 = time.time()
     params = dict(_MDP_DEFAULTS)
-    table = _mdp_sweep(params, workers=None)
+    table = SweepTable(runner_result("fig15_mdp_alpha", params).rows)  # both views of one sweep
     alpha_grid = params["alphas"]
     best = {}
     for outer, inner in (("alpha", "boost"), ("boost", "alpha")):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _oracles import runner_result
 from _oracles import stability_errors as dense_stability_errors
 
 from contilab import experiments, sweep
@@ -53,21 +54,14 @@ FAST_OVERRIDES = {
 }
 
 
-def test_every_env_and_agent_setting_is_set_by_some_experiment(monkeypatch):
+def test_every_env_and_agent_setting_is_set_by_some_experiment():
     # A kind no experiment builds, or a constructor parameter no experiment
     # sets, is code that only tests reach: a setting with one value in use
-    # belongs in the code as a constant. The cells are recorded, not run.
-    cells = []
-
-    def record(batch, *, workers=None, record_series=False):
-        cells.extend(batch)
-        return [[sweep.TrialResult(i, None, "NumericError: not run") for i in range(cfg.trials)]
-                for cfg in batch]
-
-    monkeypatch.setattr(experiments, "run_trials", record)
-    monkeypatch.setattr(sweep, "run_trials", record)
-    for name in list_experiments():
-        experiments._get(name).runner(resolve_params(name, FAST_OVERRIDES[name]), 1)
+    # belongs in the code as a constant. The cells are read from each
+    # runner's one yield, not run.
+    cells = [cfg for name in list_experiments()
+             for cfg in next(experiments._get(name).runner(
+                 resolve_params(name, FAST_OVERRIDES[name])))[0]]
     for side, kinds in (("env", _ENV_KINDS), ("agent", _AGENT_KINDS)):
         for kind, cls in kinds.items():
             specs = [getattr(cfg, side) for cfg in cells if getattr(cfg, side)["kind"] == kind]
@@ -122,9 +116,30 @@ def test_registry_names_and_uniqueness():
     assert len(set(names)) == 11
 
 
-def test_every_experiment_passes_dry_run_validation():
-    for name in list_experiments():
-        assert run_experiment(name, dry_run=True) == []
+@pytest.mark.parametrize("name", EXPECTED_NAMES)
+def test_dry_run_plans_the_cells_the_real_run_executes(tmp_path, capsys, monkeypatch, name):
+    # At its defaults every experiment passes --dry-run, which plans the same
+    # cells (and series request) that the real run hands to sweep._plan; the
+    # real run is stopped there, before any trial runs.
+    plan, planned = sweep._plan, []
+
+    def record(cells, workers, record_series):
+        planned.append((list(cells), workers, record_series))
+        return plan(cells, workers, record_series)
+
+    def stop(*args):
+        record(*args)
+        raise _Planned()
+
+    monkeypatch.delenv("CONTILAB_THREADS", raising=False)
+    monkeypatch.setattr(experiments, "_plan", record)
+    assert main(["run", name, "--dry-run", "--workers", "2", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"{name}: config ok\n"
+    monkeypatch.setattr(sweep, "_plan", stop)
+    with pytest.raises(_Planned):
+        run_experiment(name, out_dir=tmp_path, workers=2)
+    assert len(planned) == 2 and planned[0] == planned[1]
+    assert not any(tmp_path.iterdir())
 
 
 def test_unknown_experiment_and_override_errors():
@@ -236,23 +251,28 @@ def test_cli_error_codes(tmp_path, capsys):
         main(["run", "logit_regret", "positional_junk"])
 
 
+_INVALID_CELL_ARGV = ["fig2_lms_sweep", "--trials=2", "--horizon=50", "--alphas=[0.2, 1.5]"]
+
+
 def test_cli_invalid_cell_parameter_exits_2_without_csv(tmp_path, capsys):
     out = tmp_path / "bad"
-    code = main(["run", "fig2_lms_sweep", "--out", str(out), "--trials=2", "--horizon=50",
-                 "--alphas=[0.2, 1.5]"])
+    code = main(["run", *_INVALID_CELL_ARGV, "--out", str(out)])
     assert code == 2
     assert "alpha must lie in [0, 1]" in capsys.readouterr().err
     assert not (out / "results.csv").exists()
 
 
-@pytest.mark.parametrize("override, message", [
+_BAD_BANDIT = [
     ("--eta=1.5", "eta must lie in [0, 1], got 1.5"),
     ("--eta=-0.5", "eta must lie in [0, 1], got -0.5"),
     ("--sigma=-1", "sigma must be finite and nonnegative, got -1.0"),
     ("--sigma=nan", "sigma must be finite and nonnegative, got nan"),
     # the env takes noiseless observations; the samplers' 1/sigma^2 does not
     ("--sigma=0", "bad parameters for agent 'ts': sigma must be finite and positive, got 0.0"),
-])
+]
+
+
+@pytest.mark.parametrize("override, message", _BAD_BANDIT)
 def test_cli_bad_bandit_drift_or_noise_exits_2_without_csv(tmp_path, capsys, override, message):
     out = tmp_path / "bad"
     assert main(["run", "fig13_ps_vs_ts_time", "--trials=2", "--horizon=10", override,
@@ -261,8 +281,11 @@ def test_cli_bad_bandit_drift_or_noise_exits_2_without_csv(tmp_path, capsys, ove
     assert not (out / "results.csv").exists()
 
 
-@pytest.mark.parametrize("override", ["--env.sigma=nan", "--env.zeta=inf", "--env.sigma0=nan",
-                                      "--env.mu0=inf"])
+_NON_FINITE_TRACKING_ENV = ["--env.sigma=nan", "--env.zeta=inf", "--env.sigma0=nan",
+                            "--env.mu0=inf"]
+
+
+@pytest.mark.parametrize("override", _NON_FINITE_TRACKING_ENV)
 def test_cli_non_finite_tracking_env_exits_2_without_csv(tmp_path, capsys, override):
     out = tmp_path / "bad"
     assert main(["run", "fig2_lms_sweep", "--trials=2", "--horizon=10", "--alphas=[0.2]", override,
@@ -271,7 +294,7 @@ def test_cli_non_finite_tracking_env_exits_2_without_csv(tmp_path, capsys, overr
     assert not (out / "results.csv").exists()
 
 
-@pytest.mark.parametrize("argv, message", [
+_BAD_CLOSED_FORM = [
     (["fig9_idbd", "--capacity=-1"], "capacity must be positive"),
     (["fig9_idbd", "--eta=1.5"], "eta must lie in (0, 1)"),
     (["fig7_errors_vs_alpha", "--capacity=-1"], "capacity must be positive"),
@@ -287,7 +310,10 @@ def test_cli_non_finite_tracking_env_exits_2_without_csv(tmp_path, capsys, overr
     (["fig7_errors_vs_alpha", "--grid_points=-1"], "grid_points must be nonnegative, got -1"),
     (["coinswap_belief", "--grid_size=1"], "belief grid needs at least 2 points, got 1"),
     (["coinswap_belief", "--gamma=1.0"], "discount must lie in (0, 1), got 1.0"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, message", _BAD_CLOSED_FORM)
 def test_cli_invalid_closed_form_parameter_exits_2_without_csv(tmp_path, capsys, argv, message):
     out = tmp_path / "bad"
     assert main(["run", *argv, "--out", str(out)]) == 2
@@ -295,7 +321,7 @@ def test_cli_invalid_closed_form_parameter_exits_2_without_csv(tmp_path, capsys,
     assert not (out / "results.csv").exists()
 
 
-@pytest.mark.parametrize("argv, message", [
+_BAD_PRIOR = [
     (["bitflip_demo", '--priors=[["beta", 0, 1]]'],
      "a beta prior needs two finite, positive parameters"),
     (["bitflip_demo", '--priors=[["beta", 0, 0]]'],
@@ -304,7 +330,10 @@ def test_cli_invalid_closed_form_parameter_exits_2_without_csv(tmp_path, capsys,
      "a fixed prior takes one probability in [0, 1]"),
     (["coinswap_belief", "--q2s=[0.5, 1.5]", "--grid_size=11"],
      "swap probability must lie in [0, 1]"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, message", _BAD_PRIOR)
 def test_cli_bad_prior_exits_2_without_csv(tmp_path, capsys, monkeypatch, argv, message):
     def plan(*args):
         raise AssertionError("a bad config reached the planner")
@@ -316,12 +345,15 @@ def test_cli_bad_prior_exits_2_without_csv(tmp_path, capsys, monkeypatch, argv, 
     assert not (out / "results.csv").exists()
 
 
-@pytest.mark.parametrize("argv, message", [
+_COINSWAP_BAD_COUNT = [
     (["--policy_stride=0"], "policy_stride must be >= 1, got 0"),
     (["--policy_stride=-3"], "policy_stride must be >= 1, got -3"),
     (["--trials=0"], "trials must be >= 1, got 0"),
     (["--horizon=0"], "horizon must be >= 1, got 0"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, message", _COINSWAP_BAD_COUNT)
 def test_cli_coinswap_bad_count_exits_2_before_planning(tmp_path, capsys, monkeypatch, argv,
                                                         message):
     def plan(*args):
@@ -332,6 +364,54 @@ def test_cli_coinswap_bad_count_exits_2_before_planning(tmp_path, capsys, monkey
     assert main(["run", "coinswap_belief", *argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not (out / "results.csv").exists()
+
+
+# Every bad config above, and one per experiment that passed --dry-run while
+# its real run exited 2 when --dry-run only resolved the parameters (fig9's
+# and coinswap's are in the tables above).
+_ONE_PATH = [
+    (["fig2_lms_sweep", "--env.eta=1.5"], "bad parameters for env 'ar1': eta must lie in [0, 1]"),
+    (["fig7_errors_vs_alpha", "--sigma=-1"],
+     "bad parameters for stability_errors: noise scales must be nonnegative"),
+    (["fig8_optimal_alpha", "--alpha_step=0"], "alpha_step must lie in (0, 1), got 0.0"),
+    (["fig13_ps_vs_ts_time", "--eta=1.5"], "bad parameters for env 'ar1_bandit': eta must lie"),
+    (["fig14_ps_vs_ts_eta", "--sigma=0"], "bad parameters for agent 'ts': sigma must be finite"),
+    (["fig15_mdp_alpha", "--n_states=0"], "need at least one state and one action, got 0 x 3"),
+    (["fig16_mdp_boost", "--discount=1.5"], "planning discount must lie in (0, 1), got 1.5"),
+    (["logit_regret", "--grid_size=1"], "bad parameters for agent 'logit_predictor'"),
+    (["bitflip_demo", '--priors=[["beta", 0, 1]]'], "a beta prior needs two finite, positive"),
+    (_INVALID_CELL_ARGV, "alpha must lie in [0, 1]"),
+    *[(["fig13_ps_vs_ts_time", "--trials=2", "--horizon=10", override], message)
+      for override, message in _BAD_BANDIT],
+    *[(["fig2_lms_sweep", "--trials=2", "--horizon=10", "--alphas=[0.2]", override],
+       "bad parameters for env 'ar1'") for override in _NON_FINITE_TRACKING_ENV],
+    *_BAD_CLOSED_FORM,
+    *[([*argv, "--trials=2", "--horizon=10"], message) for argv, message in _BAD_PRIOR],
+    *[(["coinswap_belief", *argv], message) for argv, message in _COINSWAP_BAD_COUNT],
+]
+
+
+@pytest.mark.parametrize("argv, message", _ONE_PATH,
+                         ids=[" ".join(argv) for argv, _ in _ONE_PATH])
+def test_bad_config_fails_the_dry_run_as_the_real_run(tmp_path, capsys, monkeypatch, argv,
+                                                      message):
+    # A dry run checks what the real run checks: both exit 2 with the same
+    # message and write no CSV, and neither starts a payload or evaluates a
+    # stability error.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad config reached a payload or a stability error")
+
+    monkeypatch.setattr(sweep, "_run_batch", refuse)
+    monkeypatch.setattr(it, "stability_errors", refuse)
+    monkeypatch.setattr(it, "total_stability_error", refuse)
+    errors = []
+    for dry_run in ([], ["--dry-run"]):
+        out = tmp_path / f"out{len(dry_run)}"
+        assert main(["run", *argv, *dry_run, "--out", str(out)]) == 2
+        errors.append(capsys.readouterr().err)
+        assert not (out / "results.csv").exists()
+    assert errors[0] == errors[1]
+    assert message in errors[0]
 
 
 def test_cli_bitflip_dyadic_prior_predicts_the_likelier_bit(tmp_path):
@@ -580,12 +660,11 @@ def test_analytic_rows_equal_the_per_point_oracle(monkeypatch, name, overrides, 
         return engine(alpha, eta, sigma, delta, future)
 
     params = resolve_params(name, overrides)
-    runner = experiments._get(name).runner
     monkeypatch.setattr(it, engine_name, counted)
-    rows = runner(params, None).rows
+    rows = runner_result(name, params).rows
     assert len(calls) == engine_calls
     monkeypatch.setattr(it, engine_name, per_point)
-    assert runner(params, None).rows == rows
+    assert runner_result(name, params).rows == rows
 
 
 @pytest.mark.parametrize("size, alpha_step", [("full", "0.02"), ("smoke", "0.1")])
@@ -618,8 +697,8 @@ def test_fig7_bytes_equal_the_benchmark_reference(tmp_path):
 def test_fig8_argmins_minimize_the_dense_total_error():
     overrides = {"alpha_step": "0.1", "etas": "[0.5]", "capacities": "[0.5, 2.0]",
                  "deltas": "[0.0, 0.3]"}
-    rows = experiments._get("fig8_optimal_alpha").runner(
-        resolve_params("fig8_optimal_alpha", overrides), None).rows
+    params = resolve_params("fig8_optimal_alpha", overrides)
+    rows = runner_result("fig8_optimal_alpha", params).rows
     got = {(r.coords.get("capacity"), r.coords.get("delta"), r.metric): r.mean for r in rows}
     alphas = np.arange(0.1, 1.0, 0.1)
 

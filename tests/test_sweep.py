@@ -433,10 +433,9 @@ def _python_float_rewards(outcomes):
 
 
 def _on_kernels(wrap=lambda run: run):
-    """Let every pool reach its kernel, however few trials a payload gets,
-    with each kernel's ``run`` replaced by ``wrap(run)``."""
+    """Every kernel's ``run`` replaced by ``wrap(run)``."""
     return mock.patch.dict(sweep._KERNELS, {
-        pair: replace(kernel, min_trials=1, run=wrap(kernel.run))
+        pair: replace(kernel, run=wrap(kernel.run))
         for pair, kernel in sweep._KERNELS.items()})
 
 
@@ -602,18 +601,6 @@ def test_kernel_hands_back_non_finite_trials(pair, cfg, message):
     assert handed_back == [True] * cfg.trials + [False] * 2
 
 
-@pytest.mark.parametrize("pair", [pair for pair, kernel in sweep._KERNELS.items()
-                                  if kernel.min_trials > 1], ids=_pair_id)
-def test_small_lockstep_pool_stays_on_the_scalar_path(pair):
-    # 2 workers split the pool into payloads one trial short of the
-    # break-even, where the kernel's fixed cost per step makes it slower
-    # than run_trajectory.
-    kernel = sweep._KERNELS[pair]
-    cfg = _PARITY[pair].cell(trials=2 * kernel.min_trials - 1)
-    with mock.patch.dict(sweep._KERNELS, {pair: replace(kernel, run=_refuse)}):
-        assert _outcomes(run_trials([cfg], workers=2)[0]) == _scalar_outcomes(cfg)
-
-
 def test_cell_is_frozen_after_its_checks():
     # ExperimentConfig's own checks are the only ones a cell's horizon gets.
     cfg = _coin_config()
@@ -650,11 +637,18 @@ def test_idbd_fig9_cells_worker_count_invariance():
 def test_series_cells_reach_only_kernels_that_record_series():
     pairs = [pair for pair, kernel in sweep._KERNELS.items() if not kernel.series]
     cells = [_PARITY[pair].cell(trials=8) for pair in pairs]
-    refused = {pair: replace(sweep._KERNELS[pair], run=_refuse, min_trials=1)
-               for pair in pairs}
+    refused = {pair: replace(sweep._KERNELS[pair], run=_refuse) for pair in pairs}
     with mock.patch.dict(sweep._KERNELS, refused):
         got = [_outcomes(results) for results in run_trials(cells, workers=1, record_series=True)]
     assert got == [_scalar_outcomes(cfg, record_series=True) for cfg in cells]
+
+
+@pytest.mark.parametrize("record_series", [False, True])
+def test_no_cells_start_no_pool(record_series):
+    # fig7 and fig8 yield no cells; their empty request runs serially.
+    with mock.patch.object(sweep, "ProcessPoolExecutor", _refuse):
+        assert run_trials([], workers=2, record_series=record_series) == []
+        assert monte_carlo_sweep([], workers=2).rows == []
 
 
 @pytest.mark.parametrize("record_series", [False, True])
@@ -664,13 +658,13 @@ def test_plan_splits_kernel_and_scalar_pools_by_their_own_rules(record_series):
     # pool by (pair, horizon, env spaces), so each group below is one pool.
     workers = 2
     goal = (GoalMdpEnv, OptimisticQAgent)
-    goal_min = sweep._KERNELS[goal].min_trials
     lms = [_ar1_config(alpha=a, trials=300, horizon=50) for a in (0.2, 0.6)]
     expected = [  # (cells of one pool, the pair its payloads name, payload count)
         (lms, None, 16) if record_series else (lms, (Ar1ScalarEnv, LmsAgent), 3),  # no series
         ([_idbd_config(mode=m, trials=400, horizon=40) for m in ("capacity", "standard")],
          (Ar1ScalarEnv, IdbdAgent), 4),
-        ([_goal_config(trials=2 * goal_min - 1)], None, 8),  # payloads below the break-even
+        # however small, a pool reaches its kernel: 2 payloads of 8 and 7 trials
+        ([_goal_config(trials=15)], *((None, 8) if record_series else (goal, 2))),
         # goal cells of two more shapes: one pool per (n_states, n_actions)
         *[([_goal_config(n_states=n_states, n_actions=n_actions, trials=40)],
            *((None, 8) if record_series else (goal, 2)))

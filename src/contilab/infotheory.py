@@ -15,16 +15,13 @@ engine (Schur complements and log-determinants of a joint covariance)
 serves only :func:`stability_errors`: a Toeplitz view of 2K+1 floats as the
 future block and one K x K Schur result per conditioning, equal bit for bit
 to the dense one-point evaluation; fig7's 12-digit CSV bytes are pinned to
-that arithmetic. Each Schur result gets a column-major Cholesky factor from
-numpy's gufunc behind ``np.linalg.cholesky``: LAPACK works by columns, so
-then the copies into and out of ``potrf`` run along contiguous memory
-instead of striding across rows, with the same factor bits
-(:func:`_logdet_psd`). The K x K arrays of the engine live in two workspaces
-that each :func:`stability_errors` call allocates once and every
-conditioning reuses: one takes the Schur product, its residual and then the
-factor, the other the symmetrized Schur result. Fresh 2 MiB arrays at
-K = 512 were paged in anew each time, about 79,500 minor page faults per
-20-point fig7 run; the workspaces leave about 1,000 and the same bits.
+that arithmetic. Each Schur result gets a column-major Cholesky factor,
+with the bits of ``np.linalg.cholesky`` (:func:`_logdet_psd`). A
+:func:`stability_errors` call does all its K x K work in one workspace:
+each conditioning builds its residual there and symmetrizes and factors it
+in place, so the engine holds that array and numpy's LAPACK buffer. Fresh
+arrays per conditioning cost about 79,500 minor page faults per 20-point
+fig7 run.
 
 Model conventions (standardized throughout this module): the latent follows
 theta' = eta*theta + N(0, 1 - eta^2) with theta_0 ~ N(0, 1), observations are
@@ -48,7 +45,7 @@ _EIG_NEG_TOL = 1e-10
 _RIDGE_REL = 1e-12
 
 
-def _logdet_psd(mat: np.ndarray, work: np.ndarray | None = None) -> float:
+def _logdet_psd(mat: np.ndarray, refill=None) -> float:
     """log det of a symmetric PSD matrix.
 
     Cholesky fast path; near-singular or slightly indefinite inputs fall back
@@ -58,29 +55,30 @@ def _logdet_psd(mat: np.ndarray, work: np.ndarray | None = None) -> float:
     The factor comes from numpy's Cholesky gufunc, the kernel behind
     ``np.linalg.cholesky``, which copies its operand into a column-major
     buffer for LAPACK's ``potrf`` and copies the factor out. Given ``mat.T``
-    (the same matrix, as ``mat`` is symmetric) and a column-major output,
-    both copies read and write contiguous rows of memory; the wrapper's
-    row-major operand and result make them stride by a whole row per element
-    (a page at K = 512), which cost more than ``potrf`` itself there.
-    ``potrf`` sees the same operands, so the factor is the wrapper's bit for
-    bit. A failed factorization sets the invalid flag (and fills the factor
-    with NaN), which is the failure the wrapper turns into LinAlgError.
+    (``mat`` is symmetric) and a column-major output, both copies run along
+    contiguous memory, where the wrapper's row-major arrays stride a page per
+    element at K = 512. ``potrf`` sees the same operands, so the bits are
+    the wrapper's. A failed factorization sets the invalid flag (and fills
+    the factor with NaN), the failure the wrapper turns into LinAlgError.
 
-    The factor is written into ``work.T`` when a C-contiguous n x n ``work``
-    that does not overlap ``mat`` is given, else into a fresh array. A fresh
-    factor at K = 512 is 2 MiB paged in anew on every call (512 minor page
-    faults), so :func:`stability_errors` passes a workspace it reuses.
+    With ``refill``, a C-contiguous ``mat`` is factored in place: the output
+    is ``mat.T``, which the gufunc has copied into its buffer before
+    ``potrf`` writes. A failure leaves NaN there, so the fallback reads
+    ``refill()``, the matrix written into ``mat`` again. Without it the
+    factor goes to a fresh array.
     """
     n = mat.shape[0]
     if n == 0:
         return 0.0
-    out = np.empty((n, n)).T if work is None else work.T
+    out = np.empty((n, n)).T if refill is None else mat.T
     try:
         with np.errstate(invalid="raise"):
             chol = _umath_linalg.cholesky_lo(mat.T, signature="d->d", out=out)
         return 2.0 * float(np.sum(np.log(np.diag(chol))))
     except FloatingPointError:
         pass
+    if refill is not None:
+        mat = refill()
     w = np.linalg.eigvalsh(mat)
     scale = max(float(np.trace(mat)) / n, 1e-300)
     if w[0] < -_EIG_NEG_TOL * scale:
@@ -91,18 +89,21 @@ def _logdet_psd(mat: np.ndarray, work: np.ndarray | None = None) -> float:
     return float(np.sum(np.log(w)))
 
 
+_TILE = 128  # a pair of 128 KiB tiles stays in cache
+
+
 def _schur_complement(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray,
-                      work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                      work: np.ndarray | None = None) -> np.ndarray:
     """Covariance of X given W: the symmetrized S_xx - S_xw S_ww^+ S_xw^T.
 
     Uses a pseudo-inverse when the conditioning block is singular, which is
     the correct minimum-mean-square-error residual for degenerate Gaussians
     (e.g. a noiseless agent state exactly determined by its conditioners).
-    ``S_xx`` is only read (a read-only view will do); the product is turned
-    into the residual in place and symmetrized into the returned array. With
-    ``work``, two C-contiguous arrays of S_xx's shape, the product and
-    residual live in ``work[0]`` and the result is ``work[1]``; without it
-    both are fresh arrays. The values are the same bits either way.
+    ``S_xx`` is only read (a read-only view will do). The result is ``work``,
+    a C-contiguous array of S_xx's shape, or a fresh one: the product turned
+    into the residual R in place, then into (R + R^T) / 2 by pairs of
+    mirrored tiles, both written, so it is exactly symmetric with the bits
+    of the out-of-place sum.
     """
     factors = None
     try:  # a block Cholesky accepts can still be singular to the LU solve
@@ -119,26 +120,37 @@ def _schur_complement(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray,
         keep = eigs > _RIDGE_REL * scale
         basis = S_xw @ vecs[:, keep]
         factors = basis / eigs[keep], basis.T
-    prod, sym = (None, None) if work is None else work
-    prod = np.matmul(*factors, out=prod)
-    np.subtract(S_xx, prod, out=prod)
-    sym = np.add(prod, prod.T, out=sym)
-    return np.divide(sym, 2.0, out=sym)
+    res = np.matmul(*factors, out=work)
+    np.subtract(S_xx, res, out=res)
+    n = len(res)
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            upper, lower = res[i:i + _TILE, j:j + _TILE], res[j:j + _TILE, i:i + _TILE]
+            np.add(upper, lower.T, out=upper)  # r_ij + r_ji; a diagonal tile is buffered
+            np.divide(upper, 2.0, out=upper)
+            if j > i:
+                lower[...] = upper.T  # r_ji + r_ij has the same bits
+    return res
 
 
 def _cond_mi_blocks(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray,
-                    z: list[int], d: list[int],
-                    work: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+                    z: list[int], d: list[int], work: np.ndarray | None = None) -> float:
     """I(X; Z | D) of a zero-mean Gaussian from its blocks: ``S_xx`` over X,
     ``S_xw`` and ``S_ww`` over the conditioning coordinates W, with ``z`` and
     ``d`` index lists into W. Evaluated as 0.5 * (ln det S_x|d - ln det
     S_x|z,d), which stays finite when conditioning coordinates are degenerate.
-    ``work`` is :func:`_schur_complement`'s pair of workspaces; its first
-    array also takes each Cholesky factor, the product being spent by then.
+    Each Schur result is built in one K x K workspace, ``work`` or a fresh
+    array, and factored there in place; a failed factorization overwrites
+    it, so the eigenvalue fallback builds it again.
     """
+    work = np.empty(S_xx.shape) if work is None else work
+
     def logdet_given(w):
-        mat = _schur_complement(S_xx, S_xw[:, w], S_ww[np.ix_(w, w)], work) if w else S_xx
-        return _logdet_psd(mat, None if work is None else work[0])
+        if not w:
+            return _logdet_psd(S_xx)
+        blocks = S_xx, S_xw[:, w], S_ww[np.ix_(w, w)]
+        return _logdet_psd(_schur_complement(*blocks, work),
+                           lambda: _schur_complement(*blocks, work))
 
     given_d = logdet_given(d)  # read before the second conditioning overwrites ``work``
     return 0.5 * (given_d - logdet_given(z + d))
@@ -309,12 +321,20 @@ def default_future_horizon(eta: float) -> int:
 def _grid(alpha, eta: float, sigma: float, delta, future: int | None):
     """The grid contract of the stability engines: whether (alpha, delta) are
     scalars, one validated :class:`LmsSteadyCovariance` per point of their
-    1-D broadcast, and the future lags 1..K as floats."""
+    1-D broadcast, and the future lags 1..K as floats.
+
+    Also the engines' domain, so a caller can refuse a grid before any error
+    is evaluated: both form products of two second moments, at most
+    Var(U_t) * Var(Y_t), which overflows from sigma of about 1e77."""
     scalar = np.ndim(alpha) == 0 and np.ndim(delta) == 0
     alphas, deltas = np.broadcast_arrays(np.atleast_1d(alpha), np.atleast_1d(delta))
     if alphas.ndim != 1:
         raise ValueError("alpha and delta must be scalars or 1-D grids")
     covs = [LmsSteadyCovariance(eta, sigma, a, d) for a, d in zip(alphas, deltas)]
+    for sc in covs:
+        if not math.isfinite(float(sc.u_var()) * float(sc.y_var())):
+            raise ValueError(f"noise scales too large: Var(U) * Var(Y) overflows at "
+                             f"alpha={sc.alpha}, sigma={sigma}, delta={sc.delta}")
     K = default_future_horizon(eta) if future is None else future
     if K < 1:
         raise ValueError("need at least one future coordinate")
@@ -332,18 +352,17 @@ def stability_errors(alpha, eta: float, sigma: float, delta, future: int | None 
 
     ``alpha`` and ``delta`` are scalars, which give a pair of floats, or
     broadcastable 1-D grids for one (eta, sigma, K), which give a pair of
-    arrays (empty for an empty grid). Every grid point is validated before
-    any linear algebra runs. The joint over (U_{t-1}, U_t, Y_t, Y_{t+1:t+K})
-    shares its future block across the grid, a read-only Toeplitz view of the
-    2K+1 floats E[Y_t Y_{t+|k|}]; per point only the 3 x 3 head over
-    (U_{t-1}, U_t, Y_t) and its cross block with the future depend on (alpha,
-    delta), and each conditioning holds one K x K Schur result, which
-    :func:`_logdet_psd` factors into a column-major Cholesky factor. Both
-    live in two K x K workspaces, one allocation per call, not per
-    conditioning: a fresh array of 2 MiB at K = 512 is paged in on every
-    use, and so were about 79,500 minor page faults per 20-point fig7 run.
-    Both errors go through one block function, so every value equals the
-    one-point dense evaluation bit for bit.
+    arrays (empty for an empty grid). Every grid point is validated, its range
+    and the engine's domain (:func:`_grid`), before any linear algebra runs.
+    The joint over (U_{t-1}, U_t, Y_t, Y_{t+1:t+K}) shares its future block
+    across the grid, a read-only Toeplitz view of the 2K+1 floats
+    E[Y_t Y_{t+|k|}]; per point only the 3 x 3 head over (U_{t-1}, U_t, Y_t)
+    and its cross block with the future depend on (alpha, delta), and each
+    conditioning builds one K x K Schur result, which :func:`_logdet_psd`
+    overwrites with its column-major Cholesky factor, in one K x K workspace
+    allocated per call, not per conditioning (a fresh 2 MiB array at K = 512
+    is paged in on every use). Both errors go through one block function, so
+    every value equals the one-point dense evaluation bit for bit.
     """
     scalar, covs, ks = _grid(alpha, eta, sigma, delta, future)
     forgetting, implasticity = np.empty(len(covs)), np.empty(len(covs))
@@ -353,8 +372,7 @@ def stability_errors(alpha, eta: float, sigma: float, delta, future: int | None 
     row = np.power(eta, np.arange(K + 1.0))  # E[Y_t Y_{t+k}], k = 0..K
     row[0] = covs[0].y_var()
     S_xx = sliding_window_view(np.concatenate((row[:0:-1], row)), K)[K:0:-1]  # Toeplitz view
-    # One allocation, not two: a second could come from the heap and stay resident later on.
-    work = tuple(np.empty((2, K, K)))
+    work = np.empty((K, K))
     for i, sc in enumerate(covs):
         uv, ac1, fwd1, back0 = sc.u_var(), sc.u_autocov1(), sc.u_y_fwd(1), sc.u_y()
         head = np.array(((uv, ac1, fwd1), (ac1, uv, back0), (fwd1, back0, row[0])))

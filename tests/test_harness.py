@@ -183,24 +183,45 @@ def test_reruns_are_byte_identical(tmp_path):
     assert (a / "config.resolved").read_bytes() == (b / "config.resolved").read_bytes()
 
 
-def test_logit_regret_bytes_do_not_depend_on_workers(tmp_path):
-    overrides = {"episodes": "12", "horizons": "[10, 30]"}
-    outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
-    for workers, out in zip((1, 2), outs):
-        run_experiment("logit_regret", overrides, out, plot=True, workers=workers)
-    for name in ("results.csv", "config.resolved", "plot.svg"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+# Small overrides of every registered experiment for the workers test, at
+# which each simulated one plans at least two payloads at 2 workers. fig2's:
+# one lockstep payload of 57 trials against two of about 28, each crossing
+# two chunk seams of the ar1 x lms kernel.
+_WORKERS_OVERRIDES = {
+    **FAST_OVERRIDES,
+    "fig2_lms_sweep": {"trials": "3", "horizon": "600"},
+    "fig15_mdp_alpha": {**FAST_OVERRIDES["fig15_mdp_alpha"], "trials": "2"},
+    "fig16_mdp_boost": {**FAST_OVERRIDES["fig16_mdp_boost"], "trials": "2"},
+    "logit_regret": {"episodes": "12", "horizons": "[10, 30]"},
+}
 
 
-def test_fig2_bytes_do_not_depend_on_workers(tmp_path):
-    # One lockstep payload of 57 trials against two of about 28, each
-    # crossing two chunk seams of the ar1 x lms kernel.
-    overrides = {"trials": "3", "horizon": "600"}
+@pytest.mark.parametrize("name", list_experiments())
+def test_bytes_do_not_depend_on_workers(tmp_path, monkeypatch, name):
+    # Every file a run writes, plot included, is byte-equal at 1 and 2
+    # workers; a 2-worker run that planned one payload would run serially
+    # and prove nothing, so each simulated experiment must plan two or more.
+    assert sorted(_WORKERS_OVERRIDES) == sorted(list_experiments())
+    plan, planned = sweep._plan, []
+
+    def record(cells, workers, record_series):
+        payloads = plan(cells, workers, record_series)
+        planned.append((workers, len(payloads[0])))
+        return payloads
+
+    monkeypatch.delenv("CONTILAB_THREADS", raising=False)
+    monkeypatch.setattr(sweep, "_plan", record)
     outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
     for workers, out in zip((1, 2), outs):
-        run_experiment("fig2_lms_sweep", overrides, out, workers=workers)
-    for name in ("results.csv", "config.resolved"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        run_experiment(name, _WORKERS_OVERRIDES[name], out, plot=True, workers=workers)
+    if name not in ("fig7_errors_vs_alpha", "fig8_optimal_alpha"):
+        pooled = [n for workers, n in planned if workers == 2]
+        assert pooled and min(pooled) >= 2
+    files = sorted(p.name for p in outs[0].iterdir())
+    assert {"results.csv", "config.resolved"} <= set(files)
+    assert files == sorted(p.name for p in outs[1].iterdir())
+    for file in files:
+        assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes(), file
 
 
 def test_csv_values_have_12_significant_digits(tmp_path):
@@ -374,6 +395,13 @@ _ONE_PATH = [
     (["fig7_errors_vs_alpha", "--sigma=-1"],
      "bad parameters for stability_errors: noise scales must be nonnegative"),
     (["fig8_optimal_alpha", "--alpha_step=0"], "alpha_step must lie in (0, 1), got 0.0"),
+    # Var(U) * Var(Y) overflows from sigma of about 1e77: fig8's real run failed from
+    # there and fig7's from 1e154, while both dry runs passed
+    *[(["fig8_optimal_alpha", f"--sigma={sigma}", *argv],
+       "bad parameters for total_stability_error: noise scales too large")
+      for sigma, argv in (("1e78", ["--alpha_step=0.2"]), ("1e78", []), ("1e150", []))],
+    (["fig7_errors_vs_alpha", "--sigma=1e154"],
+     "bad parameters for stability_errors: noise scales too large"),
     (["fig13_ps_vs_ts_time", "--eta=1.5"], "bad parameters for env 'ar1_bandit': eta must lie"),
     (["fig14_ps_vs_ts_eta", "--sigma=0"], "bad parameters for agent 'ts': sigma must be finite"),
     (["fig15_mdp_alpha", "--n_states=0"], "need at least one state and one action, got 0 x 3"),

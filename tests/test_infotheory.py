@@ -909,11 +909,11 @@ def test_regret_bound_entropy_values():
         regret_bound_entropy(1.0, 0)
 
 
-def test_stability_errors_hold_one_schur_result_at_a_time():
+def test_stability_errors_hold_one_k_by_k_workspace():
     # K = 512: the future block is a Toeplitz view of 2K+1 floats, and every
-    # conditioning reuses the call's two K x K workspaces, one for the Schur
-    # product and the Cholesky factor, one for the symmetrized Schur result
-    # (numpy's internal Cholesky buffer is not traced).
+    # conditioning builds its Schur result in the call's one K x K workspace,
+    # which the Cholesky factor then overwrites in place (numpy's internal
+    # Cholesky buffer is not traced).
     K = it.default_future_horizon(0.99)
     assert K == 512
     tracemalloc.start()
@@ -922,7 +922,7 @@ def test_stability_errors_hold_one_schur_result_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * K * K * 8
+    assert peak < 1.5 * K * K * 8
 
 
 # Run in a fresh interpreter: records the matrices fig7's stability_errors
@@ -985,31 +985,51 @@ def test_logdet_psd_of_a_rank_deficient_input_takes_the_ridge_path(monkeypatch):
     (0.3, 0.1, 0),  # the head's Cholesky accepts: the LU solve
     (1.0, 0.0, 1),  # U_t = Y_t: the head is singular, the pseudo-inverse
 ])
-def test_schur_complement_in_workspaces_equals_the_fresh_arrays(monkeypatch, alpha, delta,
-                                                                  eigh_calls):
-    # stability_errors reuses two K x K workspaces for every conditioning; a
+@pytest.mark.parametrize("K", [40, 300])  # 300: tiles of 128, 128 and 44 rows
+def test_schur_complement_in_a_workspace_equals_the_fresh_array(monkeypatch, alpha, delta,
+                                                                eigh_calls, K):
+    # stability_errors reuses one K x K workspace for every conditioning; a
     # fresh 2 MiB array per call at K = 512 costs a page fault per 4 KiB.
-    cov = stability_joint(it.LmsSteadyCovariance(0.9, 0.5, alpha, delta), 40)
+    cov = stability_joint(it.LmsSteadyCovariance(0.9, 0.5, alpha, delta), K)
     blocks = cov[3:, 3:], cov[3:, :3], cov[:3, :3]
     calls, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
     fresh = it._schur_complement(*blocks)
-    work = np.full((40, 40), np.nan), np.full((40, 40), np.nan)
+    work = np.full((K, K), np.nan)
     got = it._schur_complement(*blocks, work)
     assert len(calls) == 2 * eigh_calls
     assert np.array_equal(got, fresh)
-    assert np.shares_memory(got, work[1])
-    assert np.array_equal((work[0] + work[0].T) / 2, got)  # the residual went in place
-    assert it._logdet_psd(got, work[0]) == it._logdet_psd(fresh)
-    assert np.array_equal(work[0].T, np.linalg.cholesky(fresh))  # and then the factor
+    assert np.array_equal(fresh, fresh.T)
+    assert got is work  # the product, the residual and its symmetrization went in place
+
+    def refill():
+        raise AssertionError("a factorization that succeeds needs no refill")
+
+    assert it._logdet_psd(got, refill) == it._logdet_psd(fresh)
+    assert np.array_equal(work.T, np.linalg.cholesky(fresh))  # and then the factor
 
 
-def test_logdet_psd_in_a_workspace_takes_the_same_ridge_path(monkeypatch):
-    mat = np.ones((3, 3))  # rank 1: potrf fails, and fills the workspace with NaN
+def test_a_residual_potrf_rejects_is_rebuilt_for_one_eigvalsh(monkeypatch):
+    # X is one variable repeated 4 times, so its residual given W is exactly
+    # ones((4, 4)): rank 1, where potrf meets an exactly zero pivot and, in
+    # place, leaves NaN in the workspace. The fallback must see the residual
+    # again, exactly symmetric, and return the fresh path's bits.
+    blocks = np.full((4, 4), 1.25), np.full((4, 1), 0.5), np.ones((1, 1))
+    w = np.linalg.eigvalsh(np.ones((4, 4)))
+    expected = float(np.sum(np.log(w + (1e-12 - w[0]))))  # trace/n = 1
     calls, eigvalsh = [], np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
-    assert it._logdet_psd(mat, np.empty((3, 3))) == it._logdet_psd(mat)
-    assert len(calls) == 2
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(np.array(m)) or eigvalsh(m))
+    assert it._logdet_psd(it._schur_complement(*blocks)) == expected
+    assert len(calls) == 1 and np.array_equal(calls[0], np.ones((4, 4)))
+    work, refills = np.empty((4, 4)), []
+
+    def refill():
+        refills.append(np.array(work))
+        return it._schur_complement(*blocks, work)
+
+    assert it._logdet_psd(it._schur_complement(*blocks, work), refill) == expected
+    assert len(refills) == 1 and np.isnan(refills[0]).all()  # potrf overwrote the residual
+    assert len(calls) == 2 and np.array_equal(calls[1], np.ones((4, 4)))  # symmetric
 
 
 def test_regret_bound_logit_values():

@@ -2,11 +2,11 @@
 
 Usage:
     contilab list
-    contilab run NAME [--out DIR] [--plot] [--trials N] [--seed S]
-                      [--workers N] [--dry-run] [--KEY=VALUE ...]
+    contilab run NAME [--out DIR] [--plot] [--workers N] [--dry-run] [--KEY=VALUE ...]
 
-Free-form ``--key=value`` flags override experiment parameters by name
-(``contilab run fig2_lms_sweep --trials=50 --env.eta=0.8``). ``--dry-run``
+Every ``--KEY=VALUE`` flag, ``trials`` and ``seed`` included, overrides an
+experiment parameter by name (``contilab run fig2_lms_sweep --trials=50
+--env.eta=0.8``); the experiment checks each key and its type. ``--dry-run``
 checks the config and plans its cells without running any.
 """
 
@@ -17,7 +17,7 @@ import re
 import sys
 
 from .errors import ConfigurationError, ContilabError
-from .experiments import experiment_defaults, list_experiments, run_experiment
+from .experiments import list_experiments, run_experiment
 
 _OVERRIDE = re.compile(r"^--([A-Za-z0-9_.]+)=(.*)$")
 
@@ -30,8 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("name")
     run.add_argument("--out", default=None, help="output directory (default runs/<name>)")
     run.add_argument("--plot", action="store_true", help="also write plot.svg")
-    run.add_argument("--trials", type=int, default=None)
-    run.add_argument("--seed", type=int, default=None)
     run.add_argument("--workers", type=int, default=None)
     run.add_argument("--dry-run", action="store_true", help="check config, plan cells, run none")
     return parser
@@ -53,19 +51,6 @@ def main(argv=None) -> int:
         if m is None:
             parser.error(f"unrecognized argument {token!r} (overrides look like --key=value)")
         overrides[m.group(1)] = m.group(2)
-    try:
-        defaults = experiment_defaults(args.name)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.trials is not None:
-        if "trials" not in defaults:
-            print(f"error: {args.name} takes no trial count", file=sys.stderr)
-            return 2
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-
     try:
         paths = run_experiment(
             args.name, overrides, args.out,

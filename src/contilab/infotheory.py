@@ -171,17 +171,22 @@ def _check_point(alpha: float, eta: float, sigma: float, delta: float) -> None:
 
 class LmsSteadyCovariance:
     """Steady-state second moments of the agent state U and observations Y,
-    valid on :func:`_check_point`'s range."""
+    valid on :func:`_check_point`'s range where Var(U) and Var(Y) are finite
+    (ValueError elsewhere). Its parameters are Python floats: no numpy warnings."""
 
     def __init__(self, eta: float, sigma: float, alpha: float, delta: float):
         _check_point(alpha, eta, sigma, delta)
-        self.eta = eta
-        self.sigma = sigma
-        self.alpha = alpha
-        self.delta = delta
-        self.alpha_c = 1.0 - alpha
-        self._A = 1.0 - self.alpha_c * eta  # 1 - (1-alpha)*eta
-        self._B = 1.0 + self.alpha_c * eta
+        self.eta, self.sigma, self.alpha, self.delta = map(float, (eta, sigma, alpha, delta))
+        self.alpha_c = 1.0 - self.alpha
+        self._A = 1.0 - self.alpha_c * self.eta  # 1 - (1-alpha)*eta
+        self._B = 1.0 + self.alpha_c * self.eta
+        try:
+            finite = math.isfinite(self.u_var()) and math.isfinite(self.y_var())
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"noise scales too large: Var(U) or Var(Y) overflows at "
+                             f"alpha={alpha}, sigma={sigma}, delta={delta}")
 
     # -- scalar moments -----------------------------------------------------
 
@@ -280,7 +285,9 @@ def mi_capacity(alpha: float, eta: float, sigma: float, delta: float, n: int) ->
     noise = -delta * delta * math.expm1(x) / (alpha * (2.0 - alpha))
     if noise == 0.0:  # ln Var = x + ln held, also where a_c^(2n) underflows
         return 0.5 * (math.log(u / held) - x)
-    return 0.5 * math.log(u / (math.exp(x) * held + noise))
+    var = math.exp(x) * held + noise
+    ratio = u / var  # overflows where the noise is tiny against Var(U), e.g. alpha = 1
+    return 0.5 * (math.log(ratio) if ratio < math.inf else math.log(u) - math.log(var))
 
 
 def posterior_pred_params(alpha: float, eta: float, sigma: float, delta: float) -> tuple[float, float]:
@@ -318,23 +325,29 @@ def default_future_horizon(eta: float) -> int:
     return max(1, min(k, 512))
 
 
+def _products_domain(sc: LmsSteadyCovariance) -> LmsSteadyCovariance:
+    """``sc``, or ValueError unless Var(U_t) * Var(Y_t) is finite: the domain
+    of the engines that form products of two second moments, at most that
+    one, which overflows from sigma of about 1e77."""
+    if not math.isfinite(sc.u_var() * sc.y_var()):
+        raise ValueError(f"noise scales too large: Var(U) * Var(Y) overflows at "
+                         f"alpha={sc.alpha}, sigma={sc.sigma}, delta={sc.delta}")
+    return sc
+
+
 def _grid(alpha, eta: float, sigma: float, delta, future: int | None):
     """The grid contract of the stability engines: whether (alpha, delta) are
     scalars, one validated :class:`LmsSteadyCovariance` per point of their
     1-D broadcast, and the future lags 1..K as floats.
 
-    Also the engines' domain, so a caller can refuse a grid before any error
-    is evaluated: both form products of two second moments, at most
-    Var(U_t) * Var(Y_t), which overflows from sigma of about 1e77."""
+    Also the engines' domain (:func:`_products_domain`), so a caller can
+    refuse a grid before any error is evaluated."""
     scalar = np.ndim(alpha) == 0 and np.ndim(delta) == 0
     alphas, deltas = np.broadcast_arrays(np.atleast_1d(alpha), np.atleast_1d(delta))
     if alphas.ndim != 1:
         raise ValueError("alpha and delta must be scalars or 1-D grids")
-    covs = [LmsSteadyCovariance(eta, sigma, a, d) for a, d in zip(alphas, deltas)]
-    for sc in covs:
-        if not math.isfinite(float(sc.u_var()) * float(sc.y_var())):
-            raise ValueError(f"noise scales too large: Var(U) * Var(Y) overflows at "
-                             f"alpha={sc.alpha}, sigma={sigma}, delta={sc.delta}")
+    covs = [_products_domain(LmsSteadyCovariance(eta, sigma, a, d))
+            for a, d in zip(alphas, deltas)]
     K = default_future_horizon(eta) if future is None else future
     if K < 1:
         raise ValueError("need at least one future coordinate")
@@ -446,9 +459,10 @@ def lag_decomposition(alpha: float, eta: float, sigma: float, delta: float, t: i
     - H = (U_{j-1}, U_j, Y_j): given (U_{j-1}, Y_j), U_j adds only noise.
     The absent information I(Y_{t+1}; Y_{1:t} | U_t) needs beyond the first
     head only Var(Y_{t+1} | Y_{1:t}), since U_0 is independent of theta.
-    O(t^2) scalar operations; no matrix is built.
+    O(t^2) scalar operations; no matrix is built. ``given_y`` forms
+    Var(U_j) * Var(Y_j), so :func:`_products_domain` applies.
     """
-    _check_point(alpha, eta, sigma, delta)
+    _products_domain(LmsSteadyCovariance(eta, sigma, alpha, delta))
     if t < 0:
         raise ValueError(f"horizon must be nonnegative, got {t}")
     ac, s2, zeta2 = 1.0 - alpha, sigma * sigma, 1.0 - eta * eta

@@ -28,29 +28,32 @@ def fmt_value(value) -> str:
 
 
 def write_results_csv(path: Path, experiment: str, seed, rows: list[SweepRow]) -> Path:
+    """Write ``rows`` under the header comments, one line at a time."""
     coord_keys: list[str] = []
     for row in rows:
         for key in row.coords:
             if key not in coord_keys:
                 coord_keys.append(key)
-    lines = [
+    header = [
         f"# experiment: {experiment}",
         f"# seed: {seed}",
         f"# contilab-version: {__version__}",
         ",".join(coord_keys + ["metric", "mean", "std", "ci95", "trials", "error"]),
     ]
-    for row in rows:
-        cells = [fmt_value(row.coords[k]) if k in row.coords else "" for k in coord_keys]
-        cells += [
-            row.metric,
-            fmt_value(row.mean),
-            fmt_value(row.std),
-            fmt_value(row.ci95),
-            str(row.trials),
-            row.error or "",
-        ]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        for line in header:
+            f.write(line + "\n")
+        for row in rows:
+            cells = [fmt_value(row.coords[k]) if k in row.coords else "" for k in coord_keys]
+            cells += [
+                row.metric,
+                fmt_value(row.mean),
+                fmt_value(row.std),
+                fmt_value(row.ci95),
+                str(row.trials),
+                row.error or "",
+            ]
+            f.write(",".join(cells) + "\n")
     return path
 
 

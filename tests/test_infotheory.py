@@ -898,6 +898,57 @@ def test_lag_decomposition_matches_a_40_digit_evaluation(alpha, eta, sigma, delt
     assert _max_gap(d, terms, absent) <= 4 * _EPS * _filter_cond(eta, sigma)
 
 
+# -- one domain for the Gaussian engines -------------------------------------------
+
+def _lag_values(alpha, eta, sigma, delta):
+    d = it.lag_decomposition(alpha, eta, sigma, delta, 5)
+    return [x for pair in d.terms for x in pair] + [d.absent_info]
+
+
+_ENGINES = {
+    "mi_capacity": lambda *point: [it.mi_capacity(*point, 5)],
+    "posterior_pred_params": it.posterior_pred_params,
+    "total_stability_error": lambda *point: [it.total_stability_error(*point, 4)],
+    "stability_errors": lambda *point: it.stability_errors(*point, 4),
+    "lag_decomposition": _lag_values,
+}
+_SCALE = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
+
+
+@pytest.mark.parametrize("engine", list(_ENGINES))
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.one_of(st.just(1.0), st.floats(1e-6, 1.0)),
+       eta=st.one_of(st.just(0.0), st.floats(0.0, 0.99)), sigma=_SCALE, delta=_SCALE)
+@example(alpha=0.5, eta=0.9, sigma=1e78, delta=0.1)  # lag terms were NaN
+@example(alpha=0.5, eta=0.9, sigma=1e200, delta=0.1)  # sigma**2 raised OverflowError
+@example(alpha=1e-6, eta=0.5, sigma=1.0, delta=1e153)  # Var(U) was inf
+@example(alpha=1.0, eta=0.5, sigma=1e77, delta=1e-100)  # Var(U) / delta^2 overflowed
+def test_gaussian_engines_raise_value_error_or_return_finite_values(engine, alpha, eta, sigma,
+                                                                     delta):
+    # A RuntimeWarning is an error under the test configuration, so no
+    # overflow may pass by a warning either.
+    try:
+        values = _ENGINES[engine](alpha, eta, sigma, delta)
+    except ValueError:
+        return
+    if engine == "mi_capacity" and alpha == 1.0 and delta * delta == 0.0:
+        return  # U_t = Y_t: the window fixes the state, and +inf is exact
+    assert all(math.isfinite(v) for v in values)
+
+
+def test_engines_refuse_overflowing_moments_and_keep_the_finite_ones():
+    with pytest.raises(ValueError, match="noise scales too large"):
+        it.lag_decomposition(0.5, 0.9, 1e78, 0.1, 5)
+    with pytest.raises(ValueError, match="noise scales too large"):
+        it.stability_errors(0.5, 0.9, 1e200, 0.1, 4)
+    with pytest.raises(ValueError, match="noise scales too large"):
+        it.LmsSteadyCovariance(0.5, 1.0, 1e-6, 1e153)
+    # Var(U) * Var(Y) overflows here, but neither engine forms that product.
+    assert it.mi_capacity(0.5, 0.9, 1e78, 0.1, 5) == pytest.approx(math.log(1024) / 2,
+                                                                   rel=1e-15)
+    assert all(map(math.isfinite, it.posterior_pred_params(0.5, 0.9, 1e78, 0.1)))
+
+
 # -- regret bounds ----------------------------------------------------------------
 
 def test_regret_bound_entropy_values():

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .infotheory import delta_star, delta_star_sq_grad
+from .infotheory import _damping, delta_star, delta_star_sq_grad
 from .rng import RngStream
 
 _BETA_MIN = -12.0
@@ -79,8 +79,7 @@ class IdbdAgent:
             if eta is None or sigma is None or capacity is None:
                 raise ConfigurationError("capacity mode needs eta, sigma, and capacity")
             # delta_star's own checks, so a bad spec fails at build, not at step 0
-            if capacity <= 0.0:
-                raise ValueError(f"capacity must be positive, got {capacity}")
+            _damping(capacity)
             if not 0.0 <= eta < 1.0:
                 raise ValueError(f"eta must lie in [0, 1), got {eta}")
             if not math.isfinite(sigma * sigma):

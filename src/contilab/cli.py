@@ -17,7 +17,7 @@ import re
 import sys
 
 from .errors import ConfigurationError, ContilabError
-from .experiments import list_experiments, run_experiment
+from .experiments import _get, list_experiments, run_experiment
 
 _OVERRIDE = re.compile(r"^--([A-Za-z0-9_.]+)=(.*)$")
 
@@ -25,7 +25,7 @@ _OVERRIDE = re.compile(r"^--([A-Za-z0-9_.]+)=(.*)$")
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="contilab")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list registered experiments")
+    sub.add_parser("list", help="list registered experiments and what each reproduces")
     run = sub.add_parser("run", help="run one experiment")
     run.add_argument("name")
     run.add_argument("--out", default=None, help="output directory (default runs/<name>)")
@@ -41,8 +41,10 @@ def main(argv=None) -> int:
     args, extra = parser.parse_known_args(argv)
 
     if args.command == "list":
-        for name in list_experiments():
-            print(name)
+        names = list_experiments()
+        width = max(map(len, names))
+        for name in names:
+            print(f"{name:<{width}}  {_get(name).summary}")
         return 0
 
     overrides = {}

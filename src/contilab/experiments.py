@@ -2,10 +2,11 @@
 seeded, deterministic CSV (plus an optional SVG).
 
 Each runner is a generator on the resolved parameters. It makes every check
-and builds every cell before its one yield of ``(cells, record_series)``;
-after it, it only aggregates what it is sent. :func:`run_experiment` alone
-runs trials, and a dry run plans the cells and runs none. fig7 and fig8
-yield no cells, before any stability error is evaluated.
+and builds every cell, each saying which rows it reports, before its one
+yield of the cells; it is sent their ``monte_carlo_sweep`` table and only
+aggregates after it. :func:`run_experiment` alone runs trials, and a dry run
+plans the cells and runs none. fig7 and fig8 yield no cells, before any
+stability error is evaluated.
 
 Trial counts default to desk scale; the larger published-scale counts are
 available through overrides (e.g. ``--trials``, ``--horizon``). Analytic
@@ -33,8 +34,8 @@ from .envs import build_env, prior_mean
 from .errors import ConfigurationError
 from .mdp_tools import belief_policy_iteration
 from .output import write_config_resolved, write_line_plot, write_results_csv
-from .sweep import (ExperimentConfig, SweepRow, _plan, cell_rows, monte_carlo_sweep,
-                    resolve_workers, run_trials)
+from .sweep import ExperimentConfig, SweepRow, SweepTable, _plan, monte_carlo_sweep, resolve_workers
+from .sweep import run_trials  # noqa: F401 -- only for bench/tracing.py's wrap (ROADMAP item 18)
 
 
 @dataclass
@@ -48,10 +49,11 @@ class ExperimentDef:
     name: str
     summary: str
     defaults: dict
-    runner: Callable[[dict], Generator[tuple[Sequence, bool], object, ExperimentResult]]
+    runner: Callable[[dict], Generator[Sequence[ExperimentConfig], SweepTable, ExperimentResult]]
 
 
 _REGISTRY: dict[str, ExperimentDef] = {}
+_MAX_GRID = 10_000  # most points of an analytic alpha grid (fig7, fig8)
 
 
 def _register(name, summary, defaults):
@@ -65,10 +67,6 @@ def _register(name, summary, defaults):
 def list_experiments() -> list[str]:
     """Registered experiment names."""
     return list(_REGISTRY)
-
-
-def experiment_defaults(name: str) -> dict:
-    return dict(_get(name).defaults)
 
 
 def _get(name: str) -> ExperimentDef:
@@ -140,26 +138,23 @@ def run_experiment(name: str, overrides: dict | None = None, out_dir=None, *,
     params = resolve_params(name, overrides)
     workers = resolve_workers(workers)  # a bad count fails here, analytic runs included
     runner = _get(name).runner(params)
-    cells, record_series = next(runner)
+    cells = next(runner)
     if dry_run:
-        _plan(cells, workers, record_series)
+        _plan(cells, workers)
         return []
-    try:  # both looked up at call time: the benchmark's tracer wraps them by name
-        runner.send(run_trials(cells, workers=workers, record_series=True) if record_series
-                    else monte_carlo_sweep(cells, workers=workers))
+    table = monte_carlo_sweep(cells, workers=workers)  # the benchmark's tracer wraps this name
+    try:
+        runner.send(table)
     except StopIteration as done:
         result = done.value
     out = Path(out_dir) if out_dir is not None else Path("runs") / name
     out.mkdir(parents=True, exist_ok=True)
-    paths = [
-        write_results_csv(out / "results.csv", name, params.get("seed", ""), result.rows),
-        write_config_resolved(out / "config.resolved", params),
-    ]
+    paths = [write_results_csv(out / "results.csv", name, params.get("seed", ""), result.rows),
+             write_config_resolved(out / "config.resolved", params)]
     if plot and result.plot is not None:
         title, xl, yl, series = result.plot
         paths.append(write_line_plot(out / "plot.svg", title, xl, yl, series))
-    data = [r for r in result.rows if r.trials > 0 or r.error or "t" in r.coords]  # not analytic
-    if data and all(r.error and math.isnan(r.mean) for r in data):
+    if table.rows and all(r.error and math.isnan(r.mean) for r in table.rows):
         raise ConfigurationError(f"every cell of {name} failed; see {paths[0]}")
     return paths
 
@@ -225,7 +220,7 @@ def _run_fig2(params):
                               horizon=params["horizon"], trials=params["trials"],
                               seed=params["seed"], coords={"agent.alpha": alpha})
              for alpha in params["alphas"]]
-    rows = (yield cells, False).rows
+    rows = (yield cells).rows
     pts = sorted((r.coords["agent.alpha"], r.mean) for r in rows if r.metric == "average_reward")
     plot = ("average reward vs stepsize", "stepsize", "average reward",
             [("tracking filter", *_xy(pts))])
@@ -242,9 +237,12 @@ def _run_fig2(params):
     {"sigma": 0.5, "capacity": 2.0, "etas": [0.9, 0.95, 0.99], "grid_points": 50, "seed": 0},
 )
 def _run_fig7(params):
-    if params["grid_points"] < 0:
-        raise ConfigurationError(f"grid_points must be nonnegative, got {params['grid_points']}")
-    alphas = np.linspace(0.02, 0.98, params["grid_points"])
+    n = params["grid_points"]
+    if n < 0:
+        raise ConfigurationError(f"grid_points must be nonnegative, got {n}")
+    if n > _MAX_GRID:
+        raise ConfigurationError(f"grid_points must be at most {_MAX_GRID}, got {n}")
+    alphas = np.linspace(0.02, 0.98, n)
     grids = []
     for eta in params["etas"]:
         # delta_star stays a per-alpha scalar call: its math.exp is not np.exp.
@@ -253,7 +251,7 @@ def _run_fig7(params):
                                for alpha in alphas]))
         with _bad_parameters("stability_errors"):  # the engine's own check; no error evaluated
             it._grid(alphas, eta, params["sigma"], grids[-1], None)
-    yield (), False
+    yield ()
     rows = []
     series = []
     for eta, deltas in zip(params["etas"], grids):
@@ -287,6 +285,8 @@ def _run_fig8(params):
     step = params["alpha_step"]
     if not 0.0 < step < 1.0:
         raise ConfigurationError(f"alpha_step must lie in (0, 1), got {step}")
+    if math.ceil((1.0 - step) / step) > _MAX_GRID:  # np.arange's length, before any array
+        raise ConfigurationError(f"alpha_step {step} makes more than {_MAX_GRID} grid points")
     alphas = np.arange(step, 1.0, step)
     rows = []
 
@@ -305,7 +305,7 @@ def _run_fig8(params):
     with _bad_parameters("total_stability_error"):  # the engine's own check; no error evaluated
         for deltas in [*grids, *params["deltas"]]:
             it._grid(alphas, eta, sigma, deltas, None)
-    yield (), False
+    yield ()
     cap_pts = []
     for cap, deltas in zip(params["capacities"], grids):
         best = argmin_alpha(deltas)
@@ -350,11 +350,10 @@ def _run_fig9(params):
                      "delta": delta_at_star, "alpha0": params["alpha0"]},
     }
     cells = [ExperimentConfig(env, agent, horizon=params["horizon"], trials=params["trials"],
-                              seed=params["seed"])
-             for agent in variants.values()]
-    rows = [_analytic_row({"variant": "reference"}, "alpha_star", star)]
-    for variant, results in zip(variants, (yield cells, True)):
-        rows += cell_rows({"variant": variant}, results, ["final_alpha"], [("mean_alpha", "alpha")])
+                              seed=params["seed"], coords={"variant": variant},
+                              metrics=("final_alpha",), series=(("mean_alpha", "alpha"),))
+             for variant, agent in variants.items()]
+    rows = [_analytic_row({"variant": "reference"}, "alpha_star", star), *(yield cells).rows]
     series = _time_series(rows, "variant", "mean_alpha")
     series.append(("optimal", [0, params["horizon"]], [star, star]))
     return ExperimentResult(rows, ("adapted stepsize", "step", "stepsize", series))
@@ -384,12 +383,11 @@ def _bandit_cells(etas, agents, sigma, horizon, trials, seed):
     {"eta": 0.9, "sigma": 1.0, "horizon": 200, "trials": 2000, "seed": 20_240_913},
 )
 def _run_fig13(params):
-    cells = _bandit_cells([params["eta"]], ["ts", "ps"], params["sigma"], params["horizon"],
-                          params["trials"], params["seed"])
-    rows = []
-    for cfg, results in zip(cells, (yield cells, True)):
-        rows += cell_rows({"agent": cfg.coords["agent"]}, results, [],
-                          [("cum_avg_reward", None), ("greedy_rate", "greedy_rate")])
+    cells = [replace(cfg, coords={"agent": cfg.coords["agent"]}, metrics=(),
+                     series=(("cum_avg_reward", None), ("greedy_rate", "greedy_rate")))
+             for cfg in _bandit_cells([params["eta"]], ["ts", "ps"], params["sigma"],
+                                      params["horizon"], params["trials"], params["seed"])]
+    rows = (yield cells).rows
     series = _time_series(rows, "agent", "cum_avg_reward", "{} reward")
     return ExperimentResult(rows, ("running average reward", "step", "reward", series))
 
@@ -403,7 +401,7 @@ def _run_fig13(params):
 def _run_fig14(params):
     cells = _bandit_cells(params["etas"], ["ts", "ps"], params["sigma"], params["horizon"],
                           params["trials"], params["seed"])
-    table = yield cells, False
+    table = yield cells
     series = []
     for kind in ("ts", "ps"):
         pts = sorted((r.coords["eta"], r.mean) for r in table.select("average_reward", agent=kind))
@@ -460,7 +458,7 @@ def _mdp_best_rows(table, params, outer: str, inner: str):
 
 def _run_mdp(outer: str, inner: str, label: str, params):
     """Reward vs the ``outer`` axis (best over ``inner``), then every sweep cell."""
-    table = yield _mdp_cells(params), False
+    table = yield _mdp_cells(params)
     best = _mdp_best_rows(table, params, outer, inner)
     series = []
     for resample_eta in params["resample_etas"]:
@@ -500,7 +498,7 @@ def _logit_cells(params):
 def _run_logit_regret(params):
     rows = []
     pts_mc, pts_bound = [], []
-    for row in (yield _logit_cells(params), False).select("average_reward"):
+    for row in (yield _logit_cells(params)).select("average_reward"):
         T = row.coords["horizon"]
         bound = it.regret_bound_logit(T)
         rows.append(replace(row, metric="mc_regret", mean=-row.mean))
@@ -535,7 +533,7 @@ def _run_bitflip(params):
             coords=coords,
         ))
         theory.append(_analytic_row(coords, "theory_accuracy", max(mean_p, 1.0 - mean_p)))
-    return ExperimentResult((yield cells, False).rows + theory)
+    return ExperimentResult((yield cells).rows + theory)
 
 
 # --------------------------------------------------------------------------
@@ -577,4 +575,4 @@ def _run_coinswap(params):
                 horizon=params["horizon"], trials=params["trials"], seed=params["seed"],
                 coords={"q2": q2, "policy": label},
             ))
-    return ExperimentResult(rows + (yield sim_cells, False).rows)
+    return ExperimentResult(rows + (yield sim_cells).rows)

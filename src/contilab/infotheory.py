@@ -157,13 +157,13 @@ def _cond_mi_blocks(S_xx: np.ndarray, S_xw: np.ndarray, S_ww: np.ndarray,
 
 
 def _check_point(alpha: float, eta: float, sigma: float, delta: float) -> None:
-    """Raise ValueError unless alpha is in (0, 1], eta in [0, 1), and sigma and
-    delta are finite and nonnegative: the range where U has a stationary law
-    (alpha = 0 leaves it none)."""
+    """Raise ValueError unless alpha is in (0, 1] with 1 - alpha < 1 in floats,
+    eta in [0, 1), and sigma and delta are finite and nonnegative: where U has
+    a stationary law (none at alpha = 0) and 1 - (1 - alpha)^2 is nonzero."""
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if not 0.0 < alpha <= 1.0 or 1.0 - alpha == 1.0:
+        raise ValueError(f"alpha must lie in (0, 1] with 1 - alpha < 1, got {alpha}")
     if not (0.0 <= sigma < math.inf and 0.0 <= delta < math.inf):
         raise ValueError(f"noise scales must be nonnegative and finite, got sigma={sigma}, "
                          f"delta={delta}")
@@ -220,14 +220,22 @@ class LmsSteadyCovariance:
 
 # -- capacity noise ----------------------------------------------------------
 
+def _damping(capacity: float) -> float:
+    """exp(-2C), which :func:`delta_star` divides by 1 minus: ValueError
+    unless C > 0 and exp(-2C) < 1 in floats."""
+    damp = math.exp(-2.0 * capacity) if capacity > 0.0 else 1.0
+    if damp == 1.0:
+        raise ValueError(f"capacity must be positive with exp(-2C) < 1, got {capacity}")
+    return damp
+
+
 def delta_star(alpha: float, eta: float, sigma: float, capacity: float) -> float:
     """Minimal quantization noise VARIANCE pinning I(U_t; Y_{1:t}) at ``capacity`` nats.
 
         delta^2 = alpha^2 * (sigma^2*(1 - a_c*eta) + 1 + a_c*eta) / (1 - a_c*eta)
                   * exp(-2C) / (1 - exp(-2C)),   a_c = 1 - alpha.
     """
-    if capacity <= 0.0:
-        raise ValueError(f"capacity must be positive, got {capacity}")
+    damp = _damping(capacity)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not 0.0 <= eta < 1.0:
@@ -235,7 +243,6 @@ def delta_star(alpha: float, eta: float, sigma: float, capacity: float) -> float
     ac = 1.0 - alpha
     A = 1.0 - ac * eta
     B = 1.0 + ac * eta
-    damp = math.exp(-2.0 * capacity)
     return alpha**2 * (sigma**2 * A + B) / A * damp / (1.0 - damp)
 
 
@@ -245,12 +252,10 @@ def delta_star_sq_grad(alpha: float, eta: float, sigma: float, capacity: float) 
     With A = 1 - (1-alpha)*eta and B = 1 + (1-alpha)*eta (so A + B = 2):
         d/da [a^2 (sigma^2 + B/A)] = 2a*sigma^2 + 2aB/A - 2*eta*a^2/A^2.
     """
-    if capacity <= 0.0:
-        raise ValueError(f"capacity must be positive, got {capacity}")
+    damp = _damping(capacity)
     ac = 1.0 - alpha
     A = 1.0 - ac * eta
     B = 1.0 + ac * eta
-    damp = math.exp(-2.0 * capacity)
     kappa = damp / (1.0 - damp)
     return 2.0 * kappa * alpha * (sigma**2 + B / A - eta * alpha / (A * A))
 

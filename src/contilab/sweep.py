@@ -1,18 +1,15 @@
 """Experiment cells, their seeded Monte Carlo trials, and the rows those become.
 
-Runners build their grids as plain lists of cells (:class:`ExperimentConfig`).
-Trial i of a cell draws from its own stream keyed by (seed, a content hash of
-the cell's env/agent/horizon spec, i), so its numbers do not depend on the
-other cells in a call, their order, the worker count or the batch it lands
-in. :func:`run_trials` is the one executor: the batches of all its cells run
-serially or in one process pool per call. Only the modelled failures,
-``NumericError`` and ``DegenerateMdpError``, are recorded as failed trials;
-any other exception (a bad config, a bug) aborts the call.
-
-:func:`cell_rows` is the one aggregation step: it turns one cell's trial
-results into its :class:`SweepRow` rows. :func:`monte_carlo_sweep` is
-``run_trials`` then ``cell_rows`` with every metric the agents report;
-runners that plot series (fig9, fig13) call ``cell_rows`` themselves.
+Runners build their grids as plain lists of cells (:class:`ExperimentConfig`),
+each naming the rows it reports. Trial i of a cell draws from its own stream
+keyed by (seed, a content hash of the cell's env/agent/horizon spec, i), so
+its numbers do not depend on the other cells in a call, their order, the
+worker count or the batch it lands in. :func:`run_trials` is the one
+executor: the batches of all its cells run serially or in one process pool
+per call. Only the modelled failures, ``NumericError`` and
+``DegenerateMdpError``, are recorded as failed trials; any other exception (a
+bad config, a bug) aborts the call. :func:`cell_rows` is the one aggregation
+step, and :func:`monte_carlo_sweep` is ``run_trials`` then ``cell_rows``.
 
 Kernels: ``_KERNELS`` holds one :class:`Kernel` record per exact (env
 class, agent class) pair whose arithmetic a trial kernel reproduces:
@@ -23,18 +20,17 @@ class, agent class) pair whose arithmetic a trial kernel reproduces:
 
 :func:`_plan` makes the one routing decision. It builds each cell's env and
 agent once, so a bad spec or mismatched spaces raises ``ConfigurationError``
-before any trial runs, and pools the trials of all cells per (env class,
-agent class, horizon, env observation space, env action space): every
-goal-MDP pool has one (n_states, n_actions) shape. A pool goes to its
-classes' kernel when they have a record and the kernel records series or
-the call records none, whatever its size; it is then split round robin
-into ``max(workers, ceil(n / 256))`` payloads, so each holds a share of
-every cell and of its cost. A subclass, or a build a hook wraps (the
-benchmark's per-layer proxies), could change the arithmetic a kernel
-reproduces and has no record, so its whole cell runs on ``run_trajectory``. Every pool that
-runs there keeps 4 * workers payloads of contiguous trials per cell: on
-2 cores the kernel split made bitflip_demo slower (median 1.51 -> 1.55 s
-over 10 runs).
+before any trial runs, and pools the trials of all cells per (classes,
+horizon, env spaces, whether the cell reports series): every goal-MDP pool
+has one (n_states, n_actions) shape. A pool goes to its classes' kernel,
+whatever its size, when they have a record that records series or the pool
+needs none; it is then split round robin into ``max(workers, ceil(n /
+256))`` payloads, so each holds a share of every cell and of its cost. A
+subclass, or a build a hook wraps (the benchmark's per-layer proxies), could
+change the arithmetic a kernel reproduces and has no record, so its whole
+cell runs on ``run_trajectory``. Every pool that runs there keeps 4 * workers
+payloads of contiguous trials per cell: on 2 cores the kernel split made
+bitflip_demo slower (median 1.51 -> 1.55 s over 10 runs).
 
 :func:`_run_batch` is the one worker entry point. It runs every trial of a
 kernel payload on the kernel and puts the results back in trial order. Every
@@ -90,9 +86,10 @@ _KERNELS = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment cell: an env spec and an agent spec run for ``trials``
-    seeded trials of ``horizon`` steps. ``coords`` labels the cell's rows
-    (the CSV columns before the metric) and is not part of the cell's key.
-    """
+    seeded trials of ``horizon`` steps, reporting the rows its ``coords``
+    label (the CSV columns before the metric): its ``metrics`` (None: every
+    one) and ``series``, ``(metric, diagnostic)`` pairs (see :func:`cell_rows`).
+    None of the three is part of the cell's key."""
 
     env: dict
     agent: dict
@@ -100,6 +97,8 @@ class ExperimentConfig:
     trials: int = 1
     seed: int = 0
     coords: dict = field(default_factory=dict)
+    metrics: tuple | None = None
+    series: tuple = ()
 
     def __post_init__(self):
         for name, value in (("horizon", self.horizon), ("trials", self.trials)):
@@ -209,20 +208,20 @@ def _run_batch(payload):
     return results
 
 
-def _plan(cells, workers: int, record_series: bool):
+def _plan(cells, workers: int):
     """Payloads of one run_trials call, each with the cell of every result it
     returns. Builds each cell's env and agent once: a bad spec or mismatched
     spaces raises ``ConfigurationError`` here, before any payload runs."""
     keys = [cfg.canonical_key() for cfg in cells]
-    pools: dict[tuple, list[int]] = {}  # (classes, horizon, spaces) -> cells, in order
+    pools: dict[tuple, list[int]] = {}  # (classes, horizon, spaces, series) -> cells, in order
     for c, cfg in enumerate(cells):
         env, agent = build_env(cfg.env), build_agent(cfg.agent)
         check_spaces(env, agent)
         pair = (type(env), type(agent))
         spaces = (getattr(env, "observation_space", None), getattr(env, "action_space", None))
-        pools.setdefault((pair, cfg.horizon, spaces), []).append(c)
+        pools.setdefault((pair, cfg.horizon, spaces, bool(cfg.series)), []).append(c)
     payloads, owners = [], []
-    for (pair, horizon, _), members in pools.items():
+    for (pair, horizon, _, record_series), members in pools.items():
         kernel = _KERNELS.get(pair)
         if kernel is None or (record_series and not kernel.series):
             pair, parts = None, []
@@ -243,16 +242,13 @@ def _plan(cells, workers: int, record_series: bool):
     return payloads, owners
 
 
-def run_trials(cells, *, workers: int | None = None,
-               record_series: bool = False) -> list[list[TrialResult]]:
-    """Run every trial of every cell; returns each cell's results in trial order.
-
-    The batches of all cells run serially with one worker (or at most one
-    batch), else in a single process pool. See the module docstring for the
-    kernels.
-    """
+def run_trials(cells, *, workers: int | None = None) -> list[list[TrialResult]]:
+    """Run every trial of every cell, with series for the cells that report
+    any; returns each cell's results in trial order. The batches of all cells
+    run serially with one worker (or at most one batch), else in a single
+    process pool; see the module docstring for the kernels."""
     w = resolve_workers(workers)
-    payloads, owners = _plan(cells, w, record_series)
+    payloads, owners = _plan(cells, w)
     if w == 1 or len(payloads) <= 1:
         batches = map(_run_batch, payloads)
     else:
@@ -280,35 +276,35 @@ def aggregate(values: list[float]) -> tuple[float, float, float]:
     return mean, std, _Z95 * std / math.sqrt(n)
 
 
-def cell_rows(coords: dict, results, metrics=None, series=()) -> list[SweepRow]:
-    """One cell's rows: per ``(metric, diagnostic)`` of ``series``, the mean
-    over the successful trials of the running average reward (``diagnostic``
-    None) or of that diagnostic at each step "t"; then an :func:`aggregate`
-    row per name in ``metrics`` (None: every metric reported, sorted). Each
-    row notes "k/n trials failed (first error)" if a trial failed. A cell
-    with no successful trial gives one NaN row, named after the first metric
-    ("average_reward" for None), else the first series metric."""
+def cell_rows(cfg: ExperimentConfig, results) -> list[SweepRow]:
+    """The rows of cell ``cfg``: per ``(metric, diagnostic)`` of its ``series``,
+    the mean over the successful trials of the running average reward
+    (``diagnostic`` None) or of that diagnostic at each step "t"; then an
+    :func:`aggregate` row per name in its ``metrics`` (None: every metric
+    reported, sorted). Each row notes "k/n trials failed (first error)" if a
+    trial failed. A cell with no successful trial gives one NaN row, named
+    after the first metric ("average_reward" for None), else the first series
+    metric."""
     ok = [r.summary for r in results if r.error is None]
     failed = [r.error for r in results if r.error is not None]
     note = f"{len(failed)}/{len(results)} trials failed ({failed[0]})" if failed else None
     if not ok:
-        metric = "average_reward" if metrics is None else (metrics or [series[0][0]])[0]
-        nan = float("nan")
-        return [SweepRow(dict(coords), metric, nan, nan, nan, 0, note)]
+        metric = "average_reward" if cfg.metrics is None else (cfg.metrics or [cfg.series[0][0]])[0]
+        return [SweepRow(dict(cfg.coords), metric, math.nan, math.nan, math.nan, 0, note)]
     rows = []
-    for metric, diagnostic in series:
+    for metric, diagnostic in cfg.series:
         means = np.array([s.reward_series if diagnostic is None else s.diagnostics[diagnostic]
                           for s in ok]).mean(axis=0)
-        rows += [SweepRow({**coords, "t": t}, metric, float(m), 0.0, 0.0, 0, note)
+        rows += [SweepRow({**cfg.coords, "t": t}, metric, float(m), 0.0, 0.0, 0, note)
                  for t, m in zip(series_steps(ok[0].horizon), means)]
-    for metric in sorted(ok[0].metrics) if metrics is None else metrics:
-        rows.append(SweepRow(dict(coords), metric, *aggregate([s.metrics[metric] for s in ok]),
+    for metric in sorted(ok[0].metrics) if cfg.metrics is None else cfg.metrics:
+        rows.append(SweepRow(dict(cfg.coords), metric, *aggregate([s.metrics[metric] for s in ok]),
                              len(ok), note))
     return rows
 
 
 def monte_carlo_sweep(cells, *, workers: int | None = None) -> SweepTable:
-    """:func:`cell_rows` of every cell's seeded trials, every metric per cell."""
+    """:func:`cell_rows` of every cell's seeded trials."""
     cells = list(cells)
     return SweepTable([row for cfg, results in zip(cells, run_trials(cells, workers=workers))
-                       for row in cell_rows(cfg.coords, results)])
+                       for row in cell_rows(cfg, results)])

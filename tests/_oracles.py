@@ -443,11 +443,9 @@ def regret_bound_entropy(target_entropy: float, horizon: int) -> float:
 def runner_result(name, params, workers=None):
     """The ExperimentResult of the registered runner ``name`` on resolved
     ``params``, written nowhere: its one yield is answered as
-    ``run_experiment`` answers it, with ``monte_carlo_sweep`` of the cells or,
-    for a series request, their ``run_trials`` with series."""
+    ``run_experiment`` answers it, with ``monte_carlo_sweep`` of the cells."""
     runner = experiments._get(name).runner(params)
-    cells, record_series = next(runner)
+    cells = next(runner)
     with pytest.raises(StopIteration) as done:  # a runner yields once
-        runner.send(sweep.run_trials(cells, workers=workers, record_series=True) if record_series
-                    else sweep.monte_carlo_sweep(cells, workers=workers))
+        runner.send(sweep.monte_carlo_sweep(cells, workers=workers))
     return done.value.value

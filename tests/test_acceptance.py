@@ -21,9 +21,9 @@ from contilab.envs import Ar1ScalarEnv
 from contilab.experiments import (
     _MDP_DEFAULTS,
     _bandit_cells,
+    _get,
     _mdp_best_rows,
     _logit_cells,
-    experiment_defaults,
     list_experiments,
 )
 from contilab.rng import RngStream
@@ -249,7 +249,7 @@ def test_criterion_09_logit_regret_within_bound():
     rate-distortion bound at horizons 10 and 100."""
     t0 = time.time()
     msgs = []
-    cells = _logit_cells({**experiment_defaults("logit_regret"), "horizons": [10, 100],
+    cells = _logit_cells({**_get("logit_regret").defaults, "horizons": [10, 100],
                           "episodes": 2000, "seed": 20_240_908})
     for cfg, results in zip(cells, run_trials(cells)):
         horizon = cfg.horizon

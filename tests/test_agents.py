@@ -142,6 +142,7 @@ def test_idbd_frozen_meta_matches_capacity_lms():
 @pytest.mark.parametrize("params, message", [
     ({"capacity": 0.0}, "capacity must be positive"),
     ({"capacity": -1.0}, "capacity must be positive"),
+    ({"capacity": 1e-17}, r"capacity must be positive with exp\(-2C\) < 1, got 1e-17"),
     ({"eta": 1.0}, r"eta must lie in \[0, 1\)"),
     ({"eta": -0.1}, r"eta must lie in \[0, 1\)"),
     # sigma**2 overflows: the noise-growth penalty could not be evaluated

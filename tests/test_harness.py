@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ def test_every_env_and_agent_setting_is_set_by_some_experiment():
     # runner's one yield, not run.
     cells = [cfg for name in list_experiments()
              for cfg in next(experiments._get(name).runner(
-                 resolve_params(name, FAST_OVERRIDES[name])))[0]]
+                 resolve_params(name, FAST_OVERRIDES[name])))]
     for side, kinds in (("env", _ENV_KINDS), ("agent", _AGENT_KINDS)):
         for kind, cls in kinds.items():
             specs = [getattr(cfg, side) for cfg in cells if getattr(cfg, side)["kind"] == kind]
@@ -99,8 +100,8 @@ def test_default_runs_route_their_cells_as_pinned(tmp_path, monkeypatch, name):
         list_experiments())
     plan = sweep._plan
 
-    def stop(cells, workers, record_series):
-        raise _Planned(plan(cells, workers, record_series)[0])
+    def stop(cells, workers):
+        raise _Planned(plan(cells, workers)[0])
 
     monkeypatch.delenv("CONTILAB_THREADS", raising=False)
     monkeypatch.setattr(sweep, "_plan", stop)
@@ -109,6 +110,32 @@ def test_default_runs_route_their_cells_as_pinned(tmp_path, monkeypatch, name):
         run_experiment(name, overrides, tmp_path, workers=2)
     assert Counter((_ROUTE[pair], len(trials))
                    for pair, _, trials, _ in planned.value.args[0]) == routes
+
+
+@pytest.mark.parametrize("name", EXPECTED_NAMES)
+def test_every_runner_is_sent_the_table_of_its_own_cells(tmp_path, monkeypatch, name):
+    # One protocol: each runner yields its cells once and is sent a SweepTable
+    # of their rows, series cells (fig9, fig13) included.
+    exp, seen = experiments._get(name), []
+
+    def spy(params):
+        runner = exp.runner(params)
+        cells = next(runner)
+        table = yield cells
+        seen.append((cells, table))
+        try:
+            runner.send(table)
+        except StopIteration as done:
+            return done.value
+
+    monkeypatch.setitem(experiments._REGISTRY, name, replace(exp, runner=spy))
+    run_experiment(name, FAST_OVERRIDES[name], tmp_path, workers=1)
+    [(cells, table)] = seen
+    assert type(table) is sweep.SweepTable
+    assert table.rows == [row for cfg, results in zip(cells, sweep.run_trials(cells, workers=1))
+                          for row in sweep.cell_rows(cfg, results)]
+    assert any("t" in row.coords for row in table.rows) == (name in ("fig9_idbd",
+                                                                      "fig13_ps_vs_ts_time"))
 
 
 def test_registry_names_and_uniqueness():
@@ -120,13 +147,13 @@ def test_registry_names_and_uniqueness():
 @pytest.mark.parametrize("name", EXPECTED_NAMES)
 def test_dry_run_plans_the_cells_the_real_run_executes(tmp_path, capsys, monkeypatch, name):
     # At its defaults every experiment passes --dry-run, which plans the same
-    # cells (and series request) that the real run hands to sweep._plan; the
-    # real run is stopped there, before any trial runs.
+    # cells (series requests included) that the real run hands to sweep._plan;
+    # the real run is stopped there, before any trial runs.
     plan, planned = sweep._plan, []
 
-    def record(cells, workers, record_series):
-        planned.append((list(cells), workers, record_series))
-        return plan(cells, workers, record_series)
+    def record(cells, workers):
+        planned.append((list(cells), workers))
+        return plan(cells, workers)
 
     def stop(*args):
         record(*args)
@@ -205,8 +232,8 @@ def test_bytes_do_not_depend_on_workers(tmp_path, monkeypatch, name):
     assert sorted(_WORKERS_OVERRIDES) == sorted(list_experiments())
     plan, planned = sweep._plan, []
 
-    def record(cells, workers, record_series):
-        payloads = plan(cells, workers, record_series)
+    def record(cells, workers):
+        payloads = plan(cells, workers)
         planned.append((workers, len(payloads[0])))
         return payloads
 
@@ -248,7 +275,9 @@ def test_plot_flag_controls_svg(tmp_path):
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
-    assert out == EXPECTED_NAMES
+    assert [line.split()[0] for line in out] == EXPECTED_NAMES
+    assert [line.split(maxsplit=1)[1] for line in out] == [
+        experiments._get(name).summary for name in EXPECTED_NAMES]
 
 
 def test_cli_run_with_overrides(tmp_path, capsys):
@@ -388,6 +417,30 @@ def test_cli_coinswap_bad_count_exits_2_before_planning(tmp_path, capsys, monkey
     assert not (out / "results.csv").exists()
 
 
+class _GridNumpy:
+    """numpy as experiments sees it, except that its arange and linspace
+    raise, before allocating anything, on a grid of more than 10,000 points."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def arange(self, start, stop, step):
+        if (stop - start) / step > 10_000:
+            raise AssertionError(f"np.arange of {(stop - start) / step:g} points")
+        return np.arange(start, stop, step)
+
+    def linspace(self, start, stop, num):
+        if num > 10_000:
+            raise AssertionError(f"np.linspace of {num} points")
+        return np.linspace(start, stop, num)
+
+
+def test_fig8_finest_alpha_step_under_the_grid_bound_passes_the_dry_run(capsys):
+    # 1e-4 makes 9,999 grid points, the most any step makes under the bound.
+    assert main(["run", "fig8_optimal_alpha", "--alpha_step=1e-4", "--dry-run"]) == 0
+    assert capsys.readouterr().out == "fig8_optimal_alpha: config ok\n"
+
+
 # Every bad config above, and one per experiment that passed --dry-run while
 # its real run exited 2 when --dry-run only resolved the parameters (fig9's
 # and coinswap's are in the tables above).
@@ -396,6 +449,13 @@ _ONE_PATH = [
     (["fig7_errors_vs_alpha", "--sigma=-1"],
      "bad parameters for stability_errors: noise scales must be nonnegative"),
     (["fig8_optimal_alpha", "--alpha_step=0"], "alpha_step must lie in (0, 1), got 0.0"),
+    # alpha grids of more than 10,000 points (_GridNumpy keeps them from being allocated)
+    (["fig8_optimal_alpha", "--alpha_step=1e-9"],
+     "alpha_step 1e-09 makes more than 10000 grid points"),
+    (["fig8_optimal_alpha", "--alpha_step=9.999e-5"],
+     "alpha_step 9.999e-05 makes more than 10000 grid points"),
+    (["fig7_errors_vs_alpha", "--grid_points=1000000000"],
+     "grid_points must be at most 10000, got 1000000000"),
     # Var(U) * Var(Y) overflows from sigma of about 1e77: fig8's real run failed from
     # there and fig7's from 1e154, while both dry runs passed
     *[(["fig8_optimal_alpha", f"--sigma={sigma}", *argv],
@@ -438,6 +498,7 @@ def test_bad_config_fails_the_dry_run_as_the_real_run(tmp_path, capsys, monkeypa
     monkeypatch.setattr(sweep, "_run_batch", refuse)
     monkeypatch.setattr(it, "stability_errors", refuse)
     monkeypatch.setattr(it, "total_stability_error", refuse)
+    monkeypatch.setattr(experiments, "np", _GridNumpy())
     errors = []
     for dry_run in ([], ["--dry-run"]):
         out = tmp_path / f"out{len(dry_run)}"
@@ -481,7 +542,7 @@ def test_cli_fig8_tiny_sigma_writes_alpha_star_near_one(tmp_path, sigma, row):
 
 @pytest.mark.parametrize("name, key", [
     (name, key) for name in list_experiments()
-    for key, value in experiments.experiment_defaults(name).items()
+    for key, value in experiments._get(name).defaults.items()
     if isinstance(value, (int, float))])
 def test_unparsable_numeric_override_is_a_configuration_error(name, key):
     with pytest.raises(ConfigurationError, match=f"override '{re.escape(key)}' must be"):

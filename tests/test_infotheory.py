@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -192,6 +193,11 @@ def test_delta_star_limits():
     assert it.delta_star(1e-8, 0.9, 0.5, 1.0) < 1e-14
     with pytest.raises(ValueError):
         it.delta_star(0.5, 0.9, 0.5, 0.0)
+    # exp(-2C) is 1.0 below C of about 2.8e-17: 1 - exp(-2C) would divide by zero
+    for engine in (it.delta_star, it.delta_star_sq_grad):
+        with pytest.raises(ValueError, match=re.escape("positive with exp(-2C) < 1, got 1e-17")):
+            engine(0.5, 0.9, 0.5, 1e-17)
+        assert math.isfinite(engine(0.5, 0.9, 0.5, 1e-15))
 
 
 def test_delta_star_pins_state_history_information():
@@ -917,12 +923,13 @@ _SCALE = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
 
 @pytest.mark.parametrize("engine", list(_ENGINES))
 @settings(max_examples=150, deadline=None)
-@given(alpha=st.one_of(st.just(1.0), st.floats(1e-6, 1.0)),
+@given(alpha=st.one_of(st.just(1.0), st.floats(1e-300, 1.0)),
        eta=st.one_of(st.just(0.0), st.floats(0.0, 0.99)), sigma=_SCALE, delta=_SCALE)
 @example(alpha=0.5, eta=0.9, sigma=1e78, delta=0.1)  # lag terms were NaN
 @example(alpha=0.5, eta=0.9, sigma=1e200, delta=0.1)  # sigma**2 raised OverflowError
 @example(alpha=1e-6, eta=0.5, sigma=1.0, delta=1e153)  # Var(U) was inf
 @example(alpha=1.0, eta=0.5, sigma=1e77, delta=1e-100)  # Var(U) / delta^2 overflowed
+@example(alpha=1e-17, eta=0.5, sigma=1.0, delta=0.1)  # 1 - (1 - alpha)^2 divided by zero
 def test_gaussian_engines_raise_value_error_or_return_finite_values(engine, alpha, eta, sigma,
                                                                      delta):
     # A RuntimeWarning is an error under the test configuration, so no

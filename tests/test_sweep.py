@@ -143,13 +143,14 @@ _FAILED_TRIAL = TrialResult(2, None, "NumericError: boom")
 ], ids=["all-ok", "partly-failed"])
 def test_cell_rows_of_successful_trials(results, note):
     coords = {"x": 1}
-    rows = cell_rows(coords, results)
+    cfg = _coin_config(coords=coords)
+    rows = cell_rows(cfg, results)
     assert rows == [SweepRow(coords, "average_reward", *aggregate([0.25, 0.75]), 2, note),
                     SweepRow(coords, "final_alpha", *aggregate([0.5, 0.75]), 2, note)]
     assert all(row.coords is not coords for row in rows)
 
-    rows = cell_rows(coords, results, ["final_alpha"],
-                     [("reward", None), ("mean_alpha", "alpha")])
+    rows = cell_rows(replace(cfg, metrics=("final_alpha",),
+                             series=(("reward", None), ("mean_alpha", "alpha"))), results)
     steps = series_steps(3)
     assert steps == [1, 2, 3]
     assert rows == (
@@ -159,17 +160,18 @@ def test_cell_rows_of_successful_trials(results, note):
            for t, m in zip(steps, [0.25, 0.375, 0.625])]
         + [SweepRow(coords, "final_alpha", *aggregate([0.5, 0.75]), 2, note)])
     assert all(type(row.mean) is float for row in rows)
-    assert cell_rows(coords, results, [], [("reward", None)])[-1].metric == "reward"
+    assert cell_rows(replace(cfg, metrics=(), series=(("reward", None),)),
+                     results)[-1].metric == "reward"
 
 
 @pytest.mark.parametrize("metrics, series, name", [
     (None, (), "average_reward"),
-    (["final_alpha"], [("mean_alpha", "alpha")], "final_alpha"),
-    ([], [("cum_avg_reward", None), ("greedy_rate", "greedy_rate")], "cum_avg_reward"),
+    (("final_alpha",), (("mean_alpha", "alpha"),), "final_alpha"),
+    ((), (("cum_avg_reward", None), ("greedy_rate", "greedy_rate")), "cum_avg_reward"),
 ], ids=["per-metric", "series-and-metric", "series-only"])
 def test_cell_rows_of_a_cell_with_no_successful_trial(metrics, series, name):
     results = [_FAILED_TRIAL, TrialResult(3, None, "DegenerateMdpError: stuck")]
-    [row] = cell_rows({"x": 1}, results, metrics, series)
+    [row] = cell_rows(_coin_config(coords={"x": 1}, metrics=metrics, series=series), results)
     assert (row.coords, row.metric, row.trials) == ({"x": 1}, name, 0)
     assert row.error == "2/2 trials failed (NumericError: boom)"
     assert all(math.isnan(v) for v in (row.mean, row.std, row.ci95))
@@ -239,10 +241,9 @@ _bit_flip_cells = st.lists(
 @settings(max_examples=15, deadline=None)
 @given(_bit_flip_cells)
 def test_run_trials_cells_are_independent(cells):
-    a, b = cells[:2]
-    together = run_trials([a, b], workers=1, record_series=True)
-    assert together == [run_trials([a], workers=1, record_series=True)[0],
-                        run_trials([b], workers=1, record_series=True)[0]]
+    a, b = _with_series(cells[:2])
+    together = run_trials([a, b], workers=1)
+    assert together == [run_trials([a], workers=1)[0], run_trials([b], workers=1)[0]]
     assert [[r.index for r in results] for results in together] == [
         list(range(a.trials)), list(range(b.trials))]
 
@@ -456,6 +457,11 @@ def _refuse(*args, **kwargs):
     raise AssertionError("must not be called")
 
 
+def _with_series(cells, on=True):
+    """``cells``, each reporting a reward series if ``on``."""
+    return [replace(cfg, series=(("cum_avg_reward", None),)) if on else cfg for cfg in cells]
+
+
 def test_parity_table_covers_every_kernel():
     assert _PARITY.keys() == sweep._KERNELS.keys()
 
@@ -467,10 +473,11 @@ def test_kernel_equals_scalar_path(pair):
     @settings(max_examples=entry.max_examples, deadline=None)
     @given(entry.cells, st.booleans() if sweep._KERNELS[pair].series else st.just(False))
     def check(cells, record_series):
+        cells = _with_series(cells, record_series)
         expected = [_scalar_outcomes(cfg, record_series) for cfg in cells]
         failed = sum(isinstance(o, str) for outcomes in expected for o in outcomes)
         run = lambda workers: [_outcomes(results) for results in run_trials(
-            cells, workers=workers, record_series=record_series)]
+            cells, workers=workers)]
         with _on_kernels():
             with _scalar_calls() as calls:
                 got = run(1)
@@ -483,11 +490,11 @@ def test_kernel_equals_scalar_path(pair):
 
 @pytest.mark.parametrize("pair", _PARITY, ids=_pair_id)
 def test_kernel_gate_never_calls_run_trajectory(pair):
-    cells, series = _PARITY[pair].gate, sweep._KERNELS[pair].series
+    series = sweep._KERNELS[pair].series
+    cells = _with_series(_PARITY[pair].gate, series)
     expected = [_scalar_outcomes(cfg, series) for cfg in cells]
     with _scalar_calls() as calls:
-        got = [_outcomes(results) for results in run_trials(cells, workers=1,
-                                                            record_series=series)]
+        got = [_outcomes(results) for results in run_trials(cells, workers=1)]
     assert got == expected
     assert calls == []
     assert all(_python_float_rewards(outcomes) for outcomes in got)
@@ -500,13 +507,14 @@ def test_kernel_gate_never_calls_run_trajectory(pair):
     pytest.param(pair, table, kind, cls, id=f"{_pair_id(pair)}-{cls.__name__.lstrip('_')}")
     for pair, entry in _PARITY.items() for table, kind, cls in entry.subclasses])
 def test_kernel_skips_subclasses(monkeypatch, pair, table, kind, cls):
-    cfg, series = _PARITY[pair].cell(trials=3), sweep._KERNELS[pair].series
+    series = sweep._KERNELS[pair].series
+    [cfg] = _with_series([_PARITY[pair].cell(trials=3)], series)
     plain = _scalar_outcomes(cfg, series)
     monkeypatch.setitem(table, kind, cls)
     changed = _scalar_outcomes(cfg, series)
     assert changed != plain
     with _on_kernels(), _scalar_calls() as calls:
-        assert _outcomes(run_trials([cfg], workers=1, record_series=series)[0]) == changed
+        assert _outcomes(run_trials([cfg], workers=1)[0]) == changed
     assert len(calls) == cfg.trials
 
 
@@ -533,12 +541,12 @@ def test_kernel_skips_wrapped_builds(monkeypatch, pair, workers):
     # A hook that wraps a cell's builds hides the kernel's classes from the
     # planner: the whole cell runs on run_trajectory, in trial order, and no
     # wrapped object reaches a kernel.
-    cfg, series = _PARITY[pair].cell(trials=5), sweep._KERNELS[pair].series
+    series = sweep._KERNELS[pair].series
+    [cfg] = _with_series([_PARITY[pair].cell(trials=5)], series)
     expected = _scalar_outcomes(cfg, series)
     _wrap_builds(monkeypatch)
     with _on_kernels(lambda run: _refuse), _scalar_calls() as calls:
-        assert _outcomes(run_trials([cfg], workers=workers,
-                                    record_series=series)[0]) == expected
+        assert _outcomes(run_trials([cfg], workers=workers)[0]) == expected
     if workers == 1:  # a pool's calls happen in its workers
         assert [stream for *_, stream in calls] == [
             RngStream(cfg.seed).child("trial", cfg.canonical_key(), i) for i in range(cfg.trials)]
@@ -550,7 +558,7 @@ def test_plan_names_no_kernel_for_wrapped_builds(monkeypatch):
     # Pools are keyed by the built classes: the cells that reach every kernel
     # name none once their builds are wrapped.
     cells = [entry.cell(trials=64) for entry in _PARITY.values()]
-    pairs = lambda: [pair for pair, *_ in sweep._plan(cells, 2, False)[0]]
+    pairs = lambda: [pair for pair, *_ in sweep._plan(cells, 2)[0]]
     assert set(pairs()) == set(_PARITY)
     _wrap_builds(monkeypatch)
     assert pairs() == [None] * 8 * len(cells)
@@ -566,7 +574,9 @@ def _mismatched_spaces():
 @pytest.mark.parametrize("bad, message", [
     (_mismatched_spaces(), r"action spaces differ: env=\('discrete', 2\) agent=\('discrete', 3\)"),
     (_goal_config(n_actions=0), "bad parameters for env 'goal_mdp'"),
-], ids=["spaces", "spec"])
+    # fig9's capacity cell at a capacity whose exp(-2C) rounds to 1
+    (_idbd_config(capacity=1e-17), "bad parameters for agent 'idbd': capacity must be positive with"),
+], ids=["spaces", "spec", "tiny-capacity"])
 def test_a_bad_last_cell_fails_before_any_trial_runs(workers, bad, message):
     # The planner builds every cell before any payload runs: with cells of
     # every kernel and of the scalar path ahead of it, the bad last cell
@@ -613,9 +623,9 @@ def test_cell_is_frozen_after_its_checks():
 @settings(max_examples=25, deadline=None)
 @given(_PARITY[(Ar1ScalarEnv, IdbdAgent)].cells, st.booleans())
 def test_idbd_trials_equal_scalar_path(cells, record_series):
+    cells = _with_series(cells, record_series)
     expected = [_scalar_outcomes(cfg, record_series) for cfg in cells]
-    got = [_outcomes(results) for results in run_trials(cells, workers=1,
-                                                        record_series=record_series)]
+    got = [_outcomes(results) for results in run_trials(cells, workers=1)]
     assert got == expected
     for cfg, outcomes in zip(cells, expected):
         streams = [RngStream(cfg.seed).child("trial", cfg.canonical_key(), i)
@@ -630,24 +640,23 @@ def test_idbd_trials_equal_scalar_path(cells, record_series):
 def test_idbd_fig9_cells_worker_count_invariance():
     cells = [_idbd_config(mode=mode, trials=3, horizon=700) for mode in ("capacity", "standard")]
     for record_series in (False, True):
-        assert (run_trials(cells, workers=2, record_series=record_series)
-                == run_trials(cells, workers=1, record_series=record_series))
+        series_cells = _with_series(cells, record_series)
+        assert run_trials(series_cells, workers=2) == run_trials(series_cells, workers=1)
 
 
 def test_series_cells_reach_only_kernels_that_record_series():
     pairs = [pair for pair, kernel in sweep._KERNELS.items() if not kernel.series]
-    cells = [_PARITY[pair].cell(trials=8) for pair in pairs]
+    cells = _with_series([_PARITY[pair].cell(trials=8) for pair in pairs])
     refused = {pair: replace(sweep._KERNELS[pair], run=_refuse) for pair in pairs}
     with mock.patch.dict(sweep._KERNELS, refused):
-        got = [_outcomes(results) for results in run_trials(cells, workers=1, record_series=True)]
+        got = [_outcomes(results) for results in run_trials(cells, workers=1)]
     assert got == [_scalar_outcomes(cfg, record_series=True) for cfg in cells]
 
 
-@pytest.mark.parametrize("record_series", [False, True])
-def test_no_cells_start_no_pool(record_series):
+def test_no_cells_start_no_pool():
     # fig7 and fig8 yield no cells; their empty request runs serially.
     with mock.patch.object(sweep, "ProcessPoolExecutor", _refuse):
-        assert run_trials([], workers=2, record_series=record_series) == []
+        assert run_trials([], workers=2) == []
         assert monte_carlo_sweep([], workers=2).rows == []
 
 
@@ -673,8 +682,8 @@ def test_plan_splits_kernel_and_scalar_pools_by_their_own_rules(record_series):
         ([_coin_config(trials=8, horizon=80), _coin_config(trials=16, horizon=80, seed=3)],
          None, 16),
     ]
-    cells = [cfg for group, _, _ in expected for cfg in group]
-    payloads, owners = sweep._plan(cells, workers, record_series)
+    cells = _with_series([cfg for group, _, _ in expected for cfg in group], record_series)
+    payloads, owners = sweep._plan(cells, workers)
     assert len(payloads) == sum(count for _, _, count in expected)
     first = 0
     for group, pair, count in expected:
@@ -691,6 +700,40 @@ def test_plan_splits_kernel_and_scalar_pools_by_their_own_rules(record_series):
                                                    cells[c].canonical_key(), cells[c].seed)
                 seen.append((c, i))
         assert sorted(seen) == [(c, i) for c in members for i in range(cells[c].trials)]
+
+
+def _mixed_series_cells():
+    """A series cell and a plain cell of every kernel's pair, then of a pair
+    with no kernel."""
+    return [cfg for cell in [*(entry.cell for entry in _PARITY.values()), _coin_config]
+            for on in (True, False) for cfg in _with_series([cell(trials=5)], on)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_call_records_series_for_exactly_the_cells_that_ask(workers):
+    # Series are per cell: in one call a series cell gets its series and a
+    # plain cell none, and each equals that cell run alone.
+    cells = _mixed_series_cells()
+    got = run_trials(cells, workers=workers)
+    assert got == [run_trials([cfg], workers=1)[0] for cfg in cells]
+    assert [_outcomes(results) for results in got] == [
+        _scalar_outcomes(cfg, bool(cfg.series)) for cfg in cells]
+
+
+def test_plan_pools_series_and_plain_cells_apart():
+    # Series idbd cells stay on their kernel; series lms and goal cells go to
+    # the scalar path, as the cells with no kernel do; plain cells keep theirs.
+    lms, goal, idbd = ((Ar1ScalarEnv, LmsAgent), (GoalMdpEnv, OptimisticQAgent),
+                       (Ar1ScalarEnv, IdbdAgent))
+    cells = _mixed_series_cells()
+    payloads, owners = sweep._plan(cells, 2)
+    routes = [set() for _ in cells]
+    for (pair, _, _, series), cell_of in zip(payloads, owners):
+        assert {bool(cells[c].series) for c in cell_of} == {series}
+        for c in cell_of:
+            routes[c].add((pair, series))
+    assert routes == [{(None, True)}, {(lms, False)}, {(None, True)}, {(goal, False)},
+                      {(idbd, True)}, {(idbd, False)}, {(None, True)}, {(None, False)}]
 
 
 def test_mixed_lockstep_and_scalar_cells_keep_trial_order():

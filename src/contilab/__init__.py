@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .core import StepRecord, TrajectorySummary, run_trajectory
 from .errors import ConfigurationError, ContilabError, DegenerateMdpError, NumericError
 from .rng import RngStream
-from .sweep import ExperimentConfig, SweepRow, SweepTable, monte_carlo_sweep, run_trials
+from .sweep import ExperimentConfig, SeriesRow, SweepRow, SweepTable, monte_carlo_sweep, run_trials
 
 __all__ = [
     "ConfigurationError",
@@ -16,6 +16,7 @@ __all__ = [
     "ExperimentConfig",
     "NumericError",
     "RngStream",
+    "SeriesRow",
     "StepRecord",
     "SweepRow",
     "SweepTable",

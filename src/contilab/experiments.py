@@ -34,13 +34,14 @@ from .envs import build_env, prior_mean
 from .errors import ConfigurationError
 from .mdp_tools import belief_policy_iteration
 from .output import write_config_resolved, write_line_plot, write_results_csv
-from .sweep import ExperimentConfig, SweepRow, SweepTable, _plan, monte_carlo_sweep, resolve_workers
+from .sweep import (ExperimentConfig, SeriesRow, SweepRow, SweepTable, _plan, monte_carlo_sweep,
+                    resolve_workers)
 from .sweep import run_trials  # noqa: F401 -- only for bench/tracing.py's wrap (ROADMAP item 18)
 
 
 @dataclass
 class ExperimentResult:
-    rows: list[SweepRow]
+    rows: list[SweepRow | SeriesRow]
     plot: tuple[str, str, str, list] | None = None  # (title, xlabel, ylabel, series)
 
 
@@ -154,7 +155,8 @@ def run_experiment(name: str, overrides: dict | None = None, out_dir=None, *,
     if plot and result.plot is not None:
         title, xl, yl, series = result.plot
         paths.append(write_line_plot(out / "plot.svg", title, xl, yl, series))
-    if table.rows and all(r.error and math.isnan(r.mean) for r in table.rows):
+    if table.rows and all(isinstance(r, SweepRow) and r.error and math.isnan(r.mean)
+                          for r in table.rows):
         raise ConfigurationError(f"every cell of {name} failed; see {paths[0]}")
     return paths
 
@@ -188,12 +190,13 @@ def _xy(pts) -> tuple[list, list]:
 
 
 def _time_series(rows, key: str, metric: str, label: str = "{}") -> list:
-    """Plot series of ``metric``'s rows whose coords hold a step "t": one per
-    value of ``coords[key]``, in row order, named ``label.format(value)``."""
-    pts = [(r.coords[key], r.coords["t"], r.mean) for r in rows
-           if r.metric == metric and "t" in r.coords]
-    return [(label.format(v), [t for k, t, _ in pts if k == v], [m for k, _, m in pts if k == v])
-            for v in dict.fromkeys(k for k, _, _ in pts)]
+    """Plot series of ``metric``'s series rows: one per value of
+    ``coords[key]``, in row order, named ``label.format(value)``, joining the
+    steps and means of the rows that share it."""
+    rows = [r for r in rows if r.metric == metric and isinstance(r, SeriesRow)]
+    return [(label.format(v), [t for r in rows if r.coords[key] == v for t in r.steps],
+             [m for r in rows if r.coords[key] == v for m in r.means])
+            for v in dict.fromkeys(r.coords[key] for r in rows)]
 
 
 # --------------------------------------------------------------------------

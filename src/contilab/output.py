@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .sweep import SweepRow
+from .sweep import SeriesRow, SweepRow
 
 
 def fmt_value(value) -> str:
@@ -27,11 +27,14 @@ def fmt_value(value) -> str:
     return str(value)
 
 
-def write_results_csv(path: Path, experiment: str, seed, rows: list[SweepRow]) -> Path:
-    """Write ``rows`` under the header comments, one line at a time."""
+def write_results_csv(path: Path, experiment: str, seed, rows: list[SweepRow | SeriesRow]) -> Path:
+    """Write ``rows`` under the header comments, one line at a time. A
+    :class:`SeriesRow` is one line a recorded step: the step in column "t"
+    (after the coords of the first series row), std, ci95 and trials 0, and
+    the row's note on every line; the rest of its line is formatted once."""
     coord_keys: list[str] = []
     for row in rows:
-        for key in row.coords:
+        for key in [*row.coords, "t"] if isinstance(row, SeriesRow) else row.coords:
             if key not in coord_keys:
                 coord_keys.append(key)
     header = [
@@ -45,6 +48,14 @@ def write_results_csv(path: Path, experiment: str, seed, rows: list[SweepRow]) -
             f.write(line + "\n")
         for row in rows:
             cells = [fmt_value(row.coords[k]) if k in row.coords else "" for k in coord_keys]
+            if isinstance(row, SeriesRow):
+                at = coord_keys.index("t")
+                head = ",".join(cells[:at] + [""])
+                tail = ",".join(["", *cells[at + 1:], row.metric, ""])
+                end = f",0,0,0,{row.error or ''}\n"
+                for t, m in zip(row.steps, row.means):
+                    f.write(f"{head}{t}{tail}{fmt_value(m)}{end}")
+                continue
             cells += [
                 row.metric,
                 fmt_value(row.mean),

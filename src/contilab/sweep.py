@@ -10,6 +10,9 @@ per call. Only the modelled failures, ``NumericError`` and
 ``DegenerateMdpError``, are recorded as failed trials; any other exception (a
 bad config, a bug) aborts the call. :func:`cell_rows` is the one aggregation
 step, and :func:`monte_carlo_sweep` is ``run_trials`` then ``cell_rows``.
+A cell's rows are one :class:`SweepRow` per metric and one :class:`SeriesRow`
+per series: its recorded steps and the per-step means as one ``array('d')``,
+which ``output.write_results_csv`` expands into one CSV line a step.
 
 Kernels: ``_KERNELS`` holds one :class:`Kernel` record per exact (env
 class, agent class) pair whose arithmetic a trial kernel reproduces:
@@ -48,6 +51,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -88,8 +92,8 @@ class ExperimentConfig:
     """One experiment cell: an env spec and an agent spec run for ``trials``
     seeded trials of ``horizon`` steps, reporting the rows its ``coords``
     label (the CSV columns before the metric): its ``metrics`` (None: every
-    one) and ``series``, ``(metric, diagnostic)`` pairs (see :func:`cell_rows`).
-    None of the three is part of the cell's key."""
+    one) and ``series``, ``(metric, diagnostic)`` pairs (see :func:`cell_rows`);
+    a cell reports at least one. None of the three is part of the cell's key."""
 
     env: dict
     agent: dict
@@ -106,6 +110,8 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be an int, got {value!r}")
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        if self.metrics is not None and not self.metrics and not self.series:
+            raise ConfigurationError(f"cell {self.coords} reports no metric and no series")
 
     def canonical_key(self) -> str:
         """Content hash input: stable JSON of everything that defines a cell."""
@@ -136,10 +142,23 @@ class SweepRow:
 
 
 @dataclass
-class SweepTable:
-    rows: list[SweepRow]
+class SeriesRow:
+    """One (cell coordinates, series) of a Monte Carlo sweep: the mean over
+    the cell's successful trials at each recorded step. It stands for one CSV
+    line a step, with the step in column "t" and std, ci95 and trials 0."""
 
-    def select(self, metric: str, **coords) -> list[SweepRow]:
+    coords: dict
+    metric: str
+    steps: list[int]
+    means: array  # array('d'), one per step
+    error: str | None = None
+
+
+@dataclass
+class SweepTable:
+    rows: list[SweepRow | SeriesRow]
+
+    def select(self, metric: str, **coords) -> list[SweepRow | SeriesRow]:
         out = []
         for row in self.rows:
             if row.metric != metric:
@@ -276,28 +295,35 @@ def aggregate(values: list[float]) -> tuple[float, float, float]:
     return mean, std, _Z95 * std / math.sqrt(n)
 
 
-def cell_rows(cfg: ExperimentConfig, results) -> list[SweepRow]:
-    """The rows of cell ``cfg``: per ``(metric, diagnostic)`` of its ``series``,
-    the mean over the successful trials of the running average reward
-    (``diagnostic`` None) or of that diagnostic at each step "t"; then an
-    :func:`aggregate` row per name in its ``metrics`` (None: every metric
-    reported, sorted). Each row notes "k/n trials failed (first error)" if a
-    trial failed. A cell with no successful trial gives one NaN row, named
-    after the first metric ("average_reward" for None), else the first series
-    metric."""
+def cell_rows(cfg: ExperimentConfig, results) -> list[SweepRow | SeriesRow]:
+    """The rows of cell ``cfg``: per ``(metric, diagnostic)`` of its ``series``
+    a :class:`SeriesRow` of the mean over the successful trials of the running
+    average reward (``diagnostic`` None) or of that diagnostic at each
+    recorded step; then an :func:`aggregate` row per name in its ``metrics``
+    (None: every metric reported, sorted). Each row notes "k/n trials failed
+    (first error)" if a trial failed. A cell with no successful trial gives
+    one NaN row, named after the first metric ("average_reward" for None),
+    else the first series metric. A metric or diagnostic that the first
+    successful trial does not report is a ``ConfigurationError``."""
     ok = [r.summary for r in results if r.error is None]
     failed = [r.error for r in results if r.error is not None]
     note = f"{len(failed)}/{len(results)} trials failed ({failed[0]})" if failed else None
     if not ok:
         metric = "average_reward" if cfg.metrics is None else (cfg.metrics or [cfg.series[0][0]])[0]
         return [SweepRow(dict(cfg.coords), metric, math.nan, math.nan, math.nan, 0, note)]
-    rows = []
+    first = ok[0]
+    unknown = [m for m in cfg.metrics or () if m not in first.metrics]
+    unknown += [d for _, d in cfg.series if d is not None and d not in first.diagnostics]
+    if unknown:
+        raise ConfigurationError(
+            f"cell {cfg.coords} asks for {', '.join(map(repr, unknown))}; its trials report "
+            f"metrics {sorted(first.metrics)} and diagnostics {sorted(first.diagnostics)}")
+    rows, steps = [], series_steps(first.horizon)
     for metric, diagnostic in cfg.series:
         means = np.array([s.reward_series if diagnostic is None else s.diagnostics[diagnostic]
                           for s in ok]).mean(axis=0)
-        rows += [SweepRow({**cfg.coords, "t": t}, metric, float(m), 0.0, 0.0, 0, note)
-                 for t, m in zip(series_steps(ok[0].horizon), means)]
-    for metric in sorted(ok[0].metrics) if cfg.metrics is None else cfg.metrics:
+        rows.append(SeriesRow(dict(cfg.coords), metric, steps, array("d", means.tobytes()), note))
+    for metric in sorted(first.metrics) if cfg.metrics is None else cfg.metrics:
         rows.append(SweepRow(dict(cfg.coords), metric, *aggregate([s.metrics[metric] for s in ok]),
                              len(ok), note))
     return rows

@@ -23,6 +23,9 @@
 - The exact mean of a reward sequence, and the entropy regret bound.
 - A registered runner's result without files, its one yield answered as
   ``run_experiment`` answers it.
+- Series rows as they were written and plotted before ``SeriesRow``: one
+  ``SweepRow`` per recorded step with the step in ``coords["t"]``, the
+  per-line CSV writer, and the plot series gathered from those rows.
 """
 
 import math
@@ -31,10 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import contilab
 from contilab import experiments, mdp_tools, sweep
 from contilab.infotheory import (LagDecomposition, LmsSteadyCovariance, _cond_mi_blocks,
                                  default_future_horizon)
 from contilab.mdp_tools import goal_reward
+from contilab.output import fmt_value
 from contilab.rng import RngStream
 
 
@@ -449,3 +454,44 @@ def runner_result(name, params, workers=None):
     with pytest.raises(StopIteration) as done:  # a runner yields once
         runner.send(sweep.monte_carlo_sweep(cells, workers=workers))
     return done.value.value
+
+
+def per_point_rows(rows) -> list:
+    """``rows`` with each ``SeriesRow`` expanded into one ``SweepRow`` a step."""
+    out = []
+    for row in rows:
+        if isinstance(row, sweep.SeriesRow):
+            out += [sweep.SweepRow({**row.coords, "t": t}, row.metric, m, 0.0, 0.0, 0, row.error)
+                    for t, m in zip(row.steps, row.means)]
+        else:
+            out.append(row)
+    return out
+
+
+def per_point_csv(path, experiment: str, seed, rows):
+    """results.csv of ``per_point_rows(rows)``, written one row at a time."""
+    rows = per_point_rows(rows)
+    coord_keys = []
+    for row in rows:
+        for key in row.coords:
+            if key not in coord_keys:
+                coord_keys.append(key)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"# experiment: {experiment}\n# seed: {seed}\n"
+                f"# contilab-version: {contilab.__version__}\n")
+        f.write(",".join(coord_keys + ["metric", "mean", "std", "ci95", "trials", "error"]) + "\n")
+        for row in rows:
+            cells = [fmt_value(row.coords[k]) if k in row.coords else "" for k in coord_keys]
+            cells += [row.metric, fmt_value(row.mean), fmt_value(row.std), fmt_value(row.ci95),
+                      str(row.trials), row.error or ""]
+            f.write(",".join(cells) + "\n")
+    return path
+
+
+def per_point_time_series(rows, key: str, metric: str, label: str = "{}") -> list:
+    """Plot series of ``metric``'s per-step rows: one per value of
+    ``coords[key]``, in row order, named ``label.format(value)``."""
+    pts = [(r.coords[key], r.coords["t"], r.mean) for r in per_point_rows(rows)
+           if r.metric == metric and "t" in r.coords]
+    return [(label.format(v), [t for k, t, _ in pts if k == v], [m for k, _, m in pts if k == v])
+            for v in dict.fromkeys(k for k, _, _ in pts)]

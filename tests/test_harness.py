@@ -5,19 +5,23 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from _oracles import runner_result
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from _oracles import per_point_csv, per_point_time_series, runner_result
 from _oracles import stability_errors as dense_stability_errors
 
 from contilab import experiments, sweep
 from contilab import infotheory as it
 from contilab.agents import _AGENT_KINDS, IdbdAgent, LmsAgent, OptimisticQAgent
 from contilab.cli import main
+from contilab.core import TrajectorySummary
 from contilab.envs import _ENV_KINDS, Ar1ScalarEnv, GoalMdpEnv
 from contilab.errors import ConfigurationError
 from contilab.experiments import list_experiments, resolve_params, run_experiment
@@ -134,8 +138,8 @@ def test_every_runner_is_sent_the_table_of_its_own_cells(tmp_path, monkeypatch, 
     assert type(table) is sweep.SweepTable
     assert table.rows == [row for cfg, results in zip(cells, sweep.run_trials(cells, workers=1))
                           for row in sweep.cell_rows(cfg, results)]
-    assert any("t" in row.coords for row in table.rows) == (name in ("fig9_idbd",
-                                                                      "fig13_ps_vs_ts_time"))
+    assert any(type(row) is sweep.SeriesRow for row in table.rows) == (name in (
+        "fig9_idbd", "fig13_ps_vs_ts_time"))
 
 
 def test_registry_names_and_uniqueness():
@@ -647,12 +651,13 @@ def test_cli_fig13_with_one_cell_failed_and_one_clean_exits_0(tmp_path):
 
 
 def test_results_csv_is_written_row_by_row(tmp_path):
-    # 4,000 rows shaped like fig9's at bench size (two variants of 2,000
-    # recorded steps). Written line by line the traced peak is about 30 KB;
-    # building the whole text first held it three times over, about 1,080 KB.
-    rows = [sweep.SweepRow({"variant": variant, "t": 25 * (i + 1)}, "mean_alpha",
-                           0.1 + i * 1e-7, 0.0123456789012, 0.0234567890123, 4)
-            for variant in ("capacity", "standard") for i in range(2_000)]
+    # Two series rows shaped like fig9's at bench size (two variants of 2,000
+    # recorded steps), 4,000 lines. Written line by line the traced peak is
+    # about 30 KB; building the whole text first held it three times over,
+    # about 1,080 KB.
+    rows = [sweep.SeriesRow({"variant": variant}, "mean_alpha", list(range(25, 50_001, 25)),
+                            array("d", [0.1 + i * 1e-7 for i in range(2_000)]))
+            for variant in ("capacity", "standard")]
     path = tmp_path / "results.csv"
     tracemalloc.start()
     try:
@@ -662,9 +667,83 @@ def test_results_csv_is_written_row_by_row(tmp_path):
         tracemalloc.stop()
     assert peak < 64 * 1024
     lines = path.read_text().splitlines()
-    assert len(lines) == 4 + len(rows)
+    assert len(lines) == 4 + 4_000
     assert lines[3:5] == ["variant,t,metric,mean,std,ci95,trials,error",
-                          "capacity,25,mean_alpha,0.1,0.0123456789012,0.0234567890123,4,"]
+                          "capacity,25,mean_alpha,0.1,0,0,0,"]
+    assert lines[-1] == "standard,50000,mean_alpha,0.1001999,0,0,0,"
+
+
+_MEANS = st.lists(st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+                            st.floats()), min_size=1, max_size=5)
+_NOTES = st.sampled_from([None, "1/3 trials failed (NumericError: boom)",
+                          "4/5 trials failed (DegenerateMdpError: stuck)"])
+_COORDS = st.dictionaries(st.sampled_from(["a", "b", "c"]),
+                          st.one_of(st.integers(-3, 3), st.floats(), st.sampled_from(["x", "yz"])),
+                          max_size=3)
+
+
+@st.composite
+def _series_row(draw):
+    means = draw(_MEANS)
+    stride = draw(st.integers(1, 50))
+    coords = draw(_COORDS)
+    coords.update(draw(st.dictionaries(st.just("g"), st.sampled_from([1, 2.5, "p"]),
+                                       min_size=1)))  # "g" at any position
+    return sweep.SeriesRow(dict(draw(st.permutations(list(coords.items())))),
+                           draw(st.sampled_from(["s", "u"])),
+                           list(range(stride, stride * (len(means) + 1), stride)),
+                           array("d", means), draw(_NOTES))
+
+
+_SCALAR_ROW = st.builds(sweep.SweepRow, _COORDS, st.sampled_from(["m", "s"]), st.floats(),
+                        st.floats(), st.floats(), st.integers(0, 9), _NOTES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.tuples(_SCALAR_ROW, st.lists(st.one_of(_SCALAR_ROW, _series_row()), max_size=5),
+                      _series_row(), _SCALAR_ROW).map(lambda r: [r[0], *r[1], r[2], r[3]]))
+def test_series_rows_write_and_plot_the_bytes_of_one_row_per_step(tmp_path_factory, rows):
+    # A SeriesRow stands for one row per recorded step with the step in "t":
+    # the CSV and the plot built from it equal those of the per-step rows.
+    out = tmp_path_factory.mktemp("series")
+    got = write_results_csv(out / "got.csv", "x", 3, rows).read_bytes()
+    assert got == per_point_csv(out / "want.csv", "x", 3, rows).read_bytes()
+    for metric in ("s", "u"):
+        series = experiments._time_series(rows, "g", metric, "{} run")
+        want = per_point_time_series(rows, "g", metric, "{} run")
+        assert repr(series) == repr(want)  # repr: NaN equals NaN, -0.0 differs from 0.0
+        assert (write_line_plot(out / "got.svg", "t", "x", "y", series).read_bytes()
+                == write_line_plot(out / "want.svg", "t", "x", "y", want).read_bytes())
+
+
+def test_series_rows_of_a_fig9_shaped_sweep_stay_small(tmp_path):
+    # 2 cells x 4 trials x 2,000 recorded steps, through cell_rows and the
+    # CSV: about 250 KB. One SweepRow and coords dict a step took 1.6 MB.
+    horizon, steps = 50_000, 2_000
+    cells = [sweep.ExperimentConfig({"kind": "ar1"}, {"kind": "idbd"}, horizon, trials=4,
+                                    coords={"variant": v}, metrics=("final_alpha",),
+                                    series=(("mean_alpha", "alpha"),))
+             for v in ("capacity", "standard")]
+    results = [[sweep.TrialResult(i, TrajectorySummary(
+        horizon, array("d", [0.0] * steps),
+        {"alpha": array("d", [0.1 + (c + i) * 1e-3 + k * 1e-7 for k in range(steps)])},
+        {"average_reward": -1.0, "final_alpha": 0.1 + i * 1e-3})) for i in range(4)]
+        for c in range(2)]
+    path = tmp_path / "results.csv"
+    tracemalloc.start()
+    try:
+        rows = [row for cfg, res in zip(cells, results) for row in sweep.cell_rows(cfg, res)]
+        write_results_csv(path, "fig9_idbd", 0, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 400 * 1024
+    assert [type(row) for row in rows] == [sweep.SeriesRow, sweep.SweepRow] * 2
+    lines = path.read_text().splitlines()
+    assert len(lines) == 4 + 2 * steps + 2
+    assert lines[4:6] == ["capacity,25,mean_alpha,0.1015,0,0,0,",
+                          "capacity,50,mean_alpha,0.1015001,0,0,0,"]
+    assert lines[4 + steps] == "capacity,,final_alpha,0.1015,0.00129099444874,0.00126515131188,4,"
 
 
 @pytest.mark.parametrize("value", [7.8e307, 1.7976931348623157e308, -1.7976931348623157e308,

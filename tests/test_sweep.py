@@ -17,8 +17,8 @@ from contilab.core import TrajectorySummary, run_idbd_trials, run_trajectory, se
 from contilab.envs import _ENV_KINDS, Ar1ScalarEnv, GoalMdpEnv, build_env
 from contilab.errors import ConfigurationError, DegenerateMdpError, NumericError
 from contilab.rng import RngStream
-from contilab.sweep import (ExperimentConfig, SweepRow, TrialResult, aggregate, cell_rows,
-                            monte_carlo_sweep, resolve_workers, run_trials)
+from contilab.sweep import (ExperimentConfig, SeriesRow, SweepRow, TrialResult, aggregate,
+                            cell_rows, monte_carlo_sweep, resolve_workers, run_trials)
 
 
 def _coin_config(**kw):
@@ -153,13 +153,13 @@ def test_cell_rows_of_successful_trials(results, note):
                              series=(("reward", None), ("mean_alpha", "alpha"))), results)
     steps = series_steps(3)
     assert steps == [1, 2, 3]
-    assert rows == (
-        [SweepRow({"x": 1, "t": t}, "reward", m, 0.0, 0.0, 0, note)
-         for t, m in zip(steps, [2.0, 1.0, 0.5])]
-        + [SweepRow({"x": 1, "t": t}, "mean_alpha", m, 0.0, 0.0, 0, note)
-           for t, m in zip(steps, [0.25, 0.375, 0.625])]
-        + [SweepRow(coords, "final_alpha", *aggregate([0.5, 0.75]), 2, note)])
-    assert all(type(row.mean) is float for row in rows)
+    assert rows == [SeriesRow(coords, "reward", steps, array("d", [2.0, 1.0, 0.5]), note),
+                    SeriesRow(coords, "mean_alpha", steps, array("d", [0.25, 0.375, 0.625]), note),
+                    SweepRow(coords, "final_alpha", *aggregate([0.5, 0.75]), 2, note)]
+    assert [type(row.means) for row in rows[:2]] == [array, array]
+    assert all(row.means.typecode == "d" for row in rows[:2])
+    assert type(rows[2].mean) is float
+    assert all(row.coords is not coords for row in rows)
     assert cell_rows(replace(cfg, metrics=(), series=(("reward", None),)),
                      results)[-1].metric == "reward"
 
@@ -175,6 +175,25 @@ def test_cell_rows_of_a_cell_with_no_successful_trial(metrics, series, name):
     assert (row.coords, row.metric, row.trials) == ({"x": 1}, name, 0)
     assert row.error == "2/2 trials failed (NumericError: boom)"
     assert all(math.isnan(v) for v in (row.mean, row.std, row.ci95))
+
+
+def test_a_cell_that_reports_nothing_is_refused():
+    with pytest.raises(ConfigurationError, match="reports no metric and no series"):
+        _coin_config(coords={"x": 1}, metrics=(), series=())
+    _coin_config(metrics=None, series=())  # None: every metric
+
+
+@pytest.mark.parametrize("spec, unknown", [
+    ({"metrics": ("avg_reward",)}, "'avg_reward'"),
+    ({"metrics": (), "series": (("x", "nope"),)}, "'nope'"),
+], ids=["metric", "diagnostic"])
+def test_an_unreported_metric_or_diagnostic_is_refused(spec, unknown):
+    # Named against what the first successful trial reports, not a bare KeyError.
+    cfg = _coin_config(coords={"x": 1}, trials=2, **spec)
+    with pytest.raises(ConfigurationError) as err:
+        monte_carlo_sweep([cfg], workers=1)
+    assert str(err.value) == (f"cell {{'x': 1}} asks for {unknown}; its trials report metrics "
+                              "['average_reward'] and diagnostics []")
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -86,6 +86,10 @@ class IdbdAgent:
                 raise ValueError(f"sigma**2 must be finite, got sigma={sigma}")
         if mode == "standard" and delta is None:
             raise ConfigurationError("standard mode needs a fixed delta")
+        if mode == "standard" and not math.isfinite(delta):
+            raise ValueError(f"delta must be finite, got {delta}")
+        if not math.isfinite(zeta_meta):
+            raise ValueError(f"zeta_meta must be finite, got {zeta_meta}")
         if not 0.0 < alpha0 <= 1.0:
             raise ValueError(f"alpha0 must lie in (0, 1], got {alpha0}")
         self.zeta_meta = zeta_meta
@@ -154,8 +158,8 @@ class TsAgent:
             raise ValueError("at least one arm required")
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {eta}")
-        if not zeta >= 0.0:
-            raise ValueError(f"zeta must be nonnegative, got {zeta}")
+        if not 0.0 <= zeta < math.inf:
+            raise ValueError(f"zeta must be nonnegative and finite, got {zeta}")
         if not 0.0 < sigma < math.inf:
             raise ValueError(f"sigma must be finite and positive, got {sigma}")
         self.n_arms = arms
@@ -263,8 +267,8 @@ class OptimisticQAgent:
             raise ValueError(f"stepsize must lie in [0, 1], got {stepsize}")
         if not 0.0 < discount < 1.0:
             raise ValueError(f"discount must lie in (0, 1), got {discount}")
-        if boost < 0.0:
-            raise ValueError(f"boost must be nonnegative, got {boost}")
+        if not 0.0 <= boost < math.inf:
+            raise ValueError(f"boost must be nonnegative and finite, got {boost}")
         self.n_states = n_states
         self.n_actions = n_actions
         self.stepsize = stepsize

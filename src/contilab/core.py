@@ -360,12 +360,14 @@ def run_goal_lockstep(envs, agents, T: int, streams) -> list:
     Entry j is the trial's summary, the ``DegenerateMdpError`` its scalar run
     raises (at reset or at a mid-horizon rescale), or None where trial j must
     go to ``run_trajectory``: its total, Q table or offset is not finite.
-    Each ``DRAW_BLOCK``-step chunk is planned before it is stepped: every
-    trial's row events and new rows come from one ``envs._row_events`` call,
-    the helper ``GoalMdpEnv`` plans with, and the goal-reward rescales run
-    together, one ``mdp_tools.goal_reward_scales`` call per planning round.
+    Each ``DRAW_BLOCK``-step chunk is planned before it is stepped, through
+    the helpers ``GoalMdpEnv`` steps with: one ``envs._row_events`` call per
+    trial draws its row events and new rows, ``envs._by_step`` groups them by
+    step as ``envs._cum_rows``, and the goal-reward rescales run together, one
+    ``mdp_tools.goal_reward_scales`` call per planning round.
     """
-    from .envs import _GOAL_STATE, _TARGET_REWARD, _dirichlet_rows, _initial_state, _row_events
+    from .envs import (_GOAL_STATE, _TARGET_REWARD, _by_step, _cum_rows, _dirichlet_rows,
+                       _initial_state, _row_events)
 
     B = DRAW_BLOCK
     n = len(envs)
@@ -416,11 +418,7 @@ def run_goal_lockstep(envs, agents, T: int, streams) -> list:
         return rewards
 
     goal_reward = np.array(rescale(np.arange(n), None))
-    # bisect_right(cum, u) clipped to S - 1 is the first index whose cum
-    # exceeds u once the last entry of each row is +inf.
-    cum = np.cumsum(P, axis=3)
-    cum[..., -1] = np.inf
-    cum_rows = cum.reshape(n * SA, S)
+    cum_rows = _cum_rows(P).reshape(n * SA, S)
     P_rows = P.reshape(n * SA, S)
     step = np.array([a.stepsize for a in agents], dtype=float)
     disc = np.array([a.discount for a in agents], dtype=float)
@@ -483,13 +481,7 @@ def run_goal_lockstep(envs, agents, T: int, streams) -> list:
                     planned.append(ev)
                 ev = np.concatenate(planned)
                 ev = ev[np.argsort(at[ev], kind="stable")]
-                cum_new = np.cumsum(new[ev], axis=1)
-                cum_new[:, -1] = np.inf
-                ts, cuts = np.unique(at[ev], return_index=True)
-                cuts = [*cuts.tolist(), len(ev)]
-                row, trial, reward = row[ev], trial[ev], reward[ev]
-                for t, lo, hi in zip(ts.tolist(), cuts, cuts[1:]):
-                    due[t] = (row[lo:hi], cum_new[lo:hi], trial[lo:hi], reward[lo:hi])
+                due = _by_step(at[ev], row[ev], _cum_rows(new[ev]), trial[ev], reward[ev])
             for t in range(steps):
                 # act: argmax of the Q row; ties read the trial's tie-break uniform
                 base = row_of + state

@@ -19,9 +19,6 @@ from .errors import ConfigurationError
 from .mdp_tools import goal_reward_scale
 from .rng import DRAW_BLOCK, RngStream
 
-# Steps of row events drawn at once: the transition buffer's block
-# (rng.reset_blocks), so a kernel walks both in the same chunks.
-_EVENT_BLOCK = DRAW_BLOCK
 _TARGET_REWARD = 0.5  # average reward per step of a goal MDP's greedy policy
 _GOAL_STATE = 0  # the state of a goal MDP that pays on arrival
 
@@ -275,6 +272,24 @@ def _row_events(mask_gen, row_gen, steps: int, S: int, A: int,
     return at, flats, _dirichlet_rows(row_gen, len(at), S)
 
 
+def _by_step(at, *columns) -> dict:
+    """Events sorted by step ``at`` as ``{step: (each column's slice)}``."""
+    steps, cuts = np.unique(at, return_index=True)
+    cuts = [*cuts.tolist(), len(at)]
+    return {t: tuple(c[lo:hi] for c in columns)
+            for t, lo, hi in zip(steps.tolist(), cuts, cuts[1:])}
+
+
+def _cum_rows(rows) -> np.ndarray:
+    """``np.cumsum(rows, axis=-1)`` with each last entry +inf. The next state
+    for a uniform u in [0, 1) is then ``bisect_right(cum, u)``, the first
+    index whose cum exceeds u: the last state also where a row's sum rounds
+    to u or below."""
+    cum = np.cumsum(rows, axis=-1)
+    cum[..., -1] = np.inf
+    return cum
+
+
 def _initial_state(stream: RngStream, n_states: int) -> int:
     return stream.child("init").buffer().index(n_states)
 
@@ -293,11 +308,12 @@ class GoalMdpEnv:
     DegenerateMdpError, one of the two modelled failures that
     ``sweep.run_trials`` records as a failed trial instead of aborting.
 
-    The row events and their new rows are planned ``_EVENT_BLOCK`` steps at a
-    time by :func:`_row_events` (one event draw and one Dirichlet draw per
-    block) and applied at their steps. They and the rescales never depend on
-    the actions, so :func:`contilab.core.run_goal_lockstep` plans the same
-    schedule through the same helpers and rescales through the engine behind
+    At each ``DRAW_BLOCK``-th step the next block's row events and new rows
+    are drawn by :func:`_row_events` (one event draw and one Dirichlet draw)
+    and grouped by step with :func:`_by_step`; the rows are sampled through
+    :func:`_cum_rows`. Events and rescales never depend on the actions, so
+    :func:`contilab.core.run_goal_lockstep` plans the same schedule through
+    the same helpers and rescales through the engine behind
     ``goal_reward_scale`` (``mdp_tools.goal_reward_scales``).
     """
 
@@ -323,52 +339,37 @@ class GoalMdpEnv:
         self._mask_gen = stream.child("row-events").generator()
         self._tr = stream.child("transition").buffer()
         self.P = _dirichlet_rows(self._row_gen, S * A, S).reshape(S, A, S)
-        self._cum = [[list(np.cumsum(self.P[s, a])) for a in range(A)] for s in range(S)]
+        self._cum = _cum_rows(self.P).tolist()
         self.goal_reward, self._q = goal_reward_scale(self.P, _GOAL_STATE, self.plan_gamma,
                                                       _TARGET_REWARD)
         self.state = _initial_state(stream, S)
         self.resample_events = 0
-        self._ev_pos = 0
-        if self.resample_prob > 0.0:
-            self._refill_events()
+        self._t = 0
 
     def initial_observation(self):
         return self.state
-
-    def _refill_events(self):
-        at, flats, self._ev_new = _row_events(self._mask_gen, self._row_gen, _EVENT_BLOCK,
-                                              self.n_states, self.n_actions, self.resample_prob)
-        self._ev_steps, self._ev_rows = at.tolist(), flats.tolist()
-        self._ev_ptr = 0
-        self._ev_n = len(self._ev_steps)
-        self._ev_pos = 0
 
     def step(self, action):
         if not 0 <= action < self.n_actions:
             raise ValueError(f"action index {action} out of range")
         if self.resample_prob > 0.0:
-            pos = self._ev_pos
-            ptr = end = self._ev_ptr
-            while end < self._ev_n and self._ev_steps[end] == pos:
-                end += 1
-            if end > ptr:
-                for i in range(ptr, end):
-                    s, a = divmod(self._ev_rows[i], self.n_actions)
-                    self.P[s, a] = self._ev_new[i]
-                    self._cum[s][a] = list(np.cumsum(self.P[s, a]))
-                self.resample_events += end - ptr
-                self._ev_ptr = end
+            pos = self._t % DRAW_BLOCK
+            if pos == 0:
+                at, flats, new = _row_events(self._mask_gen, self._row_gen, DRAW_BLOCK,
+                                             self.n_states, self.n_actions, self.resample_prob)
+                self._due = _by_step(at, flats.tolist(), new)
+            due = self._due.get(pos)
+            if due is not None:
+                for flat, row in zip(*due):
+                    s, a = divmod(flat, self.n_actions)
+                    self.P[s, a] = row
+                    self._cum[s][a] = _cum_rows(row).tolist()
+                self.resample_events += len(due[0])
                 self.goal_reward, self._q = goal_reward_scale(
                     self.P, _GOAL_STATE, self.plan_gamma, _TARGET_REWARD, self._q)
-            self._ev_pos = pos + 1
-            if self._ev_pos == _EVENT_BLOCK:
-                self._refill_events()
-        cum = self._cum[self.state][action]
-        nxt = bisect_right(cum, self._tr.uniform())
-        if nxt >= self.n_states:
-            nxt = self.n_states - 1
-        self.state = nxt
-        return nxt
+            self._t += 1
+        self.state = bisect_right(self._cum[self.state][action], self._tr.uniform())
+        return self.state
 
     def reward(self, action, observation) -> float:
         return self.goal_reward if observation == _GOAL_STATE else 0.0

@@ -93,7 +93,8 @@ class ExperimentConfig:
     seeded trials of ``horizon`` steps, reporting the rows its ``coords``
     label (the CSV columns before the metric): its ``metrics`` (None: every
     one) and ``series``, ``(metric, diagnostic)`` pairs (see :func:`cell_rows`);
-    a cell reports at least one. None of the three is part of the cell's key."""
+    a cell reports at least one. A cell with series has no coord "t", the
+    column of their steps. None of the three is part of the cell's key."""
 
     env: dict
     agent: dict
@@ -112,6 +113,8 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
         if self.metrics is not None and not self.metrics and not self.series:
             raise ConfigurationError(f"cell {self.coords} reports no metric and no series")
+        if self.series and "t" in self.coords:
+            raise ConfigurationError(f"cell {self.coords} reports a series, so it has no coord 't'")
 
     def canonical_key(self) -> str:
         """Content hash input: stable JSON of everything that defines a cell."""

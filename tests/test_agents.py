@@ -116,6 +116,17 @@ def test_capacity_lms_requires_noise_spec():
         IdbdAgent(zeta_meta=0.0, mode="capacity", capacity=1.0, alpha0=0.5)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: IdbdAgent(zeta_meta=0.0, mode="standard", delta=math.nan), "delta must be finite"),
+    (lambda: IdbdAgent(zeta_meta=math.inf, mode="standard", delta=0.1), "zeta_meta must be finite"),
+    (lambda: OptimisticQAgent(3, 2, stepsize=0.1, discount=0.9, boost=math.inf),
+     "boost must be nonnegative and finite"),
+], ids=["idbd-delta-nan", "idbd-zeta_meta-inf", "optimistic_q-boost-inf"])
+def test_agents_reject_non_finite_parameters(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_capacity_lms_kind_is_gone():
     with pytest.raises(ConfigurationError, match="unknown agent kind 'capacity_lms'"):
         build_agent({"kind": "capacity_lms", "alpha": 0.5, "delta": 0.1})
@@ -497,6 +508,7 @@ def test_build_agent_errors():
     ({"eta": math.nan}, r"eta must lie in \[0, 1\]"),
     ({"zeta": -0.1}, "zeta must be nonnegative"),
     ({"zeta": math.nan}, "zeta must be nonnegative"),
+    ({"zeta": math.inf}, "zeta must be nonnegative and finite"),
     ({"sigma": 0.0}, "sigma must be finite and positive"),
     ({"sigma": -1.0}, "sigma must be finite and positive"),
     ({"sigma": math.inf}, "sigma must be finite and positive"),

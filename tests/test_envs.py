@@ -1,9 +1,10 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from _oracles import greedy_policy, redraw_rows
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contilab import envs
@@ -223,9 +224,9 @@ def test_goal_mdp_event_block_does_not_change_trajectories(monkeypatch, horizon)
             out.append((summary, env.resample_events, env.P.tolist()))
         return out
 
-    assert envs._EVENT_BLOCK == 512
+    assert envs.DRAW_BLOCK == 512
     drawn_by_512 = run()
-    monkeypatch.setattr(envs, "_EVENT_BLOCK", 4096)
+    monkeypatch.setattr(envs, "DRAW_BLOCK", 4096)
     assert run() == drawn_by_512
     assert all(events > 0 for _, events, _ in drawn_by_512)
 
@@ -290,6 +291,44 @@ def test_row_events_equal_the_two_dimensional_layout(S, A, steps, prob, seed):
     ref_at, ref_flats = np.nonzero(np.random.default_rng(seed).random((steps, S * A)) < prob)
     assert np.array_equal(at, ref_at) and np.array_equal(flats, ref_flats)
     assert np.array_equal(rows, _row_by_row(np.random.default_rng(seed + 1), len(at), S))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 20), max_size=40), st.integers(0, 2**32 - 1))
+def test_by_step_equals_a_loop_grouping(steps, seed):
+    at = np.array(sorted(steps), dtype=np.intp)
+    values = np.random.default_rng(seed).random((len(at), 3))
+    labels = [f"e{i}" for i in range(len(at))]
+    expected: dict = {}
+    for t, value, label in zip(at.tolist(), values, labels):
+        rows, names = expected.setdefault(t, ([], []))
+        rows.append(value)
+        names.append(label)
+    got = envs._by_step(at, values, labels)
+    assert list(got) == list(expected)
+    for t, (rows, names) in expected.items():
+        assert np.array_equal(got[t][0], np.array(rows).reshape(-1, 3)) and got[t][1] == names
+    assert envs._by_step(np.array([], dtype=np.intp), values[:0]) == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), st.booleans(),
+       st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([None, -1, 0, 1, 2]))
+@example([0.1] * 10, False, 0.0, 0)  # sums to 1 - 2**-53: u = cum[-1] passes every entry
+@example([0.1] * 10, False, 0.0, 1)
+def test_cum_rows_pick_the_clamped_bisect_state(weights, normalize, u, ulps_from_end):
+    # The +inf last entry stands for the old clamp of bisect_right to S - 1,
+    # also where the row's sum rounds below 1 and u is at or above it.
+    row = np.array(weights)
+    if normalize and row.sum() > 0.0:
+        row = row / row.sum()
+    S, end = len(row), float(np.cumsum(row)[-1])
+    if ulps_from_end is not None:  # u near the row's sum instead
+        u = end
+        for _ in range(abs(ulps_from_end)):
+            u = math.nextafter(u, math.copysign(math.inf, ulps_from_end))
+    assert bisect_right(envs._cum_rows(row).tolist(), u) == min(
+        bisect_right(list(np.cumsum(row)), u), S - 1)
 
 
 @pytest.mark.parametrize("horizon", [1, 512, 1300])

@@ -471,6 +471,11 @@ _ONE_PATH = [
     (["fig14_ps_vs_ts_eta", "--sigma=0"], "bad parameters for agent 'ts': sigma must be finite"),
     (["fig15_mdp_alpha", "--n_states=0"], "need at least one state and one action, got 0 x 3"),
     (["fig16_mdp_boost", "--discount=1.5"], "planning discount must lie in (0, 1), got 1.5"),
+    # non-finite agent parameters: each trial of the real run used to fail on its own
+    *[(["fig15_mdp_alpha", f"--boosts=[{boost}]", "--alphas=[0.1]", "--horizon=200"],
+       f"bad parameters for agent 'optimistic_q': boost must be nonnegative and finite, got {got}")
+      for boost, got in (("NaN", "nan"), ("1e400", "inf"))],
+    (["fig9_idbd", "--zeta_meta=nan"], "bad parameters for agent 'idbd': zeta_meta must be finite"),
     (["logit_regret", "--grid_size=1"], "bad parameters for agent 'logit_predictor'"),
     (["bitflip_demo", '--priors=[["beta", 0, 1]]'], "a beta prior needs two finite, positive"),
     (_INVALID_CELL_ARGV, "alpha must lie in [0, 1]"),

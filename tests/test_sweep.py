@@ -183,6 +183,13 @@ def test_a_cell_that_reports_nothing_is_refused():
     _coin_config(metrics=None, series=())  # None: every metric
 
 
+def test_a_cell_with_series_has_no_t_coord():
+    # Its series lines put their steps in column "t", where the coord would go.
+    with pytest.raises(ConfigurationError, match="reports a series, so it has no coord 't'"):
+        _coin_config(horizon=3, trials=2, coords={"t": 5}, series=(("r", None),))
+    _coin_config(horizon=3, trials=2, coords={"t": 5})  # without series "t" is a coord
+
+
 @pytest.mark.parametrize("spec, unknown", [
     ({"metrics": ("avg_reward",)}, "'avg_reward'"),
     ({"metrics": (), "series": (("x", "nope"),)}, "'nope'"),

@@ -119,16 +119,21 @@ class IdbdAgent:
         err = observation - self.u
         beta = self.beta + self.zeta_meta * err * self.h
         if self.mode == "capacity":
-            beta -= 0.5 * self.zeta_meta * self.alpha * delta_star_sq_grad(
-                self.alpha, self.eta, self.sigma, self.capacity
-            )
+            try:
+                grad = delta_star_sq_grad(self.alpha, self.eta, self.sigma, self.capacity)
+            except ValueError:  # the gradient overflows: beta diverges below
+                grad = math.inf
+            beta -= 0.5 * self.zeta_meta * self.alpha * grad
         if not math.isfinite(beta):
             raise NumericError(f"log-stepsize diverged at step {self._t}")
         self.beta = min(max(beta, _BETA_MIN), _BETA_MAX)
         alpha = math.exp(self.beta)
         self.alpha = alpha
         if self.mode == "capacity":
-            var = delta_star(alpha, self.eta, self.sigma, self.capacity)
+            try:
+                var = delta_star(alpha, self.eta, self.sigma, self.capacity)
+            except ValueError:  # delta^2 overflows: u leaves the float range
+                var = math.inf
         else:
             var = self.delta * self.delta
         self.u = self.u + alpha * err + math.sqrt(var) * self._rng.normal()

@@ -390,7 +390,7 @@ def run_goal_lockstep(envs, agents, T: int, streams) -> list:
     for k, (move_gen, tie_gen) in enumerate(zip(move_gens, tie_gens)):
         move_u[:, k] = reset_blocks(move_gen)[1]
         tie_u[k] = reset_blocks(tie_gen)[1]
-    tie_ptr = np.zeros(n, dtype=np.intp)
+    tie_ptr = [0] * n  # uniforms of tie_u read, per trial
 
     P = np.empty((n, S, A, S))
     state = np.empty(n, dtype=np.intp)
@@ -488,18 +488,15 @@ def run_goal_lockstep(envs, agents, T: int, streams) -> list:
                 q = q_rows.take(base, axis=0)
                 tie = q == row_max(q)[:, None]
                 a = q.argmax(axis=1)
-                if np.count_nonzero(tie) > n:
-                    count = tie.sum(axis=1)
-                    multi = np.flatnonzero(count > 1)
-                    for k in multi[tie_ptr[multi] == B]:
-                        tie_u[k] = tie_gens[k].random(B)
-                        tie_ptr[k] = 0
-                    ptr = tie_ptr[multi]
-                    c = count[multi]
-                    pick = (tie_u[multi, ptr] * c).astype(np.intp)
-                    np.minimum(pick, c - 1, out=pick)
-                    tie_ptr[multi] = ptr + 1
-                    a[multi] = (np.cumsum(tie[multi], axis=1) > pick[:, None]).argmax(axis=1)
+                if np.count_nonzero(tie) > n:  # as OptimisticQAgent.act's DrawBuffer.index
+                    for k in np.flatnonzero(tie.sum(axis=1) > 1).tolist():
+                        i = tie_ptr[k]
+                        if i == B:
+                            tie_u[k] = tie_gens[k].random(B)
+                            i = 0
+                        tie_ptr[k] = i + 1
+                        tied = np.flatnonzero(tie[k])
+                        a[k] = tied[min(int(tie_u[k, i] * len(tied)), len(tied) - 1)]
                 # env: the planned rows and goal reward of this step, then the transition
                 planned_t = due.get(t)
                 if planned_t is not None:

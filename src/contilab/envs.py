@@ -23,19 +23,27 @@ _TARGET_REWARD = 0.5  # average reward per step of a goal MDP's greedy policy
 _GOAL_STATE = 0  # the state of a goal MDP that pays on arrival
 
 
+_PRIOR_PARAMS = {"fixed": 1, "dyadic": 1, "beta": 2, "uniform": 0}  # parameters per kind
+
+
 def _check_prior(prior) -> list:
-    """``prior`` as a list, or ValueError unless its kind is known and its
-    parameters fit it: two finite, positive ones for ``beta``; one
-    probability in [0, 1] for ``fixed`` (the bias) and ``dyadic`` (P(bias = 1))."""
-    prior = list(prior)
-    kind = prior[0] if prior else None
-    if kind not in ("fixed", "dyadic", "beta", "uniform"):
+    """``prior`` as a list, or ValueError unless it is a list or tuple of a
+    known kind and exactly the parameters that kind takes, each an int or a
+    float (not a bool): two finite, positive ones for ``beta``; one
+    probability in [0, 1] for ``fixed`` (the bias) and ``dyadic`` (P(bias =
+    1)); none for ``uniform``."""
+    kind = prior[0] if isinstance(prior, (list, tuple)) and prior else None
+    if not isinstance(kind, str) or kind not in _PRIOR_PARAMS:
         raise ValueError(f"unknown bias prior {prior!r}")
-    if kind == "beta" and not (len(prior) == 3
-                               and all(0.0 < float(v) < math.inf for v in prior[1:])):
+    prior = list(prior)
+    params = prior[1:]
+    fits = len(params) == _PRIOR_PARAMS[kind] and all(type(v) in (int, float) for v in params)
+    if kind == "beta" and not (fits and all(0.0 < v < math.inf for v in params)):
         raise ValueError(f"a beta prior needs two finite, positive parameters, got {prior!r}")
-    if kind in ("fixed", "dyadic") and not (len(prior) == 2 and 0.0 <= float(prior[1]) <= 1.0):
+    if kind in ("fixed", "dyadic") and not (fits and 0.0 <= params[0] <= 1.0):
         raise ValueError(f"a {kind} prior takes one probability in [0, 1], got {prior!r}")
+    if kind == "uniform" and not fits:
+        raise ValueError(f"a uniform prior takes no parameters, got {prior!r}")
     return prior
 
 

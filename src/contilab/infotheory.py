@@ -229,21 +229,34 @@ def _damping(capacity: float) -> float:
     return damp
 
 
-def delta_star(alpha: float, eta: float, sigma: float, capacity: float) -> float:
-    """Minimal quantization noise VARIANCE pinning I(U_t; Y_{1:t}) at ``capacity`` nats.
-
-        delta^2 = alpha^2 * (sigma^2*(1 - a_c*eta) + 1 + a_c*eta) / (1 - a_c*eta)
-                  * exp(-2C) / (1 - exp(-2C)),   a_c = 1 - alpha.
-    """
+def _capacity_point(alpha: float, eta: float, capacity: float) -> float:
+    """:func:`_damping`, or ValueError unless alpha is in (0, 1] and eta in
+    [0, 1), where 1 - (1 - alpha) * eta is positive."""
     damp = _damping(capacity)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
+    return damp
+
+
+def delta_star(alpha: float, eta: float, sigma: float, capacity: float) -> float:
+    """Minimal quantization noise VARIANCE pinning I(U_t; Y_{1:t}) at ``capacity`` nats.
+
+        delta^2 = alpha^2 * (sigma^2*(1 - a_c*eta) + 1 + a_c*eta) / (1 - a_c*eta)
+                  * exp(-2C) / (1 - exp(-2C)),   a_c = 1 - alpha.
+
+    ValueError where that is not finite (sigma not finite, or too large).
+    """
+    damp = _capacity_point(alpha, eta, capacity)
     ac = 1.0 - alpha
     A = 1.0 - ac * eta
     B = 1.0 + ac * eta
-    return alpha**2 * (sigma**2 * A + B) / A * damp / (1.0 - damp)
+    try:
+        var = alpha**2 * (sigma**2 * A + B) / A * damp / (1.0 - damp)
+    except OverflowError:  # sigma**2
+        var = math.inf
+    return _finite(var, "delta^2", alpha, eta, sigma, capacity)
 
 
 def delta_star_sq_grad(alpha: float, eta: float, sigma: float, capacity: float) -> float:
@@ -251,13 +264,27 @@ def delta_star_sq_grad(alpha: float, eta: float, sigma: float, capacity: float) 
 
     With A = 1 - (1-alpha)*eta and B = 1 + (1-alpha)*eta (so A + B = 2):
         d/da [a^2 (sigma^2 + B/A)] = 2a*sigma^2 + 2aB/A - 2*eta*a^2/A^2.
+
+    ValueError where that is not finite (sigma not finite, or too large).
     """
-    damp = _damping(capacity)
+    damp = _capacity_point(alpha, eta, capacity)
     ac = 1.0 - alpha
     A = 1.0 - ac * eta
     B = 1.0 + ac * eta
     kappa = damp / (1.0 - damp)
-    return 2.0 * kappa * alpha * (sigma**2 + B / A - eta * alpha / (A * A))
+    try:
+        grad = 2.0 * kappa * alpha * (sigma**2 + B / A - eta * alpha / (A * A))
+    except OverflowError:  # sigma**2
+        grad = math.inf
+    return _finite(grad, "d(delta^2)/d(alpha)", alpha, eta, sigma, capacity)
+
+
+def _finite(value: float, name: str, alpha, eta, sigma, capacity) -> float:
+    """``value``, or ValueError unless it is finite."""
+    if not -math.inf < value < math.inf:  # also NaN
+        raise ValueError(f"{name} is not finite at alpha={alpha}, eta={eta}, sigma={sigma}, "
+                         f"capacity={capacity}")
+    return value
 
 
 def _future_information(eta: float, sigma: float, K: int) -> float:
@@ -310,12 +337,21 @@ def optimal_alpha(eta: float, sigma: float) -> float:
     the root a_c = 2/(rhs + sqrt((rhs - 2)(rhs + 2))) in (0, 1), a form that
     does not cancel as sigma^2 eta -> 0, and returns 1 - a_c. The result is
     also the error-optimal stepsize under any information capacity.
+
+    ValueError where sigma is not finite, or where sigma^2 overflows,
+    underflows to zero, or leaves 1/(sigma^2 eta) - eta/sigma^2 as inf - inf.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    rhs = eta + 1.0 / eta + 1.0 / (sigma**2 * eta) - eta / sigma**2
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    try:
+        rhs = eta + 1.0 / eta + 1.0 / (sigma**2 * eta) - eta / sigma**2
+    except (OverflowError, ZeroDivisionError):  # sigma**2 overflows or is 0
+        rhs = math.nan
+    if math.isnan(rhs):
+        raise ValueError(f"non-finite result: sigma^2 overflows or underflows at eta={eta}, "
+                         f"sigma={sigma}")
     ac = 2.0 / (rhs + math.sqrt((rhs - 2.0) * (rhs + 2.0)))
     return 1.0 - ac
 

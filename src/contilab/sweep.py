@@ -14,26 +14,28 @@ A cell's rows are one :class:`SweepRow` per metric and one :class:`SeriesRow`
 per series: its recorded steps and the per-step means as one ``array('d')``,
 which ``output.write_results_csv`` expands into one CSV line a step.
 
-Kernels: ``_KERNELS`` holds one :class:`Kernel` record per exact (env
-class, agent class) pair whose arithmetic a trial kernel reproduces:
+Kernels: ``_KERNELS`` maps a pool key, (exact env class, exact agent class,
+whether the cells report series), to the trial kernel that reproduces that
+pool's arithmetic. Each is called as ``run(envs, agents, T, streams)`` and
+returns per trial its summary, its modelled failure, or None:
 
-    (Ar1ScalarEnv, LmsAgent)          -> core.run_lockstep        no series
-    (GoalMdpEnv, OptimisticQAgent)    -> core.run_goal_lockstep   no series
-    (Ar1ScalarEnv, IdbdAgent)         -> core.run_idbd_trials     with series
+    (Ar1ScalarEnv, LmsAgent, False)        -> core.run_lockstep
+    (GoalMdpEnv, OptimisticQAgent, False)  -> core.run_goal_lockstep
+    (Ar1ScalarEnv, IdbdAgent, False)       -> core.run_idbd_trials
+    (Ar1ScalarEnv, IdbdAgent, True)        -> core.run_idbd_trials, record_series=True
 
 :func:`_plan` makes the one routing decision. It builds each cell's env and
 agent once, so a bad spec or mismatched spaces raises ``ConfigurationError``
-before any trial runs, and pools the trials of all cells per (classes,
-horizon, env spaces, whether the cell reports series): every goal-MDP pool
-has one (n_states, n_actions) shape. A pool goes to its classes' kernel,
-whatever its size, when they have a record that records series or the pool
-needs none; it is then split round robin into ``max(workers, ceil(n /
-256))`` payloads, so each holds a share of every cell and of its cost. A
-subclass, or a build a hook wraps (the benchmark's per-layer proxies), could
-change the arithmetic a kernel reproduces and has no record, so its whole
-cell runs on ``run_trajectory``. Every pool that runs there keeps 4 * workers
-payloads of contiguous trials per cell: on 2 cores the kernel split made
-bitflip_demo slower (median 1.51 -> 1.55 s over 10 runs).
+before any trial runs, and pools the trials of all cells per (pool key,
+horizon, env spaces): every goal-MDP pool has one (n_states, n_actions)
+shape. A pool whose key is in ``_KERNELS`` goes to that kernel, whatever its
+size; it is then split round robin into ``max(workers, ceil(n / 256))``
+payloads, so each holds a share of every cell and of its cost. A subclass,
+or a build a hook wraps (the benchmark's per-layer proxies), could change the
+arithmetic a kernel reproduces and has no key, so its whole cell runs on
+``run_trajectory``. Every pool that runs there keeps 4 * workers payloads of
+contiguous trials per cell: on 2 cores the kernel split made bitflip_demo
+slower (median 1.51 -> 1.55 s over 10 runs).
 
 :func:`_run_batch` is the one worker entry point. It runs every trial of a
 kernel payload on the kernel and puts the results back in trial order. Every
@@ -54,7 +56,7 @@ import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
 
 import numpy as np
 
@@ -69,21 +71,11 @@ _Z95 = 1.959963984540054
 _LOCKSTEP_TRIALS = 256  # most trials one lockstep payload advances together
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """A trial kernel of one (env class, agent class) pair: ``run(envs,
-    agents, T, streams)`` returns per trial its summary, its modelled failure,
-    or None (run it on ``run_trajectory``); with ``series`` it also takes
-    ``record_series=True``."""
-
-    run: Callable
-    series: bool
-
-
 _KERNELS = {
-    (Ar1ScalarEnv, LmsAgent): Kernel(run_lockstep, False),
-    (GoalMdpEnv, OptimisticQAgent): Kernel(run_goal_lockstep, False),
-    (Ar1ScalarEnv, IdbdAgent): Kernel(run_idbd_trials, True),
+    (Ar1ScalarEnv, LmsAgent, False): run_lockstep,
+    (GoalMdpEnv, OptimisticQAgent, False): run_goal_lockstep,
+    (Ar1ScalarEnv, IdbdAgent, False): run_idbd_trials,
+    (Ar1ScalarEnv, IdbdAgent, True): partial(run_idbd_trials, record_series=True),
 }
 
 
@@ -106,10 +98,11 @@ class ExperimentConfig:
     series: tuple = ()
 
     def __post_init__(self):
-        for name, value in (("horizon", self.horizon), ("trials", self.trials)):
+        for name in ("horizon", "trials", "seed"):
+            value = getattr(self, name)
             if type(value) is not int:  # not bool, float or a numpy scalar
                 raise ConfigurationError(f"{name} must be an int, got {value!r}")
-            if value < 1:
+            if value < 1 and name != "seed":  # RngStream masks a negative seed
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
         if self.metrics is not None and not self.metrics and not self.series:
             raise ConfigurationError(f"cell {self.coords} reports no metric and no series")
@@ -206,23 +199,22 @@ def _failed(i: int, exc: Exception) -> TrialResult:
 
 def _run_batch(payload):
     """Worker entry point: run one payload's trials, given as (env spec, agent
-    spec, cell key, seed, trial index), on the kernel of ``pair`` or, with
-    None, on ``run_trajectory``."""
-    pair, horizon, trials, record_series = payload
+    spec, cell key, seed, trial index), on the kernel of pool key ``key`` or,
+    with None, on ``run_trajectory``."""
+    key, horizon, trials, record_series = payload
     summaries = [None] * len(trials)
-    if pair is not None:
-        built = [(build_env(env), build_agent(agent), _trial_stream(seed, key, i))
-                 for env, agent, key, seed, i in trials]
+    if key is not None:
+        built = [(build_env(env), build_agent(agent), _trial_stream(seed, cell_key, i))
+                 for env, agent, cell_key, seed, i in trials]
         envs, agents, streams = (list(x) for x in zip(*built))
-        run = _KERNELS[pair].run
-        summaries = (run(envs, agents, horizon, streams, record_series=True)
-                     if record_series else run(envs, agents, horizon, streams))
+        summaries = _KERNELS[key](envs, agents, horizon, streams)
     results = []
-    for (env, agent, key, seed, i), summary in zip(trials, summaries):
+    for (env, agent, cell_key, seed, i), summary in zip(trials, summaries):
         if summary is None:
             try:
                 summary = run_trajectory(build_env(env), build_agent(agent), horizon,
-                                         _trial_stream(seed, key, i), record_series=record_series)
+                                         _trial_stream(seed, cell_key, i),
+                                         record_series=record_series)
             except (NumericError, DegenerateMdpError) as exc:
                 summary = exc
         results.append(_failed(i, summary) if isinstance(summary, Exception)
@@ -235,18 +227,18 @@ def _plan(cells, workers: int):
     returns. Builds each cell's env and agent once: a bad spec or mismatched
     spaces raises ``ConfigurationError`` here, before any payload runs."""
     keys = [cfg.canonical_key() for cfg in cells]
-    pools: dict[tuple, list[int]] = {}  # (classes, horizon, spaces, series) -> cells, in order
+    pools: dict[tuple, list[int]] = {}  # (pool key, horizon, spaces) -> cells, in order
     for c, cfg in enumerate(cells):
         env, agent = build_env(cfg.env), build_agent(cfg.agent)
         check_spaces(env, agent)
-        pair = (type(env), type(agent))
+        key = (type(env), type(agent), bool(cfg.series))
         spaces = (getattr(env, "observation_space", None), getattr(env, "action_space", None))
-        pools.setdefault((pair, cfg.horizon, spaces, bool(cfg.series)), []).append(c)
+        pools.setdefault((key, cfg.horizon, spaces), []).append(c)
     payloads, owners = [], []
-    for (pair, horizon, _, record_series), members in pools.items():
-        kernel = _KERNELS.get(pair)
-        if kernel is None or (record_series and not kernel.series):
-            pair, parts = None, []
+    for (key, horizon, _), members in pools.items():
+        record_series = key[2]
+        if key not in _KERNELS:
+            key, parts = None, []
             for c in members:  # contiguous trial ranges, 4 per worker
                 n = cells[c].trials
                 chunk = max(1, -(-n // (workers * 4)))
@@ -257,8 +249,8 @@ def _plan(cells, workers: int):
             k = min(len(pooled), max(workers, -(-len(pooled) // _LOCKSTEP_TRIALS)))
             parts = [pooled[j::k] for j in range(k)]
         for part in parts:
-            payloads.append((pair, horizon, [(cells[c].env, cells[c].agent, keys[c],
-                                              cells[c].seed, i) for c, i in part],
+            payloads.append((key, horizon, [(cells[c].env, cells[c].agent, keys[c],
+                                             cells[c].seed, i) for c, i in part],
                              record_series))
             owners.append([c for c, _ in part])
     return payloads, owners

@@ -79,8 +79,8 @@ def test_every_env_and_agent_setting_is_set_by_some_experiment():
 # Each simulated experiment's payloads at its defaults with 2 workers, as
 # {(kernel or "scalar", trials in the payload): payloads}. Byte checks cannot
 # see a pool that drops to the scalar path; this table can.
-_ROUTE = {(Ar1ScalarEnv, LmsAgent): "lms", (Ar1ScalarEnv, IdbdAgent): "idbd",
-          (GoalMdpEnv, OptimisticQAgent): "goal", None: "scalar"}
+_ROUTE = {(Ar1ScalarEnv, LmsAgent, False): "lms", (Ar1ScalarEnv, IdbdAgent, True): "idbd",
+          (GoalMdpEnv, OptimisticQAgent, False): "goal", None: "scalar"}
 _ROUTES = {
     "fig2_lms_sweep": ({}, {("lms", 254): 5, ("lms", 253): 10}),
     "fig9_idbd": ({}, {("idbd", 20): 2}),
@@ -112,8 +112,8 @@ def test_default_runs_route_their_cells_as_pinned(tmp_path, monkeypatch, name):
     overrides, routes = _ROUTES[name]
     with pytest.raises(_Planned) as planned:
         run_experiment(name, overrides, tmp_path, workers=2)
-    assert Counter((_ROUTE[pair], len(trials))
-                   for pair, _, trials, _ in planned.value.args[0]) == routes
+    assert Counter((_ROUTE[key], len(trials))
+                   for key, _, trials, _ in planned.value.args[0]) == routes
 
 
 @pytest.mark.parametrize("name", EXPECTED_NAMES)
@@ -478,6 +478,17 @@ _ONE_PATH = [
     (["fig9_idbd", "--zeta_meta=nan"], "bad parameters for agent 'idbd': zeta_meta must be finite"),
     (["logit_regret", "--grid_size=1"], "bad parameters for agent 'logit_predictor'"),
     (["bitflip_demo", '--priors=[["beta", 0, 1]]'], "a beta prior needs two finite, positive"),
+    # a prior's parameters are numbers, as many as its kind takes: the first
+    # failed in prior_mean with a TypeError, the next three ran
+    *[(["bitflip_demo", f"--priors={priors}"], message) for priors, message in (
+        ('[["beta", 2, "1"]]', "a beta prior needs two finite, positive parameters, "
+                               "got ['beta', 2, '1']"),
+        ('[["beta", true, 1]]', "a beta prior needs two finite, positive parameters, "
+                                "got ['beta', True, 1]"),
+        ('[["fixed", "0.9"]]', "a fixed prior takes one probability in [0, 1], "
+                               "got ['fixed', '0.9']"),
+        ('[["uniform", 3]]', "a uniform prior takes no parameters, got ['uniform', 3]"),
+        ('["beta"]', "unknown bias prior 'beta'"))],
     (_INVALID_CELL_ARGV, "alpha must lie in [0, 1]"),
     *[(["fig13_ps_vs_ts_time", "--trials=2", "--horizon=10", override], message)
       for override, message in _BAD_BANDIT],

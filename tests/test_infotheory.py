@@ -943,6 +943,46 @@ def test_gaussian_engines_raise_value_error_or_return_finite_values(engine, alph
     assert all(math.isfinite(v) for v in values)
 
 
+_CLOSED_FORMS = {
+    "optimal_alpha": lambda alpha, eta, sigma, capacity: it.optimal_alpha(eta, sigma),
+    "delta_star": it.delta_star,
+    "delta_star_sq_grad": it.delta_star_sq_grad,
+}
+# Each used to raise OverflowError or ZeroDivisionError, or return NaN or inf;
+# optimal_alpha(0.5, inf) returned 0.5 for a sigma outside its domain.
+_NON_FINITE_CLOSED_FORMS = [
+    *[("optimal_alpha", (0.9, sigma)) for sigma in (1e-160, 1e-200, 1e200)],
+    *[("optimal_alpha", (0.5, sigma)) for sigma in (math.inf, math.nan)],
+    *[(form, (0.5, 0.9, sigma, 1.0)) for form in ("delta_star", "delta_star_sq_grad")
+      for sigma in (1e160, math.inf, math.nan)],
+]
+
+
+@pytest.mark.parametrize("form, args", _NON_FINITE_CLOSED_FORMS)
+def test_closed_forms_refuse_what_they_cannot_return_finite(form, args):
+    with pytest.raises(ValueError):
+        getattr(it, form)(*args)
+
+
+@pytest.mark.parametrize("form", list(_CLOSED_FORMS))
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.floats(), eta=st.floats(), sigma=st.floats(), capacity=st.floats())
+@example(alpha=1e-300, eta=1.0, sigma=0.0, capacity=1e-16)  # 1 - (1 - alpha) * eta was 0
+@example(alpha=0.5, eta=0.9, sigma=1e-160, capacity=1.0)
+@example(alpha=0.5, eta=0.9, sigma=1e-200, capacity=1.0)
+@example(alpha=0.5, eta=0.9, sigma=1e200, capacity=1.0)
+@example(alpha=0.5, eta=0.9, sigma=1e160, capacity=1.0)
+@example(alpha=0.5, eta=0.5, sigma=math.inf, capacity=1.0)
+@example(alpha=0.5, eta=0.5, sigma=math.nan, capacity=1.0)
+def test_closed_forms_raise_value_error_or_return_finite_values(form, alpha, eta, sigma,
+                                                                capacity):
+    try:
+        value = _CLOSED_FORMS[form](alpha, eta, sigma, capacity)
+    except ValueError:
+        return
+    assert math.isfinite(value)
+
+
 def test_engines_refuse_overflowing_moments_and_keep_the_finite_ones():
     with pytest.raises(ValueError, match="noise scales too large"):
         it.lag_decomposition(0.5, 0.9, 1e78, 0.1, 5)

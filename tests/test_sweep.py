@@ -246,6 +246,21 @@ def test_config_counts_must_be_ints(name, value):
         _coin_config(**{name: value})
 
 
+@pytest.mark.parametrize("seed", [1.5, "7", None, np.int64(3), True])
+def test_config_seed_must_be_an_int(seed):
+    # These used to fail in a worker's RngStream, after a dry run had passed
+    # the cell, or (True) to run as seed 1.
+    with pytest.raises(ConfigurationError, match=re.escape(f"seed must be an int, got {seed!r}")):
+        _coin_config(seed=seed)
+
+
+def test_a_negative_seed_runs():
+    # RngStream masks the seed to 64 bits, so -1 is a seed like any other.
+    [results] = run_trials([_coin_config(seed=-1, trials=2)], workers=1)
+    assert [r.error for r in results] == [None, None]
+    assert results != run_trials([_coin_config(seed=1, trials=2)], workers=1)[0]
+
+
 # Every trial draws from its own (seed, cell, trial) stream, so how trials are
 # grouped into calls, ordered, or spread over workers cannot change a number.
 _bit_flip_cells = st.lists(
@@ -290,7 +305,7 @@ def test_run_trials_worker_count_invariance(cells):
 
 # Kernel parity: every trial a kernel runs must equal run_trajectory's
 # outcome (summary or failure text), trial by trial. _PARITY holds one entry
-# per sweep._KERNELS record, under the same (env class, agent class) key;
+# per kernel, under the (env class, agent class) of its sweep._KERNELS keys;
 # each test below runs over all of them.
 def _ar1_config(eta=0.9, zeta=0.5, sigma=1.0, mu0=0.0, sigma0=1.0, alpha=0.3,
                 agent_eta=0.9, mode="shrinkage", **kw):
@@ -321,6 +336,14 @@ def _idbd_config(mode="capacity", eta=0.95, sigma=0.5, capacity=0.5, zeta_meta=0
     return ExperimentConfig({"kind": "ar1", "eta": eta, "zeta": math.sqrt(1.0 - eta * eta),
                              "sigma": sigma},
                             agent, **{"horizon": 600, "trials": 2, "seed": 9, **kw})
+
+
+def _idbd_overflowing_noise_config(**kw):
+    """A capacity-mode cell whose delta_star overflows mid-trial: a drift of
+    3e152 a step lifts alpha to 1, where delta^2 is past the float range."""
+    return replace(_idbd_config(capacity=0.05, agent_eta=0.9, agent_sigma=1e154, alpha0=1e-3,
+                                **kw),
+                   env={"kind": "ar1", "eta": 0.0, "zeta": 3e152, "sigma": 0.5})
 
 
 class _ShiftedAr1Env(Ar1ScalarEnv):
@@ -356,6 +379,11 @@ _DIVERGED = "NumericError: log-stepsize diverged at step "
 
 def _pair_id(pair):
     return "-".join(cls.__name__ for cls in pair)
+
+
+def _series(pair):
+    """Whether the kernel of ``pair`` also runs the cells that report series."""
+    return (*pair, True) in sweep._KERNELS
 
 
 _PARITY = {
@@ -429,6 +457,9 @@ _PARITY = {
             # the reward overflows while the log-stepsize stays finite
             (_idbd_config(mode="standard", sigma=1e200, zeta_meta=0.0, trials=2),
              "NumericError: non-finite reward"),
+            # delta^2 overflows (its gradient does not) once a huge drift lifts
+            # alpha: the state leaves the float range and a later reward is -inf
+            (_idbd_overflowing_noise_config(horizon=50), "NumericError: non-finite reward"),
         ],
     ),
 }
@@ -460,10 +491,9 @@ def _python_float_rewards(outcomes):
 
 
 def _on_kernels(wrap=lambda run: run):
-    """Every kernel's ``run`` replaced by ``wrap(run)``."""
-    return mock.patch.dict(sweep._KERNELS, {
-        pair: replace(kernel, run=wrap(kernel.run))
-        for pair, kernel in sweep._KERNELS.items()})
+    """Every kernel ``run`` of sweep._KERNELS replaced by ``wrap(run)``."""
+    return mock.patch.dict(sweep._KERNELS,
+                           {key: wrap(run) for key, run in sweep._KERNELS.items()})
 
 
 @contextmanager
@@ -489,7 +519,7 @@ def _with_series(cells, on=True):
 
 
 def test_parity_table_covers_every_kernel():
-    assert _PARITY.keys() == sweep._KERNELS.keys()
+    assert _PARITY.keys() == {key[:2] for key in sweep._KERNELS}
 
 
 @pytest.mark.parametrize("pair", _PARITY, ids=_pair_id)
@@ -497,7 +527,7 @@ def test_kernel_equals_scalar_path(pair):
     entry = _PARITY[pair]
 
     @settings(max_examples=entry.max_examples, deadline=None)
-    @given(entry.cells, st.booleans() if sweep._KERNELS[pair].series else st.just(False))
+    @given(entry.cells, st.booleans() if _series(pair) else st.just(False))
     def check(cells, record_series):
         cells = _with_series(cells, record_series)
         expected = [_scalar_outcomes(cfg, record_series) for cfg in cells]
@@ -516,7 +546,7 @@ def test_kernel_equals_scalar_path(pair):
 
 @pytest.mark.parametrize("pair", _PARITY, ids=_pair_id)
 def test_kernel_gate_never_calls_run_trajectory(pair):
-    series = sweep._KERNELS[pair].series
+    series = _series(pair)
     cells = _with_series(_PARITY[pair].gate, series)
     expected = [_scalar_outcomes(cfg, series) for cfg in cells]
     with _scalar_calls() as calls:
@@ -533,7 +563,7 @@ def test_kernel_gate_never_calls_run_trajectory(pair):
     pytest.param(pair, table, kind, cls, id=f"{_pair_id(pair)}-{cls.__name__.lstrip('_')}")
     for pair, entry in _PARITY.items() for table, kind, cls in entry.subclasses])
 def test_kernel_skips_subclasses(monkeypatch, pair, table, kind, cls):
-    series = sweep._KERNELS[pair].series
+    series = _series(pair)
     [cfg] = _with_series([_PARITY[pair].cell(trials=3)], series)
     plain = _scalar_outcomes(cfg, series)
     monkeypatch.setitem(table, kind, cls)
@@ -567,7 +597,7 @@ def test_kernel_skips_wrapped_builds(monkeypatch, pair, workers):
     # A hook that wraps a cell's builds hides the kernel's classes from the
     # planner: the whole cell runs on run_trajectory, in trial order, and no
     # wrapped object reaches a kernel.
-    series = sweep._KERNELS[pair].series
+    series = _series(pair)
     [cfg] = _with_series([_PARITY[pair].cell(trials=5)], series)
     expected = _scalar_outcomes(cfg, series)
     _wrap_builds(monkeypatch)
@@ -584,10 +614,10 @@ def test_plan_names_no_kernel_for_wrapped_builds(monkeypatch):
     # Pools are keyed by the built classes: the cells that reach every kernel
     # name none once their builds are wrapped.
     cells = [entry.cell(trials=64) for entry in _PARITY.values()]
-    pairs = lambda: [pair for pair, *_ in sweep._plan(cells, 2)[0]]
-    assert set(pairs()) == set(_PARITY)
+    keys = lambda: [key for key, *_ in sweep._plan(cells, 2)[0]]
+    assert set(keys()) == {(*pair, False) for pair in _PARITY}
     _wrap_builds(monkeypatch)
-    assert pairs() == [None] * 8 * len(cells)
+    assert keys() == [None] * 8 * len(cells)
 
 
 def _mismatched_spaces():
@@ -663,6 +693,17 @@ def test_idbd_trials_equal_scalar_path(cells, record_series):
         assert all(d is not None for d, o in zip(direct, outcomes) if not isinstance(o, str))
 
 
+def test_idbd_overflowing_noise_on_the_last_step_is_no_failure():
+    # One trial's delta^2 overflows at its last update, after its last
+    # reward: both trials succeed, on the kernel as on run_trajectory.
+    cfg = _idbd_overflowing_noise_config(zeta_meta=1.0, horizon=2)
+    expected = _scalar_outcomes(cfg)
+    assert all(isinstance(o, TrajectorySummary) for o in expected)
+    with _on_kernels(), _scalar_calls() as calls:
+        assert _outcomes(run_trials([cfg], workers=1)[0]) == expected
+    assert calls == []
+
+
 def test_idbd_fig9_cells_worker_count_invariance():
     cells = [_idbd_config(mode=mode, trials=3, horizon=700) for mode in ("capacity", "standard")]
     for record_series in (False, True):
@@ -671,9 +712,9 @@ def test_idbd_fig9_cells_worker_count_invariance():
 
 
 def test_series_cells_reach_only_kernels_that_record_series():
-    pairs = [pair for pair, kernel in sweep._KERNELS.items() if not kernel.series]
+    pairs = [pair for pair in _PARITY if not _series(pair)]
     cells = _with_series([_PARITY[pair].cell(trials=8) for pair in pairs])
-    refused = {pair: replace(sweep._KERNELS[pair], run=_refuse) for pair in pairs}
+    refused = {(*pair, False): _refuse for pair in pairs}
     with mock.patch.dict(sweep._KERNELS, refused):
         got = [_outcomes(results) for results in run_trials(cells, workers=1)]
     assert got == [_scalar_outcomes(cfg, record_series=True) for cfg in cells]
@@ -690,14 +731,15 @@ def test_no_cells_start_no_pool():
 def test_plan_splits_kernel_and_scalar_pools_by_their_own_rules(record_series):
     # A kernel pool of n trials makes max(workers, ceil(n / 256)) round-robin
     # payloads; every other pool makes 4 * workers payloads per cell. Cells
-    # pool by (pair, horizon, env spaces), so each group below is one pool.
+    # pool by (pool key, horizon, env spaces), so each group below is one pool.
     workers = 2
-    goal = (GoalMdpEnv, OptimisticQAgent)
+    goal = (GoalMdpEnv, OptimisticQAgent, False)
     lms = [_ar1_config(alpha=a, trials=300, horizon=50) for a in (0.2, 0.6)]
-    expected = [  # (cells of one pool, the pair its payloads name, payload count)
-        (lms, None, 16) if record_series else (lms, (Ar1ScalarEnv, LmsAgent), 3),  # no series
+    expected = [  # (cells of one pool, the key its payloads name, payload count)
+        # lms has no series kernel
+        (lms, None, 16) if record_series else (lms, (Ar1ScalarEnv, LmsAgent, False), 3),
         ([_idbd_config(mode=m, trials=400, horizon=40) for m in ("capacity", "standard")],
-         (Ar1ScalarEnv, IdbdAgent), 4),
+         (Ar1ScalarEnv, IdbdAgent, record_series), 4),
         # however small, a pool reaches its kernel: 2 payloads of 8 and 7 trials
         ([_goal_config(trials=15)], *((None, 8) if record_series else (goal, 2))),
         # goal cells of two more shapes: one pool per (n_states, n_actions)
@@ -712,14 +754,14 @@ def test_plan_splits_kernel_and_scalar_pools_by_their_own_rules(record_series):
     payloads, owners = sweep._plan(cells, workers)
     assert len(payloads) == sum(count for _, _, count in expected)
     first = 0
-    for group, pair, count in expected:
+    for group, route, count in expected:
         members = range(first, first + len(group))
         first += len(group)
         mine = [(p, o) for p, o in zip(payloads, owners) if o[0] in members]
         assert len(mine) == count
         seen = []
-        for (got_pair, horizon, trials, series), cell_of in mine:
-            assert got_pair == pair and horizon == group[0].horizon and series == record_series
+        for (got_route, horizon, trials, series), cell_of in mine:
+            assert got_route == route and horizon == group[0].horizon and series == record_series
             assert len(trials) == len(cell_of) and set(cell_of) <= set(members)
             for c, (env, agent, key, seed, i) in zip(cell_of, trials):
                 assert (env, agent, key, seed) == (cells[c].env, cells[c].agent,
@@ -754,12 +796,13 @@ def test_plan_pools_series_and_plain_cells_apart():
     cells = _mixed_series_cells()
     payloads, owners = sweep._plan(cells, 2)
     routes = [set() for _ in cells]
-    for (pair, _, _, series), cell_of in zip(payloads, owners):
+    for (key, _, _, series), cell_of in zip(payloads, owners):
         assert {bool(cells[c].series) for c in cell_of} == {series}
         for c in cell_of:
-            routes[c].add((pair, series))
-    assert routes == [{(None, True)}, {(lms, False)}, {(None, True)}, {(goal, False)},
-                      {(idbd, True)}, {(idbd, False)}, {(None, True)}, {(None, False)}]
+            routes[c].add((key, series))
+    assert routes == [{(None, True)}, {((*lms, False), False)}, {(None, True)},
+                      {((*goal, False), False)}, {((*idbd, True), True)},
+                      {((*idbd, False), False)}, {(None, True)}, {(None, False)}]
 
 
 def test_mixed_lockstep_and_scalar_cells_keep_trial_order():

@@ -11,6 +11,8 @@ Both planners, :func:`goal_reward_scales` and :func:`belief_policy_iteration`,
 share one policy-iteration contract (Howard 1960; Puterman 1994, section 6.4).
 Each round evaluates the policy exactly; a state then moves to its greedy
 action a' only if Q(s, a') - Q(s, pi(s)) > ``_PI_MARGIN`` * (1 + |Q(s, pi(s))|).
+The belief planner also sends a swapping state back to the known coin as soon
+as swapping gains nothing, so ties keep the known coin.
 Each round that moves a state raises the policy's value, so the loop, bounded
 by ``_PI_ROUNDS``, ends on one of finitely many policies. Without the margin,
 rounding noise can make near-tied actions (equal rows, rows one ulp apart)
@@ -152,8 +154,9 @@ def belief_policy_iteration(p1: float, q2: float, gamma: float,
     replaceable coin reveals its current bias, so heads leads to T(1) and
     tails to T(0). Transitions are projected to the nearest grid point.
 
-    Policy iteration starts from the known coin everywhere, so ties keep the
-    known coin. A known state's value is p1 / (1 - gamma) where stay, the
+    Policy iteration starts from the known coin everywhere and, past the
+    shared contract, sends a swapping state back to the known coin once
+    swapping gains nothing, so ties keep the known coin. A known state's value is p1 / (1 - gamma) where stay, the
     projection of T(b), is the state itself, and p1 + gamma * V(stay)
     otherwise; then stay is a fixed point or nearer the grid centre, so
     taking states nearest the centre first reaches stay before the state.
@@ -186,8 +189,8 @@ def belief_policy_iteration(p1: float, q2: float, gamma: float,
         V = rows[:, 0] + rows[:, 1:] @ v_anchor
         q_known = p1 + gamma * V[idx_stay]
         q_swap = beliefs + gamma * (beliefs * V[anchors[0]] + (1.0 - beliefs) * V[anchors[1]])
-        q_pi = np.where(swap, q_swap, q_known)
-        move = np.maximum(q_known, q_swap) - q_pi > _PI_MARGIN * (1.0 + np.abs(q_pi))
+        gain = q_swap - q_known
+        move = np.where(swap, gain <= 0.0, gain > _PI_MARGIN * (1.0 + np.abs(q_known)))
         if not move.any():
             break
         swap ^= move

@@ -368,6 +368,7 @@ _belief_cases = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
 @example((0.8, 0.3, 0.999, 11))  # the exact tie above
 @example((0.8, 1.0, 0.9, 12))
 @example((1.0, 0.0, 0.9, 2))
+@example((0.2, 0.3828125, 0.5, 50))  # belief 10/49 swapped early, then ends tied
 def test_belief_plan_is_greedy_on_its_values_with_ties_to_known_coin(case):
     p1, q2, gamma, grid_size = case
     plan = belief_policy_iteration(p1, q2, gamma, grid_size)

@@ -11,6 +11,7 @@ its own child streams, so replays are exact.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 
 import numpy as np
@@ -29,7 +30,7 @@ _PRIOR_PARAMS = {"fixed": 1, "dyadic": 1, "beta": 2, "uniform": 0}  # parameters
 def _check_prior(prior) -> list:
     """``prior`` as a list, or ValueError unless it is a list or tuple of a
     known kind and exactly the parameters that kind takes, each an int or a
-    float (not a bool): two finite, positive ones for ``beta``; one
+    float (not a bool): two positive ones for ``beta``, each finite as a float; one
     probability in [0, 1] for ``fixed`` (the bias) and ``dyadic`` (P(bias =
     1)); none for ``uniform``."""
     kind = prior[0] if isinstance(prior, (list, tuple)) and prior else None
@@ -38,7 +39,7 @@ def _check_prior(prior) -> list:
     prior = list(prior)
     params = prior[1:]
     fits = len(params) == _PRIOR_PARAMS[kind] and all(type(v) in (int, float) for v in params)
-    if kind == "beta" and not (fits and all(0.0 < v < math.inf for v in params)):
+    if kind == "beta" and not (fits and all(0.0 < v <= sys.float_info.max for v in params)):
         raise ValueError(f"a beta prior needs two finite, positive parameters, got {prior!r}")
     if kind in ("fixed", "dyadic") and not (fits and 0.0 <= params[0] <= 1.0):
         raise ValueError(f"a {kind} prior takes one probability in [0, 1], got {prior!r}")

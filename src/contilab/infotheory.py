@@ -254,8 +254,8 @@ def delta_star(alpha: float, eta: float, sigma: float, capacity: float) -> float
     B = 1.0 + ac * eta
     try:
         var = alpha**2 * (sigma**2 * A + B) / A * damp / (1.0 - damp)
-    except OverflowError:  # sigma**2
-        var = math.inf
+    except OverflowError as exc:  # sigma**2
+        raise ValueError(f"delta^2 overflows at sigma={sigma}") from exc
     return _finite(var, "delta^2", alpha, eta, sigma, capacity)
 
 
@@ -274,8 +274,8 @@ def delta_star_sq_grad(alpha: float, eta: float, sigma: float, capacity: float) 
     kappa = damp / (1.0 - damp)
     try:
         grad = 2.0 * kappa * alpha * (sigma**2 + B / A - eta * alpha / (A * A))
-    except OverflowError:  # sigma**2
-        grad = math.inf
+    except OverflowError as exc:  # sigma**2
+        raise ValueError(f"d(delta^2)/d(alpha) overflows at sigma={sigma}") from exc
     return _finite(grad, "d(delta^2)/d(alpha)", alpha, eta, sigma, capacity)
 
 
@@ -294,7 +294,7 @@ def _future_information(eta: float, sigma: float, K: int) -> float:
     (1 + zeta^2 J_{k+1}) + 1/sigma^2, s = eta^2 J_1 / (1 + zeta^2 J_1). It runs
     on G = J - 1/sigma^2, so s = 0 at eta = 0 and s = eta^2/zeta^2 at sigma = 0
     need no branch."""
-    s2, zeta2, info = sigma * sigma, 1.0 - eta * eta, 0.0
+    s2, zeta2, info = sigma * sigma, (1.0 - eta) * (1.0 + eta), 0.0
     for _ in range(K):
         info = eta * eta / (s2 / (1.0 + s2 * info) + zeta2)
     return info
@@ -347,11 +347,10 @@ def optimal_alpha(eta: float, sigma: float) -> float:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     try:
         rhs = eta + 1.0 / eta + 1.0 / (sigma**2 * eta) - eta / sigma**2
-    except (OverflowError, ZeroDivisionError):  # sigma**2 overflows or is 0
-        rhs = math.nan
-    if math.isnan(rhs):
-        raise ValueError(f"non-finite result: sigma^2 overflows or underflows at eta={eta}, "
-                         f"sigma={sigma}")
+    except (OverflowError, ZeroDivisionError) as exc:  # sigma**2 overflows or is 0
+        raise ValueError(f"non-finite result: sigma^2 out of range at sigma={sigma}") from exc
+    if math.isnan(rhs):  # sigma^2 is subnormal
+        raise ValueError(f"non-finite result: inf - inf at sigma={sigma}")
     ac = 2.0 / (rhs + math.sqrt((rhs - 2.0) * (rhs + 2.0)))
     return 1.0 - ac
 

@@ -11,12 +11,16 @@ Both planners, :func:`goal_reward_scales` and :func:`belief_policy_iteration`,
 share one policy-iteration contract (Howard 1960; Puterman 1994, section 6.4).
 Each round evaluates the policy exactly; a state then moves to its greedy
 action a' only if Q(s, a') - Q(s, pi(s)) > ``_PI_MARGIN`` * (1 + |Q(s, pi(s))|).
-The belief planner also sends a swapping state back to the known coin as soon
-as swapping gains nothing, so ties keep the known coin.
-Each round that moves a state raises the policy's value, so the loop, bounded
-by ``_PI_ROUNDS``, ends on one of finitely many policies. Without the margin,
-rounding noise can make near-tied actions (equal rows, rows one ulp apart)
-trade places forever: the plain argmax cycles with period 2 to 5 on such MDPs."""
+Such a move raises the policy's value by more than the margin, so the loop
+ends on one of finitely many policies. The belief planner also sends a
+swapping state back to the known coin as soon as swapping gains nothing, so
+ties keep the known coin; such a move lowers the value by rounding at most,
+far less than the margin a move forward gains, so it cannot feed a cycle.
+Without the margin, rounding noise can make near-tied actions (equal rows,
+rows one ulp apart) trade places forever: the plain argmax cycles with period
+2 to 5 on such MDPs. A policy still moving after ``_PI_ROUNDS`` rounds gets
+goal mass NaN in the goal planner and raises NumericError in the belief
+planner."""
 
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMdpError
+from .errors import DegenerateMdpError, NumericError
 
 _CESARO_BETA = 1.0 - 1e-9
 _PI_ROUNDS = 200  # loop bound of policy iteration; an MDP still moving after it gets goal mass NaN
@@ -156,10 +160,11 @@ def belief_policy_iteration(p1: float, q2: float, gamma: float,
 
     Policy iteration starts from the known coin everywhere and, past the
     shared contract, sends a swapping state back to the known coin once
-    swapping gains nothing, so ties keep the known coin. A known state's value is p1 / (1 - gamma) where stay, the
-    projection of T(b), is the state itself, and p1 + gamma * V(stay)
-    otherwise; then stay is a fixed point or nearer the grid centre, so
-    taking states nearest the centre first reaches stay before the state.
+    swapping gains nothing, so ties keep the known coin. A known state's
+    value is p1 / (1 - gamma) where stay, the projection of T(b), is the
+    state itself, and p1 + gamma * V(stay) otherwise; then stay is a fixed
+    point or nearer the grid centre, so taking states nearest the centre
+    first reaches stay before the state.
     Each value is then affine in the anchors V(T(1)) and V(T(0)), which one
     2x2 solve gives.
     """
@@ -194,4 +199,6 @@ def belief_policy_iteration(p1: float, q2: float, gamma: float,
         if not move.any():
             break
         swap ^= move
+    else:
+        raise NumericError(f"belief policy iteration did not settle in {_PI_ROUNDS} rounds")
     return BeliefPlan(beliefs=beliefs, actions=swap.astype(int), values=V, q2=q2)

@@ -488,7 +488,10 @@ _ONE_PATH = [
         ('[["fixed", "0.9"]]', "a fixed prior takes one probability in [0, 1], "
                                "got ['fixed', '0.9']"),
         ('[["uniform", 3]]', "a uniform prior takes no parameters, got ['uniform', 3]"),
-        ('["beta"]', "unknown bias prior 'beta'"))],
+        ('["beta"]', "unknown bias prior 'beta'"),
+        # an int too large for a float passed the range check and failed
+        # in _draw_bias with an OverflowError
+        (f'[["beta", {10**309}, 1]]', "a beta prior needs two finite, positive parameters"))],
     (_INVALID_CELL_ARGV, "alpha must lie in [0, 1]"),
     *[(["fig13_ps_vs_ts_time", "--trials=2", "--horizon=10", override], message)
       for override, message in _BAD_BANDIT],
@@ -505,6 +508,12 @@ _ONE_PATH = [
 ]
 
 
+def _refuse(*args, **kwargs):
+    # module level, so that a process pool can pickle it in place of _run_batch:
+    # a local function cannot be pickled, and the pool then hangs on shutdown
+    raise AssertionError("a bad config reached a payload or a stability error")
+
+
 @pytest.mark.parametrize("argv, message", _ONE_PATH,
                          ids=[" ".join(argv) for argv, _ in _ONE_PATH])
 def test_bad_config_fails_the_dry_run_as_the_real_run(tmp_path, capsys, monkeypatch, argv,
@@ -512,12 +521,9 @@ def test_bad_config_fails_the_dry_run_as_the_real_run(tmp_path, capsys, monkeypa
     # A dry run checks what the real run checks: both exit 2 with the same
     # message and write no CSV, and neither starts a payload or evaluates a
     # stability error.
-    def refuse(*args, **kwargs):
-        raise AssertionError("a bad config reached a payload or a stability error")
-
-    monkeypatch.setattr(sweep, "_run_batch", refuse)
-    monkeypatch.setattr(it, "stability_errors", refuse)
-    monkeypatch.setattr(it, "total_stability_error", refuse)
+    monkeypatch.setattr(sweep, "_run_batch", _refuse)
+    monkeypatch.setattr(it, "stability_errors", _refuse)
+    monkeypatch.setattr(it, "total_stability_error", _refuse)
     monkeypatch.setattr(experiments, "np", _GridNumpy())
     errors = []
     for dry_run in ([], ["--dry-run"]):

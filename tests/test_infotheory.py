@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -298,20 +299,24 @@ _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 @example(eta=0.0, sigma=0.5, K=40)
 @example(eta=0.99, sigma=0.05, K=512)
 @example(eta=0.9512928996273678, sigma=0.0, K=1)  # eta**2 one ulp off eta * eta
+@example(eta=0.9895564007555786, sigma=0.0, K=1)  # 1 - eta * eta was 12 eps off
 def test_future_information_equals_the_k_by_k_solve(eta, sigma, K):
-    # s = b^T Cov(E)^-1 b for Y_{t+1:t+K} = b*theta_t + E. The solve loses
-    # digits in proportion to Cov(E)'s condition number; the filter stays
-    # within a few ulps (1.6 eps * cond at most over 300 random points).
+    # s = b^T Cov(E)^-1 b for Y_{t+1:t+K} = b*theta_t + E, where
+    # Cov(E)_jk = eta^|j-k| (1 - eta^(2 min(j, k))) + sigma^2 [j = k], formed
+    # with expm1 so that 1 - eta^2j does not cancel. The solve loses digits in
+    # proportion to Cov(E)'s condition number; the filter stays within a few
+    # ulps (1.6 eps * cond at most over 300 random points).
     ks = np.arange(1, K + 1, dtype=float)
     b = eta**ks
-    cov_e = y_block(it.LmsSteadyCovariance(eta, sigma, 0.5, 0.0), ks) - np.outer(b, b)
+    with np.errstate(divide="ignore"):  # log(0) = -inf at eta = 0
+        fresh = -np.expm1(2.0 * np.minimum.outer(ks, ks) * np.log(eta))
+    cov_e = eta ** np.abs(np.subtract.outer(ks, ks)) * fresh + sigma * sigma * np.eye(K)
     solved = float(b @ np.linalg.solve(cov_e, b))
     s = it._future_information(eta, sigma, K)
     assert abs(s - solved) <= 8 * _EPS * np.linalg.cond(cov_e) * solved
     if sigma == 0.0:  # Y_{t+1} = theta_{t+1} fixes all there is to know
-        # eta * eta is correctly rounded and eta**2 (libm pow) need not be;
-        # 1 - eta^2 magnifies that ulp by 1/(1 - eta^2)
-        assert abs(s - eta * eta / (1.0 - eta * eta)) <= 4 * _EPS * s
+        exact = float(Fraction(eta) ** 2 / (1 - Fraction(eta) ** 2))
+        assert abs(s - exact) <= 4 * _EPS * exact
 
 
 @settings(max_examples=60, deadline=None)

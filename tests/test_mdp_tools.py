@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contilab import mdp_tools
-from contilab.errors import DegenerateMdpError
+from contilab.errors import DegenerateMdpError, NumericError
 from contilab.mdp_tools import (
     belief_policy_iteration,
     goal_reward,
@@ -327,6 +327,15 @@ def test_belief_plan_slow_replacement_explores():
     assert plan.actions.max() == 1
     # play from the uninformed belief eventually reaches the explore region
     assert np.any(plan.reachable_actions() == 1)
+
+
+def test_belief_plan_raises_when_policy_iteration_does_not_settle(monkeypatch):
+    # one round moves states to the swap and leaves none to confirm the policy
+    monkeypatch.setattr(mdp_tools, "_PI_ROUNDS", 1)
+    with pytest.raises(NumericError, match="did not settle in 1 rounds"):
+        belief_policy_iteration(p1=0.8, q2=0.001, gamma=0.999, grid_size=201)
+    # a plan that moves no state settles in its first round
+    assert belief_policy_iteration(p1=1.0, q2=0.5, gamma=0.99, grid_size=201).actions.max() == 0
 
 
 def test_belief_plan_dominant_known_coin():
